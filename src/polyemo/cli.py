@@ -16,7 +16,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON experiment config file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument("--workers", type=int, default=None, help="concurrent cell count")
     p.add_argument(
         "--resume",
         action="store_true",
@@ -56,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config, seed=args.seed, out_dir=args.out, workers=args.workers)
+    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
     table = run_matrix(cfg, resume=args.resume, log=print)
     ok = sum(1 for r in table.rows if r.status == "ok")
     print(f"{ok}/{len(table)} cells ok; report: {cfg.out_dir / 'report.csv'}")
@@ -64,7 +63,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = load_config(args.config, seed=args.seed, out_dir=args.out, workers=args.workers)
+    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
     on, off = run_ablation(cfg, resume=args.resume, log=print)
     rows = on.rows + off.rows
     ok = sum(1 for r in rows if r.status == "ok")

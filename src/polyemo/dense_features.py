@@ -18,7 +18,6 @@ repeat run needs no network access.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,6 +63,17 @@ class OovReport:
     n_oov_tokens: int
 
 
+def _parse_vector(values: list[str], path: Path, lineno: int) -> np.ndarray:
+    """One line's values as a vector; anything but finite numbers is a FormatError."""
+    try:
+        vector = np.array([float(v) for v in values])
+    except ValueError as exc:
+        raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+    if not np.isfinite(vector).all():
+        raise FormatError(f"{path}: line {lineno}: non-finite vector value")
+    return vector
+
+
 def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
     """Parse a text word-vector file into an EmbeddingTable.
 
@@ -93,10 +103,7 @@ def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
                 raise FormatError(
                     f"{path}: line {lineno} has {len(values)} values, expected {dim}"
                 )
-            try:
-                vectors[token] = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+            vectors[token] = _parse_vector(values, path, lineno)
     if dim is None or not vectors:
         raise FormatError(f"{path}: no vector entries found")
     return EmbeddingTable(dimension=dim, vectors=vectors, language=language, source=str(path))
@@ -163,10 +170,7 @@ def load_precomputed_embeddings(path: str | Path, ids: list[str]) -> np.ndarray:
             raise FormatError(f"{path}: line {lineno} has {len(values)} values, expected {dim}")
         if key in by_id:
             raise AlignmentError(f"{path}: duplicate embedding for id {key!r}")
-        try:
-            by_id[key] = np.array([float(v) for v in values])
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        by_id[key] = _parse_vector(values, path, lineno)
 
     missing = [i for i in ids if i not in by_id]
     if missing:
@@ -278,26 +282,27 @@ def parse_reply(reply: str, policy: FallbackPolicy) -> str:
     return best[2]
 
 
-_cache_lock = threading.Lock()
-
-
 def _cache_read(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     p = Path(path)
     if not p.exists():
         return out
-    for line in p.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        source, target = line.split("\t")
-        out[source] = target
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(
+                f"{p}: line {lineno}: expected 'language<TAB>resolved language', got {line!r}"
+            )
+        out[parts[0]] = parts[1]
     return out
 
 
 def _cache_append(path: str, source: str, target: str) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    with _cache_lock, open(p, "a", encoding="utf-8") as fh:
+    with open(p, "a", encoding="utf-8") as fh:
         fh.write(f"{source}\t{target}\n")
 
 

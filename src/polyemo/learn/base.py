@@ -75,6 +75,16 @@ def default_voting_spec(seed: int = 0) -> ClassifierSpec:
     return ClassifierSpec(kind="voting", seed=seed, members=members)
 
 
+def _sigmoid(z):
+    """Logistic function, evaluated without overflow for large |z|."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def as_dense(x) -> np.ndarray:
     if sp.issparse(x):
         return np.asarray(x.todense(), dtype=float)

@@ -16,16 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ClassifierSpec, check_input_dim, validate_training_data
-
-
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+from .base import ClassifierSpec, _sigmoid, check_input_dim, validate_training_data
 
 
 class LinearSvm:

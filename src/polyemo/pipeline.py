@@ -18,67 +18,65 @@ from .corpus import EMOTIONS
 from .dense_features import EmbeddingTable, embed_documents
 from .errors import ConfigError, DataError, SchemaError
 from .reduce import PcaModel, normalize_rows, transform_pca
-from .sparse_features import TfidfModel, Vocabulary, transform_bow, transform_tfidf
+from .sparse_features import TfidfModel, transform_tfidf
 from .tokenize import Tokenizer, TokenizerSpec
 
-PIPELINE_FIELDS = (
-    "language",
-    "representation",
-    "representation_kind",
-    "tokenizer_spec",
-    "tokenizer_vocab",
-    "tfidf",
-    "bow_vocabulary",
-    "embeddings",
-    "normalize",
-    "pca",
-    "classifier",
-    "emotions",
-)
+# Not called here; kept importable under polyemo.pipeline because the tracing
+# benchmark (perfbench/spans.py) wraps these names by module attribute.
+from .sparse_features import transform_bow  # noqa: F401
 
 
 @dataclass
 class PipelineModel:
+    """The one featurizer of a cell: training, scoring and predict all go through it.
+
+    A bow representation is a ``TfidfModel`` with unit idf and no row
+    normalization, so it shares the tf-idf transform.
+    """
+
     language: str
     representation: str
     representation_kind: str  # bow | tfidf | word-vectors | precomputed
     tokenizer_spec: TokenizerSpec
-    tokenizer_vocab: tuple[str, ...]
-    tfidf: TfidfModel | None
-    bow_vocabulary: Vocabulary | None
-    embeddings: EmbeddingTable | None
-    normalize: bool
-    pca: PcaModel | None
-    classifier: object
+    tokenizer_vocab: tuple[str, ...] = ()
+    tfidf: TfidfModel | None = None
+    embeddings: EmbeddingTable | None = None
+    normalize: bool = True
+    pca: PcaModel | None = None
+    classifier: object = None
     emotions: tuple[str, ...] = EMOTIONS
 
     def make_tokenizer(self) -> Tokenizer:
-        if self.tokenizer_spec.kind == "external-vocab":
-            return Tokenizer.from_tokens(self.tokenizer_spec, self.tokenizer_vocab)
-        return Tokenizer(self.tokenizer_spec)
-
-    def features(self, texts: list[str]):
-        """Map raw texts to the feature space the classifier was trained in."""
         if self.representation_kind == "precomputed":
             raise ConfigError(
                 "this model was trained on precomputed document vectors and "
                 "cannot embed raw text"
             )
-        tok = self.make_tokenizer()
-        seqs = [tok(t) for t in texts]
-        if self.representation_kind == "bow":
-            x = transform_bow(seqs, self.bow_vocabulary)
-        elif self.representation_kind == "tfidf":
-            x = transform_tfidf(seqs, self.tfidf)
-        elif self.representation_kind == "word-vectors":
-            x, _ = embed_documents(seqs, self.embeddings)
-        else:
-            raise ConfigError(f"unknown representation kind {self.representation_kind!r}")
+        if self.tokenizer_spec.kind == "external-vocab":
+            return Tokenizer.from_tokens(self.tokenizer_spec, self.tokenizer_vocab)
+        return Tokenizer(self.tokenizer_spec)
+
+    def represent(self, token_seqs):
+        """Map token sequences to the representation's features, before reduction."""
+        if self.representation_kind == "word-vectors":
+            x, _ = embed_documents(token_seqs, self.embeddings)
+            return x
+        if self.representation_kind in ("bow", "tfidf"):
+            return transform_tfidf(token_seqs, self.tfidf)
+        raise ConfigError(f"unknown representation kind {self.representation_kind!r}")
+
+    def reduce(self, x):
+        """Row normalization, then PCA, as configured."""
         if self.normalize:
             x = normalize_rows(x)
         if self.pca is not None:
             x = transform_pca(x, self.pca)
         return x
+
+    def features(self, texts: list[str]):
+        """Map raw texts to the feature space the classifier was trained in."""
+        tok = self.make_tokenizer()
+        return self.reduce(self.represent([tok(t) for t in texts]))
 
     def predict_texts(self, texts: list[str]) -> np.ndarray:
         x = self.features(texts)

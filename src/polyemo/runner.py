@@ -1,12 +1,17 @@
 """Experiment matrix execution: config parsing, cell scheduling, report emission.
 
-A run enumerates language x representation x pca x classifier cells, executes
-each pipeline, and persists per-cell predictions, a fitted model file, and a
-completion record. Report files that must reproduce byte-for-byte under a
-fixed seed (the master report, the f1/confusion/ablation views, predictions)
-never contain wall-clock values; timings go to a separate out/timing/
-directory that is only written for single-worker runs, since concurrent
-cells distort wall-clock measurements.
+A run enumerates language x representation x pca x classifier cells and
+executes them in one sequential loop. For each (language, representation)
+pair the runner fits one ``PipelineModel`` featurizer on the train split and
+represents every split with it; for each PCA arm it fits the reduction once
+and shares that featurizer, and the reduced splits, across the arm's
+classifiers. Every saved model is that same featurizer plus the cell's
+classifier, so ``predict`` computes features exactly as training did.
+
+Each cell persists its predictions, a fitted model file and a completion
+record. Report files that must reproduce byte-for-byte under a fixed seed
+(the master report, the f1/confusion/ablation views, predictions) never
+contain wall-clock values; timings go to a separate out/timing/ directory.
 
 Every cell gets its own seed derived by hashing the master seed together
 with the cell coordinates, so editing one axis of the config cannot shift
@@ -23,18 +28,18 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import EMOTIONS, load_split
+from .corpus import ROLES, load_split
 from .dense_features import (
     FallbackPolicy,
     LlmBackendConfig,
-    embed_documents,
     load_precomputed_embeddings,
     load_word_vectors,
 )
@@ -51,10 +56,16 @@ from .evaluate import (
 )
 from .learn import ClassifierSpec, default_voting_spec, fit, grid_search_mlp
 from .pipeline import PipelineModel, read_predictions, write_predictions
-from .reduce import ReductionConfig, fit_pca, normalize_rows, transform_pca
-from .sparse_features import fit_bow, fit_tfidf, save_vocabulary, transform_bow, transform_tfidf
+from .reduce import ReductionConfig, fit_pca
+from .sparse_features import TfidfModel, fit_bow, fit_tfidf, save_vocabulary
 from .serialize import load_model, save_model
 from .tokenize import Tokenizer, TokenizerSpec, tokenize_split
+
+# Not called here (PipelineModel applies them); kept importable under
+# polyemo.runner because the tracing benchmark (perfbench/spans.py) wraps these names.
+from .dense_features import embed_documents  # noqa: F401
+from .reduce import normalize_rows, transform_pca  # noqa: F401
+from .sparse_features import transform_bow, transform_tfidf  # noqa: F401
 
 REPRESENTATION_KINDS = ("bow", "tfidf", "word-vectors", "precomputed")
 
@@ -191,7 +202,9 @@ CONFIG_SCHEMA = {
         },
         "seed": {"type": "integer", "minimum": 0},
         "out_dir": {"type": "string"},
-        "workers": {"type": "integer", "minimum": 1},
+        # cells run sequentially; configs that pin the former worker count
+        # to 1 stay valid, any other value is rejected
+        "workers": {"const": 1},
     },
 }
 
@@ -240,7 +253,6 @@ class ExperimentConfig:
     llm_backend: LlmBackendConfig | None = None
     seed: int = 0
     out_dir: Path = Path("out")
-    workers: int = 1
 
 
 @dataclass
@@ -277,11 +289,18 @@ def _tuplify(value):
 
 
 def _unique_names(names, what, source):
-    seen = set()
+    """Names must differ, also once sanitized into cell and artifact file names."""
+    seen: dict[str, str] = {}
     for n in names:
-        if n in seen:
+        key = _sanitize(n)
+        if seen.get(key) == n:
             raise ConfigError(f"{source}: duplicate {what} name {n!r}")
-        seen.add(n)
+        if key in seen:
+            raise ConfigError(
+                f"{source}: {what} names {seen[key]!r} and {n!r} both become "
+                f"{key!r} in cell and file names"
+            )
+        seen[key] = n
 
 
 def parse_config(raw: dict, source: str = "config", base_dir: Path | None = None) -> ExperimentConfig:
@@ -392,7 +411,6 @@ def parse_config(raw: dict, source: str = "config", base_dir: Path | None = None
         llm_backend=llm_backend,
         seed=raw.get("seed", 0),
         out_dir=resolve(raw.get("out_dir", "out")),
-        workers=raw.get("workers", 1),
     )
     _check_paths(cfg, source)
     return cfg
@@ -422,12 +440,9 @@ def _check_paths(cfg: ExperimentConfig, source: str) -> None:
 
 
 def load_config(
-    path: str | Path,
-    seed: int | None = None,
-    out_dir: str | None = None,
-    workers: int | None = None,
+    path: str | Path, seed: int | None = None, out_dir: str | None = None
 ) -> ExperimentConfig:
-    """Read a JSON config file; CLI flags override seed/out_dir/workers."""
+    """Read a JSON config file; CLI flags override seed/out_dir."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -442,13 +457,14 @@ def load_config(
         cfg.seed = seed
     if out_dir is not None:
         cfg.out_dir = Path(out_dir)
-    if workers is not None:
-        cfg.workers = workers
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # cell enumeration and execution
+
+
+PCA_TAGS = {True: "pca-on", False: "pca-off"}  # the PCA arm in cell and view file names
 
 
 @dataclass(frozen=True)
@@ -460,10 +476,9 @@ class Cell:
 
     @property
     def name(self) -> str:
-        tag = "pca-on" if self.pca else "pca-off"
         return "__".join(
             _sanitize(p)
-            for p in (self.language, self.representation.name, tag, self.classifier.name)
+            for p in (self.language, self.representation.name, PCA_TAGS[self.pca], self.classifier.name)
         )
 
 
@@ -493,61 +508,49 @@ def cell_seed(master_seed: int, language: str, representation: str, pca: bool, c
     return int.from_bytes(digest[:8], "little")
 
 
-@dataclass
-class RepData:
-    """A representation fitted on one language's train split, applied to all roles."""
-
-    train: object = None
-    dev: object = None
-    test: object = None
-    seconds: float = 0.0
-    resolved_language: str = ""
-    provenance: str = ""
-    tokenizer_vocab: tuple = ()
-    tfidf: object = None
-    bow_vocab: object = None
-    table: object = None
-    error: str = ""
-
-
 def build_representation(
     cfg: ExperimentConfig,
     rep: RepresentationConfig,
     lang: str,
     splits: dict,
     transport=None,
-) -> RepData:
-    """Fit a representation on train and transform all three splits, timed."""
-    out = RepData()
+) -> tuple[PipelineModel, list, float]:
+    """Fit one language's featurizer on its train split and represent every split, timed.
+
+    Returns the featurizer (no PCA, no classifier yet), the train/dev/test
+    matrices before reduction, and the seconds spent. Each split is
+    tokenized once, with the featurizer's own tokenizer.
+    """
 
     def work():
+        featurizer = PipelineModel(
+            language=lang,
+            representation=rep.name,
+            representation_kind=rep.kind,
+            tokenizer_spec=cfg.tokenizer,
+            normalize=cfg.normalize,
+        )
         if rep.kind == "precomputed":
             if lang not in rep.split_paths:
                 raise DataError(
                     f"no precomputed embeddings configured for language {lang!r}"
                 )
-            for role in ("train", "dev", "test"):
-                matrix = load_precomputed_embeddings(
-                    rep.split_paths[lang][role], splits[role].ids()
-                )
-                setattr(out, role, matrix)
-            out.resolved_language = lang
-            return
+            return featurizer, [
+                load_precomputed_embeddings(rep.split_paths[lang][role], splits[role].ids())
+                for role in ROLES
+            ]
 
-        tokenizer = Tokenizer(cfg.tokenizer)
-        out.tokenizer_vocab = tokenizer.vocab_tokens
-        seqs = {role: tokenize_split(splits[role], tokenizer) for role in ("train", "dev", "test")}
-
+        featurizer.tokenizer_vocab = Tokenizer(cfg.tokenizer).vocab_tokens
+        tokenizer = featurizer.make_tokenizer()
+        seqs = [tokenize_split(splits[role], tokenizer) for role in ROLES]
         if rep.kind == "bow":
-            out.bow_vocab = fit_bow(seqs["train"])
-            for role in ("train", "dev", "test"):
-                setattr(out, role, transform_bow(seqs[role], out.bow_vocab))
-            out.resolved_language = lang
+            vocab = fit_bow(seqs[0])
+            # unit idf without row normalization is exactly the count matrix
+            featurizer.tfidf = TfidfModel(
+                vocabulary=vocab, idf=np.ones(len(vocab)), row_normalize=False
+            )
         elif rep.kind == "tfidf":
-            out.tfidf = fit_tfidf(seqs["train"])
-            for role in ("train", "dev", "test"):
-                setattr(out, role, transform_tfidf(seqs[role], out.tfidf))
-            out.resolved_language = lang
+            featurizer.tfidf = fit_tfidf(seqs[0])
         else:  # word-vectors
             from .dense_features import resolve_language
 
@@ -558,53 +561,57 @@ def build_representation(
                 llm_backend=cfg.llm_backend,
                 cache_path=cfg.cache_path,
             )
-            code, provenance = resolve_language(lang, policy, transport=transport)
-            out.resolved_language = code
-            out.provenance = provenance
-            out.table = load_word_vectors(rep.vector_paths[code], language=code)
-            for role in ("train", "dev", "test"):
-                matrix, _ = embed_documents(seqs[role], out.table)
-                setattr(out, role, matrix)
+            code, _ = resolve_language(lang, policy, transport=transport)
+            featurizer.embeddings = load_word_vectors(rep.vector_paths[code], language=code)
+        return featurizer, [featurizer.represent(s) for s in seqs]
 
-    _, out.seconds = time_run(work)
-    return out
+    (featurizer, xs), seconds = time_run(work)
+    return featurizer, xs, seconds
 
 
-def _reduce_features(cfg: ExperimentConfig, pca_on: bool, xs: list):
-    """Apply row normalization and, when enabled, fit-on-train PCA."""
-    if cfg.normalize:
-        xs = [normalize_rows(x) for x in xs]
-    pca_model = None
-    if pca_on:
-        pca_model = fit_pca(xs[0], ReductionConfig(normalize=False, components=cfg.components))
-        xs = [transform_pca(x, pca_model) for x in xs]
-    return xs, pca_model
+def _fit_reduction(cfg: ExperimentConfig, featurizer: PipelineModel, pca: bool, xs: list):
+    """The featurizer of one PCA arm, fitted on train, and the splits it reduces to."""
+    if pca:
+        pca_model = fit_pca(
+            featurizer.reduce(xs[0]), ReductionConfig(normalize=False, components=cfg.components)
+        )
+        featurizer = replace(featurizer, pca=pca_model)
+    return featurizer, [featurizer.reduce(x) for x in xs]
 
 
-def run_cell(cfg: ExperimentConfig, cell: Cell, splits: dict, rep_data: RepData) -> EvalReport:
-    """Execute one cell end to end and persist its artifacts."""
-    report = EvalReport(
+def _cell_report(cell: Cell, **fields) -> EvalReport:
+    return EvalReport(
         language=cell.language,
         representation=cell.representation.name,
         classifier=cell.classifier.name,
         pca=cell.pca,
         f1_macro=math.nan,
+        **fields,
     )
-    if rep_data.error:
-        report.status = "error"
-        report.error = f"representation: {rep_data.error}"
-        _write_cell_record(cfg, cell, report)
-        return report
+
+
+def run_cell(
+    cfg: ExperimentConfig,
+    cell: Cell,
+    splits: dict,
+    featurizer: PipelineModel,
+    xs: list,
+    representation_seconds: float,
+    reduce_seconds: float,
+) -> EvalReport:
+    """Fit, predict and score one cell on its group's reduced features; persist it.
+
+    ``featurizer`` and ``xs`` are shared by every classifier of the cell's
+    (language, representation, pca) group; ``reduce_seconds`` is the group's
+    normalize + PCA time, counted in each cell's train time.
+    """
+    report = _cell_report(cell)
     try:
         seed = cell_seed(
             cfg.seed, cell.language, cell.representation.name, cell.pca, cell.classifier.name
         )
         y_train = splits["train"].label_matrix()
         y_dev = splits["dev"].label_matrix()
-
-        (xs, pca_model), reduce_seconds = time_run(
-            lambda: _reduce_features(cfg, cell.pca, [rep_data.train, rep_data.dev, rep_data.test])
-        )
         x_train, x_dev, x_test = xs
 
         def train():
@@ -622,7 +629,7 @@ def run_cell(cfg: ExperimentConfig, cell: Cell, splits: dict, rep_data: RepData)
         report.timing = TimingRecord(
             train_seconds=reduce_seconds + fit_seconds,
             predict_seconds=predict_seconds,
-            representation_seconds=rep_data.seconds,
+            representation_seconds=representation_seconds,
         )
 
         pred_path = cfg.out_dir / "predictions" / f"{cell.name}.csv"
@@ -634,21 +641,7 @@ def run_cell(cfg: ExperimentConfig, cell: Cell, splits: dict, rep_data: RepData)
             report.f1_macro = f1_macro(y_test, persisted)
             report.rates = confusion_rates(y_test, persisted)
 
-        pipeline = PipelineModel(
-            language=cell.language,
-            representation=cell.representation.name,
-            representation_kind=cell.representation.kind,
-            tokenizer_spec=cfg.tokenizer,
-            tokenizer_vocab=rep_data.tokenizer_vocab,
-            tfidf=rep_data.tfidf,
-            bow_vocabulary=rep_data.bow_vocab,
-            embeddings=rep_data.table,
-            normalize=cfg.normalize,
-            pca=pca_model,
-            classifier=model,
-            emotions=EMOTIONS,
-        )
-        save_model(pipeline, cfg.out_dir / "models" / f"{cell.name}.npz")
+        save_model(replace(featurizer, classifier=model), cfg.out_dir / "models" / f"{cell.name}.npz")
     except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the matrix
         report.status = "error"
         report.error = f"{type(exc).__name__}: {exc}"
@@ -712,31 +705,38 @@ def _write_cell_record(cfg: ExperimentConfig, cell: Cell, report: EvalReport) ->
     }
     path = cfg.out_dir / "cells" / f"{cell.name}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    # a record appears whole or not at all, so --resume never reads half of one
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def _read_cell_record(cfg: ExperimentConfig, cell: Cell) -> EvalReport | None:
+    """The cell's completion record, or None when it is missing or unreadable."""
     path = cfg.out_dir / "cells" / f"{cell.name}.json"
     if not path.is_file():
         return None
-    record = json.loads(path.read_text(encoding="utf-8"))
-    t = record.get("timing", {})
-    f1 = record.get("f1_macro")
-    return EvalReport(
-        language=record["language"],
-        representation=record["representation"],
-        classifier=record["classifier"],
-        pca=record["pca"],
-        f1_macro=math.nan if f1 is None else f1,
-        rates=_rates_from_json(record.get("rates")),
-        timing=TimingRecord(
-            train_seconds=t.get("train_seconds", 0.0),
-            predict_seconds=t.get("predict_seconds", 0.0),
-            representation_seconds=t.get("representation_seconds", 0.0),
-        ),
-        status=record["status"],
-        error=record.get("error", ""),
-    )
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        t = record.get("timing", {})
+        f1 = record.get("f1_macro")
+        return EvalReport(
+            language=record["language"],
+            representation=record["representation"],
+            classifier=record["classifier"],
+            pca=record["pca"],
+            f1_macro=math.nan if f1 is None else f1,
+            rates=_rates_from_json(record.get("rates")),
+            timing=TimingRecord(
+                train_seconds=t.get("train_seconds", 0.0),
+                predict_seconds=t.get("predict_seconds", 0.0),
+                representation_seconds=t.get("representation_seconds", 0.0),
+            ),
+            status=record["status"],
+            error=record.get("error", ""),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None  # truncated or malformed: the cell runs again
 
 
 # ---------------------------------------------------------------------------
@@ -761,15 +761,26 @@ def run_matrix(
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     rows: dict[int, EvalReport] = {}
+
+    def done(i: int, report: EvalReport) -> None:
+        rows[i] = report
+        marker = _f1_text(report) if report.status == "ok" else report.error
+        say(f"[{i + 1}/{len(cells)}] {cells[i].name}: {marker}")
+
+    def fail(group: list, error: str) -> None:
+        for i, cell in group:
+            report = _cell_report(cell, status="error", error=error)
+            _write_cell_record(cfg, cell, report)
+            done(i, report)
+
     pending: list[tuple[int, Cell]] = []
     for i, cell in enumerate(cells):
-        if resume:
-            existing = _read_cell_record(cfg, cell)
-            if existing is not None:
-                rows[i] = existing
-                say(f"[{i + 1}/{len(cells)}] {cell.name}: resumed")
-                continue
-        pending.append((i, cell))
+        existing = _read_cell_record(cfg, cell) if resume else None
+        if existing is not None:
+            rows[i] = existing
+            say(f"[{i + 1}/{len(cells)}] {cell.name}: resumed")
+        else:
+            pending.append((i, cell))
 
     split_cache: dict[str, dict] = {}
 
@@ -777,51 +788,43 @@ def run_matrix(
         if lang not in split_cache:
             split_cache[lang] = {
                 role: load_split(cfg.data_dir / lang / f"{role}.csv", role, lang)
-                for role in ("train", "dev", "test")
+                for role in ROLES
             }
         return split_cache[lang]
 
-    # representations are shared across cells, so fit each (language, rep)
-    # pair once, sequentially, before any cell-level parallelism starts
-    rep_cache: dict[tuple[str, str], RepData] = {}
-    for _, cell in pending:
-        key = (cell.language, cell.representation.name)
-        if key in rep_cache:
-            continue
+    # cells come in nesting order, so each (language, representation) group
+    # and each pca arm inside it is one run of consecutive pending cells
+    for _, rep_group in groupby(pending, key=lambda ic: (ic[1].language, ic[1].representation.name)):
+        rep_group = list(rep_group)
+        lang, rep = rep_group[0][1].language, rep_group[0][1].representation
+        splits = splits_for(lang)
         try:
-            rep_cache[key] = build_representation(
-                cfg, cell.representation, cell.language, splits_for(cell.language), transport
-            )
-        except Exception as exc:  # noqa: BLE001 - recorded per cell below
-            rep_cache[key] = RepData(error=f"{type(exc).__name__}: {exc}")
-        else:
-            _save_vocab_artifact(cfg, cell.representation, cell.language, rep_cache[key])
-
-    def execute(item):
-        i, cell = item
-        rep_data = rep_cache[(cell.language, cell.representation.name)]
-        return i, run_cell(cfg, cell, splits_for(cell.language), rep_data)
-
-    if cfg.workers > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(execute, pending))
-    else:
-        results = [execute(item) for item in pending]
-    for i, report in results:
-        rows[i] = report
-        marker = _f1_text(report) if report.status == "ok" else report.error
-        say(f"[{i + 1}/{len(cells)}] {cells[i].name}: {marker}")
+            featurizer, xs, rep_seconds = build_representation(cfg, rep, lang, splits, transport)
+        except Exception as exc:  # noqa: BLE001 - recorded per cell
+            fail(rep_group, f"representation: {type(exc).__name__}: {exc}")
+            continue
+        _save_vocab_artifact(cfg, rep, lang, featurizer)
+        for pca, arm in groupby(rep_group, key=lambda ic: ic[1].pca):
+            arm = list(arm)
+            try:
+                (arm_featurizer, reduced), reduce_seconds = time_run(
+                    lambda: _fit_reduction(cfg, featurizer, pca, xs)
+                )
+            except Exception as exc:  # noqa: BLE001 - recorded per cell
+                fail(arm, f"{type(exc).__name__}: {exc}")
+                continue
+            for i, cell in arm:
+                done(i, run_cell(cfg, cell, splits, arm_featurizer, reduced, rep_seconds, reduce_seconds))
 
     table = ReportTable(rows=[rows[i] for i in range(len(cells))])
     write_reports(cfg, cells, table)
     return table
 
 
-def _save_vocab_artifact(cfg, rep, lang, rep_data) -> None:
-    vocab = rep_data.bow_vocab or (rep_data.tfidf.vocabulary if rep_data.tfidf else None)
-    if vocab is not None:
+def _save_vocab_artifact(cfg, rep, lang, featurizer) -> None:
+    if featurizer.tfidf is not None:
         path = cfg.out_dir / "vocab" / f"{_sanitize(lang)}__{_sanitize(rep.name)}.tsv"
-        save_vocabulary(vocab, path)
+        save_vocabulary(featurizer.tfidf.vocabulary, path)
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +843,7 @@ def write_reports(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) 
     _write_master_report(cfg, table)
     _write_f1_views(cfg, cells, table)
     _write_confusion_views(cfg, cells, table)
-    if cfg.workers == 1:
-        _write_timing_views(cfg, cells, table)
+    _write_timing_views(cfg, cells, table)
 
 
 def _write_master_report(cfg: ExperimentConfig, table: ReportTable) -> None:
@@ -872,10 +874,6 @@ def _row_index(cells: list[Cell], table: ReportTable) -> dict:
     }
 
 
-def _pca_tag(pca: bool) -> str:
-    return "pca-on" if pca else "pca-off"
-
-
 def _write_f1_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) -> None:
     """Language-by-representation and language-by-classifier F1 grids."""
     index = _row_index(cells, table)
@@ -883,7 +881,7 @@ def _write_f1_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable
     views.mkdir(parents=True, exist_ok=True)
     for pca in cfg.pca_axis:
         for clf in cfg.classifiers:
-            path = views / f"f1_by_representation.{_pca_tag(pca)}.{_sanitize(clf.name)}.csv"
+            path = views / f"f1_by_representation.{PCA_TAGS[pca]}.{_sanitize(clf.name)}.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["language"] + [r.name for r in cfg.representations])
@@ -894,7 +892,7 @@ def _write_f1_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable
                     ]
                     writer.writerow([lang] + cells_row)
         for rep in cfg.representations:
-            path = views / f"f1_by_classifier.{_pca_tag(pca)}.{_sanitize(rep.name)}.csv"
+            path = views / f"f1_by_classifier.{PCA_TAGS[pca]}.{_sanitize(rep.name)}.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["language"] + [c.name for c in cfg.classifiers])
@@ -957,7 +955,7 @@ def _write_timing_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportT
             )
     for pca in cfg.pca_axis:
         for rep in cfg.representations:
-            path = timing_dir / f"train_test.{_pca_tag(pca)}.{_sanitize(rep.name)}.csv"
+            path = timing_dir / f"train_test.{PCA_TAGS[pca]}.{_sanitize(rep.name)}.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 header = ["language"]
@@ -987,11 +985,9 @@ def run_ablation(
 ) -> tuple[ReportTable, ReportTable]:
     """Run the matrix with the PCA axis forced to {on, off} and emit paired tables.
 
-    Training-time comparisons are meaningless under concurrency, so the run
-    is forced to a single worker. Returns (with-PCA table, without-PCA table)
-    in matching row order.
+    Returns (with-PCA table, without-PCA table) in matching row order.
     """
-    cfg = replace(cfg, pca_axis=(True, False), workers=1)
+    cfg = replace(cfg, pca_axis=(True, False))
     table = run_matrix(cfg, resume=resume, transport=transport, log=log)
     cells = enumerate_cells(cfg)
     index = _row_index(cells, table)

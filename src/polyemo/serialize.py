@@ -12,6 +12,7 @@ instead of guessing.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zipfile
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 FORMAT_NAME = "polyemo"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: a bow pipeline stores its vocabulary as a unit-idf TfidfModel
 
 
 def _encode_node(value, arrays: dict, counter: list):
@@ -382,9 +383,7 @@ def _decode_voting(f):
 
 
 def _encode_pipeline(p):
-    from .pipeline import PIPELINE_FIELDS
-
-    return _fields_of(p, PIPELINE_FIELDS)
+    return {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
 
 
 def _decode_pipeline(f):

@@ -31,7 +31,7 @@ from polyemo.reduce import (
     inverse_transform_pca,
     transform_pca,
 )
-from polyemo.runner import enumerate_cells, parse_config, run_matrix
+from polyemo.runner import enumerate_cells, parse_config, predict_file, run_matrix
 from polyemo.sparse_features import fit_tfidf, transform_tfidf
 from polyemo.synthetic import write_corpus, write_word_vectors
 
@@ -283,17 +283,27 @@ def test_separable_corpus_end_to_end(acceptance_corpus, tmp_path):
     }
     mlp_floor = min(scores[("tfidf", "mlp", True)], scores[("tfidf", "mlp", False)])
     dt_floor = min(scores[("tfidf", "dt", True)], scores[("tfidf", "dt", False)])
+    # every saved model, served back through predict, reproduces its cell
+    test_csv = cfg.data_dir / "syn" / "test.csv"
+    diverged = []
+    for cell in enumerate_cells(cfg):
+        served = tmp_path / "served" / f"{cell.name}.csv"
+        predict_file(cfg.out_dir / "models" / f"{cell.name}.npz", test_csv, served)
+        if served.read_bytes() != (cfg.out_dir / "predictions" / f"{cell.name}.csv").read_bytes():
+            diverged.append(cell.name)
     ok = (
         table.all_ok
         and len(table) == 18
         and mlp_floor >= 0.90
         and dt_floor >= 0.70
         and elapsed < 120.0
+        and not diverged
     )
     report(
         "separable-corpus end to end",
         ok,
-        f"18 cells in {elapsed:.1f}s, tfidf+mlp >= {mlp_floor:.4f}, tfidf+dt >= {dt_floor:.4f}",
+        f"18 cells in {elapsed:.1f}s, tfidf+mlp >= {mlp_floor:.4f}, tfidf+dt >= {dt_floor:.4f}, "
+        f"served models differing from their cells: {diverged or 'none'}",
     )
 
 

@@ -142,6 +142,13 @@ def test_inspect_vocab(config_path, tmp_path, capsys):
     assert "vocabulary size:" in out
 
 
+def test_workers_flag_is_gone(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config_path), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_subcommand_is_required(capsys):
     with pytest.raises(SystemExit):
         main([])

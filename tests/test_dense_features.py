@@ -54,6 +54,12 @@ class TestLoadWordVectors:
         with pytest.raises(FormatError, match="line 1"):
             load_word_vectors(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value(self, tmp_path, value):
+        p = write_vectors(tmp_path / "v.vec", f"a 1 2\nb {value} 1\n")
+        with pytest.raises(FormatError, match=r"v\.vec: line 2: non-finite"):
+            load_word_vectors(p)
+
     def test_duplicate_token_overwrites(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "a 1 1\na 2 2\n")
         np.testing.assert_array_equal(load_word_vectors(p).vectors["a"], [2.0, 2.0])
@@ -155,6 +161,11 @@ class TestPrecomputedEmbeddings:
         m = load_precomputed_embeddings(p, ["d2"])
         np.testing.assert_array_equal(m, [[2.0]])
 
+    def test_non_finite_value(self, tmp_path):
+        p = write_vectors(tmp_path / "e.csv", "id,v1,v2\nd1,1,2\nd2,nan,4\n")
+        with pytest.raises(FormatError, match=r"e\.csv: line 3: non-finite"):
+            load_precomputed_embeddings(p, ["d1", "d2"])
+
     def test_ragged_rows(self, tmp_path):
         p = write_vectors(tmp_path / "e.csv", "id,v1,v2\nd1,1,2\nd2,3\n")
         with pytest.raises(FormatError, match="line 3"):
@@ -255,6 +266,15 @@ class TestResolveLanguage:
     def test_static_map_to_unsupported_rejected(self):
         with pytest.raises(ConfigError, match="unsupported"):
             FallbackPolicy(supported_languages=("am",), static_map={"om": "xx"})
+
+    def test_malformed_cache_line_names_line(self, tmp_path):
+        cache = tmp_path / "cache.tsv"
+        cache.write_text("xx\tam\nom am\n", encoding="utf-8")
+        policy = FallbackPolicy(
+            supported_languages=("am",), llm_backend=self.backend(), cache_path=str(cache)
+        )
+        with pytest.raises(FormatError, match=r"cache\.tsv: line 2"):
+            resolve_language("om", policy, CannedTransport("Amharic"))
 
     def test_llm_resolution_and_cache(self, tmp_path):
         transport = CannedTransport("The most similar language is Amharic.")

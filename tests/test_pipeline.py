@@ -25,7 +25,6 @@ def tfidf_pipeline(texts, labels, pca=None, normalize=False):
         tokenizer_spec=TokenizerSpec(),
         tokenizer_vocab=(),
         tfidf=model,
-        bow_vocabulary=None,
         embeddings=None,
         normalize=normalize,
         pca=pca,
@@ -61,7 +60,6 @@ class TestPipelineModel:
             tokenizer_spec=TokenizerSpec(),
             tokenizer_vocab=(),
             tfidf=None,
-            bow_vocabulary=None,
             embeddings=None,
             normalize=False,
             pca=None,

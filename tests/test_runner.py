@@ -115,6 +115,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="workers"):
             parse(raw)
 
+    def test_parallel_workers_rejected(self, synthetic_dir, tmp_path):
+        # cells run sequentially: only the single-worker setting is accepted
+        parse(base_raw(synthetic_dir, tmp_path, workers=1))
+        with pytest.raises(ConfigError, match="workers"):
+            parse(base_raw(synthetic_dir, tmp_path, workers=2))
+
+    @pytest.mark.parametrize(
+        "axis, names",
+        [
+            ("languages", ["k a", "k-a"]),
+            ("representations", [{"name": "tf idf", "kind": "tfidf"}, {"name": "tf/idf", "kind": "tfidf"}]),
+            ("classifiers", [{"name": "k a", "kind": "knn"}, {"name": "k-a", "kind": "knn"}]),
+        ],
+    )
+    def test_names_colliding_after_sanitizing(self, synthetic_dir, tmp_path, axis, names):
+        raw = base_raw(synthetic_dir, tmp_path)
+        raw[axis] = names
+        with pytest.raises(ConfigError, match="both become"):
+            parse(raw)
+
     def test_whole_valued_float_components_coerced(self, synthetic_dir, tmp_path):
         raw = base_raw(synthetic_dir, tmp_path)
         raw["reduction"]["components"] = 2.0
@@ -129,10 +149,9 @@ class TestParseConfig:
     def test_load_config_file_and_overrides(self, synthetic_dir, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(base_raw(synthetic_dir, tmp_path / "out")), encoding="utf-8")
-        cfg = load_config(path, seed=99, out_dir=str(tmp_path / "other"), workers=2)
+        cfg = load_config(path, seed=99, out_dir=str(tmp_path / "other"))
         assert cfg.seed == 99
         assert cfg.out_dir == tmp_path / "other"
-        assert cfg.workers == 2
 
     def test_load_config_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -270,13 +289,15 @@ class TestRunMatrix:
             _, pred = read_predictions(cfg.out_dir / "predictions" / f"{cell.name}.csv")
             assert f1_macro(gold, pred) == row.f1_macro
 
-    def test_models_reload_and_reproduce(self, matrix_out):
-        cfg, table = matrix_out
-        cell = enumerate_cells(cfg)[0]
-        model = load_model(cfg.out_dir / "models" / f"{cell.name}.npz")
-        split = load_split(cfg.data_dir / "syn" / "test.csv", "test")
-        _, persisted = read_predictions(cfg.out_dir / "predictions" / f"{cell.name}.csv")
-        np.testing.assert_array_equal(model.predict_texts(split.texts()), persisted)
+    def test_models_reload_and_reproduce(self, matrix_out, tmp_path):
+        """Every saved model labels the test split exactly as its cell did."""
+        cfg, _ = matrix_out
+        test_csv = cfg.data_dir / "syn" / "test.csv"
+        for cell in enumerate_cells(cfg):
+            served = tmp_path / f"{cell.name}.csv"
+            predict_file(cfg.out_dir / "models" / f"{cell.name}.npz", test_csv, served)
+            expected = (cfg.out_dir / "predictions" / f"{cell.name}.csv").read_bytes()
+            assert served.read_bytes() == expected, cell.name
 
     def test_vocab_artifacts_written(self, matrix_out):
         cfg, _ = matrix_out
@@ -340,25 +361,6 @@ class TestDeterminism:
             assert full_dt[(r.representation, r.pca)] == r.f1_macro
 
 
-class TestWorkers:
-    def test_parallel_run_skips_timing_views(self, synthetic_dir, tmp_path):
-        raw = base_raw(synthetic_dir, tmp_path / "out", workers=2)
-        cfg = parse(raw)
-        table = run_matrix(cfg)
-        assert table.all_ok
-        assert not (cfg.out_dir / "timing").exists()
-        assert (cfg.out_dir / "report.csv").is_file()
-
-    def test_parallel_report_matches_serial(self, synthetic_dir, tmp_path):
-        outs = {}
-        for name, workers in (("serial", 1), ("parallel", 2)):
-            out = tmp_path / name
-            cfg = parse(base_raw(synthetic_dir, out, workers=workers))
-            run_matrix(cfg)
-            outs[name] = tree_digest(out, DETERMINISTIC_PATTERNS)[0]
-        assert outs["serial"] == outs["parallel"]
-
-
 class TestErrorIsolation:
     @pytest.fixture()
     def two_lang_dir(self, synthetic_dir, tmp_path):
@@ -401,6 +403,20 @@ class TestErrorIsolation:
         # the master report carries the marker and an empty f1 column
         report = (cfg.out_dir / "report.csv").read_text(encoding="utf-8")
         assert "error" in report and "ResolutionError" in report
+
+    def test_failed_pca_fails_only_its_arm(self, synthetic_dir, tmp_path):
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["representations"] = [
+            {"name": "wv", "kind": "word-vectors", "vectors": {"syn": str(synthetic_dir / "syn.vec")}}
+        ]
+        raw["reduction"]["components"] = 50  # the 12-dim vectors cannot give 50
+        table = run_matrix(parse(raw))
+        for row in table.rows:
+            if row.pca:
+                assert row.status == "error"
+                assert row.error == "ConfigError: components=50 out of range 1..12"
+            else:
+                assert row.status == "ok"
 
     def test_static_fallback_reuses_supported_vectors(self, synthetic_dir, two_lang_dir, tmp_path):
         raw = self.wv_raw(
@@ -468,6 +484,22 @@ class TestResume:
         recomputed = by_name[deleted_name]
         assert recomputed.status == "ok"
         assert recomputed.f1_macro == table.rows[-1].f1_macro
+
+    def test_resume_reruns_unreadable_record(self, synthetic_dir, tmp_path):
+        out = tmp_path / "out"
+        raw = base_raw(synthetic_dir, out)
+        raw["reduction"]["pca"] = [False]
+        cfg = parse(raw)
+        table = run_matrix(cfg)
+        records = sorted((out / "cells").glob("*.json"))
+        text = records[0].read_text(encoding="utf-8")
+        records[0].write_text(text[: len(text) // 2], encoding="utf-8")  # truncated
+        records[1].write_text("[]", encoding="utf-8")  # valid JSON, not a record
+        resumed = run_matrix(cfg, resume=True)
+        assert resumed.all_ok
+        assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in table.rows]
+        assert json.loads(records[0].read_text(encoding="utf-8"))["status"] == "ok"
+        assert not list((out / "cells").glob("*.tmp"))
 
     def test_without_resume_everything_recomputes(self, synthetic_dir, tmp_path):
         out = tmp_path / "out"

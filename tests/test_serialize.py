@@ -18,9 +18,11 @@ from polyemo.learn import (
     default_voting_spec,
     fit,
 )
+from polyemo.pipeline import PipelineModel
 from polyemo.reduce import fit_pca
 from polyemo.serialize import FORMAT_NAME, FORMAT_VERSION, load_model, save_model
 from polyemo.sparse_features import fit_tfidf, transform_tfidf
+from polyemo.tokenize import TokenizerSpec
 
 
 def small_problem(rng, n=20, d=4, labels=6):
@@ -152,6 +154,19 @@ class TestFormatGuards:
         path = self.saved_model(rng, tmp_path)
         self.tamper_meta(path, lambda meta: meta.update(version=FORMAT_VERSION + 1))
         with pytest.raises(FormatError, match="version"):
+            load_model(path)
+
+    def test_version_one_pipeline_refused(self, tmp_path):
+        # a v1 pipeline still carries the bow_vocabulary field of that layout
+        path = tmp_path / "pipe.npz"
+        save_model(PipelineModel("xx", "ext", "precomputed", TokenizerSpec()), path)
+
+        def mutate(meta):
+            meta["version"] = 1
+            meta["root"]["fields"]["bow_vocabulary"] = None
+
+        self.tamper_meta(path, mutate)
+        with pytest.raises(FormatError, match="version 1"):
             load_model(path)
 
     def test_wrong_format_name_refused(self, rng, tmp_path):
