@@ -7,6 +7,31 @@ split minimizes weighted child impurity, with ties broken toward the lowest
 feature index and lowest threshold. A node splits as long as it is impure
 and a valid split exists, which lets the tree solve XOR-like label patterns
 whose first split has zero immediate gain.
+
+Array layout. A fitted tree is five flat arrays indexed by node id, with
+nodes numbered in preorder (a node, then its left subtree, then its right
+subtree; the root is 0): ``feature`` (int64, -1 at a leaf), ``threshold``
+(float64, 0.0 at a leaf), ``left`` and ``right`` (int64 child ids, -1 at a
+leaf) and ``value`` (int64, ``(n_nodes, n_labels)``, the 0/1 prediction at a
+leaf and zeros elsewhere). Samples with ``x[feature] <= threshold`` go left.
+The model file stores exactly these arrays.
+
+Split search. All candidate features of a node are scored at once: a stable
+column-wise argsort, a cumulative label count of shape (positions, features,
+labels) with labels on the last, contiguous axis, then a feature-major
+argmin. Features are scored in blocks of at most ``SPLIT_BLOCK_CELLS``
+(position x feature x label) cells, so memory stays bounded on wide inputs;
+an earlier block keeps a tie against a later one.
+
+Bit-exactness rule. Fitted trees do not depend on how the search is
+vectorized: the weighted child impurity is evaluated with one fixed
+elementwise expression and order of operations,
+``g = 2 * sum_labels(pos * (n - pos) / n) / n`` per child, then
+``n_left * g_left + n_right * g_right``. Bootstrap duplicates produce near-ties
+between candidate splits, so an algebraically equal rewrite (for example
+``2 * (sum_left / n_left + sum_right / n_right)``) rounds differently and
+changes which split wins. Feature subsets are drawn with ``rng.choice`` once
+per splittable node, in depth-first (left before right) order.
 """
 
 from __future__ import annotations
@@ -15,52 +40,46 @@ import numpy as np
 
 from .base import ClassifierSpec, check_input_dim, validate_training_data
 
-
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, feature=-1, threshold=0.0, left=None, right=None, value=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.value = value  # (n_labels,) 0/1 vector at leaves
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
+SPLIT_BLOCK_CELLS = 32768
 
 
-def _impurity_weighted(prefix, counts_total, n):
-    """Weighted child Gini for every split position 1..n-1, vectorized.
+def _best_split(xs, ys, counts):
+    """Best (weighted impurity, column, threshold) over the columns of ``xs``, or None.
 
-    prefix[i] holds per-label positive counts among the first i+1 sorted
-    samples. Returns an (n-1,) array of n_left*G_left + n_right*G_right.
+    ``xs`` is the node's (n, k) candidate columns, ``ys`` its (n, labels)
+    0/1 matrix and ``counts`` the per-label positive totals.
     """
-    left_n = np.arange(1, n, dtype=float)
-    right_n = n - left_n
-    left_pos = prefix[:-1].astype(float)
-    right_pos = counts_total.astype(float) - left_pos
-    # per-label binary gini: 2 p (1-p); summed over labels, weighted by size
-    gl = 2.0 * (left_pos * (left_n[:, None] - left_pos) / left_n[:, None]).sum(axis=1) / left_n
-    gr = 2.0 * (right_pos * (right_n[:, None] - right_pos) / right_n[:, None]).sum(axis=1) / right_n
-    return left_n * gl + right_n * gr
-
-
-def _best_split_for_feature(values, y, counts_total):
-    """Return (weighted_child_impurity, threshold) or None if no valid split."""
-    n = values.shape[0]
-    order = np.argsort(values, kind="stable")
-    vs = values[order]
-    distinct = vs[:-1] < vs[1:]
-    if not distinct.any():
+    n = xs.shape[0]
+    # a column without two distinct values has no split; dropping it keeps the
+    # order (fmin/fmax skip nan, which sorts last and never starts a split)
+    columns = np.flatnonzero(np.fmin.reduce(xs, axis=0) < np.fmax.reduce(xs, axis=0))
+    if columns.size == 0:
         return None
-    prefix = np.cumsum(y[order], axis=0)
-    weighted = _impurity_weighted(prefix, counts_total, n)
-    weighted = np.where(distinct, weighted, np.inf)
-    best = int(np.argmin(weighted))
-    threshold = (vs[best] + vs[best + 1]) / 2.0
-    return weighted[best], threshold
+    left_n = np.arange(1.0, n)[:, None]
+    right_n = n - left_n
+    ln = left_n[:, :, None]
+    rn = right_n[:, :, None]
+    total = counts.astype(float)
+    step = max(1, SPLIT_BLOCK_CELLS // (n * ys.shape[1]))
+    best = None
+    for start in range(0, columns.size, step):
+        block = columns[start : start + step]
+        cols = xs[:, block]
+        order = cols.argsort(axis=0, kind="stable")
+        vs = cols[order, np.arange(block.size)]
+        distinct = vs[:-1] < vs[1:]  # (n-1, b)
+        # label counts left of each cut; integer-valued, so exact in float
+        left_pos = ys[order].cumsum(axis=0, dtype=float)[:-1]  # (n-1, b, labels)
+        right_pos = total - left_pos
+        gl = 2.0 * (left_pos * (ln - left_pos) / ln).sum(axis=-1) / left_n
+        gr = 2.0 * (right_pos * (rn - right_pos) / rn).sum(axis=-1) / right_n
+        weighted = np.where(distinct, left_n * gl + right_n * gr, np.inf)
+        flat = int(weighted.T.argmin())  # feature-major: lowest column, then position
+        j, pos = divmod(flat, n - 1)
+        score = weighted[pos, j]
+        if best is None or score < best[0]:
+            best = (score, int(block[j]), (vs[pos, j] + vs[pos + 1, j]) / 2.0)
+    return best
 
 
 def _leaf_value(y) -> np.ndarray:
@@ -69,7 +88,9 @@ def _leaf_value(y) -> np.ndarray:
 
 
 def _grow_tree(x, y, min_samples_split, max_depth, max_features, rng):
+    """The five preorder node arrays of a tree fitted to (x, y)."""
     n_features = x.shape[1]
+    n_labels = y.shape[1]
     if max_features is None:
         n_candidates = n_features
     elif max_features == "sqrt":
@@ -77,64 +98,70 @@ def _grow_tree(x, y, min_samples_split, max_depth, max_features, rng):
     else:
         n_candidates = max(1, min(int(max_features), n_features))
 
-    root = _Node()
-    stack = [(root, np.arange(x.shape[0]), 0)]
+    feature, threshold, left, right, value = [], [], [], [], []
+    # (sample rows, depth, parent id, child slot of the parent); popping in
+    # stack order visits nodes in preorder, so a node's id is its pop count
+    stack = [(np.arange(x.shape[0]), 0, -1, None)]
     while stack:
-        node, idx, depth = stack.pop()
+        idx, depth, parent, slot = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            slot[parent] = node
         ys = y[idx]
         n = idx.shape[0]
         counts = ys.sum(axis=0)
-        pure = np.all((counts == 0) | (counts == n))
-        if pure or n < min_samples_split or (max_depth is not None and depth >= max_depth):
-            node.value = _leaf_value(ys)
-            continue
-        if n_candidates < n_features:
-            features = np.sort(rng.choice(n_features, size=n_candidates, replace=False))
-        else:
-            features = np.arange(n_features)
-        best = None  # (weighted_impurity, feature, threshold)
-        for f in features:
-            found = _best_split_for_feature(x[idx, f], ys, counts)
-            if found is None:
-                continue
-            weighted, threshold = found
-            if best is None or weighted < best[0]:
-                best = (weighted, f, threshold)
+        pure = ((counts == 0) | (counts == n)).all()
+        best = None
+        if not (pure or n < min_samples_split or (max_depth is not None and depth >= max_depth)):
+            if n_candidates < n_features:
+                features = np.sort(rng.choice(n_features, size=n_candidates, replace=False))
+            else:
+                features = np.arange(n_features)
+            best = _best_split(x[idx[:, None], features], ys, counts)
+        left.append(-1)  # set when the children are popped
+        right.append(-1)
         if best is None:
-            node.value = _leaf_value(ys)
+            feature.append(-1)
+            threshold.append(0.0)
+            value.append(_leaf_value(ys))
             continue
-        _, feature, threshold = best
-        mask = x[idx, feature] <= threshold
-        node.feature = int(feature)
-        node.threshold = float(threshold)
-        node.left = _Node()
-        node.right = _Node()
+        _, column, split = best
+        f = int(features[column])
+        feature.append(f)
+        threshold.append(float(split))
+        value.append(np.zeros(n_labels, dtype=np.int64))
+        mask = x[idx, f] <= split
         # right pushed first so the left branch is grown first (rng order)
-        stack.append((node.right, idx[~mask], depth + 1))
-        stack.append((node.left, idx[mask], depth + 1))
-    return root
+        stack.append((idx[~mask], depth + 1, node, right))
+        stack.append((idx[mask], depth + 1, node, left))
+    return (
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=float),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.vstack(value),
+    )
 
 
-def _predict_tree(root, x, n_labels):
-    out = np.zeros((x.shape[0], n_labels), dtype=np.int64)
-    stack = [(root, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = x[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+def _predict_tree(tree, x):
+    """Walk every row of ``x`` down ``tree`` one level per step; returns leaf values."""
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    rows = np.arange(x.shape[0])
+    while rows.size:
+        at = node[rows]
+        f = tree.feature[at]
+        inner = f >= 0
+        rows, at, f = rows[inner], at[inner], f[inner]
+        go_left = x[rows, f] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.value[node]
 
 
 class DecisionTree:
     def __init__(self, spec: ClassifierSpec | None = None):
         self.spec = spec or ClassifierSpec(kind="dt")
-        self.root = None
+        # the preorder node arrays; see the module docstring
+        self.feature = self.threshold = self.left = self.right = self.value = None
         self.input_dim = 0
         self.n_labels = 0
 
@@ -145,7 +172,7 @@ class DecisionTree:
         hp = self.spec.resolved_hyperparameters()
         if rng is None:
             rng = np.random.default_rng(self.spec.seed)
-        self.root = _grow_tree(
+        self.feature, self.threshold, self.left, self.right, self.value = _grow_tree(
             x,
             y,
             min_samples_split=hp["min_samples_split"],
@@ -157,15 +184,17 @@ class DecisionTree:
 
     def predict(self, x) -> np.ndarray:
         x = check_input_dim(self, x)
-        return _predict_tree(self.root, x, self.n_labels)
+        return _predict_tree(self, x)
 
     def depth(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        """Edges on the longest root-to-leaf path."""
+        level, frontier = 0, np.array([0])
+        while True:
+            frontier = frontier[self.feature[frontier] >= 0]
+            if frontier.size == 0:
+                return level
+            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            level += 1
 
 
 class RandomForest:
@@ -205,5 +234,14 @@ class RandomForest:
         x = check_input_dim(self, x)
         votes = np.zeros((x.shape[0], self.n_labels), dtype=np.int64)
         for tree in self.trees:
-            votes += _predict_tree(tree.root, x, self.n_labels)
+            votes += _predict_tree(tree, x)
         return (2 * votes > len(self.trees)).astype(np.int64)
+
+
+def trees_of(model) -> list[DecisionTree]:
+    """Every decision tree inside ``model``: itself, a forest's trees, voting members' trees."""
+    if isinstance(model, DecisionTree):
+        return [model]
+    if isinstance(model, RandomForest):
+        return list(model.trees)
+    return [tree for member in getattr(model, "members", ()) for tree in trees_of(member)]

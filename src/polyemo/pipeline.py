@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .corpus import EMOTIONS
 from .dense_features import EmbeddingTable, embed_documents
 from .errors import ConfigError, DataError, SchemaError
@@ -84,16 +85,17 @@ class PipelineModel:
 
 
 def write_predictions(path: str | Path, ids: list[str], pred: np.ndarray, emotions=EMOTIONS) -> None:
-    """Emit the submission-format CSV: id plus one binary column per emotion."""
+    """Emit the submission-format CSV: id plus one binary column per emotion.
+
+    The file is replaced whole or not at all.
+    """
     pred = np.asarray(pred)
     if pred.shape != (len(ids), len(emotions)):
         raise ConfigError(
             f"prediction matrix shape {pred.shape} does not fit {len(ids)} ids "
             f"and {len(emotions)} labels"
         )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + list(emotions))
         for i, doc_id in enumerate(ids):

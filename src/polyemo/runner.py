@@ -28,14 +28,14 @@ import csv
 import hashlib
 import json
 import math
-import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .corpus import ROLES, load_split
 from .dense_features import (
     FallbackPolicy,
@@ -55,6 +55,7 @@ from .evaluate import (
     time_run,
 )
 from .learn import ClassifierSpec, default_voting_spec, fit, grid_search_mlp
+from .learn.tree import trees_of
 from .pipeline import PipelineModel, read_predictions, write_predictions
 from .reduce import ReductionConfig, fit_pca
 from .sparse_features import TfidfModel, fit_bow, fit_tfidf, save_vocabulary
@@ -508,6 +509,40 @@ def cell_seed(master_seed: int, language: str, representation: str, pca: bool, c
     return int.from_bytes(digest[:8], "little")
 
 
+def _spec_json(spec: ClassifierSpec) -> dict:
+    return {
+        "kind": spec.kind,
+        "hyperparameters": spec.resolved_hyperparameters(),
+        "members": [_spec_json(m) for m in spec.members],
+    }
+
+
+def cell_fingerprint(cfg: ExperimentConfig, cell: Cell, split_digests: dict) -> str:
+    """SHA-256 over everything that decides a cell's results.
+
+    That is the resolved classifier spec and mlp grid, the master seed, the
+    representation (kind and vector or embedding file paths) with the
+    language-fallback map, the PCA arm with its normalize and components
+    settings, the tokenizer, and ``split_digests``: the SHA-256 of the
+    language's train/dev/test CSVs. Vector and embedding files are named by
+    path, not hashed. ``--resume`` reuses a record only under an equal
+    fingerprint.
+    """
+    rep = cell.representation
+    seed = cell_seed(cfg.seed, cell.language, rep.name, cell.pca, cell.classifier.name)
+    payload = {
+        "classifier": _spec_json(cell.classifier.spec(seed)),
+        "grid": cell.classifier.grid,
+        "seed": cfg.seed,
+        "representation": asdict(rep),
+        "static_map": cfg.static_map,
+        "pca": [cell.pca, cfg.normalize, cfg.components],
+        "tokenizer": asdict(cfg.tokenizer),
+        "splits": split_digests,
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def build_representation(
     cfg: ExperimentConfig,
     rep: RepresentationConfig,
@@ -598,14 +633,17 @@ def run_cell(
     xs: list,
     representation_seconds: float,
     reduce_seconds: float,
+    fingerprint: str,
 ) -> EvalReport:
     """Fit, predict and score one cell on its group's reduced features; persist it.
 
     ``featurizer`` and ``xs`` are shared by every classifier of the cell's
     (language, representation, pca) group; ``reduce_seconds`` is the group's
-    normalize + PCA time, counted in each cell's train time.
+    normalize + PCA time, counted in each cell's train time. ``fingerprint``
+    (``cell_fingerprint``) goes into the cell's record.
     """
     report = _cell_report(cell)
+    model = None
     try:
         seed = cell_seed(
             cfg.seed, cell.language, cell.representation.name, cell.pca, cell.classifier.name
@@ -645,7 +683,7 @@ def run_cell(
     except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the matrix
         report.status = "error"
         report.error = f"{type(exc).__name__}: {exc}"
-    _write_cell_record(cfg, cell, report)
+    _write_cell_record(cfg, cell, report, fingerprint, model)
     return report
 
 
@@ -686,7 +724,11 @@ def _rates_from_json(obj):
     )
 
 
-def _write_cell_record(cfg: ExperimentConfig, cell: Cell, report: EvalReport) -> None:
+def _write_cell_record(
+    cfg: ExperimentConfig, cell: Cell, report: EvalReport, fingerprint: str, model=None
+) -> None:
+    """One line of JSON per cell; tree sizes are read off the fitted model's trees."""
+    trees = trees_of(model) if model is not None else []
     record = {
         "name": cell.name,
         "language": report.language,
@@ -702,22 +744,28 @@ def _write_cell_record(cfg: ExperimentConfig, cell: Cell, report: EvalReport) ->
             "representation_seconds": report.timing.representation_seconds,
         },
         "rates": _rates_to_json(report.rates),
+        "tree_nodes": sum(tree.feature.size for tree in trees),
+        "tree_depth": max((tree.depth() for tree in trees), default=None),
+        "fingerprint": fingerprint,
     }
-    path = cfg.out_dir / "cells" / f"{cell.name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
     # a record appears whole or not at all, so --resume never reads half of one
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    with atomic_open(cfg.out_dir / "cells" / f"{cell.name}.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
 
 
-def _read_cell_record(cfg: ExperimentConfig, cell: Cell) -> EvalReport | None:
-    """The cell's completion record, or None when it is missing or unreadable."""
+def _read_cell_record(cfg: ExperimentConfig, cell: Cell, fingerprint: str) -> EvalReport | None:
+    """The cell's completion record, if it can be reused as it stands.
+
+    None (run the cell) when the record is missing, unreadable, failed, or
+    was written under a different fingerprint.
+    """
     path = cfg.out_dir / "cells" / f"{cell.name}.json"
     if not path.is_file():
         return None
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
+        if record["status"] != "ok" or record.get("fingerprint") != fingerprint:
+            return None
         t = record.get("timing", {})
         f1 = record.get("f1_macro")
         return EvalReport(
@@ -751,8 +799,9 @@ def run_matrix(
 ) -> ReportTable:
     """Execute every cell of the experiment matrix and write all reports.
 
-    With ``resume`` enabled, cells whose completion records already exist in
-    the output directory are loaded instead of re-executed. ``transport``
+    With ``resume`` enabled, a cell whose completion record in the output
+    directory is ok and carries the cell's current fingerprint is loaded
+    instead of re-executed; every other cell runs. ``transport``
     overrides the language-fallback HTTP client (used by tests). ``log`` is
     an optional line sink for progress output.
     """
@@ -770,12 +819,20 @@ def run_matrix(
     def fail(group: list, error: str) -> None:
         for i, cell in group:
             report = _cell_report(cell, status="error", error=error)
-            _write_cell_record(cfg, cell, report)
+            _write_cell_record(cfg, cell, report, fingerprints[i])
             done(i, report)
 
+    split_digests = {
+        lang: {
+            role: hashlib.sha256((cfg.data_dir / lang / f"{role}.csv").read_bytes()).hexdigest()
+            for role in ROLES
+        }
+        for lang in cfg.languages
+    }
+    fingerprints = [cell_fingerprint(cfg, c, split_digests[c.language]) for c in cells]
     pending: list[tuple[int, Cell]] = []
     for i, cell in enumerate(cells):
-        existing = _read_cell_record(cfg, cell) if resume else None
+        existing = _read_cell_record(cfg, cell, fingerprints[i]) if resume else None
         if existing is not None:
             rows[i] = existing
             say(f"[{i + 1}/{len(cells)}] {cell.name}: resumed")
@@ -814,7 +871,10 @@ def run_matrix(
                 fail(arm, f"{type(exc).__name__}: {exc}")
                 continue
             for i, cell in arm:
-                done(i, run_cell(cfg, cell, splits, arm_featurizer, reduced, rep_seconds, reduce_seconds))
+                report = run_cell(
+                    cfg, cell, splits, arm_featurizer, reduced, rep_seconds, reduce_seconds, fingerprints[i]
+                )
+                done(i, report)
 
     table = ReportTable(rows=[rows[i] for i in range(len(cells))])
     write_reports(cfg, cells, table)

@@ -4,7 +4,8 @@ Everything is stored in a single .npz container: numeric arrays as npz
 members, and the object structure as a JSON document kept in a ``__meta__``
 uint8 member. Loading never unpickles, so a model file cannot execute code.
 Each registered class encodes to a dict of plain values, containers, arrays,
-and other registered objects; decision trees are flattened to index arrays.
+and other registered objects; a decision tree is its five preorder node
+arrays.
 
 The container carries a format version; a mismatch raises FormatError
 instead of guessing.
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, FormatError
 
 FORMAT_NAME = "polyemo"
@@ -81,15 +83,17 @@ def _decode_node(node, arrays):
 
 
 def save_model(obj, path: str | Path) -> None:
-    """Write any registered object (and everything it references) to ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write any registered object (and everything it references) to ``path``.
+
+    The file is replaced whole or not at all: a failed save leaves the
+    previous model in place.
+    """
     arrays: dict[str, np.ndarray] = {}
     counter = [0]
     root = _encode_node(obj, arrays, counter)
     meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "root": root}
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez_compressed(fh, __meta__=meta_bytes, **arrays)
 
 
@@ -223,67 +227,17 @@ def _decode_classifier_spec(f):
     )
 
 
-def _flatten_tree(root, n_labels):
-    """Preorder arrays: feature -1 marks a leaf; child slots -1 when absent."""
-    features, thresholds, lefts, rights, values = [], [], [], [], []
-    order = []
-    stack = [root]
-    index = {}
-    while stack:
-        node = stack.pop()
-        index[id(node)] = len(order)
-        order.append(node)
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-    for node in order:
-        if node.is_leaf:
-            features.append(-1)
-            thresholds.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            values.append(np.asarray(node.value, dtype=np.int64))
-        else:
-            features.append(node.feature)
-            thresholds.append(node.threshold)
-            lefts.append(index[id(node.left)])
-            rights.append(index[id(node.right)])
-            values.append(np.zeros(n_labels, dtype=np.int64))
-    return {
-        "feature": np.array(features, dtype=np.int64),
-        "threshold": np.array(thresholds, dtype=float),
-        "left": np.array(lefts, dtype=np.int64),
-        "right": np.array(rights, dtype=np.int64),
-        "value": np.vstack(values),
-    }
-
-
-def _rebuild_tree(f):
-    from .learn.tree import _Node
-
-    n = f["feature"].shape[0]
-    nodes = [_Node() for _ in range(n)]
-    for i in range(n):
-        if f["feature"][i] < 0:
-            nodes[i].value = f["value"][i].astype(np.int64)
-        else:
-            nodes[i].feature = int(f["feature"][i])
-            nodes[i].threshold = float(f["threshold"][i])
-            nodes[i].left = nodes[int(f["left"][i])]
-            nodes[i].right = nodes[int(f["right"][i])]
-    return nodes[0]
-
-
 def _require_fitted(model, attr):
     if getattr(model, attr) is None:
         raise ConfigError(f"cannot serialize an unfitted {type(model).__name__}")
 
 
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
 def _encode_decision_tree(t):
-    _require_fitted(t, "root")
-    out = {"spec": t.spec, "input_dim": t.input_dim, "n_labels": t.n_labels}
-    out.update(_flatten_tree(t.root, t.n_labels))
-    return out
+    _require_fitted(t, "feature")
+    return _fields_of(t, ("spec", "input_dim", "n_labels") + TREE_ARRAYS)
 
 
 def _decode_decision_tree(f):
@@ -292,7 +246,8 @@ def _decode_decision_tree(f):
     t = DecisionTree(f["spec"])
     t.input_dim = f["input_dim"]
     t.n_labels = f["n_labels"]
-    t.root = _rebuild_tree(f)
+    for name in TREE_ARRAYS:
+        setattr(t, name, f[name])
     return t
 
 

@@ -89,6 +89,17 @@ class TestPredictionFiles:
         with pytest.raises(ConfigError):
             write_predictions(tmp_path / "p.csv", ["a", "b"], np.zeros((1, 6)))
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_predictions(path, ["a", "b"], np.zeros((2, 6), dtype=np.int64))
+        before = path.read_bytes()
+        bad = np.zeros((2, 6))
+        bad[1, 0] = np.nan  # the first row is written before this one fails
+        with pytest.raises(ValueError):
+            write_predictions(path, ["a", "b"], bad)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("id,happy\nx,1\n", encoding="utf-8")

@@ -311,6 +311,19 @@ class TestRunMatrix:
         record = json.loads(records[0].read_text(encoding="utf-8"))
         assert record["status"] == "ok"
 
+    def test_cell_records_carry_tree_sizes(self, matrix_out):
+        cfg, _ = matrix_out
+        for cell in enumerate_cells(cfg):
+            record = json.loads((cfg.out_dir / "cells" / f"{cell.name}.json").read_text(encoding="utf-8"))
+            model = load_model(cfg.out_dir / "models" / f"{cell.name}.npz").classifier
+            if cell.classifier.kind == "dt":
+                assert record["tree_nodes"] == model.feature.size > 1
+                assert record["tree_depth"] == model.depth() > 0
+            else:
+                assert record["tree_nodes"] == 0
+                assert record["tree_depth"] is None
+        assert "tree" not in (cfg.out_dir / "report.csv").read_text(encoding="utf-8")
+
     def test_timing_views_written_single_worker(self, matrix_out):
         cfg, _ = matrix_out
         timing = cfg.out_dir / "timing"
@@ -500,6 +513,43 @@ class TestResume:
         assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in table.rows]
         assert json.loads(records[0].read_text(encoding="utf-8"))["status"] == "ok"
         assert not list((out / "cells").glob("*.tmp"))
+
+    def test_resume_reruns_cell_whose_spec_changed(self, synthetic_dir, tmp_path):
+        """Same classifier name, new hyperparameters: the old record is stale."""
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["reduction"]["pca"] = [False]
+        raw["classifiers"] = [{"name": "dt", "kind": "dt", "hyperparameters": {"max_depth": 1}}]
+        shallow = run_matrix(parse(raw))
+        raw["classifiers"][0]["hyperparameters"]["max_depth"] = None
+        resumed = run_matrix(parse(raw), resume=True)
+        fresh = run_matrix(parse(dict(raw, out_dir=str(tmp_path / "fresh"))))
+        assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in fresh.rows]
+        assert [r.f1_macro for r in resumed.rows] != [r.f1_macro for r in shallow.rows]
+
+    def test_resume_reruns_cell_whose_data_changed(self, tmp_path):
+        data = tmp_path / "data"
+        write_corpus(data, seed=0, n_documents=120, language="syn")
+        raw = base_raw(tmp_path, tmp_path / "out")
+        raw["reduction"]["pca"] = [False]
+        run_matrix(parse(raw))
+        write_corpus(data, seed=1, n_documents=120, language="syn")
+        resumed = run_matrix(parse(raw), resume=True)
+        fresh = run_matrix(parse(dict(raw, out_dir=str(tmp_path / "fresh"))))
+        assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in fresh.rows]
+
+    def test_resume_retries_failed_cell(self, synthetic_dir, tmp_path):
+        out = tmp_path / "out"
+        raw = base_raw(synthetic_dir, out)
+        raw["reduction"]["pca"] = [False]
+        cfg = parse(raw)
+        table = run_matrix(cfg)
+        record_path = sorted((out / "cells").glob("*.json"))[0]
+        record = json.loads(record_path.read_text(encoding="utf-8"))
+        record.update(status="error", error="RuntimeError: transient", f1_macro=None)
+        record_path.write_text(json.dumps(record), encoding="utf-8")
+        resumed = run_matrix(cfg, resume=True)
+        assert resumed.all_ok
+        assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in table.rows]
 
     def test_without_resume_everything_recomputes(self, synthetic_dir, tmp_path):
         out = tmp_path / "out"

@@ -60,18 +60,10 @@ class TestClassifierRoundTrips:
         save_model(model, tmp_path / "dt.npz")
         restored = load_model(tmp_path / "dt.npz")
         assert restored.depth() == model.depth()
-
-        def walk(a, b):
-            assert a.is_leaf == b.is_leaf
-            if a.is_leaf:
-                np.testing.assert_array_equal(a.value, b.value)
-                return
-            assert a.feature == b.feature
-            assert a.threshold == b.threshold
-            walk(a.left, b.left)
-            walk(a.right, b.right)
-
-        walk(model.root, restored.root)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            a, b = getattr(model, name), getattr(restored, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
     def test_mlp_weights_bit_exact(self, rng, tmp_path):
         x, y = small_problem(rng)
@@ -96,6 +88,26 @@ class TestClassifierRoundTrips:
             "DecisionTree",
             "RandomForest",
         ]
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_model(self, rng, tmp_path, monkeypatch):
+        x, y = small_problem(rng)
+        path = tmp_path / "model.npz"
+        save_model(fit(ClassifierSpec(kind="dt"), x, y), path)
+        before = path.read_bytes()
+
+        def disk_full(fh, **arrays):
+            fh.write(b"PK partial archive")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            save_model(fit(ClassifierSpec(kind="knn"), x, y), path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+        monkeypatch.undo()
+        assert isinstance(load_model(path), DecisionTree)
 
 
 class TestFeatureModelRoundTrips:
