@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -299,11 +300,25 @@ def _cache_read(path: str) -> dict[str, str]:
     return out
 
 
-def _cache_append(path: str, source: str, target: str) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "a", encoding="utf-8") as fh:
-        fh.write(f"{source}\t{target}\n")
+def _cache_add(path: str, source: str, target: str) -> None:
+    """Add one resolution to the cache file, which is replaced whole or not at all."""
+    entries = _cache_read(path)
+    entries[source] = target
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write("".join(f"{s}\t{t}\n" for s, t in entries.items()))
+
+
+def resolve_locally(lang: str, policy: FallbackPolicy) -> tuple[str, str] | None:
+    """``resolve_language`` without the backend query: None when only the backend can answer."""
+    if lang in policy.supported_languages:
+        return lang, "native"
+    if lang in policy.static_map:
+        return policy.static_map[lang], "static"
+    if policy.cache_path:
+        cached = _cache_read(policy.cache_path).get(lang)
+        if cached is not None:
+            return cached, "llm"
+    return None
 
 
 def resolve_language(
@@ -314,17 +329,12 @@ def resolve_language(
     Returns (code, provenance) with provenance in {"native", "static",
     "llm"}. Resolution order: supported as-is, then the static map, then the
     cache of earlier backend answers, then a live backend query whose answer
-    is appended to the cache. ``transport`` defaults to the HTTP client and
+    is added to the cache. ``transport`` defaults to the HTTP client and
     can be replaced for testing.
     """
-    if lang in policy.supported_languages:
-        return lang, "native"
-    if lang in policy.static_map:
-        return policy.static_map[lang], "static"
-    if policy.cache_path:
-        cached = _cache_read(policy.cache_path).get(lang)
-        if cached is not None:
-            return cached, "llm"
+    known = resolve_locally(lang, policy)
+    if known is not None:
+        return known
     if policy.llm_backend is None:
         raise ResolutionError(
             f"language {lang!r} is not supported and no static mapping or "
@@ -337,5 +347,5 @@ def resolve_language(
     reply = transport(policy.llm_backend, prompt)
     code = parse_reply(reply, policy)
     if policy.cache_path:
-        _cache_append(policy.cache_path, lang, code)
+        _cache_add(policy.cache_path, lang, code)
     return code, "llm"

@@ -102,6 +102,10 @@ def validate_training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise DataError("cannot fit on an empty training set")
     if not np.isin(y, (0, 1)).all():
         raise DataError("label matrix must contain only 0 and 1")
+    if not np.isfinite(x).all():
+        # a split threshold between a finite value and inf is inf, which never
+        # separates the rows: tree growth would not terminate
+        raise DataError("feature matrix contains nan or inf")
     return x, y.astype(np.int64)
 
 

@@ -42,8 +42,9 @@ from .dense_features import (
     LlmBackendConfig,
     load_precomputed_embeddings,
     load_word_vectors,
+    resolve_locally,
 )
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, PolyemoError
 from .evaluate import (
     EvalReport,
     TimingRecord,
@@ -517,15 +518,68 @@ def _spec_json(spec: ClassifierSpec) -> dict:
     }
 
 
-def cell_fingerprint(cfg: ExperimentConfig, cell: Cell, split_digests: dict) -> str:
+def _file_digest(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _input_files(cfg: ExperimentConfig, rep: RepresentationConfig, lang: str) -> list[str]:
+    """The files besides the split CSVs that a cell of ``lang`` may read.
+
+    That is the tokenizer's vocabulary file, if any, and the representation's
+    vector or embedding files.
+    """
+    files = [cfg.tokenizer.vocab_path] if cfg.tokenizer.vocab_path else []
+    if rep.kind == "precomputed":
+        return files + sorted(rep.split_paths.get(lang, {}).values())
+    # the language fallback can send any language to any vector file
+    return files + sorted(rep.vector_paths.values())
+
+
+def _fallback_policy(cfg: ExperimentConfig, rep: RepresentationConfig) -> FallbackPolicy:
+    return FallbackPolicy(
+        supported_languages=tuple(sorted(rep.vector_paths)),
+        static_map=dict(cfg.static_map),
+        display_names=dict(cfg.display_names),
+        llm_backend=cfg.llm_backend,
+        cache_path=cfg.cache_path,
+    )
+
+
+def _known_vector_language(
+    cfg: ExperimentConfig, rep: RepresentationConfig, lang: str
+) -> str | None:
+    """The vector language a word-vector cell of ``lang`` reads, if known without a backend query."""
+    if rep.kind != "word-vectors":
+        return None
+    try:
+        known = resolve_locally(lang, _fallback_policy(cfg, rep))
+    except PolyemoError:
+        return None  # the cell runs and reports this error
+    return None if known is None else known[0]
+
+
+def cell_fingerprint(
+    cfg: ExperimentConfig,
+    cell: Cell,
+    split_digests: dict,
+    file_digests: dict,
+    vector_language: str | None,
+) -> str:
     """SHA-256 over everything that decides a cell's results.
 
     That is the resolved classifier spec and mlp grid, the master seed, the
     representation (kind and vector or embedding file paths) with the
-    language-fallback map, the PCA arm with its normalize and components
-    settings, the tokenizer, and ``split_digests``: the SHA-256 of the
-    language's train/dev/test CSVs. Vector and embedding files are named by
-    path, not hashed. ``--resume`` reuses a record only under an equal
+    language-fallback map, the vector language a word-vector cell reads
+    (``vector_language``, which the fallback cache may decide), the PCA arm
+    with its normalize and components settings, the tokenizer,
+    ``split_digests`` (the SHA-256 of the language's train/dev/test CSVs) and
+    the SHA-256 of every other file the cell may read (``_input_files``:
+    tokenizer vocabulary, vectors, embeddings), looked up by path in
+    ``file_digests``. ``--resume`` reuses a record only under an equal
     fingerprint.
     """
     rep = cell.representation
@@ -536,9 +590,11 @@ def cell_fingerprint(cfg: ExperimentConfig, cell: Cell, split_digests: dict) -> 
         "seed": cfg.seed,
         "representation": asdict(rep),
         "static_map": cfg.static_map,
+        "vector_language": vector_language,
         "pca": [cell.pca, cfg.normalize, cfg.components],
         "tokenizer": asdict(cfg.tokenizer),
         "splits": split_digests,
+        "files": {p: file_digests[p] for p in _input_files(cfg, rep, cell.language)},
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -589,14 +645,7 @@ def build_representation(
         else:  # word-vectors
             from .dense_features import resolve_language
 
-            policy = FallbackPolicy(
-                supported_languages=tuple(sorted(rep.vector_paths)),
-                static_map=dict(cfg.static_map),
-                display_names=dict(cfg.display_names),
-                llm_backend=cfg.llm_backend,
-                cache_path=cfg.cache_path,
-            )
-            code, _ = resolve_language(lang, policy, transport=transport)
+            code, _ = resolve_language(lang, _fallback_policy(cfg, rep), transport=transport)
             featurizer.embeddings = load_word_vectors(rep.vector_paths[code], language=code)
         return featurizer, [featurizer.represent(s) for s in seqs]
 
@@ -634,13 +683,15 @@ def run_cell(
     representation_seconds: float,
     reduce_seconds: float,
     fingerprint: str,
+    memo: dict,
 ) -> EvalReport:
     """Fit, predict and score one cell on its group's reduced features; persist it.
 
     ``featurizer`` and ``xs`` are shared by every classifier of the cell's
     (language, representation, pca) group; ``reduce_seconds`` is the group's
     normalize + PCA time, counted in each cell's train time. ``fingerprint``
-    (``cell_fingerprint``) goes into the cell's record.
+    (``cell_fingerprint``) goes into the cell's record. ``memo`` is the
+    ``save_model`` memo of the cell's (language, representation) group.
     """
     report = _cell_report(cell)
     model = None
@@ -679,7 +730,8 @@ def run_cell(
             report.f1_macro = f1_macro(y_test, persisted)
             report.rates = confusion_rates(y_test, persisted)
 
-        save_model(replace(featurizer, classifier=model), cfg.out_dir / "models" / f"{cell.name}.npz")
+        model_path = cfg.out_dir / "models" / f"{cell.name}.npz"
+        save_model(replace(featurizer, classifier=model), model_path, memo=memo)
     except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the matrix
         report.status = "error"
         report.error = f"{type(exc).__name__}: {exc}"
@@ -823,13 +875,23 @@ def run_matrix(
             done(i, report)
 
     split_digests = {
-        lang: {
-            role: hashlib.sha256((cfg.data_dir / lang / f"{role}.csv").read_bytes()).hexdigest()
-            for role in ROLES
-        }
+        lang: {role: _file_digest(cfg.data_dir / lang / f"{role}.csv") for role in ROLES}
         for lang in cfg.languages
     }
-    fingerprints = [cell_fingerprint(cfg, c, split_digests[c.language]) for c in cells]
+    # each input file is hashed once, however many cells read it
+    files = {
+        p for rep in cfg.representations for lang in cfg.languages for p in _input_files(cfg, rep, lang)
+    }
+    file_digests = {p: _file_digest(p) for p in files}
+
+    def fingerprint(cell: Cell, vector_language: str | None) -> str:
+        return cell_fingerprint(
+            cfg, cell, split_digests[cell.language], file_digests, vector_language
+        )
+
+    fingerprints = [
+        fingerprint(c, _known_vector_language(cfg, c.representation, c.language)) for c in cells
+    ]
     pending: list[tuple[int, Cell]] = []
     for i, cell in enumerate(cells):
         existing = _read_cell_record(cfg, cell, fingerprints[i]) if resume else None
@@ -849,18 +911,24 @@ def run_matrix(
             }
         return split_cache[lang]
 
-    # cells come in nesting order, so each (language, representation) group
-    # and each pca arm inside it is one run of consecutive pending cells
-    for _, rep_group in groupby(pending, key=lambda ic: (ic[1].language, ic[1].representation.name)):
-        rep_group = list(rep_group)
+    def run_group(rep_group: list) -> None:
+        # everything the group holds (featurizer, splits' features, the memo
+        # of deflated model members) is released when it returns, before
+        # the next group fits anything
         lang, rep = rep_group[0][1].language, rep_group[0][1].representation
         splits = splits_for(lang)
         try:
             featurizer, xs, rep_seconds = build_representation(cfg, rep, lang, splits, transport)
         except Exception as exc:  # noqa: BLE001 - recorded per cell
             fail(rep_group, f"representation: {type(exc).__name__}: {exc}")
-            continue
+            return
         _save_vocab_artifact(cfg, rep, lang, featurizer)
+        if featurizer.embeddings is not None:
+            # the records name the vector language used, which a backend may
+            # only now have resolved
+            for i, cell in rep_group:
+                fingerprints[i] = fingerprint(cell, featurizer.embeddings.language)
+        memo = {}  # every model of the group carries the same featurizer arrays
         for pca, arm in groupby(rep_group, key=lambda ic: ic[1].pca):
             arm = list(arm)
             try:
@@ -872,9 +940,15 @@ def run_matrix(
                 continue
             for i, cell in arm:
                 report = run_cell(
-                    cfg, cell, splits, arm_featurizer, reduced, rep_seconds, reduce_seconds, fingerprints[i]
+                    cfg, cell, splits, arm_featurizer, reduced, rep_seconds, reduce_seconds,
+                    fingerprints[i], memo,
                 )
                 done(i, report)
+
+    # cells come in nesting order, so each (language, representation) group
+    # and each pca arm inside it is one run of consecutive pending cells
+    for _, rep_group in groupby(pending, key=lambda ic: (ic[1].language, ic[1].representation.name)):
+        run_group(list(rep_group))
 
     table = ReportTable(rows=[rows[i] for i in range(len(cells))])
     write_reports(cfg, cells, table)

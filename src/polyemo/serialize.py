@@ -7,6 +7,15 @@ Each registered class encodes to a dict of plain values, containers, arrays,
 and other registered objects; a decision tree is its five preorder node
 arrays.
 
+The file is a standard ``.npz`` that ``np.load`` reads: every member holds
+the bytes ``np.savez_compressed`` deflates, at zlib's default level, with
+zip64 records always written. ``save_model`` takes an optional memo of
+deflated members keyed by the SHA-256 of their ``.npy`` bytes; an array
+already deflated under the same memo is written from it, not deflated again.
+The runner keeps one memo per (language, representation) group, so the
+word-vector table that every model of a group carries is deflated once per
+group rather than once per cell.
+
 The container carries a format version; a mismatch raises FormatError
 instead of guessing.
 """
@@ -14,7 +23,10 @@ instead of guessing.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import io
 import json
+import struct
 import zipfile
 from pathlib import Path
 
@@ -82,19 +94,148 @@ def _decode_node(node, arrays):
     raise FormatError(f"malformed model node {node!r}")
 
 
-def save_model(obj, path: str | Path) -> None:
+@dataclasses.dataclass(frozen=True)
+class Deflated:
+    """One zip member's raw-deflate payload, its CRC-32 and its uncompressed size."""
+
+    payload: memoryview
+    crc: int
+    size: int
+
+
+def _npy_key(array: np.ndarray) -> bytes:
+    """SHA-256 of the ``.npy`` bytes numpy writes for ``array``: header, then data.
+
+    The header is format 1.0, which holds every array a model encodes. The
+    data is hashed straight from the array's buffer: numpy writes a
+    Fortran-ordered array as the C-order bytes of its transpose, and any other
+    non-contiguous array in C order; only that last case is copied.
+    """
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
+    if array.flags.c_contiguous:
+        data = array
+    elif array.flags.f_contiguous:
+        data = array.T
+    else:
+        data = np.ascontiguousarray(array)
+    digest = hashlib.sha256(header.getvalue())
+    digest.update(data)
+    return digest.digest()
+
+
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")  # the fixed 30 bytes before a member's name
+
+
+def _deflate(arrays: dict[str, np.ndarray]) -> dict[str, Deflated]:
+    """Each array's member exactly as ``np.savez_compressed`` writes it, by name.
+
+    The payloads are views into one in-memory archive, not copies.
+    """
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    view = buf.getbuffer()
+    out = {}
+    with zipfile.ZipFile(buf) as zf:
+        for info in zf.infolist():
+            header = _LOCAL_HEADER.unpack_from(view, info.header_offset)
+            start = info.header_offset + _LOCAL_HEADER.size + header[10] + header[11]
+            out[info.filename.removesuffix(".npy")] = Deflated(
+                view[start : start + info.compress_size], info.CRC, info.file_size
+            )
+    return out
+
+
+_ZIP64 = 45  # "version needed to extract" for zip64 records
+_DEFLATED = 8
+_DOS_DATE = (1 << 5) | 1  # 1980-01-01, so equal models give equal files
+_IN_EXTRA = 0xFFFFFFFF  # a 32-bit field whose value is in the zip64 extra field
+_LIMIT32 = 0x7FFFFFFF  # larger central-directory values move to the extra field, as in zipfile
+_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
+_ZIP64_END = struct.Struct("<4sQ2H2L4Q")
+_ZIP64_LOCATOR = struct.Struct("<4sLQL")
+_END = struct.Struct("<4s4H2LH")
+
+
+def _write_zip(fh, members: list[tuple[str, Deflated]]) -> None:
+    """Write deflated members as a standard zip archive.
+
+    As ``np.savez`` does with ``force_zip64``, every local header carries its
+    sizes in a zip64 extra field; the central directory moves a size or
+    offset there once it passes 2 GiB, and the archive always ends with zip64
+    records. Members of 4 GiB or more take the same code path.
+    """
+    central = []
+    offset = 0
+    for name, m in members:
+        fname = name.encode("ascii")
+        compressed = m.payload.nbytes
+        local = _LOCAL_HEADER.pack(
+            b"PK\x03\x04", _ZIP64, 0, 0, _DEFLATED, 0, _DOS_DATE, m.crc,
+            _IN_EXTRA, _IN_EXTRA, len(fname), 20,
+        ) + fname + struct.pack("<2H2Q", 1, 16, m.size, compressed)
+        fh.write(local)
+        fh.write(m.payload)
+        values = (m.size, compressed, offset)
+        wide = [v for v in values if v > _LIMIT32]
+        extra = struct.pack(f"<2H{len(wide)}Q", 1, 8 * len(wide), *wide) if wide else b""
+        size32, compressed32, offset32 = (_IN_EXTRA if v > _LIMIT32 else v for v in values)
+        central.append(
+            _CENTRAL_HEADER.pack(
+                b"PK\x01\x02", _ZIP64, 3, _ZIP64, 0, 0, _DEFLATED, 0, _DOS_DATE, m.crc,
+                compressed32, size32, len(fname), len(extra), 0, 0, 0, 0o600 << 16, offset32,
+            )
+            + fname
+            + extra
+        )
+        offset += len(local) + compressed
+    directory = b"".join(central)
+    fh.write(directory)
+    n = len(members)
+    fh.write(
+        _ZIP64_END.pack(
+            b"PK\x06\x06", _ZIP64_END.size - 12, _ZIP64, _ZIP64, 0, 0, n, n, len(directory), offset
+        )
+    )
+    fh.write(_ZIP64_LOCATOR.pack(b"PK\x06\x07", 0, offset + len(directory), 1))
+    fh.write(
+        _END.pack(
+            b"PK\x05\x06", 0, 0, min(n, 0xFFFF), min(n, 0xFFFF),
+            min(len(directory), _IN_EXTRA), min(offset, _IN_EXTRA), 0,
+        )
+    )
+
+
+def _encode_model(obj) -> dict[str, np.ndarray]:
+    """The npz members of ``obj``: ``__meta__`` first, then its arrays in encoding order."""
+    arrays: dict[str, np.ndarray] = {}
+    root = _encode_node(obj, arrays, [0])
+    meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "root": root}
+    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    return {"__meta__": meta_bytes, **arrays}
+
+
+def save_model(obj, path: str | Path, memo: dict[bytes, Deflated] | None = None) -> None:
     """Write any registered object (and everything it references) to ``path``.
+
+    ``memo`` maps ``.npy`` digests to deflated members; pass the same dict to
+    several saves and each distinct array is deflated once across them. The
+    memo holds every payload it has seen, so drop it when its saves are done.
 
     The file is replaced whole or not at all: a failed save leaves the
     previous model in place.
     """
-    arrays: dict[str, np.ndarray] = {}
-    counter = [0]
-    root = _encode_node(obj, arrays, counter)
-    meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "root": root}
-    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    arrays = _encode_model(obj)
+    memo = {} if memo is None else memo
+    keys = {name: _npy_key(a) for name, a in arrays.items()}
+    fresh: dict[bytes, str] = {}  # first member name of each array the memo lacks
+    for name, key in keys.items():
+        if key not in memo:
+            fresh.setdefault(key, name)
+    deflated = _deflate({name: arrays[name] for name in fresh.values()})
+    memo.update({key: deflated[name] for key, name in fresh.items()})
     with atomic_open(path, "wb") as fh:
-        np.savez_compressed(fh, __meta__=meta_bytes, **arrays)
+        _write_zip(fh, [(f"{name}.npy", memo[key]) for name, key in keys.items()])
 
 
 def load_model(path: str | Path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from polyemo import atomic
 from polyemo.corpus import EMOTIONS, DatasetSplit, LabeledDocument
 from polyemo.synthetic import write_corpus, write_word_vectors
 
@@ -54,3 +55,24 @@ def synthetic_dir(tmp_path_factory):
     write_corpus(data_dir, seed=0, n_documents=120, language="syn")
     write_word_vectors(root / "syn.vec", seed=0, dimension=12)
     return root
+
+
+def _half_write_then_fail(path, mode="r", **kwargs):
+    fh = open(path, mode, **kwargs)
+    real_write = fh.write
+
+    def write(data):
+        real_write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    fh.write = write
+    return fh
+
+
+@pytest.fixture
+def fill_disk(monkeypatch):
+    """Call it to make every later ``atomic_open`` file fail like a full disk.
+
+    The file takes half of its first write, then the write raises OSError.
+    """
+    return lambda: monkeypatch.setattr(atomic, "open", _half_write_then_fail, raising=False)

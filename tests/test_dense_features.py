@@ -294,6 +294,27 @@ class TestResolveLanguage:
         cache = (tmp_path / "cache.tsv").read_text(encoding="utf-8")
         assert cache == "om\tam\n"
 
+    def test_cache_keeps_earlier_entries(self, tmp_path):
+        cache = tmp_path / "cache.tsv"
+        cache.write_text("xx\tam\n", encoding="utf-8")
+        policy = FallbackPolicy(
+            supported_languages=("am",), llm_backend=self.backend(), cache_path=str(cache)
+        )
+        assert resolve_language("om", policy, CannedTransport("Amharic")) == ("am", "llm")
+        assert cache.read_text(encoding="utf-8") == "xx\tam\nom\tam\n"
+
+    def test_failed_cache_write_keeps_previous_cache(self, tmp_path, fill_disk):
+        cache = tmp_path / "cache.tsv"
+        cache.write_text("xx\tam\n", encoding="utf-8")
+        policy = FallbackPolicy(
+            supported_languages=("am",), llm_backend=self.backend(), cache_path=str(cache)
+        )
+        fill_disk()
+        with pytest.raises(OSError, match="no space"):
+            resolve_language("om", policy, CannedTransport("Amharic"))
+        assert cache.read_text(encoding="utf-8") == "xx\tam\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_llm_without_cache_queries_each_time(self):
         transport = CannedTransport("English")
         policy = FallbackPolicy(

@@ -24,7 +24,7 @@ from polyemo.runner import (
     run_matrix,
 )
 from polyemo.serialize import load_model
-from polyemo.synthetic import write_corpus, write_word_vectors
+from polyemo.synthetic import synthetic_vocabulary, write_corpus, write_word_vectors
 
 
 def base_raw(synthetic_dir, out_dir, **overrides):
@@ -469,6 +469,44 @@ class TestErrorIsolation:
         assert table2.all_ok
         assert len(calls) == 1
 
+    def test_resume_reruns_cells_whose_cached_fallback_changed(
+        self, synthetic_dir, two_lang_dir, tmp_path
+    ):
+        """The cache decides which vectors zz reads, so an edited entry is new input."""
+        calls = []
+
+        def transport(config, prompt):
+            calls.append(prompt)
+            return "Closest match: Synthetic."
+
+        other = write_word_vectors(tmp_path / "other.vec", seed=1, dimension=12)
+        cache = tmp_path / "cache.tsv"
+        raw = self.wv_raw(
+            synthetic_dir,
+            two_lang_dir,
+            tmp_path / "out",
+            fallback={
+                "display_names": {"syn": "Synthetic", "oth": "Other"},
+                "cache_path": str(cache),
+                "llm": {"endpoint": "http://example.invalid/chat", "model": "tiny"},
+            },
+        )
+        raw["representations"][0]["vectors"]["oth"] = str(other)
+
+        def rerun_cells():
+            lines = []
+            table = run_matrix(parse(raw), resume=True, transport=transport, log=lines.append)
+            assert table.all_ok
+            return [line.split()[1][:-1] for line in lines if not line.endswith("resumed")]
+
+        run_matrix(parse(raw), transport=transport)
+        assert cache.read_text(encoding="utf-8") == "zz\tsyn\n"
+        assert rerun_cells() == []
+        cache.write_text("zz\toth\n", encoding="utf-8")
+        assert rerun_cells() == ["zz__wv__pca-off__dt"]
+        assert rerun_cells() == []
+        assert len(calls) == 1
+
 
 class TestResume:
     def test_resume_trusts_existing_records(self, synthetic_dir, tmp_path):
@@ -534,6 +572,39 @@ class TestResume:
         run_matrix(parse(raw))
         write_corpus(data, seed=1, n_documents=120, language="syn")
         resumed = run_matrix(parse(raw), resume=True)
+        fresh = run_matrix(parse(dict(raw, out_dir=str(tmp_path / "fresh"))))
+        assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in fresh.rows]
+
+    def test_resume_reruns_cells_whose_vectors_changed(self, synthetic_dir, tmp_path):
+        """A vector file rewritten in place under the same path is new input."""
+        vectors = write_word_vectors(tmp_path / "es.vec", seed=0, dimension=12)
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["reduction"]["pca"] = [False]
+        raw["representations"] = [
+            {"name": "bow", "kind": "bow"},
+            {"name": "wv", "kind": "word-vectors", "vectors": {"syn": str(vectors)}},
+        ]
+        run_matrix(parse(raw))
+        write_word_vectors(vectors, seed=1, dimension=12)
+        lines = []
+        resumed = run_matrix(parse(raw), resume=True, log=lines.append)
+        rerun = sorted(line.split()[1][:-1] for line in lines if not line.endswith("resumed"))
+        assert rerun == ["syn__wv__pca-off__dt", "syn__wv__pca-off__knn"]
+        fresh = run_matrix(parse(dict(raw, out_dir=str(tmp_path / "fresh"))))
+        assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in fresh.rows]
+
+    def test_resume_reruns_cells_whose_tokenizer_vocabulary_changed(self, synthetic_dir, tmp_path):
+        words = sorted({w for ws in synthetic_vocabulary().values() for w in ws})
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(words) + "\n", encoding="utf-8")
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["reduction"]["pca"] = [False]
+        raw["tokenizer"] = {"kind": "external-vocab", "vocab_path": str(vocab)}
+        run_matrix(parse(raw))
+        vocab.write_text("\n".join(words[:5]) + "\n", encoding="utf-8")
+        lines = []
+        resumed = run_matrix(parse(raw), resume=True, log=lines.append)
+        assert not [line for line in lines if line.endswith("resumed")]
         fresh = run_matrix(parse(dict(raw, out_dir=str(tmp_path / "fresh"))))
         assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in fresh.rows]
 

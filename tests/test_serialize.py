@@ -1,10 +1,13 @@
 """Pickle-free model persistence: round trips and format refusal."""
 
 import json
+import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from polyemo import serialize
 from polyemo.dense_features import EmbeddingTable
 from polyemo.errors import ConfigError, FormatError
 from polyemo.learn import (
@@ -20,8 +23,8 @@ from polyemo.learn import (
 )
 from polyemo.pipeline import PipelineModel
 from polyemo.reduce import fit_pca
-from polyemo.serialize import FORMAT_NAME, FORMAT_VERSION, load_model, save_model
-from polyemo.sparse_features import fit_tfidf, transform_tfidf
+from polyemo.serialize import FORMAT_NAME, FORMAT_VERSION, Deflated, load_model, save_model
+from polyemo.sparse_features import TfidfModel, fit_bow, fit_tfidf, transform_tfidf
 from polyemo.tokenize import TokenizerSpec
 
 
@@ -108,6 +111,130 @@ class TestAtomicSave:
         assert not list(tmp_path.glob("*.tmp"))
         monkeypatch.undo()
         assert isinstance(load_model(path), DecisionTree)
+
+
+TEXTS = [
+    "joy joy smile",
+    "anger rage fury",
+    "joy smile sun",
+    "rage fury gloom",
+    "sun and smiles",
+    "rain and gloom",
+]
+
+
+def fitted_pipeline(kind, spec, rng):
+    """A pipeline of representation ``kind`` with PCA and a ``spec`` classifier, fitted on TEXTS."""
+    pipe = PipelineModel("xx", kind, kind, TokenizerSpec())
+    if kind == "precomputed":
+        x = rng.normal(size=(len(TEXTS), 5))
+    else:
+        tokenizer = pipe.make_tokenizer()
+        seqs = [tokenizer(t) for t in TEXTS]
+        if kind == "bow":
+            vocab = fit_bow(seqs)
+            pipe.tfidf = TfidfModel(vocabulary=vocab, idf=np.ones(len(vocab)), row_normalize=False)
+        elif kind == "tfidf":
+            pipe.tfidf = fit_tfidf(seqs)
+        else:
+            words = sorted({t for s in seqs for t in s.tokens})
+            pipe.embeddings = EmbeddingTable(4, {w: rng.normal(size=4) for w in words}, "xx", "mem")
+        x = pipe.represent(seqs)
+    pipe.pca = fit_pca(pipe.reduce(x))
+    pipe.classifier = fit(spec, pipe.reduce(x), rng.integers(0, 2, size=(len(TEXTS), 6)))
+    return pipe
+
+
+REPRESENTATION_KINDS = ("bow", "tfidf", "word-vectors", "precomputed")
+
+
+class TestZipWriter:
+    @pytest.mark.filterwarnings("ignore:densifying")
+    @pytest.mark.parametrize("spec", CLASSIFIER_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("kind", REPRESENTATION_KINDS)
+    def test_members_equal_numpy_writer(self, kind, spec, rng, tmp_path):
+        pipe = fitted_pipeline(kind, spec, rng)
+        ours, ref = tmp_path / "ours.npz", tmp_path / "ref.npz"
+        save_model(pipe, ours)
+        np.savez_compressed(ref, **serialize._encode_model(pipe))
+        assert zipfile.ZipFile(ours).testzip() is None
+        with np.load(ours, allow_pickle=False) as a, np.load(ref, allow_pickle=False) as b:
+            assert a.files == b.files
+            for name in b.files:
+                assert a[name].dtype == b[name].dtype
+                assert a[name].shape == b[name].shape
+                np.testing.assert_array_equal(a[name], b[name])
+        with zipfile.ZipFile(ours) as a, zipfile.ZipFile(ref) as b:
+            assert all(a.read(n) == b.read(n) for n in b.namelist())  # .npy headers too
+        if kind != "precomputed":  # a precomputed pipeline cannot read text
+            restored = load_model(ours)
+            np.testing.assert_array_equal(restored.predict_texts(TEXTS), pipe.predict_texts(TEXTS))
+
+    def test_one_memo_deflates_a_shared_table_once(self, rng, tmp_path, monkeypatch):
+        dt_pipe = fitted_pipeline("word-vectors", ClassifierSpec(kind="dt"), rng)
+        knn = fit(ClassifierSpec(kind="knn", hyperparameters={"k": 3}), *small_problem(rng))
+        knn_pipe = replace(dt_pipe, classifier=knn)
+        vectors = dt_pipe.embeddings.vectors
+        table = np.vstack([vectors[w] for w in sorted(vectors)])
+        deflated = []
+        numpy_writer = np.savez_compressed
+
+        def counting_writer(fh, **arrays):
+            deflated.extend(a for a in arrays.values() if np.array_equal(a, table))
+            numpy_writer(fh, **arrays)
+
+        monkeypatch.setattr(np, "savez_compressed", counting_writer)
+        memo = {}
+        save_model(dt_pipe, tmp_path / "dt.npz", memo=memo)
+        save_model(knn_pipe, tmp_path / "knn.npz", memo=memo)
+        assert len(deflated) == 1
+        save_model(knn_pipe, tmp_path / "alone.npz")  # no memo: deflated again
+        assert len(deflated) == 2
+        for name, pipe in (("dt", dt_pipe), ("knn", knn_pipe)):
+            restored = load_model(tmp_path / f"{name}.npz")
+            assert type(restored.classifier) is type(pipe.classifier)
+            assert set(restored.embeddings.vectors) == set(vectors)
+            for w, v in vectors.items():
+                np.testing.assert_array_equal(restored.embeddings.vectors[w], v)
+        assert (tmp_path / "knn.npz").read_bytes() == (tmp_path / "alone.npz").read_bytes()
+
+    def test_failed_write_keeps_previous_model(self, rng, tmp_path, fill_disk):
+        x, y = small_problem(rng)
+        path = tmp_path / "model.npz"
+        save_model(fit(ClassifierSpec(kind="dt"), x, y), path)
+        before = path.read_bytes()
+        fill_disk()
+        with pytest.raises(OSError, match="no space"):
+            save_model(fit(ClassifierSpec(kind="knn"), x, y), path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_truncated_and_foreign_files_refused(self, rng, tmp_path):
+        x, y = small_problem(rng)
+        path = tmp_path / "model.npz"
+        save_model(fit(ClassifierSpec(kind="dt"), x, y), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(FormatError):
+            load_model(path)
+        path.write_bytes(b"not a zip archive")
+        with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_sizes_past_two_gib_move_to_zip64_fields(self, tmp_path):
+        # only the headers are checked: the sizes are claimed, not written
+        empty = memoryview(b"\x03\x00")  # raw deflate of no bytes
+        path = tmp_path / "big.zip"
+        with open(path, "wb") as fh:
+            members = [
+                ("big.npy", Deflated(empty, 0, 5 << 30)),
+                ("small.npy", Deflated(empty, 0, 0)),
+            ]
+            serialize._write_zip(fh, members)
+        with zipfile.ZipFile(path) as z:
+            big, small = z.infolist()
+        assert (big.file_size, big.compress_size, small.file_size) == (5 << 30, 2, 0)
+        assert small.header_offset == 30 + len("big.npy") + 20 + 2
 
 
 class TestFeatureModelRoundTrips:

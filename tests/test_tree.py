@@ -6,7 +6,7 @@ import pytest
 from polyemo.errors import ConfigError, DataError, ShapeError
 from polyemo.learn import ClassifierSpec, DecisionTree, RandomForest, fit
 from polyemo.learn import tree as tree_module
-from polyemo.learn.base import as_dense
+from polyemo.learn.base import as_dense, validate_training_data
 from polyemo.learn.tree import trees_of
 from polyemo.reduce import ReductionConfig, fit_pca, normalize_rows, transform_pca
 from polyemo.sparse_features import TfidfModel, fit_bow, fit_tfidf, transform_tfidf
@@ -142,6 +142,16 @@ class TestDecisionTree:
             DecisionTree().fit(np.zeros((2, 2)), np.array([[2], [0]]))
         with pytest.raises(ShapeError):
             DecisionTree().fit(np.zeros((2, 2)), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(DataError, match="nan or inf"):
+            validate_training_data(np.array([[1.0], [bad]]), np.array([[0], [1]]))
+
+    def test_fit_on_inf_raises_instead_of_looping(self):
+        # the midpoint between 1 and inf is inf: every row went left, forever
+        with pytest.raises(DataError, match="nan or inf"):
+            DecisionTree().fit([[1.0], [np.inf]], [[0], [1]])
 
     def test_predict_dim_check(self):
         model = DecisionTree().fit(np.zeros((2, 2)), np.array([[0], [1]]))
