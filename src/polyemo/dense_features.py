@@ -17,11 +17,14 @@ repeat run needs no network access.
 
 from __future__ import annotations
 
+import json
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .atomic import atomic_open
 from .errors import (
@@ -45,15 +48,35 @@ DEFAULT_PROMPT_TEMPLATE = (
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Exact-match token-to-vector lookup; every vector has length ``dimension``."""
+    """Exact-match token-to-vector lookup.
 
-    dimension: int
-    vectors: dict[str, np.ndarray]
+    Row ``i`` of the ``(len(tokens), dimension)`` float64 ``matrix`` is the
+    vector of ``tokens[i]``; tokens are distinct, and ``index`` maps each one
+    to its row.
+    """
+
+    tokens: tuple[str, ...]
+    matrix: np.ndarray
     language: str = ""
     source: str = ""
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.tokens):
+            raise ConfigError(
+                f"an embedding table of {len(self.tokens)} tokens needs a "
+                f"({len(self.tokens)}, dimension) matrix, got shape {self.matrix.shape}"
+            )
+        if len(self.index) != len(self.tokens):
+            raise ConfigError("embedding table tokens must be distinct")
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -75,16 +98,17 @@ def _parse_vector(values: list[str], path: Path, lineno: int) -> np.ndarray:
     return vector
 
 
-def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
-    """Parse a text word-vector file into an EmbeddingTable.
+def _header_dimension(parts: list[str]) -> int | None:
+    """The dimension a first line of ``<count> <dim>`` declares, else None."""
+    if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+        return int(parts[1])
+    return None
 
-    The first line may be a ``<count> <dim>`` header; otherwise the dimension
-    is taken from the first data line. A later duplicate of a token
-    overwrites the earlier entry. Any line whose value count disagrees with
-    the established dimension raises FormatError with its line number.
-    """
-    path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
+
+def _load_word_vectors_by_line(path: Path) -> tuple[list[str], np.ndarray]:
+    """Every entry's token and vector, one line at a time; a bad line is a FormatError."""
+    tokens: list[str] = []
+    rows: list[np.ndarray] = []
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -92,8 +116,8 @@ def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
             parts = [p for p in parts if p != ""]
             if not parts:
                 continue
-            if lineno == 1 and len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-                dim = int(parts[1])
+            if lineno == 1 and (header := _header_dimension(parts)) is not None:
+                dim = header
                 continue
             token, values = parts[0], parts[1:]
             if dim is None:
@@ -104,38 +128,106 @@ def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
                 raise FormatError(
                     f"{path}: line {lineno} has {len(values)} values, expected {dim}"
                 )
-            vectors[token] = _parse_vector(values, path, lineno)
-    if dim is None or not vectors:
+            tokens.append(token)
+            rows.append(_parse_vector(values, path, lineno))
+    if dim is None or not tokens:
         raise FormatError(f"{path}: no vector entries found")
-    return EmbeddingTable(dimension=dim, vectors=vectors, language=language, source=str(path))
+    return tokens, np.vstack(rows)
+
+
+def _load_word_vectors_fast(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """What ``_load_word_vectors_by_line`` returns, or None when a line needs it.
+
+    Each line's token is split off in Python and the values go to
+    ``np.loadtxt``, which parses a float as ``float()`` does. Lines whose
+    single-space layout it cannot take (repeated or leading spaces, a token
+    without values, a ragged or non-numeric row) and non-finite values are
+    left to the line loop, which accepts or names them.
+    """
+    tokens: list[str] = []
+    dim: int | None = None
+
+    def values():
+        nonlocal dim
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip(" \n")
+                if not line:
+                    continue
+                if lineno == 1 and (header := _header_dimension(line.split(" "))) is not None:
+                    dim = header
+                    continue
+                token, _, rest = line.partition(" ")
+                tokens.append(token)
+                yield rest
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty input warns; the count check below catches it
+            matrix = np.loadtxt(values(), dtype=float, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (
+        not tokens
+        or matrix.shape != (len(tokens), dim if dim is not None else matrix.shape[1])
+        or matrix.shape[1] == 0
+        or not np.isfinite(matrix).all()
+    ):
+        return None
+    return tokens, matrix
+
+
+def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
+    """Parse a text word-vector file into an EmbeddingTable.
+
+    The first line may be a ``<count> <dim>`` header; otherwise the dimension
+    is taken from the first data line. A later duplicate of a token
+    overwrites the earlier entry. Any line whose value count disagrees with
+    the established dimension raises FormatError with its line number.
+    """
+    path = Path(path)
+    tokens, matrix = _load_word_vectors_fast(path) or _load_word_vectors_by_line(path)
+    rows = {t: i for i, t in enumerate(tokens)}  # first-seen order, last row wins
+    if len(rows) < len(tokens):
+        matrix = matrix[list(rows.values())]
+    return EmbeddingTable(tuple(rows), matrix, language=language, source=str(path))
 
 
 def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]:
     """Mean-pool token vectors into one row per document.
 
     Returns the (n_docs, dimension) matrix and an OovReport counting dropped
-    tokens and fully out-of-vocabulary documents.
+    tokens and fully out-of-vocabulary documents. The sums are one product of
+    a CSR hit-count matrix, built in token order, with ``table.matrix``:
+    scipy adds each row's hits in that order, starting from zero, as
+    ``np.mean(hits, axis=0)`` does for a table of dimension 2 or more, so
+    the rows are bit-identical to it (at dimension 1 numpy's mean sums
+    pairwise, which can round differently from the in-order sum).
     """
     if len(table) == 0:
         raise ConfigError("embedding table is empty")
-    rows = np.zeros((len(docs), table.dimension))
+    index = table.index
+    hits: list[int] = []
+    indptr = [0]
     n_tokens = 0
-    n_oov = 0
-    n_fully_oov = 0
-    for i, doc in enumerate(docs):
+    for doc in docs:
         tokens = doc.tokens if hasattr(doc, "tokens") else tuple(doc)
-        hits = [table.vectors[t] for t in tokens if t in table.vectors]
+        hits.extend(index[t] for t in tokens if t in index)
+        indptr.append(len(hits))
         n_tokens += len(tokens)
-        n_oov += len(tokens) - len(hits)
-        if hits:
-            rows[i] = np.mean(hits, axis=0)
-        else:
-            n_fully_oov += 1
+    counts = np.diff(indptr)
+    hit_matrix = sp.csr_matrix(
+        (np.ones(len(hits)), np.array(hits, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(counts), len(table)),
+    )
+    sums = hit_matrix @ table.matrix
+    rows = np.zeros_like(sums)
+    np.divide(sums, counts[:, None], out=rows, where=counts[:, None] > 0)
     return rows, OovReport(
-        n_documents=len(docs),
-        n_fully_oov=n_fully_oov,
+        n_documents=len(counts),
+        n_fully_oov=int((counts == 0).sum()),
         n_tokens=n_tokens,
-        n_oov_tokens=n_oov,
+        n_oov_tokens=n_tokens - len(hits),
     )
 
 
@@ -236,7 +328,8 @@ def render_prompt(config: LlmBackendConfig, known: list[str], given: str) -> str
 
 def http_transport(config: LlmBackendConfig, prompt: str) -> str:
     """Default transport: POST a chat-completion request, return the reply text."""
-    import requests
+    import http.client  # imported here, as only a live backend query needs them
+    import urllib.request
 
     endpoint = os.environ.get(ENV_ENDPOINT, config.endpoint)
     headers = {"Content-Type": "application/json"}
@@ -248,13 +341,20 @@ def http_transport(config: LlmBackendConfig, prompt: str) -> str:
         "messages": [{"role": "user", "content": prompt}],
     }
     try:
-        resp = requests.post(
-            endpoint, json=payload, headers=headers, timeout=config.timeout_seconds
+        request = urllib.request.Request(
+            endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
         )
-        resp.raise_for_status()
-        body = resp.json()
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(request, timeout=config.timeout_seconds) as resp:
+            status, raw = resp.status, resp.read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        # URLError, HTTPError and timeouts are OSErrors; a bad URL is a ValueError
         raise TransportError(f"chat-completion request failed: {exc}") from exc
+    if not 200 <= status < 300:
+        raise TransportError(f"chat-completion request failed: HTTP status {status}")
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:
+        raise TransportError(f"malformed chat-completion reply: {raw[:200]!r}") from exc
     try:
         return body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:

@@ -26,24 +26,22 @@ def enumerate_grid(grid: dict) -> list[dict]:
 def grid_search_mlp(grid, train, dev, seed: int = 0, evaluate_fn=None):
     """Train one MLP per grid point and return the dev F1-macro argmax.
 
-    ``train`` and ``dev`` are (x, y) pairs. Ties go to the earliest grid
-    point in enumeration order. ``evaluate_fn`` maps a ClassifierSpec to a
-    score and exists so tests can stub out training.
+    ``train`` and ``dev`` are (x, y) pairs. Returns the winner's spec, its
+    dev score and its fitted model, so the caller need not fit it again;
+    ties go to the earliest grid point in enumeration order.
+    ``evaluate_fn`` maps a ClassifierSpec to a score and exists so tests can
+    stub out training; with it the returned model is None.
     """
     x_train, y_train = train
     x_dev, y_dev = dev
-    if evaluate_fn is None:
-
-        def evaluate_fn(spec):
-            model = fit_classifier(spec, x_train, y_train)
-            return f1_macro(y_dev, model.predict(x_dev))
-
-    best_spec = None
-    best_score = -1.0
+    best = (None, -1.0, None)
     for point in enumerate_grid(grid):
         spec = ClassifierSpec(kind="mlp", hyperparameters=point, seed=seed)
-        score = evaluate_fn(spec)
-        if score > best_score:
-            best_spec = spec
-            best_score = score
-    return best_spec, best_score
+        if evaluate_fn is None:
+            model = fit_classifier(spec, x_train, y_train)
+            score = f1_macro(y_dev, model.predict(x_dev))
+        else:
+            model, score = None, evaluate_fn(spec)
+        if score > best[1]:
+            best = (spec, score, model)
+    return best

@@ -14,7 +14,17 @@ subtree; the root is 0): ``feature`` (int64, -1 at a leaf), ``threshold``
 (float64, 0.0 at a leaf), ``left`` and ``right`` (int64 child ids, -1 at a
 leaf) and ``value`` (int64, ``(n_nodes, n_labels)``, the 0/1 prediction at a
 leaf and zeros elsewhere). Samples with ``x[feature] <= threshold`` go left.
-The model file stores exactly these arrays.
+A random forest is the same five arrays with its trees concatenated in fit
+order, child ids made global (a tree's ids are offset by the node count of
+the trees before it), plus ``sizes``, the node count of each tree; tree
+``t`` has its root at ``sizes[:t].sum()``. The model file stores exactly
+these arrays, so a forest is six arrays whatever its tree count.
+
+Prediction. One walker serves both models: every (tree, row) pair starts at
+its tree's root and all pairs step down one level per iteration until they
+sit on leaves, in blocks of ``PREDICT_BLOCK_ROWS`` rows so memory stays
+bounded. A decision tree is the walk with one root; a forest sums the leaf
+values of its trees, exactly, in integers.
 
 Split search. All candidate features of a node are scored at once: a stable
 column-wise argsort, a cumulative label count of shape (positions, features,
@@ -38,9 +48,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from .base import ClassifierSpec, check_input_dim, validate_training_data
 
 SPLIT_BLOCK_CELLS = 32768
+PREDICT_BLOCK_ROWS = 1024
 
 
 def _best_split(xs, ys, counts):
@@ -143,21 +155,34 @@ def _grow_tree(x, y, min_samples_split, max_depth, max_features, rng):
     )
 
 
-def _predict_tree(tree, x):
-    """Walk every row of ``x`` down ``tree`` one level per step; returns leaf values."""
-    node = np.zeros(x.shape[0], dtype=np.int64)
-    rows = np.arange(x.shape[0])
-    while rows.size:
-        at = node[rows]
-        f = tree.feature[at]
-        inner = f >= 0
-        rows, at, f = rows[inner], at[inner], f[inner]
-        go_left = x[rows, f] <= tree.threshold[at]
-        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
-    return tree.value[node]
+def _votes(model, x) -> np.ndarray:
+    """Per-row sum over ``model``'s trees of the leaf value each row reaches.
+
+    Every (tree, row) pair walks down one level per step, all pairs at once,
+    over blocks of ``PREDICT_BLOCK_ROWS`` rows.
+    """
+    roots = model.roots
+    votes = np.zeros((x.shape[0], model.value.shape[1]), dtype=np.int64)
+    for start in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
+        block = x[start : start + PREDICT_BLOCK_ROWS]
+        rows = np.tile(np.arange(block.shape[0]), roots.size)  # tree-major pairs
+        node = np.repeat(roots, block.shape[0])
+        live = np.arange(node.size)
+        while live.size:
+            at = node[live]
+            f = model.feature[at]
+            inner = f >= 0
+            live, at, f = live[inner], at[inner], f[inner]
+            go_left = block[rows[live], f] <= model.threshold[at]
+            node[live] = np.where(go_left, model.left[at], model.right[at])
+        leaves = model.value[node].reshape(roots.size, block.shape[0], -1)
+        votes[start : start + block.shape[0]] = leaves.sum(axis=0)
+    return votes
 
 
 class DecisionTree:
+    roots = np.zeros(1, dtype=np.int64)  # the forest walk with a single root
+
     def __init__(self, spec: ClassifierSpec | None = None):
         self.spec = spec or ClassifierSpec(kind="dt")
         # the preorder node arrays; see the module docstring
@@ -184,7 +209,7 @@ class DecisionTree:
 
     def predict(self, x) -> np.ndarray:
         x = check_input_dim(self, x)
-        return _predict_tree(self, x)
+        return _votes(self, x)
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path."""
@@ -198,21 +223,23 @@ class DecisionTree:
 
 
 class RandomForest:
-    """Bagging of multi-output trees with per-split feature subsampling."""
+    """Bagging of multi-output trees with per-split feature subsampling.
+
+    The fitted trees are held packed (see the module docstring); ``trees``
+    gives them back as separate ``DecisionTree`` objects.
+    """
 
     def __init__(self, spec: ClassifierSpec | None = None):
         self.spec = spec or ClassifierSpec(kind="rf")
-        self.trees: list = []
+        self.feature = self.threshold = self.left = self.right = self.value = None
+        self.sizes = None
         self.input_dim = 0
         self.n_labels = 0
+        self._trees = None
 
-    def fit(self, x, y):
-        x, y = validate_training_data(x, y)
-        self.input_dim = x.shape[1]
-        self.n_labels = y.shape[1]
+    def _tree_spec(self) -> ClassifierSpec:
         hp = self.spec.resolved_hyperparameters()
-        rng = np.random.default_rng(self.spec.seed)
-        tree_spec = ClassifierSpec(
+        return ClassifierSpec(
             kind="dt",
             hyperparameters={
                 "max_depth": hp["max_depth"],
@@ -221,21 +248,62 @@ class RandomForest:
             },
             seed=self.spec.seed,
         )
+
+    def fit(self, x, y):
+        x, y = validate_training_data(x, y)
+        self.input_dim = x.shape[1]
+        self.n_labels = y.shape[1]
+        hp = self.spec.resolved_hyperparameters()
+        rng = np.random.default_rng(self.spec.seed)
+        tree_spec = self._tree_spec()
         n = x.shape[0]
-        self.trees = []
+        trees = []
         for _ in range(int(hp["n_estimators"])):
             idx = rng.integers(0, n, size=n) if hp["bootstrap"] else np.arange(n)
-            tree = DecisionTree(tree_spec)
-            tree.fit(x[idx], y[idx], rng=rng)
-            self.trees.append(tree)
+            trees.append(DecisionTree(tree_spec).fit(x[idx], y[idx], rng=rng))
+        self.trees = trees
         return self
+
+    @property
+    def roots(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+    @property
+    def trees(self) -> list[DecisionTree]:
+        """The packed trees as separate DecisionTrees, built once per packing."""
+        if self._trees is None and self.sizes is not None:
+            spec = self._tree_spec()
+            self._trees = []
+            for root, size in zip(self.roots.tolist(), self.sizes.tolist()):
+                tree = DecisionTree(spec)
+                tree.input_dim, tree.n_labels = self.input_dim, self.n_labels
+                nodes = slice(root, root + size)
+                tree.feature = self.feature[nodes]
+                tree.threshold = self.threshold[nodes]
+                tree.left = np.where(self.left[nodes] >= 0, self.left[nodes] - root, -1)
+                tree.right = np.where(self.right[nodes] >= 0, self.right[nodes] - root, -1)
+                tree.value = self.value[nodes]
+                self._trees.append(tree)
+        return list(self._trees or ())
+
+    @trees.setter
+    def trees(self, trees) -> None:
+        """Pack ``trees``, in order, into the forest's node arrays."""
+        trees = list(trees)
+        if not trees:
+            raise ConfigError("a random forest needs at least one tree")
+        self.sizes = np.array([t.feature.size for t in trees], dtype=np.int64)
+        offsets = (np.cumsum(self.sizes) - self.sizes).tolist()
+        self.feature = np.concatenate([t.feature for t in trees])
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.left = np.concatenate([np.where(t.left >= 0, t.left + o, -1) for t, o in zip(trees, offsets)])
+        self.right = np.concatenate([np.where(t.right >= 0, t.right + o, -1) for t, o in zip(trees, offsets)])
+        self.value = np.concatenate([t.value for t in trees])
+        self._trees = None
 
     def predict(self, x) -> np.ndarray:
         x = check_input_dim(self, x)
-        votes = np.zeros((x.shape[0], self.n_labels), dtype=np.int64)
-        for tree in self.trees:
-            votes += _predict_tree(tree, x)
-        return (2 * votes > len(self.trees)).astype(np.int64)
+        return (2 * _votes(self, x) > self.sizes.size).astype(np.int64)
 
 
 def trees_of(model) -> list[DecisionTree]:
@@ -243,5 +311,5 @@ def trees_of(model) -> list[DecisionTree]:
     if isinstance(model, DecisionTree):
         return [model]
     if isinstance(model, RandomForest):
-        return list(model.trees)
+        return model.trees
     return [tree for member in getattr(model, "members", ()) for tree in trees_of(member)]

@@ -706,10 +706,10 @@ def run_cell(
         def train():
             clf = cell.classifier
             if clf.kind == "mlp" and clf.grid:
-                best_spec, _ = grid_search_mlp(
+                _, _, winner = grid_search_mlp(
                     clf.grid, (x_train, y_train), (x_dev, y_dev), seed=seed
                 )
-                return fit(best_spec, x_train, y_train)
+                return winner
             return fit(clf.spec(seed), x_train, y_train)
 
         model, fit_seconds = time_run(train)

@@ -4,20 +4,29 @@ Everything is stored in a single .npz container: numeric arrays as npz
 members, and the object structure as a JSON document kept in a ``__meta__``
 uint8 member. Loading never unpickles, so a model file cannot execute code.
 Each registered class encodes to a dict of plain values, containers, arrays,
-and other registered objects; a decision tree is its five preorder node
-arrays.
+and other registered objects.
+
+Layout (format 3). A decision tree is its five preorder node arrays; a
+random forest is the same five arrays with its trees packed end to end plus
+their node counts (see ``learn.tree``), six members whatever its tree count.
+A token list is one uint8 member holding the UTF-8 bytes of its tokens
+joined by newlines: a word-vector table is that member plus its
+``(tokens, dimension)`` matrix, a vocabulary is that member (in column
+order) plus its int64 document frequencies, and an external-vocab
+tokenizer's list takes one too. No per-token or per-tree structure goes
+through the JSON document.
 
 The file is a standard ``.npz`` that ``np.load`` reads: every member holds
-the bytes ``np.savez_compressed`` deflates, at zlib's default level, with
-zip64 records always written. ``save_model`` takes an optional memo of
-deflated members keyed by the SHA-256 of their ``.npy`` bytes; an array
-already deflated under the same memo is written from it, not deflated again.
-The runner keeps one memo per (language, representation) group, so the
-word-vector table that every model of a group carries is deflated once per
-group rather than once per cell.
+the bytes ``np.savez_compressed`` writes, raw deflate at zlib's default
+level, with zip64 records always written. ``save_model`` takes an optional
+memo of deflated members keyed by the SHA-256 of their ``.npy`` bytes; an
+array already deflated under the same memo is written from it, not deflated
+again. The runner keeps one memo per (language, representation) group, so
+the word-vector table (and its token list) that every model of a group
+carries is deflated once per group rather than once per cell.
 
 The container carries a format version; a mismatch raises FormatError
-instead of guessing.
+instead of guessing, so files of format 1 or 2 must be refit.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import io
 import json
 import struct
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +46,7 @@ from .atomic import atomic_open
 from .errors import ConfigError, FormatError
 
 FORMAT_NAME = "polyemo"
-FORMAT_VERSION = 2  # 2: a bow pipeline stores its vocabulary as a unit-idf TfidfModel
+FORMAT_VERSION = 3  # 3: packed forests; token lists as one UTF-8 member each
 
 
 def _encode_node(value, arrays: dict, counter: list):
@@ -103,13 +113,13 @@ class Deflated:
     size: int
 
 
-def _npy_key(array: np.ndarray) -> bytes:
-    """SHA-256 of the ``.npy`` bytes numpy writes for ``array``: header, then data.
+def _npy(array: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The ``.npy`` bytes numpy writes for ``array``: its header, and an array whose buffer is the data.
 
     The header is format 1.0, which holds every array a model encodes. The
-    data is hashed straight from the array's buffer: numpy writes a
-    Fortran-ordered array as the C-order bytes of its transpose, and any other
-    non-contiguous array in C order; only that last case is copied.
+    data is the array's own buffer: numpy writes a Fortran-ordered array as
+    the C-order bytes of its transpose, and any other non-contiguous array in
+    C order; only that last case is copied.
     """
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
@@ -119,33 +129,27 @@ def _npy_key(array: np.ndarray) -> bytes:
         data = array.T
     else:
         data = np.ascontiguousarray(array)
-    digest = hashlib.sha256(header.getvalue())
+    return header.getvalue(), data
+
+
+def _npy_key(array: np.ndarray) -> bytes:
+    """SHA-256 of the ``.npy`` bytes of ``array``."""
+    header, data = _npy(array)
+    digest = hashlib.sha256(header)
     digest.update(data)
     return digest.digest()
 
 
+def _deflate(array: np.ndarray) -> Deflated:
+    """The member ``np.savez_compressed`` writes for ``array``: raw deflate at zlib's default level."""
+    header, data = _npy(array)
+    compressor = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15)
+    payload = b"".join((compressor.compress(header), compressor.compress(data), compressor.flush()))
+    crc = zlib.crc32(data, zlib.crc32(header))
+    return Deflated(memoryview(payload), crc, len(header) + data.nbytes)
+
+
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")  # the fixed 30 bytes before a member's name
-
-
-def _deflate(arrays: dict[str, np.ndarray]) -> dict[str, Deflated]:
-    """Each array's member exactly as ``np.savez_compressed`` writes it, by name.
-
-    The payloads are views into one in-memory archive, not copies.
-    """
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **arrays)
-    view = buf.getbuffer()
-    out = {}
-    with zipfile.ZipFile(buf) as zf:
-        for info in zf.infolist():
-            header = _LOCAL_HEADER.unpack_from(view, info.header_offset)
-            start = info.header_offset + _LOCAL_HEADER.size + header[10] + header[11]
-            out[info.filename.removesuffix(".npy")] = Deflated(
-                view[start : start + info.compress_size], info.CRC, info.file_size
-            )
-    return out
-
-
 _ZIP64 = 45  # "version needed to extract" for zip64 records
 _DEFLATED = 8
 _DOS_DATE = (1 << 5) | 1  # 1980-01-01, so equal models give equal files
@@ -228,12 +232,9 @@ def save_model(obj, path: str | Path, memo: dict[bytes, Deflated] | None = None)
     arrays = _encode_model(obj)
     memo = {} if memo is None else memo
     keys = {name: _npy_key(a) for name, a in arrays.items()}
-    fresh: dict[bytes, str] = {}  # first member name of each array the memo lacks
     for name, key in keys.items():
         if key not in memo:
-            fresh.setdefault(key, name)
-    deflated = _deflate({name: arrays[name] for name in fresh.values()})
-    memo.update({key: deflated[name] for key, name in fresh.items()})
+            memo[key] = _deflate(arrays[name])
     with atomic_open(path, "wb") as fh:
         _write_zip(fh, [(f"{name}.npy", memo[key]) for name, key in keys.items()])
 
@@ -273,18 +274,38 @@ def _fields_of(obj, names):
     return {name: getattr(obj, name) for name in names}
 
 
-def _encode_vocabulary(v):
-    from .sparse_features import Vocabulary  # noqa: F401
+def _token_member(tokens) -> np.ndarray:
+    """A token list as one uint8 member: the UTF-8 bytes of the tokens joined by newlines."""
+    joined = "\n".join(tokens)
+    if tokens and ("" in tokens or joined.count("\n") != len(tokens) - 1):
+        raise ConfigError("only non-empty tokens without newlines can be serialized")
+    return np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
 
-    return _fields_of(v, ("index", "document_frequency", "corpus_size"))
+
+def _member_tokens(member: np.ndarray) -> tuple[str, ...]:
+    try:
+        text = member.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"corrupt token list: {exc}") from exc
+    return tuple(text.split("\n")) if text else ()
+
+
+def _encode_vocabulary(v):
+    tokens = v.tokens  # in column order
+    return {
+        "tokens": _token_member(tokens),
+        "document_frequency": np.array([v.document_frequency[t] for t in tokens], dtype=np.int64),
+        "corpus_size": v.corpus_size,
+    }
 
 
 def _decode_vocabulary(f):
     from .sparse_features import Vocabulary
 
+    tokens = _member_tokens(f["tokens"])
     return Vocabulary(
-        index=f["index"],
-        document_frequency=f["document_frequency"],
+        index={t: i for i, t in enumerate(tokens)},
+        document_frequency=dict(zip(tokens, f["document_frequency"].tolist())),
         corpus_size=f["corpus_size"],
     )
 
@@ -319,27 +340,19 @@ def _decode_pca(f):
 
 
 def _encode_embedding_table(t):
-    tokens = sorted(t.vectors)
-    matrix = (
-        np.vstack([t.vectors[tok] for tok in tokens])
-        if tokens
-        else np.zeros((0, t.dimension))
-    )
     return {
-        "dimension": t.dimension,
         "language": t.language,
         "source": t.source,
-        "tokens": list(tokens),
-        "matrix": matrix,
+        "tokens": _token_member(t.tokens),
+        "matrix": t.matrix,
     }
 
 
 def _decode_embedding_table(f):
     from .dense_features import EmbeddingTable
 
-    vectors = {tok: f["matrix"][i] for i, tok in enumerate(f["tokens"])}
     return EmbeddingTable(
-        dimension=f["dimension"], vectors=vectors, language=f["language"], source=f["source"]
+        _member_tokens(f["tokens"]), f["matrix"], language=f["language"], source=f["source"]
     )
 
 
@@ -393,14 +406,8 @@ def _decode_decision_tree(f):
 
 
 def _encode_random_forest(m):
-    if not m.trees:
-        raise ConfigError("cannot serialize an unfitted RandomForest")
-    return {
-        "spec": m.spec,
-        "input_dim": m.input_dim,
-        "n_labels": m.n_labels,
-        "trees": list(m.trees),
-    }
+    _require_fitted(m, "sizes")
+    return _fields_of(m, ("spec", "input_dim", "n_labels", "sizes") + TREE_ARRAYS)
 
 
 def _decode_random_forest(f):
@@ -409,7 +416,8 @@ def _decode_random_forest(f):
     m = RandomForest(f["spec"])
     m.input_dim = f["input_dim"]
     m.n_labels = f["n_labels"]
-    m.trees = list(f["trees"])
+    for name in ("sizes",) + TREE_ARRAYS:
+        setattr(m, name, f[name])
     return m
 
 
@@ -479,13 +487,15 @@ def _decode_voting(f):
 
 
 def _encode_pipeline(p):
-    return {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
+    fields = {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
+    fields["tokenizer_vocab"] = _token_member(p.tokenizer_vocab)
+    return fields
 
 
 def _decode_pipeline(f):
     from .pipeline import PipelineModel
 
-    return PipelineModel(**f)
+    return PipelineModel(**{**f, "tokenizer_vocab": _member_tokens(f["tokenizer_vocab"])})
 
 
 _REGISTRY = {

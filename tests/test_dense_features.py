@@ -1,13 +1,23 @@
 """Word-vector pooling, precomputed embeddings, and language fallback."""
 
+import json
+import tempfile
+import urllib.error
+import urllib.request
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyemo import dense_features
 from polyemo.dense_features import (
     DEFAULT_PROMPT_TEMPLATE,
     EmbeddingTable,
     FallbackPolicy,
     LlmBackendConfig,
+    OovReport,
     embed_documents,
     http_transport,
     load_precomputed_embeddings,
@@ -35,14 +45,14 @@ class TestLoadWordVectors:
         p = write_vectors(tmp_path / "v.vec", "2 3\na 1 0 0\nb 0 1 0\n")
         table = load_word_vectors(p)
         assert table.dimension == 3
-        assert sorted(table.vectors) == ["a", "b"]
-        np.testing.assert_array_equal(table.vectors["a"], [1.0, 0.0, 0.0])
+        assert sorted(table.tokens) == ["a", "b"]
+        np.testing.assert_array_equal(table.matrix[table.index["a"]], [1.0, 0.0, 0.0])
 
     def test_without_header(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "a 1.5 -2\nb 0 4\n")
         table = load_word_vectors(p)
         assert table.dimension == 2
-        np.testing.assert_array_equal(table.vectors["a"], [1.5, -2.0])
+        np.testing.assert_array_equal(table.matrix[table.index["a"]], [1.5, -2.0])
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "2 3\na 1 0 0\nb 0 1\n")
@@ -62,7 +72,8 @@ class TestLoadWordVectors:
 
     def test_duplicate_token_overwrites(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "a 1 1\na 2 2\n")
-        np.testing.assert_array_equal(load_word_vectors(p).vectors["a"], [2.0, 2.0])
+        table = load_word_vectors(p)
+        np.testing.assert_array_equal(table.matrix[table.index["a"]], [2.0, 2.0])
 
     def test_empty_file(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "")
@@ -74,12 +85,176 @@ class TestLoadWordVectors:
         assert load_word_vectors(p, language="swa").language == "swa"
 
 
+# ---------------------------------------------------------------------------
+# frozen copies of the line-by-line .vec parser and the np.mean pooling loop
+# that the array-based table replaced; the fast paths must match them bit for bit
+
+
+def _reference_load(path):
+    """Token -> vector dict as the line loop built it, or the FormatError text it raised."""
+    vectors = {}
+    dim = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\n").split(" ")
+            parts = [p for p in parts if p != ""]
+            if not parts:
+                continue
+            if lineno == 1 and len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+                dim = int(parts[1])
+                continue
+            token, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim == 0:
+                    return f"{path}: line 1 has a token but no vector values"
+            if len(values) != dim:
+                return f"{path}: line {lineno} has {len(values)} values, expected {dim}"
+            try:
+                vector = np.array([float(v) for v in values])
+            except ValueError as exc:
+                return f"{path}: line {lineno}: {exc}"
+            if not np.isfinite(vector).all():
+                return f"{path}: line {lineno}: non-finite vector value"
+            vectors[token] = vector
+    if dim is None or not vectors:
+        return f"{path}: no vector entries found"
+    return vectors
+
+
+def _reference_pool(docs, vectors, dimension):
+    rows = np.zeros((len(docs), dimension))
+    for i, tokens in enumerate(docs):
+        hits = [vectors[t] for t in tokens if t in vectors]
+        if hits:
+            rows[i] = np.mean(hits, axis=0)
+    return rows
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+VALUE_TEXT = st.integers(0, 9).flatmap(
+    lambda k: st.sampled_from(["0", "-0", "1e-320", "nan", "inf", "-Infinity", "1_0", "x"])
+    if k == 0
+    else st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if k < 5
+    else st.floats(min_value=-1e3, max_value=1e3).map(lambda v: "%.5f" % v)  # "-0.00000" too
+)
+
+
+@st.composite
+def vec_files(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 8))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"{n} {dim}")
+    for _ in range(n):
+        token = draw(st.sampled_from(["a", "b", "c", "é", "12", "x-y"]))  # duplicates likely
+        count = dim - 1 if draw(st.integers(0, 15)) == 0 else dim  # now and then too few values
+        values = draw(st.lists(VALUE_TEXT, min_size=count, max_size=count))
+        gap = draw(st.sampled_from([" ", " ", " ", "  "]))  # mostly single spaces
+        line = gap.join([token] + values)
+        if draw(st.booleans()):
+            line += " "  # fastText's trailing space
+        if draw(st.integers(0, 10)) == 0:
+            line = " " + line
+        lines.append(line)
+        if draw(st.integers(0, 10)) == 0:
+            lines.append(draw(st.sampled_from(["", "   "])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+class TestFastParseMatchesLineLoop:
+    @settings(max_examples=300)
+    @given(vec_files())
+    def test_same_table_or_same_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "v.vec"
+            path.write_text(text, encoding="utf-8")
+            want = _reference_load(path)
+            if isinstance(want, str):
+                with pytest.raises(FormatError) as info:
+                    load_word_vectors(path)
+                assert str(info.value) == want
+                return
+            table = load_word_vectors(path)
+        assert table.tokens == tuple(want)  # first-seen order; a later duplicate's row wins
+        assert table.matrix.dtype == np.float64
+        for token, vector in want.items():
+            assert _bits(table.matrix[table.index[token]]).tolist() == _bits(vector).tolist()
+
+    def test_fasttext_layout_takes_the_fast_path(self, tmp_path, monkeypatch):
+        p = write_vectors(tmp_path / "v.vec", "3 2\na 1 2 \nb -0.00000 4 \na 5 6 \n")
+
+        def no_line_loop(path):
+            raise AssertionError("the line loop ran on well-formed input")
+
+        monkeypatch.setattr(dense_features, "_load_word_vectors_by_line", no_line_loop)
+        table = load_word_vectors(p)
+        assert table.tokens == ("a", "b")
+        np.testing.assert_array_equal(table.matrix, [[5.0, 6.0], [-0.0, 4.0]])
+        assert np.signbit(table.matrix[1, 0])
+
+    def test_short_line_names_its_line_number(self, tmp_path):
+        p = write_vectors(tmp_path / "v.vec", "a 1 2 \nb 3 4 \nc 5 \n")
+        with pytest.raises(FormatError, match=r"v\.vec: line 3 has 1 values, expected 2"):
+            load_word_vectors(p)
+
+
+class TestPoolingMatchesMeanLoop:
+    @given(
+        st.integers(2, 6),  # dimension 1 is test_dimension_one_sums_in_token_order
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "oov", "zz"]), max_size=12), max_size=10),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(self, dim, docs, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(4, dim)) * 10.0 ** rng.integers(-8, 8, size=(4, dim))
+        matrix[rng.random(size=matrix.shape) < 0.2] = -0.0
+        table = EmbeddingTable(tokens=("a", "b", "c", "d"), matrix=matrix)
+        vectors = {t: matrix[i] for i, t in enumerate(table.tokens)}
+        if not docs:
+            docs = [[]]
+        got, report = embed_documents(docs, table)
+        want = _reference_pool(docs, vectors, dim)
+        assert _bits(got).tolist() == _bits(want).tolist()
+        n_tokens = sum(len(d) for d in docs)
+        n_oov = sum(t not in vectors for d in docs for t in d)
+        fully = sum(all(t not in vectors for t in d) for d in docs)
+        assert (report.n_documents, report.n_tokens, report.n_oov_tokens, report.n_fully_oov) == (
+            len(docs),
+            n_tokens,
+            n_oov,
+            fully,
+        )
+
+    def test_repeated_tokens_and_fully_oov_documents(self, rng):
+        matrix = rng.normal(size=(3, 5))
+        table = EmbeddingTable(tokens=("a", "b", "c"), matrix=matrix)
+        docs = [["a", "a", "b", "a", "c", "c"], ["zz", "q"], [], ["b"] * 40, ["c", "oov", "a"]]
+        got, report = embed_documents(docs, table)
+        vectors = dict(zip(table.tokens, matrix))
+        assert _bits(got).tolist() == _bits(_reference_pool(docs, vectors, 5)).tolist()
+        assert report == OovReport(n_documents=5, n_fully_oov=2, n_tokens=51, n_oov_tokens=3)
+
+    def test_dimension_one_sums_in_token_order(self, rng):
+        # numpy's 1-D mean sums pairwise; the pooled value is the in-order sum
+        values = rng.normal(size=(30, 1)) * 10.0 ** rng.integers(-8, 8, size=(30, 1))
+        table = EmbeddingTable(tokens=tuple(f"t{i}" for i in range(30)), matrix=values)
+        got, _ = embed_documents([list(table.tokens)], table)
+        total = 0.0
+        for v in values[:, 0]:
+            total += v
+        assert got[0, 0] == total / 30
+        np.testing.assert_allclose(got[0], np.mean(values, axis=0), rtol=1e-12)
+
+
 class TestEmbedDocuments:
     def table(self):
-        return EmbeddingTable(
-            dimension=2,
-            vectors={"a": np.array([1.0, 2.0]), "b": np.array([3.0, 1.0])},
-        )
+        return EmbeddingTable(tokens=("a", "b"), matrix=np.array([[1.0, 2.0], [3.0, 1.0]]))
 
     def test_single_token(self):
         m, report = embed_documents([["a"]], self.table())
@@ -109,8 +284,7 @@ class TestEmbedDocuments:
 
     def test_permutation_invariance(self, rng):
         table = EmbeddingTable(
-            dimension=3,
-            vectors={f"t{i}": rng.normal(size=3) for i in range(10)},
+            tokens=tuple(f"t{i}" for i in range(10)), matrix=rng.normal(size=(10, 3))
         )
         doc = [f"t{i}" for i in range(10)]
         m1, _ = embed_documents([doc], table)
@@ -119,7 +293,7 @@ class TestEmbedDocuments:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigError):
-            embed_documents([["a"]], EmbeddingTable(dimension=2, vectors={}))
+            embed_documents([["a"]], EmbeddingTable(tokens=(), matrix=np.zeros((0, 2))))
 
     def test_report_totals(self):
         docs = [["a"], ["z"], ["a", "b", "q"]]
@@ -343,18 +517,20 @@ class TestResolveLanguage:
 
 
 class FakeResponse:
+    """What ``urllib.request.urlopen`` returns: a context manager with a status and a body."""
+
     def __init__(self, body, status=200):
         self.body = body
         self.status = status
 
-    def raise_for_status(self):
-        import requests
+    def __enter__(self):
+        return self
 
-        if self.status >= 400:
-            raise requests.HTTPError(f"status {self.status}")
+    def __exit__(self, *exc):
+        return False
 
-    def json(self):
-        return self.body
+    def read(self):
+        return self.body if isinstance(self.body, bytes) else json.dumps(self.body).encode("utf-8")
 
 
 class TestHttpTransport:
@@ -364,15 +540,18 @@ class TestHttpTransport:
     def test_payload_shape_and_reply_extraction(self, monkeypatch):
         seen = {}
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, json=json, headers=headers, timeout=timeout)
+        def fake_urlopen(request, timeout=None):
+            seen.update(
+                url=request.full_url,
+                json=json.loads(request.data),
+                headers=dict(request.header_items()),
+                timeout=timeout,
+            )
             return FakeResponse(
                 {"choices": [{"message": {"content": "Amharic"}}]}
             )
 
-        import requests
-
-        monkeypatch.setattr(requests, "post", fake_post)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         monkeypatch.setenv("EMO_LLM_API_KEY", "sekrit")
         reply = http_transport(self.config(), "which?")
         assert reply == "Amharic"
@@ -387,31 +566,49 @@ class TestHttpTransport:
     def test_endpoint_env_override(self, monkeypatch):
         seen = {}
 
-        def fake_post(url, **kw):
-            seen["url"] = url
+        def fake_urlopen(request, **kw):
+            seen["url"] = request.full_url
             return FakeResponse({"choices": [{"message": {"content": "x"}}]})
 
-        import requests
-
-        monkeypatch.setattr(requests, "post", fake_post)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         monkeypatch.setenv("EMO_LLM_ENDPOINT", "http://other.invalid/chat")
         http_transport(self.config(), "p")
         assert seen["url"] == "http://other.invalid/chat"
 
     def test_http_error_becomes_transport_error(self, monkeypatch):
-        import requests
-
         monkeypatch.setattr(
-            requests, "post", lambda *a, **k: FakeResponse({}, status=500)
+            urllib.request, "urlopen", lambda *a, **k: FakeResponse({}, status=500)
         )
         with pytest.raises(TransportError, match="request failed"):
             http_transport(self.config(), "p")
 
-    def test_malformed_body(self, monkeypatch):
-        import requests
+    @pytest.mark.parametrize(
+        "error",
+        [
+            urllib.error.HTTPError("http://example.invalid", 503, "unavailable", {}, None),
+            urllib.error.URLError("connection refused"),
+            TimeoutError("timed out"),
+        ],
+        ids=["http-error", "url-error", "timeout"],
+    )
+    def test_raised_errors_become_transport_error(self, monkeypatch, error):
+        def fake_urlopen(*a, **k):
+            raise error
 
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        with pytest.raises(TransportError, match="request failed"):
+            http_transport(self.config(), "p")
+
+    def test_malformed_body(self, monkeypatch):
         monkeypatch.setattr(
-            requests, "post", lambda *a, **k: FakeResponse({"unexpected": True})
+            urllib.request, "urlopen", lambda *a, **k: FakeResponse({"unexpected": True})
+        )
+        with pytest.raises(TransportError, match="malformed"):
+            http_transport(self.config(), "p")
+
+    def test_body_that_is_not_json(self, monkeypatch):
+        monkeypatch.setattr(
+            urllib.request, "urlopen", lambda *a, **k: FakeResponse(b"<html>busy</html>")
         )
         with pytest.raises(TransportError, match="malformed"):
             http_transport(self.config(), "p")

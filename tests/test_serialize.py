@@ -93,6 +93,47 @@ class TestClassifierRoundTrips:
         ]
 
 
+class TestFormatThreeLayout:
+    def test_forest_member_count_does_not_grow_with_trees(self, rng, tmp_path):
+        x, y = small_problem(rng)
+        counts = []
+        for n_trees in (3, 100):
+            members = (
+                ClassifierSpec(kind="knn"),
+                ClassifierSpec(kind="dt"),
+                ClassifierSpec(kind="rf", hyperparameters={"n_estimators": n_trees}),
+            )
+            path = tmp_path / f"voting{n_trees}.npz"
+            save_model(fit(ClassifierSpec(kind="voting", members=members), x, y), path)
+            with zipfile.ZipFile(path) as z:
+                counts.append(len(z.namelist()))
+            assert len(load_model(path).members[2].trees) == n_trees
+        assert counts[0] == counts[1]
+
+    def test_no_token_passes_through_the_metadata(self, rng, tmp_path):
+        pipe = fitted_pipeline("word-vectors", ClassifierSpec(kind="dt"), rng)
+        pipe.tokenizer_vocab = ("smile", "rage")
+        vocab_pipe = fitted_pipeline("tfidf", ClassifierSpec(kind="dt"), rng)
+        for name, model in (("wv", pipe), ("tfidf", vocab_pipe)):
+            save_model(model, tmp_path / f"{name}.npz")
+            with np.load(tmp_path / f"{name}.npz", allow_pickle=False) as z:
+                meta = z["__meta__"].tobytes().decode("utf-8")
+            for token in ("smile", "rage", "gloom"):  # words of TEXTS
+                assert f'"{token}"' not in meta
+            restored = load_model(tmp_path / f"{name}.npz")
+            np.testing.assert_array_equal(restored.predict_texts(TEXTS), model.predict_texts(TEXTS))
+        restored = load_model(tmp_path / "wv.npz")
+        assert restored.tokenizer_vocab == ("smile", "rage")
+        assert restored.embeddings.tokens == pipe.embeddings.tokens
+        assert load_model(tmp_path / "tfidf.npz").tfidf.vocabulary == vocab_pipe.tfidf.vocabulary
+
+    @pytest.mark.parametrize("tokens", [("a", "b\nc"), ("a", "")])
+    def test_unjoinable_tokens_rejected(self, tokens, tmp_path):
+        table = EmbeddingTable(tokens, np.zeros((2, 3)))
+        with pytest.raises(ConfigError, match="newlines"):
+            save_model(table, tmp_path / "t.npz")
+
+
 class TestAtomicSave:
     def test_failed_save_keeps_previous_model(self, rng, tmp_path, monkeypatch):
         x, y = small_problem(rng)
@@ -100,11 +141,10 @@ class TestAtomicSave:
         save_model(fit(ClassifierSpec(kind="dt"), x, y), path)
         before = path.read_bytes()
 
-        def disk_full(fh, **arrays):
-            fh.write(b"PK partial archive")
+        def disk_full(array):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(np, "savez_compressed", disk_full)
+        monkeypatch.setattr(serialize, "_deflate", disk_full)
         with pytest.raises(OSError, match="no space"):
             save_model(fit(ClassifierSpec(kind="knn"), x, y), path)
         assert path.read_bytes() == before
@@ -138,7 +178,7 @@ def fitted_pipeline(kind, spec, rng):
             pipe.tfidf = fit_tfidf(seqs)
         else:
             words = sorted({t for s in seqs for t in s.tokens})
-            pipe.embeddings = EmbeddingTable(4, {w: rng.normal(size=4) for w in words}, "xx", "mem")
+            pipe.embeddings = EmbeddingTable(tuple(words), rng.normal(size=(len(words), 4)), "xx", "mem")
         x = pipe.represent(seqs)
     pipe.pca = fit_pca(pipe.reduce(x))
     pipe.classifier = fit(spec, pipe.reduce(x), rng.integers(0, 2, size=(len(TEXTS), 6)))
@@ -174,16 +214,17 @@ class TestZipWriter:
         dt_pipe = fitted_pipeline("word-vectors", ClassifierSpec(kind="dt"), rng)
         knn = fit(ClassifierSpec(kind="knn", hyperparameters={"k": 3}), *small_problem(rng))
         knn_pipe = replace(dt_pipe, classifier=knn)
-        vectors = dt_pipe.embeddings.vectors
-        table = np.vstack([vectors[w] for w in sorted(vectors)])
+        embeddings = dt_pipe.embeddings
+        table = embeddings.matrix
         deflated = []
-        numpy_writer = np.savez_compressed
+        compress = serialize._deflate
 
-        def counting_writer(fh, **arrays):
-            deflated.extend(a for a in arrays.values() if np.array_equal(a, table))
-            numpy_writer(fh, **arrays)
+        def counting_compress(array):
+            if np.array_equal(array, table):
+                deflated.append(array)
+            return compress(array)
 
-        monkeypatch.setattr(np, "savez_compressed", counting_writer)
+        monkeypatch.setattr(serialize, "_deflate", counting_compress)
         memo = {}
         save_model(dt_pipe, tmp_path / "dt.npz", memo=memo)
         save_model(knn_pipe, tmp_path / "knn.npz", memo=memo)
@@ -193,9 +234,10 @@ class TestZipWriter:
         for name, pipe in (("dt", dt_pipe), ("knn", knn_pipe)):
             restored = load_model(tmp_path / f"{name}.npz")
             assert type(restored.classifier) is type(pipe.classifier)
-            assert set(restored.embeddings.vectors) == set(vectors)
-            for w, v in vectors.items():
-                np.testing.assert_array_equal(restored.embeddings.vectors[w], v)
+            assert set(restored.embeddings.tokens) == set(embeddings.tokens)
+            for w, i in embeddings.index.items():
+                row = restored.embeddings.matrix[restored.embeddings.index[w]]
+                np.testing.assert_array_equal(row, embeddings.matrix[i])
         assert (tmp_path / "knn.npz").read_bytes() == (tmp_path / "alone.npz").read_bytes()
 
     def test_failed_write_keeps_previous_model(self, rng, tmp_path, fill_disk):
@@ -260,8 +302,8 @@ class TestFeatureModelRoundTrips:
 
     def test_embedding_table(self, tmp_path):
         table = EmbeddingTable(
-            dimension=2,
-            vectors={"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])},
+            tokens=("a", "b"),
+            matrix=np.array([[1.0, 2.0], [3.0, 4.0]]),
             language="syn",
             source="mem",
         )
@@ -269,8 +311,8 @@ class TestFeatureModelRoundTrips:
         restored = load_model(tmp_path / "emb.npz")
         assert restored.dimension == 2
         assert restored.language == "syn"
-        assert set(restored.vectors) == {"a", "b"}
-        np.testing.assert_array_equal(restored.vectors["a"], [1.0, 2.0])
+        assert set(restored.tokens) == {"a", "b"}
+        np.testing.assert_array_equal(restored.matrix[restored.index["a"]], [1.0, 2.0])
 
 
 class TestFormatGuards:
@@ -306,6 +348,23 @@ class TestFormatGuards:
 
         self.tamper_meta(path, mutate)
         with pytest.raises(FormatError, match="version 1"):
+            load_model(path)
+
+    def test_version_two_model_refused(self, rng, tmp_path):
+        # a v2 forest is a list of tree objects, not packed node arrays
+        path = tmp_path / "rf.npz"
+        x, y = small_problem(rng, n=6)
+        save_model(fit(ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 2}), x, y), path)
+
+        def mutate(meta):
+            meta["version"] = 2
+            fields = meta["root"]["fields"]
+            for name in ("sizes", "feature", "threshold", "left", "right", "value"):
+                del fields[name]
+            fields["trees"] = {"__kind__": "list", "items": []}
+
+        self.tamper_meta(path, mutate)
+        with pytest.raises(FormatError, match="version 2 is not supported"):
             load_model(path)
 
     def test_wrong_format_name_refused(self, rng, tmp_path):

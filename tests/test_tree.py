@@ -410,6 +410,48 @@ class TestTreeArrays:
         assert trees_of(voting.members[0]) == []
 
 
+def _walk_one(tree, row):
+    """The leaf value one row reaches in one tree, followed node by node."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.value[node]
+
+
+class TestPackedForest:
+    def fitted(self, rng, n_estimators=9):
+        x, y = random_problem(rng, n=40, d=5, n_labels=4)
+        spec = ClassifierSpec(kind="rf", hyperparameters={"n_estimators": n_estimators}, seed=2)
+        return RandomForest(spec).fit(x, y), np.vstack([x, rng.normal(size=(25, 5)).round(2)])
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_predict_equals_sum_of_per_tree_walks(self, rng, monkeypatch, block):
+        forest, q = self.fitted(rng)
+        monkeypatch.setattr(tree_module, "PREDICT_BLOCK_ROWS", block)
+        votes = np.array([sum(_walk_one(t, row) for t in forest.trees) for row in q])
+        np.testing.assert_array_equal(tree_module._votes(forest, q), votes)
+        np.testing.assert_array_equal(forest.predict(q), (2 * votes > 9).astype(np.int64))
+        for tree in forest.trees[:3]:
+            np.testing.assert_array_equal(tree.predict(q), [_walk_one(tree, row) for row in q])
+
+    def test_packed_layout(self, rng):
+        forest, _ = self.fitted(rng)
+        trees = forest.trees
+        assert forest.sizes.tolist() == [t.feature.size for t in trees]
+        assert forest.feature.size == forest.sizes.sum()
+        for root, tree in zip(forest.roots, trees):
+            nodes = slice(root, root + tree.feature.size)
+            inner = tree.feature >= 0  # child ids are global; leaves keep -1
+            np.testing.assert_array_equal(forest.left[nodes][inner], tree.left[inner] + root)
+            np.testing.assert_array_equal(forest.right[nodes][~inner], -1)
+        before = [getattr(forest, name).copy() for name in ("feature", "threshold", "left", "right", "value")]
+        forest.trees = trees  # repacking the unpacked trees is the identity
+        for name, want in zip(("feature", "threshold", "left", "right", "value"), before):
+            assert getattr(forest, name).dtype == want.dtype
+            np.testing.assert_array_equal(getattr(forest, name), want)
+
+
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

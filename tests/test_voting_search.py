@@ -119,20 +119,20 @@ class TestGridSearch:
         def stub(spec):
             return scores[spec.hyperparameters["hidden_sizes"]]
 
-        best, score = grid_search_mlp(grid, (None, None), (None, None), evaluate_fn=stub)
+        best, score, _ = grid_search_mlp(grid, (None, None), (None, None), evaluate_fn=stub)
         assert best.hyperparameters["hidden_sizes"] == (50,)
         assert score == 0.7
 
     def test_tie_goes_to_earliest_point(self):
         grid = {"hidden_sizes": [(50,), (100,)]}
-        best, _ = grid_search_mlp(
+        best, _, _ = grid_search_mlp(
             grid, (None, None), (None, None), evaluate_fn=lambda spec: 0.5
         )
         assert best.hyperparameters["hidden_sizes"] == (50,)
 
     def test_seed_propagates(self):
         grid = {"hidden_sizes": [(50,)]}
-        best, _ = grid_search_mlp(
+        best, _, _ = grid_search_mlp(
             grid, (None, None), (None, None), seed=9, evaluate_fn=lambda spec: 1.0
         )
         assert best.seed == 9
@@ -146,7 +146,7 @@ class TestGridSearch:
         ).astype(np.int64)
         x_dev, y_dev = x[::3], y[::3]
         grid = {"hidden_sizes": [(4,), (8,)], "epochs": [30], "batch_size": [8]}
-        best, best_score = grid_search_mlp(grid, (x, y), (x_dev, y_dev), seed=1)
+        best, best_score, _ = grid_search_mlp(grid, (x, y), (x_dev, y_dev), seed=1)
         rescored = {}
         for point in enumerate_grid(grid):
             spec = ClassifierSpec(kind="mlp", hyperparameters=point, seed=1)
@@ -154,3 +154,20 @@ class TestGridSearch:
             rescored[point["hidden_sizes"]] = f1_macro(y_dev, model.predict(x_dev))
         assert best_score == max(rescored.values())
         assert rescored[best.hyperparameters["hidden_sizes"]] == best_score
+
+    def test_returns_the_fitted_winner(self, rng):
+        """The returned model is the winner's fit: a refit of its spec is identical."""
+        x = rng.normal(size=(40, 3))
+        y = (x[:, :2] > 0).astype(np.int64)
+        grid = {"hidden_sizes": [(4,), (8,)], "epochs": [20], "batch_size": [8]}
+        best, _, model = grid_search_mlp(grid, (x, y), (x[::3], y[::3]), seed=4)
+        assert model.spec == best
+        refit = fit(best, x, y)
+        for a, b in zip(model.weights + model.biases, refit.weights + refit.biases):
+            np.testing.assert_array_equal(a, b)
+
+    def test_stub_search_returns_no_model(self):
+        _, _, model = grid_search_mlp(
+            {"hidden_sizes": [(50,)]}, (None, None), (None, None), evaluate_fn=lambda spec: 1.0
+        )
+        assert model is None
