@@ -4,6 +4,8 @@ Walks the first pipeline stage end to end on the bundled synthetic corpus:
 CSV splits -> token tuples -> bag-of-words counts -> tf-idf weights.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from polyemo.synthetic import write_corpus
 from polyemo.tokenize import Tokenizer, TokenizerSpec, tokenize_split
 
 root = Path(tempfile.mkdtemp(prefix="polyemo-demo-"))
+atexit.register(shutil.rmtree, root)  # the demo leaves nothing behind
 lang_dir = write_corpus(root, seed=0, n_documents=120, language="syn")
 print(f"wrote corpus under {lang_dir}")
 

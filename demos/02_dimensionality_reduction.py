@@ -4,6 +4,8 @@ Fits the reducer three ways (all components, a fixed count, a variance
 fraction) and confirms the projection is reversible at full rank.
 """
 
+import atexit
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -17,6 +19,7 @@ from polyemo.synthetic import write_corpus
 from polyemo.tokenize import Tokenizer, TokenizerSpec, tokenize_split
 
 root = Path(tempfile.mkdtemp(prefix="polyemo-demo-"))
+atexit.register(shutil.rmtree, root)  # the demo leaves nothing behind
 lang_dir = write_corpus(root, seed=0, n_documents=120, language="syn")
 train = load_split(lang_dir / "train.csv", role="train")
 tokens = tokenize_split(train, Tokenizer(TokenizerSpec(kind="unicode-words")))

@@ -4,6 +4,8 @@ All five base learners plus the voting ensemble run on identical tf-idf
 features, so the differences below come from the models alone.
 """
 
+import atexit
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -16,6 +18,7 @@ from polyemo.synthetic import write_corpus
 from polyemo.tokenize import Tokenizer, TokenizerSpec, tokenize_split
 
 root = Path(tempfile.mkdtemp(prefix="polyemo-demo-"))
+atexit.register(shutil.rmtree, root)  # the demo leaves nothing behind
 lang_dir = write_corpus(root, seed=0, n_documents=600, language="syn")
 splits = {role: load_split(lang_dir / f"{role}.csv", role) for role in ("train", "test")}
 tokenizer = Tokenizer(TokenizerSpec(kind="unicode-words"))

@@ -5,7 +5,9 @@ every artifact (reports, predictions, models, per-cell records), and any
 cell can be replayed later through the saved pipeline.
 """
 
+import atexit
 import json
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,6 +16,7 @@ from polyemo.runner import enumerate_cells, load_config, predict_file, run_matri
 from polyemo.synthetic import write_corpus, write_word_vectors
 
 root = Path(tempfile.mkdtemp(prefix="polyemo-demo-"))
+atexit.register(shutil.rmtree, root)  # the demo leaves nothing behind
 write_corpus(root / "data", seed=0, n_documents=300, language="syn")
 write_word_vectors(root / "syn.vec", seed=0, dimension=12)
 

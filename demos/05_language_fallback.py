@@ -5,6 +5,8 @@ cached earlier answer -> live chat-completion query. A canned transport
 stands in for the network here so the demo runs offline.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -15,7 +17,9 @@ from polyemo.dense_features import (
     resolve_language,
 )
 
-cache = Path(tempfile.mkdtemp(prefix="polyemo-demo-")) / "cache.tsv"
+root = Path(tempfile.mkdtemp(prefix="polyemo-demo-"))
+atexit.register(shutil.rmtree, root)  # the demo leaves nothing behind
+cache = root / "cache.tsv"
 policy = FallbackPolicy(
     supported_languages=("am", "en", "sw"),
     static_map={"ti": "am"},

@@ -973,6 +973,16 @@ def _f1_text(report: EvalReport) -> str:
     return repr(report.f1_macro)
 
 
+def _write_csv(path: Path, rows) -> None:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_reports(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) -> None:
     _write_master_report(cfg, table)
     _write_f1_views(cfg, cells, table)
@@ -981,24 +991,20 @@ def write_reports(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) 
 
 
 def _write_master_report(cfg: ExperimentConfig, table: ReportTable) -> None:
-    path = cfg.out_dir / "report.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["language", "representation", "pca", "classifier", "status", "f1_macro", "error"]
-        )
-        for r in table.rows:
-            writer.writerow(
-                [
-                    r.language,
-                    r.representation,
-                    "on" if r.pca else "off",
-                    r.classifier,
-                    r.status,
-                    "" if r.status != "ok" else _f1_text(r),
-                    r.error,
-                ]
-            )
+    header = ["language", "representation", "pca", "classifier", "status", "f1_macro", "error"]
+    rows = [
+        [
+            r.language,
+            r.representation,
+            "on" if r.pca else "off",
+            r.classifier,
+            r.status,
+            "" if r.status != "ok" else _f1_text(r),
+            r.error,
+        ]
+        for r in table.rows
+    ]
+    _write_csv(cfg.out_dir / "report.csv", [header] + rows)
 
 
 def _row_index(cells: list[Cell], table: ReportTable) -> dict:
@@ -1012,30 +1018,22 @@ def _write_f1_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable
     """Language-by-representation and language-by-classifier F1 grids."""
     index = _row_index(cells, table)
     views = cfg.out_dir / "views"
-    views.mkdir(parents=True, exist_ok=True)
+
+    def f1(lang, rep, pca, clf):
+        return _f1_text(index[(lang, rep.name, pca, clf.name)])
+
     for pca in cfg.pca_axis:
         for clf in cfg.classifiers:
+            rows = [["language"] + [r.name for r in cfg.representations]]
+            for lang in cfg.languages:
+                rows.append([lang] + [f1(lang, rep, pca, clf) for rep in cfg.representations])
             path = views / f"f1_by_representation.{PCA_TAGS[pca]}.{_sanitize(clf.name)}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["language"] + [r.name for r in cfg.representations])
-                for lang in cfg.languages:
-                    cells_row = [
-                        _f1_text(index[(lang, rep.name, pca, clf.name)])
-                        for rep in cfg.representations
-                    ]
-                    writer.writerow([lang] + cells_row)
+            _write_csv(path, rows)
         for rep in cfg.representations:
-            path = views / f"f1_by_classifier.{PCA_TAGS[pca]}.{_sanitize(rep.name)}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["language"] + [c.name for c in cfg.classifiers])
-                for lang in cfg.languages:
-                    cells_row = [
-                        _f1_text(index[(lang, rep.name, pca, clf.name)])
-                        for clf in cfg.classifiers
-                    ]
-                    writer.writerow([lang] + cells_row)
+            rows = [["language"] + [c.name for c in cfg.classifiers]]
+            for lang in cfg.languages:
+                rows.append([lang] + [f1(lang, rep, pca, clf) for clf in cfg.classifiers])
+            _write_csv(views / f"f1_by_classifier.{PCA_TAGS[pca]}.{_sanitize(rep.name)}.csv", rows)
 
 
 def _write_confusion_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) -> None:
@@ -1044,70 +1042,58 @@ def _write_confusion_views(cfg: ExperimentConfig, cells: list[Cell], table: Repo
     for cell, report in zip(cells, table.rows):
         if report.rates is None:
             continue
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"{cell.name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rate"] + list(report.rates.labels))
-            for name, values in report.rates.as_rows():
-                writer.writerow(
-                    [name] + ["n/a" if math.isnan(v) else repr(float(v)) for v in values]
-                )
-        (out / f"{cell.name}.txt").write_text(
-            format_confusion_table(report.rates), encoding="utf-8"
-        )
+        rows = [["rate"] + list(report.rates.labels)]
+        for name, values in report.rates.as_rows():
+            rows.append([name] + ["n/a" if math.isnan(v) else repr(float(v)) for v in values])
+        _write_csv(out / f"{cell.name}.csv", rows)
+        _write_text(out / f"{cell.name}.txt", format_confusion_table(report.rates))
 
 
 def _write_timing_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) -> None:
     """Wall-clock tables; non-deterministic by nature, kept out of views/."""
     index = _row_index(cells, table)
     timing_dir = cfg.out_dir / "timing"
-    timing_dir.mkdir(parents=True, exist_ok=True)
-    with open(timing_dir / "cells.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "language",
-                "representation",
-                "pca",
-                "classifier",
-                "representation_seconds",
-                "train_seconds",
-                "predict_seconds",
-            ]
-        )
-        for r in table.rows:
-            writer.writerow(
-                [
-                    r.language,
-                    r.representation,
-                    "on" if r.pca else "off",
-                    r.classifier,
-                    format_seconds(r.timing.representation_seconds),
-                    format_seconds(r.timing.train_seconds),
-                    format_seconds(r.timing.predict_seconds),
-                ]
-            )
+    header = [
+        "language",
+        "representation",
+        "pca",
+        "classifier",
+        "representation_seconds",
+        "train_seconds",
+        "predict_seconds",
+    ]
+    rows = [
+        [
+            r.language,
+            r.representation,
+            "on" if r.pca else "off",
+            r.classifier,
+            format_seconds(r.timing.representation_seconds),
+            format_seconds(r.timing.train_seconds),
+            format_seconds(r.timing.predict_seconds),
+        ]
+        for r in table.rows
+    ]
+    _write_csv(timing_dir / "cells.csv", [header] + rows)
     for pca in cfg.pca_axis:
         for rep in cfg.representations:
-            path = timing_dir / f"train_test.{PCA_TAGS[pca]}.{_sanitize(rep.name)}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                header = ["language"]
+            header = ["language"]
+            for clf in cfg.classifiers:
+                header += [f"{clf.name}_train", f"{clf.name}_test"]
+            rows = [header]
+            for lang in cfg.languages:
+                row = [lang]
                 for clf in cfg.classifiers:
-                    header += [f"{clf.name}_train", f"{clf.name}_test"]
-                writer.writerow(header)
-                for lang in cfg.languages:
-                    row = [lang]
-                    for clf in cfg.classifiers:
-                        r = index[(lang, rep.name, pca, clf.name)]
-                        if r.status != "ok":
-                            row += ["error", "error"]
-                        else:
-                            row += [
-                                format_seconds(r.timing.train_seconds),
-                                format_seconds(r.timing.predict_seconds),
-                            ]
-                    writer.writerow(row)
+                    r = index[(lang, rep.name, pca, clf.name)]
+                    if r.status != "ok":
+                        row += ["error", "error"]
+                    else:
+                        row += [
+                            format_seconds(r.timing.train_seconds),
+                            format_seconds(r.timing.predict_seconds),
+                        ]
+                rows.append(row)
+            _write_csv(timing_dir / f"train_test.{PCA_TAGS[pca]}.{_sanitize(rep.name)}.csv", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,46 +1129,30 @@ def _ablation_value(report: EvalReport, metric: str) -> float:
 def _write_ablation_grid(path_csv, path_txt, cfg, lang, index, metric, fmt) -> None:
     clf_names = [c.name for c in cfg.classifiers]
     groups = [("w/o PCA", False), ("w/ PCA", True)]
+    csv_rows = [["group", "representation"] + clf_names]
     text_rows = [["", ""] + clf_names]
-    with open(path_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "representation"] + clf_names)
-        for label, pca in groups:
-            for rep in cfg.representations:
-                values = [
-                    _ablation_value(index[(lang, rep.name, pca, c)], metric)
-                    for c in clf_names
-                ]
-                writer.writerow(
-                    [label, rep.name]
-                    + ["n/a" if math.isnan(v) else repr(v) for v in values]
-                )
-                text_rows.append(
-                    [label, rep.name]
-                    + ["n/a" if math.isnan(v) else fmt(v) for v in values]
-                )
+    blocks = []
+    for label, pca in groups:
         for rep in cfg.representations:
-            deltas = []
-            for c in clf_names:
-                on = _ablation_value(index[(lang, rep.name, True, c)], metric)
-                off = _ablation_value(index[(lang, rep.name, False, c)], metric)
-                deltas.append(on - off)
-            writer.writerow(
-                ["delta", rep.name]
-                + ["n/a" if math.isnan(v) else repr(v) for v in deltas]
-            )
-            text_rows.append(
-                ["delta", rep.name]
-                + ["n/a" if math.isnan(v) else fmt(v) for v in deltas]
-            )
-    path_txt.write_text(format_text_table(text_rows), encoding="utf-8")
+            values = [_ablation_value(index[(lang, rep.name, pca, c)], metric) for c in clf_names]
+            blocks.append((label, rep.name, values))
+    for rep in cfg.representations:
+        deltas = []
+        for c in clf_names:
+            on = _ablation_value(index[(lang, rep.name, True, c)], metric)
+            off = _ablation_value(index[(lang, rep.name, False, c)], metric)
+            deltas.append(on - off)
+        blocks.append(("delta", rep.name, deltas))
+    for label, rep_name, values in blocks:
+        csv_rows.append([label, rep_name] + ["n/a" if math.isnan(v) else repr(v) for v in values])
+        text_rows.append([label, rep_name] + ["n/a" if math.isnan(v) else fmt(v) for v in values])
+    _write_csv(path_csv, csv_rows)
+    _write_text(path_txt, format_text_table(text_rows))
 
 
 def _write_ablation_views(cfg: ExperimentConfig, lang: str, index) -> None:
     views = cfg.out_dir / "views"
-    views.mkdir(parents=True, exist_ok=True)
     timing_dir = cfg.out_dir / "timing"
-    timing_dir.mkdir(parents=True, exist_ok=True)
     tag = _sanitize(lang)
     _write_ablation_grid(
         views / f"ablation_f1.{tag}.csv",

@@ -4,7 +4,14 @@ Everything is stored in a single .npz container: numeric arrays as npz
 members, and the object structure as a JSON document kept in a ``__meta__``
 uint8 member. Loading never unpickles, so a model file cannot execute code.
 Each registered class encodes to a dict of plain values, containers, arrays,
-and other registered objects.
+and other registered objects, and the JSON names it by its class name.
+
+Codecs come from one table. A plain dataclass stores its fields in
+declaration order and decodes as ``cls(**fields)``. A learner stores ``spec``
+and the state ``_LEARNERS`` lists for it, in that order, and decodes as
+``cls(spec)`` with the state set on it; an unfitted learner is refused. Only
+``Vocabulary``, ``EmbeddingTable`` and ``PipelineModel``, which hold token
+lists, have codecs of their own.
 
 Layout (format 3). A decision tree is its five preorder node arrays; a
 random forest is the same five arrays with its trees packed end to end plus
@@ -43,7 +50,21 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+from .dense_features import EmbeddingTable
 from .errors import ConfigError, FormatError
+from .learn import (
+    ClassifierSpec,
+    DecisionTree,
+    KNearestNeighbors,
+    LinearSvm,
+    Mlp,
+    RandomForest,
+    VotingEnsemble,
+)
+from .pipeline import PipelineModel
+from .reduce import PcaModel
+from .sparse_features import TfidfModel, Vocabulary
+from .tokenize import TokenizerSpec
 
 FORMAT_NAME = "polyemo"
 FORMAT_VERSION = 3  # 3: packed forests; token lists as one UTF-8 member each
@@ -267,11 +288,7 @@ def load_model(path: str | Path):
 
 
 # ---------------------------------------------------------------------------
-# per-class encoders and decoders
-
-
-def _fields_of(obj, names):
-    return {name: getattr(obj, name) for name in names}
+# the codec table
 
 
 def _token_member(tokens) -> np.ndarray:
@@ -290,6 +307,10 @@ def _member_tokens(member: np.ndarray) -> tuple[str, ...]:
     return tuple(text.split("\n")) if text else ()
 
 
+def _dataclass_fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _encode_vocabulary(v):
     tokens = v.tokens  # in column order
     return {
@@ -300,42 +321,11 @@ def _encode_vocabulary(v):
 
 
 def _decode_vocabulary(f):
-    from .sparse_features import Vocabulary
-
     tokens = _member_tokens(f["tokens"])
     return Vocabulary(
         index={t: i for i, t in enumerate(tokens)},
         document_frequency=dict(zip(tokens, f["document_frequency"].tolist())),
         corpus_size=f["corpus_size"],
-    )
-
-
-def _encode_tfidf(m):
-    return _fields_of(m, ("vocabulary", "idf", "row_normalize"))
-
-
-def _decode_tfidf(f):
-    from .sparse_features import TfidfModel
-
-    return TfidfModel(vocabulary=f["vocabulary"], idf=f["idf"], row_normalize=f["row_normalize"])
-
-
-def _encode_pca(m):
-    return _fields_of(
-        m,
-        ("mean", "components", "explained_variance", "explained_variance_ratio", "n_samples"),
-    )
-
-
-def _decode_pca(f):
-    from .reduce import PcaModel
-
-    return PcaModel(
-        mean=f["mean"],
-        components=f["components"],
-        explained_variance=f["explained_variance"],
-        explained_variance_ratio=f["explained_variance_ratio"],
-        n_samples=f["n_samples"],
     )
 
 
@@ -349,167 +339,62 @@ def _encode_embedding_table(t):
 
 
 def _decode_embedding_table(f):
-    from .dense_features import EmbeddingTable
-
     return EmbeddingTable(
         _member_tokens(f["tokens"]), f["matrix"], language=f["language"], source=f["source"]
     )
 
 
-def _encode_tokenizer_spec(s):
-    return _fields_of(s, ("kind", "lowercase", "vocab_path"))
-
-
-def _decode_tokenizer_spec(f):
-    from .tokenize import TokenizerSpec
-
-    return TokenizerSpec(kind=f["kind"], lowercase=f["lowercase"], vocab_path=f["vocab_path"])
-
-
-def _encode_classifier_spec(s):
-    return _fields_of(s, ("kind", "hyperparameters", "seed", "members"))
-
-
-def _decode_classifier_spec(f):
-    from .learn import ClassifierSpec
-
-    return ClassifierSpec(
-        kind=f["kind"],
-        hyperparameters=f["hyperparameters"],
-        seed=f["seed"],
-        members=tuple(f["members"]),
-    )
-
-
-def _require_fitted(model, attr):
-    if getattr(model, attr) is None:
-        raise ConfigError(f"cannot serialize an unfitted {type(model).__name__}")
-
-
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
-
-
-def _encode_decision_tree(t):
-    _require_fitted(t, "feature")
-    return _fields_of(t, ("spec", "input_dim", "n_labels") + TREE_ARRAYS)
-
-
-def _decode_decision_tree(f):
-    from .learn import DecisionTree
-
-    t = DecisionTree(f["spec"])
-    t.input_dim = f["input_dim"]
-    t.n_labels = f["n_labels"]
-    for name in TREE_ARRAYS:
-        setattr(t, name, f[name])
-    return t
-
-
-def _encode_random_forest(m):
-    _require_fitted(m, "sizes")
-    return _fields_of(m, ("spec", "input_dim", "n_labels", "sizes") + TREE_ARRAYS)
-
-
-def _decode_random_forest(f):
-    from .learn import RandomForest
-
-    m = RandomForest(f["spec"])
-    m.input_dim = f["input_dim"]
-    m.n_labels = f["n_labels"]
-    for name in ("sizes",) + TREE_ARRAYS:
-        setattr(m, name, f[name])
-    return m
-
-
-def _encode_knn(m):
-    _require_fitted(m, "x")
-    return _fields_of(m, ("spec", "x", "y", "input_dim", "n_labels"))
-
-
-def _decode_knn(f):
-    from .learn import KNearestNeighbors
-
-    m = KNearestNeighbors(f["spec"])
-    m.x = f["x"]
-    m.y = f["y"]
-    m.input_dim = f["input_dim"]
-    m.n_labels = f["n_labels"]
-    return m
-
-
-def _encode_svm(m):
-    _require_fitted(m, "w")
-    return _fields_of(m, ("spec", "w", "b", "input_dim", "n_labels"))
-
-
-def _decode_svm(f):
-    from .learn import LinearSvm
-
-    m = LinearSvm(f["spec"])
-    m.w = f["w"]
-    m.b = f["b"]
-    m.input_dim = f["input_dim"]
-    m.n_labels = f["n_labels"]
-    return m
-
-
-def _encode_mlp(m):
-    if not m.weights:
-        raise ConfigError("cannot serialize an unfitted Mlp")
-    return _fields_of(m, ("spec", "weights", "biases", "input_dim", "n_labels"))
-
-
-def _decode_mlp(f):
-    from .learn import Mlp
-
-    m = Mlp(f["spec"])
-    m.weights = list(f["weights"])
-    m.biases = list(f["biases"])
-    m.input_dim = f["input_dim"]
-    m.n_labels = f["n_labels"]
-    return m
-
-
-def _encode_voting(m):
-    if not m.members:
-        raise ConfigError("cannot serialize an unfitted VotingEnsemble")
-    return _fields_of(m, ("spec", "members", "input_dim", "n_labels"))
-
-
-def _decode_voting(f):
-    from .learn import VotingEnsemble
-
-    m = VotingEnsemble(f["spec"])
-    m.members = list(f["members"])
-    m.input_dim = f["input_dim"]
-    m.n_labels = f["n_labels"]
-    return m
-
-
 def _encode_pipeline(p):
-    fields = {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
-    fields["tokenizer_vocab"] = _token_member(p.tokenizer_vocab)
-    return fields
+    return {**_dataclass_fields(p), "tokenizer_vocab": _token_member(p.tokenizer_vocab)}
 
 
 def _decode_pipeline(f):
-    from .pipeline import PipelineModel
-
     return PipelineModel(**{**f, "tokenizer_vocab": _member_tokens(f["tokenizer_vocab"])})
 
 
+def _dataclass_codec(cls):
+    return _dataclass_fields, lambda f: cls(**f)
+
+
+_DATACLASSES = (TfidfModel, PcaModel, TokenizerSpec, ClassifierSpec)
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+# learner class -> (the attribute that is None or empty until fitted, its state in file order)
+_LEARNERS = {
+    DecisionTree: ("feature", ("input_dim", "n_labels") + TREE_ARRAYS),
+    RandomForest: ("sizes", ("input_dim", "n_labels", "sizes") + TREE_ARRAYS),
+    KNearestNeighbors: ("x", ("x", "y", "input_dim", "n_labels")),
+    LinearSvm: ("w", ("w", "b", "input_dim", "n_labels")),
+    Mlp: ("weights", ("weights", "biases", "input_dim", "n_labels")),
+    VotingEnsemble: ("members", ("members", "input_dim", "n_labels")),
+}
+
+
+def _learner_codec(cls, fitted_attr, state):
+    """``spec`` then the state attributes; decoded as ``cls(spec)`` with the state set on it."""
+
+    def encode(model):
+        fitted = getattr(model, fitted_attr)
+        if fitted is None or len(fitted) == 0:
+            raise ConfigError(f"cannot serialize an unfitted {cls.__name__}")
+        return {"spec": model.spec, **{name: getattr(model, name) for name in state}}
+
+    def decode(f):
+        model = cls(f["spec"])
+        for name in state:
+            setattr(model, name, f[name])
+        return model
+
+    return encode, decode
+
+
 _REGISTRY = {
-    "Vocabulary": (_encode_vocabulary, _decode_vocabulary),
-    "TfidfModel": (_encode_tfidf, _decode_tfidf),
-    "PcaModel": (_encode_pca, _decode_pca),
-    "EmbeddingTable": (_encode_embedding_table, _decode_embedding_table),
-    "TokenizerSpec": (_encode_tokenizer_spec, _decode_tokenizer_spec),
-    "ClassifierSpec": (_encode_classifier_spec, _decode_classifier_spec),
-    "DecisionTree": (_encode_decision_tree, _decode_decision_tree),
-    "RandomForest": (_encode_random_forest, _decode_random_forest),
-    "KNearestNeighbors": (_encode_knn, _decode_knn),
-    "LinearSvm": (_encode_svm, _decode_svm),
-    "Mlp": (_encode_mlp, _decode_mlp),
-    "VotingEnsemble": (_encode_voting, _decode_voting),
-    "PipelineModel": (_encode_pipeline, _decode_pipeline),
+    cls.__name__: codec
+    for cls, codec in [
+        (Vocabulary, (_encode_vocabulary, _decode_vocabulary)),
+        (EmbeddingTable, (_encode_embedding_table, _decode_embedding_table)),
+        (PipelineModel, (_encode_pipeline, _decode_pipeline)),
+        *((cls, _dataclass_codec(cls)) for cls in _DATACLASSES),
+        *((cls, _learner_codec(cls, *entry)) for cls, entry in _LEARNERS.items()),
+    ]
 }

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .atomic import atomic_open
 from .errors import DataError
 
 
@@ -133,9 +134,7 @@ def normalize_rows_sparse(m: sp.csr_matrix) -> sp.csr_matrix:
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """Persist as two-column text (token, DF) in column order, for inspection."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for token in vocab.tokens:
             fh.write(f"{token}\t{vocab.document_frequency[token]}\n")
 

@@ -1,5 +1,7 @@
 """Shared fixtures for the polyemo test suite."""
 
+import urllib.request
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -40,6 +42,21 @@ def make_split(texts, labels=None, language="xx", role="train", ids=None):
 
 def random_label_matrix(rng, n_samples, n_labels=len(EMOTIONS)):
     return rng.integers(0, 2, size=(n_samples, n_labels)).astype(np.int64)
+
+
+def _no_network(request, *args, **kwargs):
+    url = getattr(request, "full_url", request)
+    pytest.fail(f"test tried to reach the network: urlopen({url!r}); replace urllib.request.urlopen")
+
+
+@pytest.fixture(autouse=True)
+def no_network(monkeypatch):
+    """Make ``urllib.request.urlopen`` fail the test unless the test replaces it.
+
+    ``pytest.fail`` is not an ``Exception``, so code that turns network
+    errors into its own errors cannot swallow it.
+    """
+    monkeypatch.setattr(urllib.request, "urlopen", _no_network)
 
 
 @pytest.fixture

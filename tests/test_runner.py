@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polyemo import atomic
 from polyemo.corpus import load_split
 from polyemo.errors import ConfigError, FormatError
 from polyemo.evaluate import f1_macro
@@ -22,6 +24,7 @@ from polyemo.runner import (
     predict_file,
     run_ablation,
     run_matrix,
+    write_reports,
 )
 from polyemo.serialize import load_model
 from polyemo.synthetic import synthetic_vocabulary, write_corpus, write_word_vectors
@@ -746,6 +749,39 @@ class TestAblation:
         assert (cfg.out_dir / "timing" / "ablation_train_seconds.syn.csv").is_file()
         text = (cfg.out_dir / "views" / "ablation_f1.syn.txt").read_text(encoding="utf-8")
         assert "w/o PCA" in text and "w/ PCA" in text
+
+
+class TestAtomicReports:
+    def small_config(self, synthetic_dir, out):
+        raw = base_raw(synthetic_dir, out)
+        raw["representations"] = [{"name": "tfidf", "kind": "tfidf"}]
+        raw["classifiers"] = [{"name": "dt", "kind": "dt"}]
+        return parse(raw)
+
+    def test_failed_report_write_keeps_previous_report(self, synthetic_dir, tmp_path, fill_disk):
+        cfg = self.small_config(synthetic_dir, tmp_path / "out")
+        table = run_matrix(cfg)
+        report = cfg.out_dir / "report.csv"
+        before = report.read_bytes()
+        fill_disk()
+        with pytest.raises(OSError, match="no space"):
+            write_reports(cfg, enumerate_cells(cfg), table)
+        assert report.read_bytes() == before
+        assert not list(cfg.out_dir.rglob("*.tmp"))
+
+    def test_every_output_file_is_written_atomically(self, synthetic_dir, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(Path(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(atomic, "open", recording_open, raising=False)
+        cfg = self.small_config(synthetic_dir, tmp_path / "out")
+        run_ablation(cfg)  # reports, views, timing, vocab, models, predictions, cell records
+        written = {p for p in cfg.out_dir.rglob("*") if p.is_file()}
+        assert len(written) > 10
+        assert written == {p.with_name(p.name.removesuffix(".tmp")) for p in opened}
 
 
 class TestPredictFile:

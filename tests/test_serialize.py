@@ -403,9 +403,17 @@ class TestFormatGuards:
         with pytest.raises(ValueError, match="pickle"):
             load_model(path)
 
-    def test_unfitted_model_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            save_model(DecisionTree(), tmp_path / "un.npz")
+    @pytest.mark.parametrize(
+        "learner",
+        [DecisionTree, RandomForest, KNearestNeighbors, LinearSvm, Mlp, VotingEnsemble],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_unfitted_model_rejected(self, learner, tmp_path):
+        # Mlp and VotingEnsemble start with empty lists, the others with None
+        model = learner(default_voting_spec()) if learner is VotingEnsemble else learner()
+        with pytest.raises(ConfigError, match=f"^cannot serialize an unfitted {learner.__name__}$"):
+            save_model(model, tmp_path / "un.npz")
+        assert not (tmp_path / "un.npz").exists()
 
     def test_unregistered_object_rejected(self, tmp_path):
         class Mystery:
@@ -413,3 +421,61 @@ class TestFormatGuards:
 
         with pytest.raises(ConfigError, match="Mystery"):
             save_model(Mystery(), tmp_path / "x.npz")
+
+
+# the JSON field names of every registered type, in file order
+EXPECTED_LAYOUT = {
+    "ClassifierSpec": ["kind", "hyperparameters", "seed", "members"],
+    "DecisionTree": ["spec", "input_dim", "n_labels", "feature", "threshold", "left", "right", "value"],
+    "EmbeddingTable": ["language", "source", "tokens", "matrix"],
+    "KNearestNeighbors": ["spec", "x", "y", "input_dim", "n_labels"],
+    "LinearSvm": ["spec", "w", "b", "input_dim", "n_labels"],
+    "Mlp": ["spec", "weights", "biases", "input_dim", "n_labels"],
+    "PcaModel": ["mean", "components", "explained_variance", "explained_variance_ratio", "n_samples"],
+    "PipelineModel": [
+        "language", "representation", "representation_kind", "tokenizer_spec", "tokenizer_vocab",
+        "tfidf", "embeddings", "normalize", "pca", "classifier", "emotions",
+    ],
+    "RandomForest": [
+        "spec", "input_dim", "n_labels", "sizes", "feature", "threshold", "left", "right", "value",
+    ],
+    "TfidfModel": ["vocabulary", "idf", "row_normalize"],
+    "TokenizerSpec": ["kind", "lowercase", "vocab_path"],
+    "Vocabulary": ["tokens", "document_frequency", "corpus_size"],
+    "VotingEnsemble": ["spec", "members", "input_dim", "n_labels"],
+}
+
+
+def object_layouts(node, layouts):
+    """Collect ``type -> field names`` for every object node under ``node``; one layout per type."""
+    if not isinstance(node, dict):
+        return
+    kind = node["__kind__"]
+    if kind == "object":
+        names = list(node["fields"])
+        assert layouts.setdefault(node["type"], names) == names, node["type"]
+        children = node["fields"].values()
+    elif kind == "dict":
+        children = node["items"].values()
+    else:
+        children = node.get("items", ())
+    for child in children:
+        object_layouts(child, layouts)
+
+
+class TestCodecLayout:
+    @pytest.mark.filterwarnings("ignore:densifying")
+    def test_field_names_of_every_registered_type(self, rng, tmp_path):
+        mlp = ClassifierSpec(kind="mlp", hyperparameters={"hidden_sizes": (3,), "epochs": 2})
+        layouts = {}
+        for kind, spec in (
+            ("tfidf", default_voting_spec()),  # knn, dt and rf members
+            ("word-vectors", ClassifierSpec(kind="svm")),
+            ("bow", mlp),
+        ):
+            path = tmp_path / f"{kind}.npz"
+            save_model(fitted_pipeline(kind, spec, rng), path)
+            with np.load(path, allow_pickle=False) as z:
+                object_layouts(json.loads(z["__meta__"].tobytes())["root"], layouts)
+        assert layouts == EXPECTED_LAYOUT
+        assert set(layouts) == set(serialize._REGISTRY)
