@@ -52,7 +52,9 @@ class EmbeddingTable:
 
     Row ``i`` of the ``(len(tokens), dimension)`` float64 ``matrix`` is the
     vector of ``tokens[i]``; tokens are distinct, and ``index`` maps each one
-    to its row.
+    to its row. ``source`` is the name of the file the table was read from:
+    its name, not its path, so a saved model does not depend on where its
+    inputs sit.
     """
 
     tokens: tuple[str, ...]
@@ -190,7 +192,7 @@ def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
     rows = {t: i for i, t in enumerate(tokens)}  # first-seen order, last row wins
     if len(rows) < len(tokens):
         matrix = matrix[list(rows.values())]
-    return EmbeddingTable(tuple(rows), matrix, language=language, source=str(path))
+    return EmbeddingTable(tuple(rows), matrix, language=language, source=path.name)
 
 
 def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]:

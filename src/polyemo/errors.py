@@ -13,8 +13,12 @@ class DataError(PolyemoError):
     """A value inside an otherwise well-formed file violates the data contract."""
 
 
-class FormatError(PolyemoError):
-    """A file does not follow its declared serialization format."""
+class FormatError(PolyemoError, ValueError):
+    """A file does not follow its declared serialization format.
+
+    Like ``json.JSONDecodeError``, it is also a ``ValueError``, which is what
+    numpy raises for the malformed or pickled members it refuses.
+    """
 
 
 class AlignmentError(PolyemoError):

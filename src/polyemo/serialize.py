@@ -13,15 +13,27 @@ and the state ``_LEARNERS`` lists for it, in that order, and decodes as
 ``Vocabulary``, ``EmbeddingTable`` and ``PipelineModel``, which hold token
 lists, have codecs of their own.
 
-Layout (format 3). A decision tree is its five preorder node arrays; a
+Layout (format 4). A decision tree is its five preorder node arrays; a
 random forest is the same five arrays with its trees packed end to end plus
 their node counts (see ``learn.tree``), six members whatever its tree count.
 A token list is one uint8 member holding the UTF-8 bytes of its tokens
-joined by newlines: a word-vector table is that member plus its
-``(tokens, dimension)`` matrix, a vocabulary is that member (in column
-order) plus its int64 document frequencies, and an external-vocab
-tokenizer's list takes one too. No per-token or per-tree structure goes
-through the JSON document.
+joined by newlines: a vocabulary is that member (in column order) plus its
+int64 document frequencies, and an external-vocab tokenizer's list takes one
+too. No per-token or per-tree structure goes through the JSON document.
+
+A word-vector table is its token list plus its ``(tokens, dimension)``
+matrix in decimal form when it has one. A text vector file holds
+fixed-point decimals, so each value is an integer mantissa over
+``10**decimals``: the save finds the smallest ``decimals`` in 0..9 at which
+``rint(m * 10**decimals) / 10**decimals`` equals ``m`` bit for bit for every
+value, and stores the mantissas in the narrowest signed integer type that
+holds them, split into byte planes (a uint8 ``(width, tokens, dimension)``
+member whose plane ``i`` is byte ``i`` of every little-endian mantissa; the
+"shuffle" filter of Blosc, which deflates far better than the interleaved
+bytes). An integer cannot carry the sign of ``-0.0``, so the flat indices of
+those values go in an int64 member. A table without such a form keeps its
+float64 matrix, with ``decimals`` and ``negative_zeros`` null. The form is
+computed once per table object, however many models carry it.
 
 The file is a standard ``.npz`` that ``np.load`` reads: every member holds
 the bytes ``np.savez_compressed`` writes, raw deflate at zlib's default
@@ -33,7 +45,10 @@ the word-vector table (and its token list) that every model of a group
 carries is deflated once per group rather than once per cell.
 
 The container carries a format version; a mismatch raises FormatError
-instead of guessing, so files of format 1 or 2 must be refit.
+instead of guessing, so files of format 1 to 3 must be refit. A damaged
+file (a bad CRC, a broken deflate stream or ``.npy`` header, a member the
+structure names but the file lacks, a table whose planes or indices do not
+fit it) is a FormatError naming the file, never a traceback.
 """
 
 from __future__ import annotations
@@ -43,6 +58,7 @@ import hashlib
 import io
 import json
 import struct
+import weakref
 import zipfile
 import zlib
 from pathlib import Path
@@ -67,7 +83,7 @@ from .sparse_features import TfidfModel, Vocabulary
 from .tokenize import TokenizerSpec
 
 FORMAT_NAME = "polyemo"
-FORMAT_VERSION = 3  # 3: packed forests; token lists as one UTF-8 member each
+FORMAT_VERSION = 4  # 4: word-vector tables as decimal mantissas in byte planes
 
 
 def _encode_node(value, arrays: dict, counter: list):
@@ -108,6 +124,8 @@ def _decode_node(node, arrays):
         return node
     kind = node.get("__kind__")
     if kind == "array":
+        if node["key"] not in arrays:
+            raise FormatError(f"model structure names a missing member {node['key']!r}")
         return arrays[node["key"]]
     if kind == "list":
         return [_decode_node(v, arrays) for v in node["items"]]
@@ -260,8 +278,17 @@ def save_model(obj, path: str | Path, memo: dict[bytes, Deflated] | None = None)
         _write_zip(fh, [(f"{name}.npy", memo[key]) for name, key in keys.items()])
 
 
+# what reading a damaged member raises: a bad CRC, a broken deflate stream, a
+# truncated payload, a bad .npy header (or a pickled object array)
+_DAMAGED_MEMBER = (zipfile.BadZipFile, zlib.error, EOFError, ValueError)
+
+
 def load_model(path: str | Path):
-    """Read back an object written by save_model; never unpickles."""
+    """Read back an object written by save_model; never unpickles.
+
+    A file that is not a model of this format, or is damaged, raises
+    FormatError naming ``path``.
+    """
     path = Path(path)
     try:
         container = np.load(path, allow_pickle=False)
@@ -269,22 +296,33 @@ def load_model(path: str | Path):
         raise FormatError(f"cannot read model {path}: {exc}") from exc
     except (ValueError, zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not a model file: {exc}") from exc
+
+    def read(z, name):
+        try:
+            return z[name]
+        except _DAMAGED_MEMBER as exc:
+            raise FormatError(f"{path}: damaged model member {name!r}: {exc}") from exc
+
     with container as z:
         if "__meta__" not in z.files:
             raise FormatError(f"{path}: not a model file (missing metadata)")
         try:
-            meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
+            meta = json.loads(read(z, "__meta__").tobytes().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: corrupt model metadata: {exc}") from exc
-        if meta.get("format") != FORMAT_NAME:
-            raise FormatError(f"{path}: unrecognized container format {meta.get('format')!r}")
+        if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
+            found = meta.get("format") if isinstance(meta, dict) else None
+            raise FormatError(f"{path}: unrecognized container format {found!r}")
         if meta.get("version") != FORMAT_VERSION:
             raise FormatError(
                 f"{path}: model format version {meta.get('version')!r} is not "
                 f"supported (this build reads version {FORMAT_VERSION})"
             )
-        arrays = {k: z[k] for k in z.files if k != "__meta__"}
-    return _decode_node(meta["root"], arrays)
+        arrays = {k: read(z, k) for k in z.files if k != "__meta__"}
+    try:
+        return _decode_node(meta["root"], arrays)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +367,157 @@ def _decode_vocabulary(f):
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class DecimalForm:
+    """A float64 matrix as integer mantissas over ``10**decimals``, in byte planes.
+
+    ``planes`` is uint8 ``(width, rows, columns)``: plane ``i`` holds byte
+    ``i`` of every little-endian ``width``-byte signed mantissa.
+    ``negative_zeros`` holds the flat indices of the ``-0.0`` values, whose
+    sign a mantissa cannot carry.
+    """
+
+    decimals: int
+    planes: np.ndarray
+    negative_zeros: np.ndarray
+
+
+MAX_DECIMALS = 9
+_BLOCK_VALUES = 1 << 16  # values per row block of the search and the build
+_WIDTHS = (1, 2, 4, 8)
+
+
+def _row_blocks(matrix: np.ndarray):
+    """``(first row, block)`` for row blocks of about ``_BLOCK_VALUES`` values."""
+    rows = max(1, _BLOCK_VALUES // max(1, matrix.shape[1]))
+    for start in range(0, matrix.shape[0], rows):
+        yield start, matrix[start : start + rows]
+
+
+def _exact_mantissas(block: np.ndarray, scale: float) -> np.ndarray | None:
+    """``rint(block * scale)`` if dividing it by ``scale`` gives ``block`` back, else None.
+
+    ``==`` equates ``-0.0`` with ``0.0``; their signs are restored apart.
+    Mantissas must fit int64, which also turns away non-finite values.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # such values fail the checks below
+        mantissas = np.rint(block * scale)
+    if mantissas.size and not np.abs(mantissas).max() < 2.0**63:
+        return None
+    return mantissas if np.array_equal(mantissas / scale, block) else None
+
+
+def _decimal_form(matrix: np.ndarray) -> DecimalForm | None:
+    """``matrix`` as a DecimalForm with the fewest decimals, or None if it has none in 0..9.
+
+    One pass over row blocks: a block that is not exact at ``decimals``
+    raises it and restarts the pass, so every block is checked at the
+    decimals finally chosen. A second pass writes the planes; neither
+    allocates a temporary the size of the matrix.
+    """
+    if matrix.dtype != np.float64 or matrix.ndim != 2:
+        return None
+    decimals, lo, hi = 0, 0.0, 0.0
+    blocks = list(_row_blocks(matrix))
+    k = 0
+    while k < len(blocks):
+        mantissas = _exact_mantissas(blocks[k][1], float(10**decimals))
+        if mantissas is None:
+            decimals += 1
+            if decimals > MAX_DECIMALS:
+                return None
+            k, lo, hi = 0, 0.0, 0.0
+            continue
+        if mantissas.size:
+            lo, hi = min(lo, mantissas.min()), max(hi, mantissas.max())
+        k += 1
+    width = next(w for w in _WIDTHS if np.iinfo(f"i{w}").min <= lo and hi <= np.iinfo(f"i{w}").max)
+    scale = float(10**decimals)
+    planes = np.empty((width,) + matrix.shape, dtype=np.uint8)
+    negative_zeros = [np.empty(0, dtype=np.int64)]
+    for start, block in blocks:
+        ints = np.rint(block * scale).astype(f"<i{width}")
+        planes[:, start : start + len(block)] = np.moveaxis(
+            ints.view(np.uint8).reshape(block.shape + (width,)), -1, 0
+        )
+        signed_zeros = np.flatnonzero((block == 0) & np.signbit(block))
+        negative_zeros.append(signed_zeros + start * matrix.shape[1])
+    return DecimalForm(decimals, planes, np.concatenate(negative_zeros))
+
+
+def _restore_decimals(decimals, planes, negative_zeros, rows: int) -> np.ndarray:
+    """The float64 matrix a DecimalForm's fields stand for; FormatError if they do not fit."""
+    if type(decimals) is not int or not 0 <= decimals <= MAX_DECIMALS:
+        raise FormatError(f"embedding table decimals {decimals!r} outside 0..{MAX_DECIMALS}")
+    if not (
+        isinstance(planes, np.ndarray)
+        and planes.dtype == np.uint8
+        and planes.ndim == 3
+        and planes.shape[0] in _WIDTHS
+        and planes.shape[1] == rows
+    ):
+        shape = getattr(planes, "shape", None)
+        raise FormatError(
+            f"embedding table of {rows} tokens needs 1, 2, 4 or 8 uint8 byte planes of "
+            f"({rows}, dimension), got shape {shape}"
+        )
+    width, _, columns = planes.shape
+    ints = np.empty(rows * columns, dtype=f"<i{width}")
+    interleaved = ints.view(np.uint8).reshape(-1, width)
+    for i in range(width):  # column by column: a transpose copy is about 3x slower
+        interleaved[:, i] = planes[i].reshape(-1)
+    if not (
+        isinstance(negative_zeros, np.ndarray)
+        and negative_zeros.dtype == np.int64
+        and negative_zeros.ndim == 1
+        and ((0 <= negative_zeros) & (negative_zeros < ints.size)).all()
+        and not ints[negative_zeros].any()
+    ):
+        raise FormatError("embedding table negative-zero indices do not name zero mantissas")
+    matrix = ints.astype(np.float64)
+    matrix /= float(10**decimals)
+    matrix[negative_zeros] = -0.0
+    return matrix.reshape(rows, columns)
+
+
+_DECIMAL_FORMS: dict[int, DecimalForm | None] = {}
+
+
+def _table_form(table: EmbeddingTable) -> DecimalForm | None:
+    """The decimal form of ``table.matrix``, computed once per table object.
+
+    An EmbeddingTable is immutable, so its form is kept for as long as the
+    object lives and dropped with it; the runner's models of one group all
+    carry the same table object.
+    """
+    key = id(table)
+    if key not in _DECIMAL_FORMS:
+        _DECIMAL_FORMS[key] = _decimal_form(table.matrix)
+        weakref.finalize(table, _DECIMAL_FORMS.pop, key)
+    return _DECIMAL_FORMS[key]
+
+
 def _encode_embedding_table(t):
+    form = _table_form(t)
     return {
         "language": t.language,
         "source": t.source,
         "tokens": _token_member(t.tokens),
-        "matrix": t.matrix,
+        "decimals": None if form is None else form.decimals,
+        "matrix": t.matrix if form is None else form.planes,
+        "negative_zeros": None if form is None else form.negative_zeros,
     }
 
 
 def _decode_embedding_table(f):
-    return EmbeddingTable(
-        _member_tokens(f["tokens"]), f["matrix"], language=f["language"], source=f["source"]
-    )
+    tokens = _member_tokens(f["tokens"])
+    matrix = f["matrix"]
+    if f["decimals"] is not None:
+        matrix = _restore_decimals(f["decimals"], matrix, f["negative_zeros"], len(tokens))
+    try:
+        return EmbeddingTable(tokens, matrix, language=f["language"], source=f["source"])
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _encode_pipeline(p):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,23 @@ class TestDeterminism:
             digests.append(digest)
             assert len(files) > 10
         assert digests[0] == digests[1]
+
+    def test_models_do_not_depend_on_where_the_inputs_sit(self, synthetic_dir, tmp_path):
+        models = []
+        for name in ("one", "two"):
+            inputs = shutil.copytree(synthetic_dir, tmp_path / name / "inputs")
+            raw = base_raw(inputs, tmp_path / name / "out")
+            raw["reduction"]["pca"] = [False]
+            raw["representations"] = [
+                {"name": "wv", "kind": "word-vectors", "vectors": {"syn": str(inputs / "syn.vec")}}
+            ]
+            run_matrix(parse(raw))
+            files = sorted((tmp_path / name / "out" / "models").glob("*.npz"))
+            models.append({p.name: p.read_bytes() for p in files})
+        assert len(models[0]) == 2
+        assert models[0] == models[1]
+        restored = load_model(tmp_path / "two" / "out" / "models" / next(iter(models[1])))
+        assert restored.embeddings.source == "syn.vec"
 
     def test_seed_changes_outputs(self, synthetic_dir, tmp_path):
         digests = []

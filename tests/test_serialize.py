@@ -1,11 +1,16 @@
 """Pickle-free model persistence: round trips and format refusal."""
 
 import json
+import re
+import struct
 import zipfile
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyemo import serialize
 from polyemo.dense_features import EmbeddingTable
@@ -23,7 +28,14 @@ from polyemo.learn import (
 )
 from polyemo.pipeline import PipelineModel
 from polyemo.reduce import fit_pca
-from polyemo.serialize import FORMAT_NAME, FORMAT_VERSION, Deflated, load_model, save_model
+from polyemo.serialize import (
+    FORMAT_NAME,
+    FORMAT_VERSION,
+    MAX_DECIMALS,
+    Deflated,
+    load_model,
+    save_model,
+)
 from polyemo.sparse_features import TfidfModel, fit_bow, fit_tfidf, transform_tfidf
 from polyemo.tokenize import TokenizerSpec
 
@@ -178,7 +190,8 @@ def fitted_pipeline(kind, spec, rng):
             pipe.tfidf = fit_tfidf(seqs)
         else:
             words = sorted({t for s in seqs for t in s.tokens})
-            pipe.embeddings = EmbeddingTable(tuple(words), rng.normal(size=(len(words), 4)), "xx", "mem")
+            matrix = np.round(rng.normal(size=(len(words), 4)), 5)  # as a text vector file holds
+            pipe.embeddings = EmbeddingTable(tuple(words), matrix, "xx", "mem")
         x = pipe.represent(seqs)
     pipe.pca = fit_pca(pipe.reduce(x))
     pipe.classifier = fit(spec, pipe.reduce(x), rng.integers(0, 2, size=(len(TEXTS), 6)))
@@ -215,22 +228,28 @@ class TestZipWriter:
         knn = fit(ClassifierSpec(kind="knn", hyperparameters={"k": 3}), *small_problem(rng))
         knn_pipe = replace(dt_pipe, classifier=knn)
         embeddings = dt_pipe.embeddings
-        table = embeddings.matrix
-        deflated = []
-        compress = serialize._deflate
+        planes = serialize._decimal_form(embeddings.matrix).planes
+        deflated, searched = [], []
+        compress, search = serialize._deflate, serialize._decimal_form
 
         def counting_compress(array):
-            if np.array_equal(array, table):
+            if array.shape == planes.shape and np.array_equal(array, planes):
                 deflated.append(array)
             return compress(array)
 
+        def counting_search(matrix):
+            searched.append(matrix)
+            return search(matrix)
+
         monkeypatch.setattr(serialize, "_deflate", counting_compress)
+        monkeypatch.setattr(serialize, "_decimal_form", counting_search)
         memo = {}
         save_model(dt_pipe, tmp_path / "dt.npz", memo=memo)
         save_model(knn_pipe, tmp_path / "knn.npz", memo=memo)
         assert len(deflated) == 1
         save_model(knn_pipe, tmp_path / "alone.npz")  # no memo: deflated again
         assert len(deflated) == 2
+        assert len(searched) == 1  # one table object: its decimal form is found once
         for name, pipe in (("dt", dt_pipe), ("knn", knn_pipe)):
             restored = load_model(tmp_path / f"{name}.npz")
             assert type(restored.classifier) is type(pipe.classifier)
@@ -367,6 +386,20 @@ class TestFormatGuards:
         with pytest.raises(FormatError, match="version 2 is not supported"):
             load_model(path)
 
+    def test_version_three_model_refused(self, tmp_path):
+        # a v3 word-vector table is its float64 matrix, without decimals or negative zeros
+        path = tmp_path / "emb.npz"
+        save_model(EmbeddingTable(("a", "b"), np.array([[0.5, -1.25], [2.0, -0.0]])), path)
+
+        def mutate(meta):
+            meta["version"] = 3
+            fields = meta["root"]["fields"]
+            del fields["decimals"], fields["negative_zeros"]
+
+        self.tamper_meta(path, mutate)
+        with pytest.raises(FormatError, match="version 3 is not supported"):
+            load_model(path)
+
     def test_wrong_format_name_refused(self, rng, tmp_path):
         path = self.saved_model(rng, tmp_path)
         self.tamper_meta(path, lambda meta: meta.update(format="other"))
@@ -423,11 +456,204 @@ class TestFormatGuards:
             save_model(Mystery(), tmp_path / "x.npz")
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bits: ``-0.0`` differs from ``0.0``."""
+    return a.dtype == b.dtype and a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
+
+
+def narrowest_width(values: np.ndarray) -> int:
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    return next(w for w in (1, 2, 4, 8) if -(1 << (8 * w - 1)) <= lo and hi < 1 << (8 * w - 1))
+
+
+@st.composite
+def decimal_tables(draw):
+    """``(matrix, decimals, mantissas)``: each value the float nearest ``mantissa / 10**decimals``.
+
+    Some rows use fewer decimals than others, mantissa magnitudes range
+    from int8 to int64, and some values are ``-0.0``.
+    """
+    decimals = draw(st.integers(0, MAX_DECIMALS))
+    rows, columns = draw(st.integers(0, 30)), draw(st.integers(1, 9))
+    bound = draw(st.sampled_from([100, 30_000, 2_000_000_000, 1 << 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mantissas = rng.integers(-bound, bound + 1, size=(rows, columns))
+    for row in np.flatnonzero(rng.random(rows) < draw(st.floats(0, 1))):
+        step = 10 ** int(rng.integers(0, decimals + 1))  # fewer decimals in this row
+        mantissas[row] = mantissas[row] // step * step
+    matrix = mantissas / 10.0**decimals
+    signed = rng.random(matrix.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    matrix[signed] = -0.0
+    mantissas[signed] = 0
+    return matrix, decimals, mantissas
+
+
+class TestDecimalTables:
+    @given(table=decimal_tables(), block_values=st.sampled_from([1, 7, 1 << 16]))
+    def test_decimal_tables_round_trip_bit_for_bit(self, table, block_values, tmp_path_factory):
+        matrix, decimals, mantissas = table
+        # the fewest decimals the values need, and their mantissas at it
+        while decimals and not (mantissas % 10).any():
+            decimals, mantissas = decimals - 1, mantissas // 10
+        with mock.patch.object(serialize, "_BLOCK_VALUES", block_values):
+            form = serialize._decimal_form(matrix)
+        assert form.decimals == decimals
+        assert form.planes.shape == (narrowest_width(mantissas),) + matrix.shape
+        signed = np.flatnonzero((matrix == 0) & np.signbit(matrix))
+        np.testing.assert_array_equal(form.negative_zeros, signed)
+        path = tmp_path_factory.mktemp("decimal") / "emb.npz"
+        tokens = tuple(f"w{i}" for i in range(len(matrix)))
+        save_model(EmbeddingTable(tokens, matrix, "xx", "xx.vec"), path)
+        with np.load(path, allow_pickle=False) as z:
+            assert [z[k].dtype for k in z.files] == [np.uint8, np.uint8, np.uint8, np.int64]
+        restored = load_model(path)
+        assert restored.tokens == tokens
+        assert same_bits(restored.matrix, matrix)
+
+    def test_a_block_needing_more_decimals_restarts_the_search(self):
+        # row 0 alone is exact at 0 decimals; row 1 needs 3, which turns 100 into 100000
+        matrix = np.array([[100.0], [0.001]])
+        with mock.patch.object(serialize, "_BLOCK_VALUES", 1):
+            form = serialize._decimal_form(matrix)
+        assert (form.decimals, form.planes.shape) == (3, (4, 2, 1))
+        restored = serialize._restore_decimals(3, form.planes, form.negative_zeros, 2)
+        assert same_bits(restored, matrix)
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), columns=st.integers(1, 9))
+    def test_plain_floats_keep_the_float64_member(self, seed, rows, columns, tmp_path_factory):
+        matrix = np.random.default_rng(seed).normal(size=(rows, columns))
+        assert serialize._decimal_form(matrix) is None
+        self.assert_float_member_round_trip(matrix, tmp_path_factory.mktemp("float") / "emb.npz")
+
+    @pytest.mark.parametrize(
+        "values", [[1.5, np.inf], [np.nan, 0.0], [1e300, 2.0], [0.1 + 0.2, 1.0], [1e-10, 0.0]]
+    )
+    def test_values_without_a_decimal_form_keep_the_float64_member(self, values, tmp_path):
+        matrix = np.array([values])
+        assert serialize._decimal_form(matrix) is None
+        self.assert_float_member_round_trip(matrix, tmp_path / "emb.npz")
+
+    def assert_float_member_round_trip(self, matrix, path):
+        save_model(EmbeddingTable(tuple(f"w{i}" for i in range(len(matrix))), matrix), path)
+        with np.load(path, allow_pickle=False) as z:
+            meta = json.loads(z["__meta__"].tobytes())["root"]["fields"]
+            assert (meta["decimals"], meta["negative_zeros"]) == (None, None)
+            assert same_bits(z[meta["matrix"]["key"]], matrix)
+        assert same_bits(load_model(path).matrix, matrix)
+
+
+def saved_word_vector_model(rng, path):
+    """A word-vector pipeline whose five-decimal table holds a ``-0.0``, saved at ``path``."""
+    pipe = fitted_pipeline("word-vectors", ClassifierSpec(kind="dt"), rng)
+    matrix = pipe.embeddings.matrix.copy()
+    matrix[0, 0] = -0.0
+    pipe = replace(pipe, embeddings=replace(pipe.embeddings, matrix=matrix))
+    save_model(pipe, path)
+    return pipe
+
+
+def flip_payload_byte(data: bytes, info: zipfile.ZipInfo) -> bytes:
+    """``data`` with the middle byte of member ``info``'s deflated payload inverted."""
+    name_size, extra_size = struct.unpack_from("<2H", data, info.header_offset + 26)
+    payload = info.header_offset + 30 + name_size + extra_size
+    damaged = bytearray(data)
+    damaged[payload + info.compress_size // 2] ^= 0xFF
+    return bytes(damaged)
+
+
+def rewrite(path, mutate):
+    """Rewrite the model at ``path`` after ``mutate(table fields, arrays)``; the root is a pipeline."""
+    with np.load(path, allow_pickle=False) as z:
+        meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
+        arrays = {k: z[k] for k in z.files if k != "__meta__"}
+    mutate(meta["root"]["fields"]["embeddings"]["fields"], arrays)
+    raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, __meta__=raw, **arrays)
+
+
+def set_member(field, change):
+    """A mutation replacing the member of table field ``field`` by ``change(member)``."""
+
+    def mutate(fields, arrays):
+        key = fields[field]["key"]
+        arrays[key] = change(arrays[key])
+
+    return mutate
+
+
+def rename_member(fields, arrays):
+    fields["negative_zeros"]["key"] = "a999"
+
+
+class TestDamagedFiles:
+    def test_word_vector_model_round_trips_its_negative_zero(self, rng, tmp_path):
+        pipe = saved_word_vector_model(rng, tmp_path / "wv.npz")
+        restored = load_model(tmp_path / "wv.npz")
+        assert same_bits(restored.embeddings.matrix, pipe.embeddings.matrix)
+        assert np.signbit(restored.embeddings.matrix[0, 0])
+        np.testing.assert_array_equal(restored.predict_texts(TEXTS), pipe.predict_texts(TEXTS))
+
+    def test_every_damaged_member_is_a_format_error(self, rng, tmp_path):
+        path = tmp_path / "wv.npz"
+        saved_word_vector_model(rng, path)
+        data = path.read_bytes()
+        with zipfile.ZipFile(path) as z:
+            members = z.infolist()
+        assert len(members) > 10  # the table's tokens, planes and negative zeros among them
+        for info in members:
+            path.write_bytes(flip_payload_byte(data, info))
+            with pytest.raises(FormatError, match=re.escape(str(path))):
+                load_model(path)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (set_member("matrix", lambda planes: planes[:3]), "byte planes"),
+            (set_member("matrix", lambda planes: planes[:, 1:]), "byte planes"),
+            (set_member("matrix", lambda planes: planes.astype(np.int16)), "byte planes"),
+            (set_member("negative_zeros", lambda nz: np.array([1 << 40])), "negative-zero"),
+            (set_member("negative_zeros", lambda nz: np.array([-1])), "negative-zero"),
+            (set_member("negative_zeros", lambda nz: nz.astype(np.int32)), "negative-zero"),
+            # index 1 names a value of the table that is not zero
+            (set_member("negative_zeros", lambda nz: nz + 1), "negative-zero"),
+            (lambda fields, arrays: fields.update(decimals=MAX_DECIMALS + 1), "decimals"),
+            (lambda fields, arrays: fields.update(decimals=True), "decimals"),
+            (rename_member, "missing member 'a999'"),
+        ],
+        ids=[
+            "three-planes", "planes-rows", "planes-dtype", "index-past-end", "index-negative",
+            "index-dtype", "index-of-nonzero", "decimals-range", "decimals-bool", "missing-member",
+        ],
+    )
+    def test_table_that_does_not_fit_its_planes_refused(self, mutate, message, rng, tmp_path):
+        path = tmp_path / "wv.npz"
+        saved_word_vector_model(rng, path)
+        rewrite(path, mutate)
+        with pytest.raises(FormatError, match=re.escape(str(path)) + ".*" + re.escape(message)):
+            load_model(path)
+
+    def test_damaged_model_is_a_cli_error_not_a_traceback(self, rng, tmp_path, capsys):
+        from polyemo.cli import main
+
+        path = tmp_path / "wv.npz"
+        saved_word_vector_model(rng, path)
+        with zipfile.ZipFile(path) as z:
+            planes = max(z.infolist(), key=lambda info: info.file_size)
+        path.write_bytes(flip_payload_byte(path.read_bytes(), planes))
+        texts = tmp_path / "texts.csv"
+        texts.write_text("id,text\nd0,joy smile\n")
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(path), "--input", str(texts), "--out", str(out)]) == 2
+        assert f"error: {path}: damaged model member" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # the JSON field names of every registered type, in file order
 EXPECTED_LAYOUT = {
     "ClassifierSpec": ["kind", "hyperparameters", "seed", "members"],
     "DecisionTree": ["spec", "input_dim", "n_labels", "feature", "threshold", "left", "right", "value"],
-    "EmbeddingTable": ["language", "source", "tokens", "matrix"],
+    "EmbeddingTable": ["language", "source", "tokens", "decimals", "matrix", "negative_zeros"],
     "KNearestNeighbors": ["spec", "x", "y", "input_dim", "n_labels"],
     "LinearSvm": ["spec", "w", "b", "input_dim", "n_labels"],
     "Mlp": ["spec", "weights", "biases", "input_dim", "n_labels"],
