@@ -31,7 +31,7 @@ print(f"tf-idf features: {x.shape[0]} x {x.shape[1]} sparse")
 # matrix is tiny.
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    full = fit_pca(x, ReductionConfig(normalize=False, components="all"))
+    full = fit_pca(x, ReductionConfig(components="all"))
 print(f"\nfull decomposition keeps {full.n_components} components")
 cum = np.cumsum(full.explained_variance_ratio)
 for k in (1, 2, 5, 10, 20):
@@ -40,12 +40,12 @@ for k in (1, 2, 5, 10, 20):
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    frac = fit_pca(x, ReductionConfig(normalize=False, components=0.90))
+    frac = fit_pca(x, ReductionConfig(components=0.90))
 print(f"\nasking for 90% of the variance selects {frac.n_components} components")
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    fixed = fit_pca(x, ReductionConfig(normalize=False, components=10))
+    fixed = fit_pca(x, ReductionConfig(components=10))
     z = transform_pca(x, fixed)
 print(f"fixed k=10 projects to {z.shape[0]} x {z.shape[1]}")
 

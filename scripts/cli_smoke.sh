@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Smoke test of the installed `polyemo` command: a run, a resumed run in which
+# every cell must be reused, and a prediction with one saved model that must
+# equal the run's own prediction file.
+#
+#   pip install -e .
+#   bash scripts/cli_smoke.sh [work-dir]
+#
+# Without a work directory a temporary one is used and removed afterwards.
+set -euo pipefail
+
+if [ $# -ge 1 ]; then
+  work="$1"
+  mkdir -p "$work"
+else
+  work="$(mktemp -d)"
+  trap 'rm -rf "$work"' EXIT
+fi
+
+python - "$work" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+from polyemo.synthetic import write_corpus, write_word_vectors
+
+root = Path(sys.argv[1])
+write_corpus(root / "data", seed=0, n_documents=120, language="syn")
+write_word_vectors(root / "syn.vec", seed=0, dimension=12)
+config = {
+    "data_dir": "data",
+    "languages": ["syn"],
+    "representations": [
+        {"name": "tfidf", "kind": "tfidf"},
+        {"name": "wv", "kind": "word-vectors", "vectors": {"syn": "syn.vec"}},
+    ],
+    "classifiers": [{"name": "dt", "kind": "dt"}, {"name": "knn", "kind": "knn"}],
+    "reduction": {"pca": [True, False]},
+    "seed": 1,
+    "out_dir": "out",
+}
+(root / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+PY
+
+polyemo run --config "$work/config.json" | tee "$work/run.txt"
+polyemo run --config "$work/config.json" --resume | tee "$work/resume.txt"
+
+cells=$(grep -c '^\[[0-9]*/[0-9]*\] ' "$work/run.txt")
+resumed=$(grep -c '^\[[0-9]*/[0-9]*\] .*: resumed$' "$work/resume.txt" || true)
+progress=$(grep -c '^\[[0-9]*/[0-9]*\] ' "$work/resume.txt" || true)
+if [ "$cells" -eq 0 ] || [ "$progress" -ne "$cells" ] || [ "$resumed" -ne "$cells" ]; then
+  echo "the resumed run reused $resumed of $cells cells ($progress progress lines)" >&2
+  exit 1
+fi
+
+model=$(ls "$work"/out/models/*.npz | head -n 1)
+name=$(basename "$model" .npz)
+polyemo predict --model "$model" --input "$work/data/syn/test.csv" --out "$work/predicted.csv"
+cmp "$work/predicted.csv" "$work/out/predictions/$name.csv"
+echo "cli smoke test passed: $cells cells resumed, $name predicts as in its run"

@@ -410,19 +410,6 @@ def _cache_add(path: str, source: str, target: str) -> None:
         fh.write("".join(f"{s}\t{t}\n" for s, t in entries.items()))
 
 
-def resolve_locally(lang: str, policy: FallbackPolicy) -> tuple[str, str] | None:
-    """``resolve_language`` without the backend query: None when only the backend can answer."""
-    if lang in policy.supported_languages:
-        return lang, "native"
-    if lang in policy.static_map:
-        return policy.static_map[lang], "static"
-    if policy.cache_path:
-        cached = _cache_read(policy.cache_path).get(lang)
-        if cached is not None:
-            return cached, "llm"
-    return None
-
-
 def resolve_language(
     lang: str, policy: FallbackPolicy, transport=None
 ) -> tuple[str, str]:
@@ -434,9 +421,14 @@ def resolve_language(
     is added to the cache. ``transport`` defaults to the HTTP client and
     can be replaced for testing.
     """
-    known = resolve_locally(lang, policy)
-    if known is not None:
-        return known
+    if lang in policy.supported_languages:
+        return lang, "native"
+    if lang in policy.static_map:
+        return policy.static_map[lang], "static"
+    if policy.cache_path:
+        cached = _cache_read(policy.cache_path).get(lang)
+        if cached is not None:
+            return cached, "llm"
     if policy.llm_backend is None:
         raise ResolutionError(
             f"language {lang!r} is not supported and no static mapping or "

@@ -24,7 +24,6 @@ from .sparse_features import normalize_rows_sparse
 class ReductionConfig:
     """``components`` is "all", a fixed integer k, or a variance fraction in (0,1)."""
 
-    normalize: bool = True
     components: object = "all"
 
 

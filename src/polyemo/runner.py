@@ -29,12 +29,13 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
+from . import dense_features
 from .atomic import atomic_open
 from .corpus import ROLES, load_split
 from .dense_features import (
@@ -42,10 +43,10 @@ from .dense_features import (
     LlmBackendConfig,
     load_precomputed_embeddings,
     load_word_vectors,
-    resolve_locally,
 )
-from .errors import ConfigError, DataError, FormatError, PolyemoError
+from .errors import ConfigError, DataError, FormatError
 from .evaluate import (
+    ConfusionRates,
     EvalReport,
     TimingRecord,
     confusion_rates,
@@ -539,27 +540,26 @@ def _input_files(cfg: ExperimentConfig, rep: RepresentationConfig, lang: str) ->
     return files + sorted(rep.vector_paths.values())
 
 
-def _fallback_policy(cfg: ExperimentConfig, rep: RepresentationConfig) -> FallbackPolicy:
-    return FallbackPolicy(
+def _vector_language(
+    cfg: ExperimentConfig, rep: RepresentationConfig, lang: str, transport=None
+) -> str | None:
+    """The language whose vector file a word-vector group of ``lang`` reads; None for other kinds.
+
+    The provenance ``resolve_language`` returns is dropped here.
+    ``dense_features.resolve_language`` is looked up at call time, as the
+    tracing benchmark wraps it in that module.
+    """
+    if rep.kind != "word-vectors":
+        return None
+    policy = FallbackPolicy(
         supported_languages=tuple(sorted(rep.vector_paths)),
         static_map=dict(cfg.static_map),
         display_names=dict(cfg.display_names),
         llm_backend=cfg.llm_backend,
         cache_path=cfg.cache_path,
     )
-
-
-def _known_vector_language(
-    cfg: ExperimentConfig, rep: RepresentationConfig, lang: str
-) -> str | None:
-    """The vector language a word-vector cell of ``lang`` reads, if known without a backend query."""
-    if rep.kind != "word-vectors":
-        return None
-    try:
-        known = resolve_locally(lang, _fallback_policy(cfg, rep))
-    except PolyemoError:
-        return None  # the cell runs and reports this error
-    return None if known is None else known[0]
+    code, _ = dense_features.resolve_language(lang, policy, transport=transport)
+    return code
 
 
 def cell_fingerprint(
@@ -574,7 +574,8 @@ def cell_fingerprint(
     That is the resolved classifier spec and mlp grid, the master seed, the
     representation (kind and vector or embedding file paths) with the
     language-fallback map, the vector language a word-vector cell reads
-    (``vector_language``, which the fallback cache may decide), the PCA arm
+    (``vector_language``, resolved once per group before any record is read,
+    so a backend answer and a cache entry give the same value), the PCA arm
     with its normalize and components settings, the tokenizer,
     ``split_digests`` (the SHA-256 of the language's train/dev/test CSVs) and
     the SHA-256 of every other file the cell may read (``_input_files``:
@@ -604,21 +605,25 @@ def build_representation(
     rep: RepresentationConfig,
     lang: str,
     splits: dict,
-    transport=None,
+    vector_language: str | None = None,
 ) -> tuple[PipelineModel, list, float]:
     """Fit one language's featurizer on its train split and represent every split, timed.
 
     Returns the featurizer (no PCA, no classifier yet), the train/dev/test
     matrices before reduction, and the seconds spent. Each split is
-    tokenized once, with the featurizer's own tokenizer.
+    tokenized once, with the featurizer's own tokenizer. A word-vector
+    featurizer reads the vectors of ``vector_language`` (``_vector_language``).
+    The featurizer names an external vocabulary by its file name, not its
+    path, so a saved model does not depend on where its inputs sit.
     """
 
     def work():
+        spec = cfg.tokenizer
         featurizer = PipelineModel(
             language=lang,
             representation=rep.name,
             representation_kind=rep.kind,
-            tokenizer_spec=cfg.tokenizer,
+            tokenizer_spec=replace(spec, vocab_path=spec.vocab_path and Path(spec.vocab_path).name),
             normalize=cfg.normalize,
         )
         if rep.kind == "precomputed":
@@ -631,7 +636,7 @@ def build_representation(
                 for role in ROLES
             ]
 
-        featurizer.tokenizer_vocab = Tokenizer(cfg.tokenizer).vocab_tokens
+        featurizer.tokenizer_vocab = Tokenizer(spec).vocab_tokens
         tokenizer = featurizer.make_tokenizer()
         seqs = [tokenize_split(splits[role], tokenizer) for role in ROLES]
         if rep.kind == "bow":
@@ -643,10 +648,9 @@ def build_representation(
         elif rep.kind == "tfidf":
             featurizer.tfidf = fit_tfidf(seqs[0])
         else:  # word-vectors
-            from .dense_features import resolve_language
-
-            code, _ = resolve_language(lang, _fallback_policy(cfg, rep), transport=transport)
-            featurizer.embeddings = load_word_vectors(rep.vector_paths[code], language=code)
+            featurizer.embeddings = load_word_vectors(
+                rep.vector_paths[vector_language], language=vector_language
+            )
         return featurizer, [featurizer.represent(s) for s in seqs]
 
     (featurizer, xs), seconds = time_run(work)
@@ -657,20 +661,20 @@ def _fit_reduction(cfg: ExperimentConfig, featurizer: PipelineModel, pca: bool, 
     """The featurizer of one PCA arm, fitted on train, and the splits it reduces to."""
     if pca:
         pca_model = fit_pca(
-            featurizer.reduce(xs[0]), ReductionConfig(normalize=False, components=cfg.components)
+            featurizer.reduce(xs[0]), ReductionConfig(components=cfg.components)
         )
         featurizer = replace(featurizer, pca=pca_model)
     return featurizer, [featurizer.reduce(x) for x in xs]
 
 
-def _cell_report(cell: Cell, **fields) -> EvalReport:
+def _cell_report(cell: Cell, **values) -> EvalReport:
     return EvalReport(
         language=cell.language,
         representation=cell.representation.name,
         classifier=cell.classifier.name,
         pca=cell.pca,
         f1_macro=math.nan,
-        **fields,
+        **values,
     )
 
 
@@ -743,66 +747,32 @@ def run_cell(
 # per-cell completion records (resume support)
 
 
-def _rates_to_json(rates):
-    if rates is None:
+def _json_value(value):
+    """``value`` as plain JSON: NaN as null, arrays and tuples as lists."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
         return None
-
-    def clean(values):
-        return [None if math.isnan(v) else float(v) for v in values]
-
-    return {
-        "labels": list(rates.labels),
-        "tp_rate": clean(rates.tp_rate),
-        "tn_rate": clean(rates.tn_rate),
-        "fp_rate": clean(rates.fp_rate),
-        "fn_rate": clean(rates.fn_rate),
-    }
-
-
-def _rates_from_json(obj):
-    if obj is None:
-        return None
-    from .evaluate import ConfusionRates
-
-    def arr(values):
-        return np.array([math.nan if v is None else v for v in values])
-
-    return ConfusionRates(
-        labels=tuple(obj["labels"]),
-        tp_rate=arr(obj["tp_rate"]),
-        tn_rate=arr(obj["tn_rate"]),
-        fp_rate=arr(obj["fp_rate"]),
-        fn_rate=arr(obj["fn_rate"]),
-    )
+    return value
 
 
 def _write_cell_record(
     cfg: ExperimentConfig, cell: Cell, report: EvalReport, fingerprint: str, model=None
 ) -> None:
-    """One line of JSON per cell; tree sizes are read off the fitted model's trees."""
+    """One line of JSON per cell: the report's fields, tree sizes off the fitted model's trees."""
     trees = trees_of(model) if model is not None else []
     record = {
         "name": cell.name,
-        "language": report.language,
-        "representation": report.representation,
-        "pca": report.pca,
-        "classifier": report.classifier,
-        "status": report.status,
-        "error": report.error,
-        "f1_macro": None if math.isnan(report.f1_macro) else report.f1_macro,
-        "timing": {
-            "train_seconds": report.timing.train_seconds,
-            "predict_seconds": report.timing.predict_seconds,
-            "representation_seconds": report.timing.representation_seconds,
-        },
-        "rates": _rates_to_json(report.rates),
+        **_json_value(asdict(report)),
         "tree_nodes": sum(tree.feature.size for tree in trees),
         "tree_depth": max((tree.depth() for tree in trees), default=None),
         "fingerprint": fingerprint,
     }
     # a record appears whole or not at all, so --resume never reads half of one
     with atomic_open(cfg.out_dir / "cells" / f"{cell.name}.json", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
+        fh.write(json.dumps(record, allow_nan=False) + "\n")
 
 
 def _read_cell_record(cfg: ExperimentConfig, cell: Cell, fingerprint: str) -> EvalReport | None:
@@ -816,25 +786,18 @@ def _read_cell_record(cfg: ExperimentConfig, cell: Cell, fingerprint: str) -> Ev
         return None
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
-        if record["status"] != "ok" or record.get("fingerprint") != fingerprint:
+        if record["status"] != "ok" or record["fingerprint"] != fingerprint:
             return None
-        t = record.get("timing", {})
-        f1 = record.get("f1_macro")
-        return EvalReport(
-            language=record["language"],
-            representation=record["representation"],
-            classifier=record["classifier"],
-            pca=record["pca"],
-            f1_macro=math.nan if f1 is None else f1,
-            rates=_rates_from_json(record.get("rates")),
-            timing=TimingRecord(
-                train_seconds=t.get("train_seconds", 0.0),
-                predict_seconds=t.get("predict_seconds", 0.0),
-                representation_seconds=t.get("representation_seconds", 0.0),
-            ),
-            status=record["status"],
-            error=record.get("error", ""),
-        )
+        report = EvalReport(**{f.name: record[f.name] for f in fields(EvalReport)})
+        report.f1_macro = float(np.array(report.f1_macro, dtype=float))
+        report.timing = TimingRecord(**report.timing)
+        if report.rates is not None:
+            rates = report.rates
+            report.rates = ConfusionRates(
+                labels=tuple(rates.pop("labels")),
+                **{k: np.array(v, dtype=float) for k, v in rates.items()},
+            )
+        return report
     except (ValueError, KeyError, TypeError, AttributeError):
         return None  # truncated or malformed: the cell runs again
 
@@ -851,28 +814,26 @@ def run_matrix(
 ) -> ReportTable:
     """Execute every cell of the experiment matrix and write all reports.
 
+    Each (language, representation) group first resolves the vector language
+    its word-vector cells read, once, then fingerprints its cells with it.
     With ``resume`` enabled, a cell whose completion record in the output
-    directory is ok and carries the cell's current fingerprint is loaded
-    instead of re-executed; every other cell runs. ``transport``
-    overrides the language-fallback HTTP client (used by tests). ``log`` is
-    an optional line sink for progress output.
+    directory is ok and carries that fingerprint is loaded instead of
+    re-executed; every other cell runs. So a backend is queried once per
+    group that only it can resolve, resumed or not, and resume needs no
+    fallback cache. ``transport`` overrides the language-fallback HTTP client
+    (used by tests). ``log`` is an optional line sink for progress output,
+    one line per completed cell, numbered ``[k/N]`` in completion order.
     """
     say = log or (lambda msg: None)
     cells = enumerate_cells(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    reports: dict[str, EvalReport] = {}
 
-    rows: dict[int, EvalReport] = {}
-
-    def done(i: int, report: EvalReport) -> None:
-        rows[i] = report
-        marker = _f1_text(report) if report.status == "ok" else report.error
-        say(f"[{i + 1}/{len(cells)}] {cells[i].name}: {marker}")
-
-    def fail(group: list, error: str) -> None:
-        for i, cell in group:
-            report = _cell_report(cell, status="error", error=error)
-            _write_cell_record(cfg, cell, report, fingerprints[i])
-            done(i, report)
+    def done(cell: Cell, report: EvalReport, marker: str | None = None) -> None:
+        reports[cell.name] = report
+        if marker is None:
+            marker = _f1_text(report) if report.status == "ok" else report.error
+        say(f"[{len(reports)}/{len(cells)}] {cell.name}: {marker}")
 
     split_digests = {
         lang: {role: _file_digest(cfg.data_dir / lang / f"{role}.csv") for role in ROLES}
@@ -883,24 +844,6 @@ def run_matrix(
         p for rep in cfg.representations for lang in cfg.languages for p in _input_files(cfg, rep, lang)
     }
     file_digests = {p: _file_digest(p) for p in files}
-
-    def fingerprint(cell: Cell, vector_language: str | None) -> str:
-        return cell_fingerprint(
-            cfg, cell, split_digests[cell.language], file_digests, vector_language
-        )
-
-    fingerprints = [
-        fingerprint(c, _known_vector_language(cfg, c.representation, c.language)) for c in cells
-    ]
-    pending: list[tuple[int, Cell]] = []
-    for i, cell in enumerate(cells):
-        existing = _read_cell_record(cfg, cell, fingerprints[i]) if resume else None
-        if existing is not None:
-            rows[i] = existing
-            say(f"[{i + 1}/{len(cells)}] {cell.name}: resumed")
-        else:
-            pending.append((i, cell))
-
     split_cache: dict[str, dict] = {}
 
     def splits_for(lang: str) -> dict:
@@ -911,25 +854,48 @@ def run_matrix(
             }
         return split_cache[lang]
 
-    def run_group(rep_group: list) -> None:
+    def run_group(group: list[Cell]) -> None:
         # everything the group holds (featurizer, splits' features, the memo
         # of deflated model members) is released when it returns, before
         # the next group fits anything
-        lang, rep = rep_group[0][1].language, rep_group[0][1].representation
-        splits = splits_for(lang)
+        lang, rep = group[0].language, group[0].representation
+        error = ""
         try:
-            featurizer, xs, rep_seconds = build_representation(cfg, rep, lang, splits, transport)
+            code, resolve_seconds = time_run(lambda: _vector_language(cfg, rep, lang, transport))
         except Exception as exc:  # noqa: BLE001 - recorded per cell
-            fail(rep_group, f"representation: {type(exc).__name__}: {exc}")
+            code, resolve_seconds, error = None, 0.0, f"{type(exc).__name__}: {exc}"
+        fingerprints = {
+            c.name: cell_fingerprint(cfg, c, split_digests[lang], file_digests, code) for c in group
+        }
+        pending = []
+        for cell in group:
+            existing = _read_cell_record(cfg, cell, fingerprints[cell.name]) if resume else None
+            if existing is None:
+                pending.append(cell)
+            else:
+                done(cell, existing, "resumed")
+
+        def fail(failed: list[Cell], message: str) -> None:
+            for cell in failed:
+                report = _cell_report(cell, status="error", error=message)
+                _write_cell_record(cfg, cell, report, fingerprints[cell.name])
+                done(cell, report)
+
+        if not pending:
             return
+        splits = splits_for(lang)
+        if not error:
+            try:
+                featurizer, xs, rep_seconds = build_representation(cfg, rep, lang, splits, code)
+            except Exception as exc:  # noqa: BLE001 - recorded per cell
+                error = f"{type(exc).__name__}: {exc}"
+        if error:
+            fail(pending, f"representation: {error}")
+            return
+        rep_seconds += resolve_seconds
         _save_vocab_artifact(cfg, rep, lang, featurizer)
-        if featurizer.embeddings is not None:
-            # the records name the vector language used, which a backend may
-            # only now have resolved
-            for i, cell in rep_group:
-                fingerprints[i] = fingerprint(cell, featurizer.embeddings.language)
         memo = {}  # every model of the group carries the same featurizer arrays
-        for pca, arm in groupby(rep_group, key=lambda ic: ic[1].pca):
+        for pca, arm in groupby(pending, key=lambda c: c.pca):
             arm = list(arm)
             try:
                 (arm_featurizer, reduced), reduce_seconds = time_run(
@@ -938,19 +904,19 @@ def run_matrix(
             except Exception as exc:  # noqa: BLE001 - recorded per cell
                 fail(arm, f"{type(exc).__name__}: {exc}")
                 continue
-            for i, cell in arm:
+            for cell in arm:
                 report = run_cell(
                     cfg, cell, splits, arm_featurizer, reduced, rep_seconds, reduce_seconds,
-                    fingerprints[i], memo,
+                    fingerprints[cell.name], memo,
                 )
-                done(i, report)
+                done(cell, report)
 
     # cells come in nesting order, so each (language, representation) group
-    # and each pca arm inside it is one run of consecutive pending cells
-    for _, rep_group in groupby(pending, key=lambda ic: (ic[1].language, ic[1].representation.name)):
-        run_group(list(rep_group))
+    # and each pca arm inside it is one run of consecutive cells
+    for _, group in groupby(cells, key=lambda c: (c.language, c.representation.name)):
+        run_group(list(group))
 
-    table = ReportTable(rows=[rows[i] for i in range(len(cells))])
+    table = ReportTable(rows=[reports[c.name] for c in cells])
     write_reports(cfg, cells, table)
     return table
 

@@ -91,7 +91,7 @@ def test_pca_matches_eigendecomposition(rng):
         d = int(rng.integers(2, 9))
         n = int(rng.integers(d + 2, 13))
         x = rng.normal(size=(n, d))
-        model = fit_pca(x, ReductionConfig(normalize=False, components="all"))
+        model = fit_pca(x, ReductionConfig(components="all"))
         _, want_axes = eig_oracle(x)
         for i in range(model.components.shape[0]):
             got, want = model.components[i], want_axes[i]
@@ -102,7 +102,7 @@ def test_pca_matches_eigendecomposition(rng):
         worst_ortho = max(worst_ortho, np.abs(gram - np.eye(len(gram))).max())
         recon = inverse_transform_pca(transform_pca(x, model), model)
         worst_recon = max(worst_recon, np.abs(recon - x).max())
-    four = fit_pca(FOUR_POINTS, ReductionConfig(normalize=False, components="all"))
+    four = fit_pca(FOUR_POINTS, ReductionConfig(components="all"))
     ratio_err = float(np.abs(four.explained_variance_ratio - [0.8, 0.2]).max())
     elapsed = time.perf_counter() - started
     ok = (

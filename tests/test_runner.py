@@ -12,12 +12,14 @@ import pytest
 from polyemo import atomic
 from polyemo.corpus import load_split
 from polyemo.errors import ConfigError, FormatError
-from polyemo.evaluate import f1_macro
+from polyemo.evaluate import ConfusionRates, EvalReport, TimingRecord, f1_macro
 from polyemo.pipeline import read_predictions
 from polyemo.runner import (
     Cell,
     ClassifierConfig,
     RepresentationConfig,
+    _read_cell_record,
+    _write_cell_record,
     cell_seed,
     enumerate_cells,
     load_config,
@@ -349,21 +351,30 @@ class TestDeterminism:
         assert digests[0] == digests[1]
 
     def test_models_do_not_depend_on_where_the_inputs_sit(self, synthetic_dir, tmp_path):
-        models = []
-        for name in ("one", "two"):
-            inputs = shutil.copytree(synthetic_dir, tmp_path / name / "inputs")
-            raw = base_raw(inputs, tmp_path / name / "out")
-            raw["reduction"]["pca"] = [False]
-            raw["representations"] = [
-                {"name": "wv", "kind": "word-vectors", "vectors": {"syn": str(inputs / "syn.vec")}}
-            ]
-            run_matrix(parse(raw))
-            files = sorted((tmp_path / name / "out" / "models").glob("*.npz"))
-            models.append({p.name: p.read_bytes() for p in files})
-        assert len(models[0]) == 2
-        assert models[0] == models[1]
-        restored = load_model(tmp_path / "two" / "out" / "models" / next(iter(models[1])))
-        assert restored.embeddings.source == "syn.vec"
+        words = sorted({w for ws in synthetic_vocabulary().values() for w in ws})
+        for tokenizer in ("unicode-words", "external-vocab"):
+            models = []
+            for name in ("one", "two"):
+                root = tmp_path / tokenizer / name
+                inputs = shutil.copytree(synthetic_dir, root / "inputs")
+                (inputs / "vocab.txt").write_text("\n".join(words) + "\n", encoding="utf-8")
+                raw = base_raw(inputs, root / "out")
+                raw["reduction"]["pca"] = [False]
+                raw["representations"] = [
+                    {"name": "wv", "kind": "word-vectors", "vectors": {"syn": str(inputs / "syn.vec")}}
+                ]
+                if tokenizer == "external-vocab":
+                    raw["tokenizer"] = {"kind": tokenizer, "vocab_path": str(inputs / "vocab.txt")}
+                run_matrix(parse(raw))
+                files = sorted((root / "out" / "models").glob("*.npz"))
+                models.append({p.name: p.read_bytes() for p in files})
+            assert len(models[0]) == 2
+            assert models[0] == models[1], tokenizer
+            restored = load_model(root / "out" / "models" / next(iter(models[1])))
+            assert restored.embeddings.source == "syn.vec"
+            assert restored.tokenizer_spec.vocab_path == (
+                "vocab.txt" if tokenizer == "external-vocab" else None
+            )
 
     def test_seed_changes_outputs(self, synthetic_dir, tmp_path):
         digests = []
@@ -528,6 +539,36 @@ class TestErrorIsolation:
         assert rerun_cells() == []
         assert len(calls) == 1
 
+    def test_resume_without_cache_reuses_backend_resolved_cells(
+        self, synthetic_dir, two_lang_dir, tmp_path
+    ):
+        """Each run asks the backend once for zz; the answer matches the records."""
+        calls = []
+
+        def transport(config, prompt):
+            calls.append(prompt)
+            return "Closest match: Synthetic."
+
+        raw = self.wv_raw(
+            synthetic_dir,
+            two_lang_dir,
+            tmp_path / "out",
+            fallback={
+                "display_names": {"syn": "Synthetic", "zz": "Zetan"},
+                "llm": {"endpoint": "http://example.invalid/chat", "model": "tiny"},
+            },
+        )
+        first = run_matrix(parse(raw), transport=transport)
+        assert first.all_ok and len(calls) == 1
+        lines = []
+        resumed = run_matrix(parse(raw), resume=True, transport=transport, log=lines.append)
+        assert lines == [
+            "[1/2] syn__wv__pca-off__dt: resumed",
+            "[2/2] zz__wv__pca-off__dt: resumed",
+        ]
+        assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in first.rows]
+        assert len(calls) == 2
+
 
 class TestResume:
     def test_resume_trusts_existing_records(self, synthetic_dir, tmp_path):
@@ -642,6 +683,66 @@ class TestResume:
         resumed = run_matrix(cfg, resume=True)
         assert resumed.all_ok
         assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in table.rows]
+
+    def test_resumed_run_rewrites_reports_byte_identical(self, synthetic_dir, tmp_path):
+        out = tmp_path / "out"
+        cfg = parse(base_raw(synthetic_dir, out))
+        run_matrix(cfg)
+        patterns = ("report.csv", "views/**/*")
+        digest, files = tree_digest(out, patterns)
+        assert any("confusion" in p.parts for p in files)
+        for p in files:
+            p.unlink()
+        lines = []
+        run_matrix(cfg, resume=True, log=lines.append)
+        assert len(lines) == 8 and all(line.endswith(": resumed") for line in lines)
+        assert tree_digest(out, patterns)[0] == digest
+
+    def test_cell_records_are_strict_json(self, synthetic_dir, tmp_path):
+        """NaN scores and rates are written as null and read back as NaN."""
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["representations"] = [
+            {"name": "wv", "kind": "word-vectors", "vectors": {"syn": str(synthetic_dir / "syn.vec")}}
+        ]
+        raw["reduction"]["components"] = 50  # the pca-on arm fails, its f1 is NaN
+        cfg = parse(raw)
+        table = run_matrix(cfg)
+        assert {r.status for r in table.rows} == {"ok", "error"}
+        keys = {
+            "name", "language", "representation", "pca", "classifier", "status", "error",
+            "f1_macro", "timing", "rates", "tree_nodes", "tree_depth", "fingerprint",
+        }
+        for path in (cfg.out_dir / "cells").glob("*.json"):
+            record = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+            assert set(record) == keys
+            assert (record["f1_macro"] is None) == (record["status"] == "error")
+
+        cell = enumerate_cells(cfg)[0]
+        rates = ConfusionRates(
+            labels=("joy", "fear"),
+            tp_rate=np.array([0.25, np.nan]),
+            tn_rate=np.array([np.nan, 1.0]),
+            fp_rate=np.array([0.75, np.nan]),
+            fn_rate=np.array([np.nan, 0.0]),
+        )
+        report = EvalReport(
+            language="syn", representation="wv", classifier="dt", pca=True,
+            f1_macro=math.nan, rates=rates, timing=TimingRecord(1.5, 0.25, 2.0),
+        )
+        _write_cell_record(cfg, cell, report, "fingerprint")
+        text = (cfg.out_dir / "cells" / f"{cell.name}.json").read_text(encoding="utf-8")
+        record = json.loads(text, parse_constant=refuse)
+        assert record["f1_macro"] is None and record["rates"]["tp_rate"] == [0.25, None]
+        back = _read_cell_record(cfg, cell, "fingerprint")
+        assert math.isnan(back.f1_macro) and back.timing == report.timing
+        assert back.rates.labels == rates.labels
+        for name, values in rates.as_rows():
+            np.testing.assert_array_equal(dict(back.rates.as_rows())[name], values)
+        assert _read_cell_record(cfg, cell, "another fingerprint") is None
 
     def test_without_resume_everything_recomputes(self, synthetic_dir, tmp_path):
         out = tmp_path / "out"

@@ -350,7 +350,7 @@ def synthetic_features():
     for name, model in models.items():
         x = normalize_rows(transform_tfidf(seqs, model))
         features[f"{name}-pca-off"] = as_dense(x)
-        features[f"{name}-pca-on"] = transform_pca(x, fit_pca(x, ReductionConfig(normalize=False)))
+        features[f"{name}-pca-on"] = transform_pca(x, fit_pca(x, ReductionConfig()))
     return features, splits["train"].label_matrix()
 
 
