@@ -26,12 +26,25 @@ sit on leaves, in blocks of ``PREDICT_BLOCK_ROWS`` rows so memory stays
 bounded. A decision tree is the walk with one root; a forest sums the leaf
 values of its trees, exactly, in integers.
 
-Split search. All candidate features of a node are scored at once: a stable
-column-wise argsort, a cumulative label count of shape (positions, features,
-labels) with labels on the last, contiguous axis, then a feature-major
-argmin. Features are scored in blocks of at most ``SPLIT_BLOCK_CELLS``
-(position x feature x label) cells, so memory stays bounded on wide inputs;
-an earlier block keeps a tie against a later one.
+Split search. A fit makes one feature-major (features, rows) copy of ``x``,
+so a node gathers its candidate columns as contiguous rows, argsorts each
+row and compares neighbouring sorted values. ``np.nonzero`` of that mask
+lists the cuts between distinct values in feature-major order (lowest
+column, then lowest position), which is the tie order, and only those cuts
+are scored: their left label counts are read from an integer cumsum of the
+labels in sorted order, and the left and right children are evaluated as
+one stacked array. A node's row order does not matter, so the argsort need
+not be stable and a child keeps its rows in its parent's sorted order: only
+integer label counts at cuts between distinct values enter the expression,
+and those do not depend on how tied rows are ordered. The chosen cut's left
+counts are passed down, so a child knows its label counts, and a leaf its
+value, without reading ``y``. Columns are scored in blocks of at most
+``SPLIT_BLOCK_CELLS`` (column x row x label) cells, so memory stays bounded
+on wide inputs; an earlier block keeps a tie against a later one. The
+threshold is the midpoint of the two values around the cut; where that
+midpoint rounds up to the upper value or overflows to infinity, the lower
+value is used instead, as scikit-learn does, so every split separates its
+rows.
 
 Bit-exactness rule. Fitted trees do not depend on how the search is
 vectorized: the weighted child impurity is evaluated with one fixed
@@ -55,48 +68,62 @@ SPLIT_BLOCK_CELLS = 32768
 PREDICT_BLOCK_ROWS = 1024
 
 
-def _best_split(xs, ys, counts):
-    """Best (weighted impurity, column, threshold) over the columns of ``xs``, or None.
+def _best_split(xt, y, idx, features, counts):
+    """The best split of the node holding rows ``idx``, or None.
 
-    ``xs`` is the node's (n, k) candidate columns, ``ys`` its (n, labels)
-    0/1 matrix and ``counts`` the per-label positive totals.
+    ``xt`` is the feature-major (features, rows) training matrix, ``y`` the
+    0/1 label matrix, ``features`` the node's candidate columns (ascending)
+    and ``counts`` its per-label positive totals. Returns (feature,
+    threshold, left rows, right rows, left counts).
     """
-    n = xs.shape[0]
-    # a column without two distinct values has no split; dropping it keeps the
-    # order (fmin/fmax skip nan, which sorts last and never starts a split)
-    columns = np.flatnonzero(np.fmin.reduce(xs, axis=0) < np.fmax.reduce(xs, axis=0))
-    if columns.size == 0:
-        return None
-    left_n = np.arange(1.0, n)[:, None]
-    right_n = n - left_n
-    ln = left_n[:, :, None]
-    rn = right_n[:, :, None]
-    total = counts.astype(float)
-    step = max(1, SPLIT_BLOCK_CELLS // (n * ys.shape[1]))
+    n = idx.size
+    n_labels = counts.size
+    step = max(1, SPLIT_BLOCK_CELLS // (n * n_labels))
     best = None
-    for start in range(0, columns.size, step):
-        block = columns[start : start + step]
-        cols = xs[:, block]
-        order = cols.argsort(axis=0, kind="stable")
-        vs = cols[order, np.arange(block.size)]
-        distinct = vs[:-1] < vs[1:]  # (n-1, b)
-        # label counts left of each cut; integer-valued, so exact in float
-        left_pos = ys[order].cumsum(axis=0, dtype=float)[:-1]  # (n-1, b, labels)
-        right_pos = total - left_pos
-        gl = 2.0 * (left_pos * (ln - left_pos) / ln).sum(axis=-1) / left_n
-        gr = 2.0 * (right_pos * (rn - right_pos) / rn).sum(axis=-1) / right_n
-        weighted = np.where(distinct, left_n * gl + right_n * gr, np.inf)
-        flat = int(weighted.T.argmin())  # feature-major: lowest column, then position
-        j, pos = divmod(flat, n - 1)
-        score = weighted[pos, j]
-        if best is None or score < best[0]:
-            best = (score, int(block[j]), (vs[pos, j] + vs[pos + 1, j]) / 2.0)
-    return best
-
-
-def _leaf_value(y) -> np.ndarray:
-    # per-label majority; an exact tie goes to 0
-    return (2 * y.sum(axis=0) > y.shape[0]).astype(np.int64)
+    for start in range(0, features.size, step):
+        block = features[start : start + step, None]
+        # the order within ties is free: only counts at distinct cuts are used
+        order = xt[block, idx].argsort(axis=1)
+        rows = idx[order]  # (b, n): the node's rows in each column's value order
+        vs = xt[block, rows]
+        # the cuts between distinct values, feature-major: lowest column first
+        j, pos = (vs[:, :-1] < vs[:, 1:]).nonzero()
+        m = j.size
+        if m == 0:
+            continue
+        left = y.take(rows, axis=0).cumsum(axis=1)[j, pos]  # label counts left of each cut
+        # the children stacked (left, right) on the first axis
+        size = np.empty((2, m))
+        np.add(pos, 1.0, out=size[0])
+        np.subtract(n, size[0], out=size[1])
+        positives = np.empty((2, m, n_labels))
+        positives[0] = left
+        np.subtract(counts, left, out=positives[1])
+        # g = 2 * sum_labels(pos * (n - pos) / n) / n, then n * g summed over
+        # the children; in place, but with the operations of the docstring
+        sz = size[:, :, None]
+        cells = sz - positives
+        cells *= positives
+        cells /= sz
+        g = np.add.reduce(cells, axis=-1)
+        g *= 2.0
+        g /= size
+        g *= size
+        weighted = np.add.reduce(g, axis=0)
+        k = int(weighted.argmin())
+        if best is None or weighted[k] < best[0]:
+            best = (weighted[k], block, rows, j[k], pos[k], left[k])
+    if best is None:
+        return None
+    _, block, rows, c, p, left = best
+    f = int(block[c, 0])
+    lower, upper = float(xt[f, rows[c, p]]), float(xt[f, rows[c, p + 1]])
+    threshold = (lower + upper) / 2.0
+    if not lower <= threshold < upper:
+        # the midpoint rounded up to ``upper`` or overflowed to inf: every row
+        # would go left, so split at the lower value
+        threshold = lower
+    return f, threshold, rows[c, : p + 1], rows[c, p + 1 :], left
 
 
 def _grow_tree(x, y, min_samples_split, max_depth, max_features, rng):
@@ -109,49 +136,54 @@ def _grow_tree(x, y, min_samples_split, max_depth, max_features, rng):
         n_candidates = max(1, int(np.sqrt(n_features)))
     else:
         n_candidates = max(1, min(int(max_features), n_features))
+    xt = np.ascontiguousarray(x.T)
+    all_features = np.arange(n_features)
 
-    feature, threshold, left, right, value = [], [], [], [], []
-    # (sample rows, depth, parent id, child slot of the parent); popping in
-    # stack order visits nodes in preorder, so a node's id is its pop count
-    stack = [(np.arange(x.shape[0]), 0, -1, None)]
+    feature, threshold, left, right = [], [], [], []
+    leaves, leaf_counts, leaf_sizes = [], [], []
+    # (sample rows, their label counts, depth, parent id, child slot of the
+    # parent); popping in stack order visits nodes in preorder, so a node's id
+    # is its pop count
+    stack = [(np.arange(x.shape[0]), y.sum(axis=0), 0, -1, None)]
     while stack:
-        idx, depth, parent, slot = stack.pop()
+        idx, counts, depth, parent, slot = stack.pop()
         node = len(feature)
         if parent >= 0:
             slot[parent] = node
-        ys = y[idx]
-        n = idx.shape[0]
-        counts = ys.sum(axis=0)
-        pure = ((counts == 0) | (counts == n)).all()
+        n = idx.size
+        pure = all(c == 0 or c == n for c in counts.tolist())
         best = None
         if not (pure or n < min_samples_split or (max_depth is not None and depth >= max_depth)):
             if n_candidates < n_features:
-                features = np.sort(rng.choice(n_features, size=n_candidates, replace=False))
+                features = rng.choice(n_features, size=n_candidates, replace=False)
+                features.sort()
             else:
-                features = np.arange(n_features)
-            best = _best_split(x[idx[:, None], features], ys, counts)
+                features = all_features
+            best = _best_split(xt, y, idx, features, counts)
         left.append(-1)  # set when the children are popped
         right.append(-1)
         if best is None:
             feature.append(-1)
             threshold.append(0.0)
-            value.append(_leaf_value(ys))
+            leaves.append(node)
+            leaf_counts.append(counts)
+            leaf_sizes.append(n)
             continue
-        _, column, split = best
-        f = int(features[column])
+        f, split, left_rows, right_rows, left_counts = best
         feature.append(f)
-        threshold.append(float(split))
-        value.append(np.zeros(n_labels, dtype=np.int64))
-        mask = x[idx, f] <= split
+        threshold.append(split)
         # right pushed first so the left branch is grown first (rng order)
-        stack.append((idx[~mask], depth + 1, node, right))
-        stack.append((idx[mask], depth + 1, node, left))
+        stack.append((right_rows, counts - left_counts, depth + 1, node, right))
+        stack.append((left_rows, left_counts, depth + 1, node, left))
+    value = np.zeros((len(feature), n_labels), dtype=np.int64)
+    # per-label majority at each leaf; an exact tie goes to 0
+    value[leaves] = 2 * np.array(leaf_counts) > np.array(leaf_sizes)[:, None]
     return (
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),
         np.array(left, dtype=np.int64),
         np.array(right, dtype=np.int64),
-        np.vstack(value),
+        value,
     )
 
 

@@ -1,8 +1,14 @@
 """Multi-output decision tree and random forest against brute-force splitting."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from polyemo.dense_features import embed_documents, load_word_vectors
 from polyemo.errors import ConfigError, DataError, ShapeError
 from polyemo.learn import ClassifierSpec, DecisionTree, RandomForest, fit
 from polyemo.learn import tree as tree_module
@@ -10,7 +16,7 @@ from polyemo.learn.base import as_dense, validate_training_data
 from polyemo.learn.tree import trees_of
 from polyemo.reduce import ReductionConfig, fit_pca, normalize_rows, transform_pca
 from polyemo.sparse_features import TfidfModel, fit_bow, fit_tfidf, transform_tfidf
-from polyemo.synthetic import build_corpus
+from polyemo.synthetic import build_corpus, write_word_vectors
 from polyemo.tokenize import Tokenizer, TokenizerSpec, tokenize_split
 
 
@@ -48,6 +54,22 @@ def random_problem(rng, n=None, d=None, n_labels=3):
     x = rng.normal(size=(n, d)).round(2)  # rounding forces some tied values
     y = rng.integers(0, 2, size=(n, n_labels)).astype(np.int64)
     return x, y
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -152,6 +174,23 @@ class TestDecisionTree:
         # the midpoint between 1 and inf is inf: every row went left, forever
         with pytest.raises(DataError, match="nan or inf"):
             DecisionTree().fit([[1.0], [np.inf]], [[0], [1]])
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [[np.nextafter(1.0, 0.0)], [1.0]],  # the midpoint rounds up to 1.0
+            [[1e308], [1.7e308]],  # the midpoint overflows to inf
+            [[-1.7e308], [-1e308]],  # ... and to -inf
+        ],
+        ids=["rounds-to-upper", "overflows-up", "overflows-down"],
+    )
+    def test_fit_returns_when_the_midpoint_leaves_the_gap(self, x):
+        # a threshold outside [lower, upper) sent every row to one child, forever
+        with time_limit(5):
+            model = DecisionTree().fit(x, [[0], [1]])
+        assert model.feature.tolist() == [0, -1, -1]
+        assert model.threshold[0] == x[0][0]  # the lower value
+        np.testing.assert_array_equal(model.predict(x), [[0], [1]])
 
     def test_predict_dim_check(self):
         model = DecisionTree().fit(np.zeros((2, 2)), np.array([[0], [1]]))
@@ -337,24 +376,41 @@ def assert_same_tree(tree, want):
 
 
 @pytest.fixture(scope="module")
-def synthetic_features():
-    """bow and tf-idf train features of the synthetic corpus, as the runner builds them."""
+def synthetic_features(tmp_path_factory):
+    """bow, tf-idf and word-vector train features of the synthetic corpus, as the runner builds them."""
     splits = build_corpus(seed=0, n_documents=600)
     seqs = tokenize_split(splits["train"], Tokenizer(TokenizerSpec()))
     vocab = fit_bow(seqs)
-    models = {
-        "bow": TfidfModel(vocabulary=vocab, idf=np.ones(len(vocab)), row_normalize=False),
-        "tfidf": fit_tfidf(seqs),
+    table = load_word_vectors(write_word_vectors(tmp_path_factory.mktemp("vectors") / "syn.vec", seed=0))
+    represented = {
+        "bow": transform_tfidf(seqs, TfidfModel(vocabulary=vocab, idf=np.ones(len(vocab)), row_normalize=False)),
+        "tfidf": transform_tfidf(seqs, fit_tfidf(seqs)),
+        "wv": embed_documents(seqs, table)[0],
     }
     features = {}
-    for name, model in models.items():
-        x = normalize_rows(transform_tfidf(seqs, model))
+    for name, x in represented.items():
+        x = normalize_rows(x)
         features[f"{name}-pca-off"] = as_dense(x)
         features[f"{name}-pca-on"] = transform_pca(x, fit_pca(x, ReductionConfig()))
     return features, splits["train"].label_matrix()
 
 
-FEATURE_SETS = ("bow-pca-off", "bow-pca-on", "tfidf-pca-off", "tfidf-pca-on")
+FEATURE_SETS = ("bow-pca-off", "bow-pca-on", "tfidf-pca-off", "tfidf-pca-on", "wv-pca-off", "wv-pca-on")
+
+# a few distinct values per column, so most adjacent sorted values tie
+TIED_VALUES = st.sampled_from((-2.0, 0.0, 0.1, 0.5, 3.0))
+
+
+@st.composite
+def tied_problems(draw):
+    """A small (x, y) drawn from few distinct rows, each repeated, with any labels."""
+    d = draw(st.integers(1, 5))
+    n_labels = draw(st.integers(1, 9))
+    distinct = draw(st.lists(st.lists(TIED_VALUES, min_size=d, max_size=d), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=30))
+    bits = st.lists(st.integers(0, 1), min_size=n_labels, max_size=n_labels)
+    labels = draw(st.lists(bits, min_size=len(picks), max_size=len(picks)))
+    return np.array([distinct[i] for i in picks]), np.array(labels, dtype=np.int64)
 
 
 class TestBitExactAgainstReference:
@@ -376,6 +432,23 @@ class TestBitExactAgainstReference:
         want = _ref_forest_arrays(x, y, 30, 11)
         assert len(forest.trees) == len(want)
         for tree, arrays in zip(forest.trees, want):
+            assert_same_tree(tree, arrays)
+
+    @given(problem=tied_problems(), seed=st.integers(0, 2**16))
+    def test_ties_and_duplicate_rows(self, problem, seed):
+        x, y = problem
+        tree = DecisionTree(ClassifierSpec(kind="dt", seed=seed)).fit(x, y)
+        assert_same_tree(tree, _ref_tree_arrays(_ref_grow_tree(x, y, None, None), y.shape[1]))
+        spec = ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 5}, seed=seed)
+        for tree, arrays in zip(RandomForest(spec).fit(x, y).trees, _ref_forest_arrays(x, y, 5, seed), strict=True):
+            assert_same_tree(tree, arrays)
+
+    def test_one_column_blocks_keep_the_forest(self, synthetic_features, monkeypatch):
+        xs, y = synthetic_features
+        x = xs["tfidf-pca-off"]
+        monkeypatch.setattr(tree_module, "SPLIT_BLOCK_CELLS", 1)  # one feature per block
+        spec = ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 10}, seed=11)
+        for tree, arrays in zip(RandomForest(spec).fit(x, y).trees, _ref_forest_arrays(x, y, 10, 11), strict=True):
             assert_same_tree(tree, arrays)
 
     def test_block_size_does_not_change_trees(self, synthetic_features, monkeypatch):
