@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `polyemo` command: a run, a resumed run in which
-# every cell must be reused, and a prediction with one saved model that must
-# equal the run's own prediction file.
+# every cell must be reused, a prediction with one saved model that must
+# equal the run's own prediction file, and two malformed input files that must
+# each exit 2 with an error naming the file and line, and no traceback.
 #
 #   pip install -e .
 #   bash scripts/cli_smoke.sh [work-dir]
@@ -57,4 +58,21 @@ model=$(ls "$work"/out/models/*.npz | head -n 1)
 name=$(basename "$model" .npz)
 polyemo predict --model "$model" --input "$work/data/syn/test.csv" --out "$work/predicted.csv"
 cmp "$work/predicted.csv" "$work/out/predictions/$name.csv"
-echo "cli smoke test passed: $cells cells resumed, $name predicts as in its run"
+
+# expect_error WANT ARGS...: `polyemo ARGS...` exits 2, prints WANT and no traceback
+expect_error() {
+  local want="$1" status=0
+  shift
+  polyemo "$@" > "$work/error.txt" 2>&1 || status=$?
+  if [ "$status" -ne 2 ] || ! grep -qF "$want" "$work/error.txt" || grep -q Traceback "$work/error.txt"; then
+    echo "polyemo $* exited $status; expected 2 and an error naming '$want':" >&2
+    cat "$work/error.txt" >&2
+    exit 1
+  fi
+}
+printf 'a 1 2\nb 3 4\nc 5 x\n' > "$work/bad.vec"
+expect_error "$work/bad.vec: line 3: " inspect --vectors "$work/bad.vec"
+printf 'a\t1\nb 2\n' > "$work/bad.tsv"
+expect_error "$work/bad.tsv: line 2: " inspect --vocab "$work/bad.tsv"
+
+echo "cli smoke test passed: $cells cells resumed, $name predicts as in its run, bad inputs exit 2"

@@ -1,13 +1,17 @@
 """Dense document vectors from embedding files, plus language fallback.
 
-Word vectors are ingested from the common text vector format: an optional
-``<count> <dim>`` header line followed by ``token v1 ... vd`` lines.
+Word vectors and precomputed sentence embeddings (produced by any external
+encoder) go through one reader of text vector files. Word vectors come in the
+common text vector format: ``token v1 ... vd`` lines, in which runs of spaces
+count as one, after an optional ``<count> <dim>`` header on line 1.
+Precomputed embeddings come in that same format keyed by document id, or as
+CSV ``id,v1,...,vd`` rows after an optional header row on line 1 whose first
+field is ``id``. Blank lines are skipped; a malformed line is a FormatError
+that names it.
+
 Documents become the arithmetic mean of their in-vocabulary token vectors;
 all-OOV documents map to the zero vector and are tallied in an OovReport.
-
-Precomputed sentence embeddings (produced by any external encoder) are
-ingested either as CSV ``id,v1,...,vd`` or as the same text vector format
-keyed by document id, and re-aligned to a caller-supplied id order.
+Precomputed rows are re-aligned to a caller-supplied id order.
 
 Languages without an embedding file are resolved to a supported language via
 a static map or, failing that, a chat-completion backend queried with a
@@ -100,83 +104,82 @@ def _parse_vector(values: list[str], path: Path, lineno: int) -> np.ndarray:
     return vector
 
 
-def _header_dimension(parts: list[str]) -> int | None:
-    """The dimension a first line of ``<count> <dim>`` declares, else None."""
-    if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-        return int(parts[1])
-    return None
+def _fields(text: str, sep: str) -> list[str]:
+    """The ``sep``-separated fields of ``text``; runs of spaces count as one."""
+    fields = text.split(sep) if text else []
+    return [f for f in fields if f] if sep == " " else fields
 
 
-def _load_word_vectors_by_line(path: Path) -> tuple[list[str], np.ndarray]:
-    """Every entry's token and vector, one line at a time; a bad line is a FormatError."""
-    tokens: list[str] = []
-    rows: list[np.ndarray] = []
-    dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            parts = [p for p in parts if p != ""]
-            if not parts:
-                continue
-            if lineno == 1 and (header := _header_dimension(parts)) is not None:
-                dim = header
-                continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise FormatError(f"{path}: line 1 has a token but no vector values")
-            if len(values) != dim:
-                raise FormatError(
-                    f"{path}: line {lineno} has {len(values)} values, expected {dim}"
-                )
-            tokens.append(token)
-            rows.append(_parse_vector(values, path, lineno))
-    if dim is None or not tokens:
-        raise FormatError(f"{path}: no vector entries found")
-    return tokens, np.vstack(rows)
+def _read_vectors(path: Path, sep: str) -> tuple[list[str], np.ndarray]:
+    """Every entry's key and vector from a text vector file, in file order.
 
+    With ``sep=" "`` the file is in word-vector format: ``key v1 ... vd``
+    lines after an optional ``<count> <dim>`` header on line 1. With
+    ``sep=","`` it is CSV: ``key,v1,...,vd`` rows after an optional header
+    row on line 1 whose first field is ``id``. Blank lines are skipped, and
+    the dimension is the header's, else the first entry's.
 
-def _load_word_vectors_fast(path: Path) -> tuple[list[str], np.ndarray] | None:
-    """What ``_load_word_vectors_by_line`` returns, or None when a line needs it.
-
-    Each line's token is split off in Python and the values go to
-    ``np.loadtxt``, which parses a float as ``float()`` does. Lines whose
-    single-space layout it cannot take (repeated or leading spaces, a token
-    without values, a ragged or non-numeric row) and non-finite values are
-    left to the line loop, which accepts or names them.
+    The values stream to ``np.loadtxt``, which parses a float as ``float()``
+    does. When it cannot take the file, or its result breaks a rule above (a
+    ragged row, no entries, a non-finite value), or a line repeats its
+    spaces, a second pass reads one line at a time: it accepts the file or
+    raises a FormatError naming the first bad line.
     """
-    tokens: list[str] = []
     dim: int | None = None
+    keys: list[str] = []
 
-    def values():
+    def entries():
+        """(line number, key, values text) of each entry line."""
         nonlocal dim
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip(" \n")
                 if not line:
                     continue
-                if lineno == 1 and (header := _header_dimension(line.split(" "))) is not None:
-                    dim = header
-                    continue
-                token, _, rest = line.partition(" ")
-                tokens.append(token)
-                yield rest
+                if lineno == 1:
+                    head = _fields(line, sep)
+                    if sep == "," and head[0].strip() == "id":
+                        continue
+                    if sep == " " and len(head) == 2 and all(h.isdecimal() for h in head):
+                        dim = int(head[1])
+                        continue
+                key, _, rest = line.partition(sep)
+                yield lineno, key.strip() if sep == "," else key, rest
+
+    def values():
+        for _, key, rest in entries():
+            keys.append(key)
+            yield rest
 
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty input warns; the count check below catches it
-            matrix = np.loadtxt(values(), dtype=float, delimiter=" ", comments=None, ndmin=2)
+            matrix = np.loadtxt(values(), dtype=float, delimiter=sep, comments=None, ndmin=2)
     except ValueError:
-        return None
+        matrix = None
     if (
-        not tokens
-        or matrix.shape != (len(tokens), dim if dim is not None else matrix.shape[1])
-        or matrix.shape[1] == 0
-        or not np.isfinite(matrix).all()
+        matrix is not None
+        and keys
+        and matrix.shape == (len(keys), dim if dim is not None else matrix.shape[1])
+        and matrix.shape[1] > 0
+        and np.isfinite(matrix).all()
     ):
-        return None
-    return tokens, matrix
+        return keys, matrix
+
+    keys, rows = [], []
+    for lineno, key, rest in entries():
+        fields = _fields(rest, sep)
+        if dim is None:
+            if not fields:
+                raise FormatError(f"{path}: line {lineno} has a token but no vector values")
+            dim = len(fields)
+        if len(fields) != dim:
+            raise FormatError(f"{path}: line {lineno} has {len(fields)} values, expected {dim}")
+        keys.append(key)
+        rows.append(_parse_vector(fields, path, lineno))
+    if not keys:
+        raise FormatError(f"{path}: no vector entries found")
+    return keys, np.vstack(rows)
 
 
 def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
@@ -188,7 +191,7 @@ def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
     the established dimension raises FormatError with its line number.
     """
     path = Path(path)
-    tokens, matrix = _load_word_vectors_fast(path) or _load_word_vectors_by_line(path)
+    tokens, matrix = _read_vectors(path, " ")
     rows = {t: i for i, t in enumerate(tokens)}  # first-seen order, last row wins
     if len(rows) < len(tokens):
         matrix = matrix[list(rows.values())]
@@ -236,43 +239,27 @@ def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]
 def load_precomputed_embeddings(path: str | Path, ids: list[str]) -> np.ndarray:
     """Load external sentence vectors and align rows to the given id order.
 
-    Accepts CSV ``id,v1,...,vd`` (header optional) or the text vector format
-    keyed by id. Every expected id must be present exactly once; extra ids in
-    the file are ignored.
+    Accepts CSV ``id,v1,...,vd`` (a header row on line 1 optional) or the
+    word-vector format keyed by id; a comma in the first non-blank line means
+    CSV. Every expected id must be present exactly once; extra ids in the
+    file are ignored.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: file is empty")
-
-    by_id: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    delim = "," if "," in lines[0] else None
-    start = 0
-    first = lines[0].split(delim)
-    if delim == "," and first[0].strip() == "id":
-        start = 1  # header row
-    elif delim is None and len(first) == 2 and first[0].isdigit() and first[1].isdigit():
-        start = 1
-        dim = int(first[1])
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        parts = [p.strip() for p in line.split(delim)] if delim else line.split()
-        key, values = parts[0], parts[1:]
-        if dim is None:
-            dim = len(values)
-        if len(values) != dim:
-            raise FormatError(f"{path}: line {lineno} has {len(values)} values, expected {dim}")
-        if key in by_id:
+        first = next((line for line in fh if line.strip()), "")
+    keys, matrix = _read_vectors(path, "," if "," in first else " ")
+    rows: dict[str, int] = {}
+    for i, key in enumerate(keys):
+        if key in rows:
             raise AlignmentError(f"{path}: duplicate embedding for id {key!r}")
-        by_id[key] = _parse_vector(values, path, lineno)
+        rows[key] = i
 
-    missing = [i for i in ids if i not in by_id]
+    missing = [i for i in ids if i not in rows]
     if missing:
         shown = ", ".join(repr(m) for m in missing[:10])
         more = "" if len(missing) <= 10 else f" (and {len(missing) - 10} more)"
         raise AlignmentError(f"{path}: missing embeddings for ids {shown}{more}")
-    return np.vstack([by_id[i] for i in ids])
+    return matrix[[rows[i] for i in ids]]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ eigendecomposition of the covariance, which is better conditioned when there
 are far fewer samples than feature columns. Component signs are canonicalized
 so each component's largest-magnitude entry is non-negative, making repeated
 fits byte-identical. Sparse input is densified first; centering would destroy
-sparsity anyway, and a warning documents the memory cost.
+sparsity anyway, and fitting warns of the memory cost once; transforming a
+batch densifies it silently.
 """
 
 from __future__ import annotations
@@ -55,14 +56,7 @@ def normalize_rows(m):
 
 
 def _densify(m) -> np.ndarray:
-    if sp.issparse(m):
-        warnings.warn(
-            f"densifying a sparse {m.shape[0]}x{m.shape[1]} matrix for PCA; "
-            f"this allocates roughly {m.shape[0] * m.shape[1] * 8 / 1e6:.0f} MB",
-            stacklevel=3,
-        )
-        return np.asarray(m.todense(), dtype=float)
-    return np.asarray(m, dtype=float)
+    return np.asarray(m.todense() if sp.issparse(m) else m, dtype=float)
 
 
 def fit_pca(m, cfg: ReductionConfig = ReductionConfig()) -> PcaModel:
@@ -72,6 +66,12 @@ def fit_pca(m, cfg: ReductionConfig = ReductionConfig()) -> PcaModel:
     variance of the centered data. In variance-fraction mode the smallest k
     whose cumulative ratio reaches the fraction is kept.
     """
+    if sp.issparse(m):
+        warnings.warn(
+            f"densifying a sparse {m.shape[0]}x{m.shape[1]} matrix for PCA; "
+            f"this allocates roughly {m.shape[0] * m.shape[1] * 8 / 1e6:.0f} MB",
+            stacklevel=2,
+        )
     x = _densify(m)
     n, d = x.shape
     if n < 2:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .atomic import atomic_open
-from .errors import DataError
+from .errors import DataError, FormatError
 
 
 def _tokens_of(doc) -> tuple[str, ...]:
@@ -140,12 +140,21 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary_stats(path: str | Path) -> list[tuple[str, int]]:
-    """Read back (token, DF) pairs written by save_vocabulary."""
+    """Read back (token, DF) pairs written by save_vocabulary.
+
+    A line other than ``token<TAB>integer`` is a FormatError naming it.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
             if not line.strip():
                 continue
-            token, df = line.rstrip("\n").split("\t")
-            out.append((token, int(df)))
+            try:
+                token, df = line.split("\t")
+                out.append((token, int(df)))
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {lineno}: expected 'token<TAB>document frequency', got {line!r}"
+                ) from None
     return out

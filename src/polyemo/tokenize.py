@@ -72,25 +72,15 @@ class Tokenizer:
     """Immutable tokenizer built from a TokenizerSpec; safe for concurrent use."""
 
     def __init__(self, spec: TokenizerSpec):
-        self.spec = spec
-        self._vocab: set[str] = set()
-        self._max_len = 0
+        lines, empty_message = [], ""
         if spec.kind == "external-vocab":
             path = Path(spec.vocab_path)
             try:
-                raw = path.read_text(encoding="utf-8")
+                lines = path.read_text(encoding="utf-8").splitlines()
             except OSError as exc:
                 raise ConfigError(f"cannot read vocabulary file {path}: {exc}") from exc
-            for line in raw.splitlines():
-                token = line.strip()
-                if not token:
-                    continue
-                if spec.lowercase:
-                    token = token.lower()
-                self._vocab.add(token)
-            if not self._vocab:
-                raise ConfigError(f"vocabulary file {path} contains no tokens")
-            self._max_len = max(len(t) for t in self._vocab)
+            empty_message = f"vocabulary file {path} contains no tokens"
+        self._build(spec, (line.strip() for line in lines), empty_message)
 
     @classmethod
     def from_tokens(cls, spec: TokenizerSpec, tokens) -> "Tokenizer":
@@ -100,18 +90,18 @@ class Tokenizer:
         vocabulary file being present.
         """
         self = cls.__new__(cls)
-        self.spec = spec
-        self._vocab = set()
-        self._max_len = 0
-        if spec.kind == "external-vocab":
-            for token in tokens:
-                token = token.lower() if spec.lowercase else token
-                if token:
-                    self._vocab.add(token)
-            if not self._vocab:
-                raise ConfigError("external-vocab tokenizer requires at least one token")
-            self._max_len = max(len(t) for t in self._vocab)
+        self._build(spec, tokens, "external-vocab tokenizer requires at least one token")
         return self
+
+    def _build(self, spec: TokenizerSpec, tokens, empty_message: str) -> None:
+        """Set the spec and, for external-vocab, the non-empty (lowercased) tokens."""
+        self.spec = spec
+        self._vocab: set[str] = set()
+        if spec.kind == "external-vocab":
+            self._vocab = {t.lower() if spec.lowercase else t for t in tokens} - {""}
+            if not self._vocab:
+                raise ConfigError(empty_message)
+        self._max_len = max(map(len, self._vocab), default=0)
 
     @property
     def vocab_tokens(self) -> tuple[str, ...]:

@@ -142,6 +142,24 @@ def test_inspect_vocab(config_path, tmp_path, capsys):
     assert "vocabulary size:" in out
 
 
+def test_inspect_vectors_with_bad_header_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.vec"
+    path.write_text("3 \u00b2\na 1\n", encoding="utf-8")
+    code = main(["inspect", "--vectors", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and f"{path}: line 1: " in err
+
+
+def test_inspect_malformed_vocab_exits_two(tmp_path, capsys):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("a\t1\nb 2\n", encoding="utf-8")
+    code = main(["inspect", "--vocab", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and f"{path}: line 2: " in err
+
+
 def test_workers_flag_is_gone(config_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(config_path), "--workers", "2"])

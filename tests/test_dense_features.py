@@ -30,6 +30,7 @@ from polyemo.errors import (
     AlignmentError,
     ConfigError,
     FormatError,
+    PolyemoError,
     ResolutionError,
     TransportError,
 )
@@ -84,6 +85,27 @@ class TestLoadWordVectors:
         p = write_vectors(tmp_path / "v.vec", "a 1 2\n")
         assert load_word_vectors(p, language="swa").language == "swa"
 
+    def test_non_decimal_header_is_an_entry_line(self, tmp_path):
+        # "²".isdigit() holds but int("²") fails: the line is an entry, not a header
+        p = write_vectors(tmp_path / "v.vec", "3 \u00b2\na 1\n")
+        with pytest.raises(FormatError, match=r"v\.vec: line 1: could not convert"):
+            load_word_vectors(p)
+
+    def test_header_dimension_zero_is_a_header(self, tmp_path):
+        p = write_vectors(tmp_path / "v.vec", "1 0\na 1\n")
+        with pytest.raises(FormatError, match="line 2 has 1 values, expected 0"):
+            load_word_vectors(p)
+
+    def test_token_without_values_names_its_line(self, tmp_path):
+        p = write_vectors(tmp_path / "v.vec", "\nfoo\n")
+        with pytest.raises(FormatError, match="line 2 has a token but no vector values"):
+            load_word_vectors(p)
+
+    def test_header_only_file_has_no_entries(self, tmp_path):
+        p = write_vectors(tmp_path / "v.vec", "0 3\n\n")
+        with pytest.raises(FormatError, match="no vector entries"):
+            load_word_vectors(p)
+
 
 # ---------------------------------------------------------------------------
 # frozen copies of the line-by-line .vec parser and the np.mean pooling loop
@@ -107,7 +129,7 @@ def _reference_load(path):
             if dim is None:
                 dim = len(values)
                 if dim == 0:
-                    return f"{path}: line 1 has a token but no vector values"
+                    return f"{path}: line {lineno} has a token but no vector values"
             if len(values) != dim:
                 return f"{path}: line {lineno} has {len(values)} values, expected {dim}"
             try:
@@ -189,10 +211,10 @@ class TestFastParseMatchesLineLoop:
     def test_fasttext_layout_takes_the_fast_path(self, tmp_path, monkeypatch):
         p = write_vectors(tmp_path / "v.vec", "3 2\na 1 2 \nb -0.00000 4 \na 5 6 \n")
 
-        def no_line_loop(path):
-            raise AssertionError("the line loop ran on well-formed input")
+        def no_line_pass(values, path, lineno):
+            raise AssertionError("the per-line pass ran on well-formed input")
 
-        monkeypatch.setattr(dense_features, "_load_word_vectors_by_line", no_line_loop)
+        monkeypatch.setattr(dense_features, "_parse_vector", no_line_pass)
         table = load_word_vectors(p)
         assert table.tokens == ("a", "b")
         np.testing.assert_array_equal(table.matrix, [[5.0, 6.0], [-0.0, 4.0]])
@@ -344,6 +366,108 @@ class TestPrecomputedEmbeddings:
         p = write_vectors(tmp_path / "e.csv", "id,v1,v2\nd1,1,2\nd2,3\n")
         with pytest.raises(FormatError, match="line 3"):
             load_precomputed_embeddings(p, ["d1", "d2"])
+
+    def test_ragged_row_after_blank_line_names_its_line(self, tmp_path):
+        p = write_vectors(tmp_path / "e.csv", "a,1,2\n\nb,1\n")
+        with pytest.raises(FormatError, match=r"e\.csv: line 3 has 1 values, expected 2"):
+            load_precomputed_embeddings(p, ["a", "b"])
+
+    def test_rows_without_values_rejected(self, tmp_path):
+        p = write_vectors(tmp_path / "e.vec", "d1\nd2\n")
+        with pytest.raises(FormatError, match="line 1 has a token but no vector values"):
+            load_precomputed_embeddings(p, ["d1", "d2"])
+
+    def test_empty_file(self, tmp_path):
+        p = write_vectors(tmp_path / "e.csv", "\n\n")
+        with pytest.raises(FormatError, match="no vector entries"):
+            load_precomputed_embeddings(p, ["d1"])
+
+
+def _reference_precomputed(path, ids):
+    """Frozen copy of the loader the shared vector reader replaced: a matrix, or it raises."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise FormatError(f"{path}: file is empty")
+    by_id = {}
+    dim = None
+    delim = "," if "," in lines[0] else None
+    start = 0
+    first = lines[0].split(delim)
+    if delim == "," and first[0].strip() == "id":
+        start = 1
+    elif delim is None and len(first) == 2 and first[0].isdigit() and first[1].isdigit():
+        start = 1
+        dim = int(first[1])
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        parts = [p.strip() for p in line.split(delim)] if delim else line.split()
+        key, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+        if len(values) != dim:
+            raise FormatError(f"{path}: line {lineno} has {len(values)} values, expected {dim}")
+        if key in by_id:
+            raise AlignmentError(f"{path}: duplicate embedding for id {key!r}")
+        try:
+            vector = np.array([float(v) for v in values])
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not np.isfinite(vector).all():
+            raise FormatError(f"{path}: line {lineno}: non-finite vector value")
+        by_id[key] = vector
+    missing = [i for i in ids if i not in by_id]
+    if missing:
+        raise AlignmentError(f"{path}: missing embeddings for ids {missing!r}")
+    return np.vstack([by_id[i] for i in ids])
+
+
+PRECOMPUTED_IDS = ["d1", "d2", "d3", "12", "id"]
+
+
+@st.composite
+def precomputed_files(draw):
+    """A CSV or word-vector-format embeddings file: a header on line 1 or none,
+    blank lines only after entries, and now and then a short row or a duplicate id."""
+    csv = draw(st.booleans())
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 8))
+    lines = []
+    if draw(st.booleans()):
+        lines.append("id," + ",".join(f"v{j}" for j in range(dim)) if csv else f"{n} {dim}")
+    for _ in range(n):
+        key = draw(st.sampled_from(PRECOMPUTED_IDS))
+        short = dim > 1 and draw(st.integers(0, 15)) == 0  # a row keeps at least one value
+        values = draw(st.lists(VALUE_TEXT, min_size=dim - short, max_size=dim - short))
+        gap = draw(st.sampled_from([",", ",", ", ", " , "] if csv else [" ", " ", "  "]))
+        line = gap.join([key] + values)
+        if draw(st.integers(0, 10)) == 0:
+            line = " " + line
+        if draw(st.booleans()):
+            line += " "
+        lines.append(line)
+        if draw(st.integers(0, 10)) == 0:
+            lines.append(draw(st.sampled_from(["", "   "])))
+    ids = draw(st.lists(st.sampled_from(PRECOMPUTED_IDS[:3] + ["zz"]), min_size=1, max_size=4))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""])), ids
+
+
+class TestPrecomputedMatchesOldLoader:
+    @settings(max_examples=300)
+    @given(precomputed_files())
+    def test_same_matrix_or_an_error(self, case):
+        text, ids = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.txt"
+            path.write_text(text, encoding="utf-8")
+            try:
+                want = _reference_precomputed(path, ids)
+            except PolyemoError:
+                with pytest.raises(PolyemoError):
+                    load_precomputed_embeddings(path, ids)
+                return
+            got = load_precomputed_embeddings(path, ids)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert _bits(got).tolist() == _bits(want).tolist()
 
 
 class TestPromptRendering:

@@ -1,5 +1,7 @@
 """Row normalization and PCA, checked against a covariance eigendecomposition."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -124,6 +126,13 @@ class TestFitPca:
         with pytest.warns(UserWarning, match="densifying"):
             model = fit_pca(m)
         np.testing.assert_allclose(model.explained_variance_ratio, [0.8, 0.2], atol=1e-9)
+
+    def test_sparse_transform_is_silent(self):
+        model = fit_pca(FOUR_POINTS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a predict batch must not warn
+            z = transform_pca(sp.csr_matrix(FOUR_POINTS), model)
+        np.testing.assert_array_equal(z, transform_pca(FOUR_POINTS, model))
 
 
 class TestComponentSelection:

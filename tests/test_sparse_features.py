@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyemo.errors import DataError
+from polyemo.errors import DataError, FormatError
 from polyemo.sparse_features import (
     TfidfModel,
     fit_bow,
@@ -230,3 +230,10 @@ class TestVocabularyFile:
         path = tmp_path / "vocab.tsv"
         save_vocabulary(vocab, path)
         assert load_vocabulary_stats(path) == [("a", 1), ("b", 2)]
+
+    @pytest.mark.parametrize("line", ["c 3", "c\tthree", "c\t3\t4"])
+    def test_malformed_line_named(self, tmp_path, line):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"a\t1\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"vocab\.tsv: line 3: expected 'token<TAB>document frequency'"):
+            load_vocabulary_stats(path)

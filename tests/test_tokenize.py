@@ -126,6 +126,19 @@ class TestExternalVocab:
         with pytest.raises(ConfigError):
             Tokenizer.from_tokens(spec, [])
 
+    def test_from_tokens_lowercases_and_drops_empty_tokens(self):
+        spec = TokenizerSpec(kind="external-vocab", vocab_path="unused.txt")
+        tok = Tokenizer.from_tokens(spec, ["AB", "", "c"])
+        assert tok.vocab_tokens == ("ab", "c")
+        assert tok("ABc").tokens == ("ab", "c")
+        with pytest.raises(ConfigError, match="^external-vocab tokenizer requires at least one token$"):
+            Tokenizer.from_tokens(spec, ["", ""])
+
+    def test_from_tokens_of_another_kind_has_no_vocabulary(self):
+        tok = Tokenizer.from_tokens(TokenizerSpec(kind="whitespace"), ["a"])
+        assert tok.vocab_tokens == ()
+        assert tok("a b").tokens == ("a", "b")
+
 
 class TestSpecValidation:
     def test_unknown_kind(self):
