@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError, open_input
 
 EMOTIONS = ("anger", "disgust", "fear", "joy", "sadness", "surprise")
 ROLES = ("train", "dev", "test")
@@ -70,7 +70,7 @@ def load_split(path: str | Path, role: str, language: str | None = None) -> Data
     if language is None:
         language = path.parent.name
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -6,8 +6,9 @@ common text vector format: ``token v1 ... vd`` lines, in which runs of spaces
 count as one, after an optional ``<count> <dim>`` header on line 1.
 Precomputed embeddings come in that same format keyed by document id, or as
 CSV ``id,v1,...,vd`` rows after an optional header row on line 1 whose first
-field is ``id``. Blank lines are skipped; a malformed line is a FormatError
-that names it.
+field is ``id``. Blank lines are skipped; a malformed line, or one that is
+not UTF-8, is a FormatError that names it, and a file that cannot be opened
+is a DataError that names it.
 
 Documents become the arithmetic mean of their in-vocabulary token vectors;
 all-OOV documents map to the zero vector and are tallied in an OovReport.
@@ -37,6 +38,7 @@ from .errors import (
     FormatError,
     ResolutionError,
     TransportError,
+    open_input,
 )
 
 ENV_API_KEY = "EMO_LLM_API_KEY"
@@ -131,7 +133,7 @@ def _read_vectors(path: Path, sep: str) -> tuple[list[str], np.ndarray]:
     def entries():
         """(line number, key, values text) of each entry line."""
         nonlocal dim
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip(" \n")
                 if not line:
@@ -245,7 +247,7 @@ def load_precomputed_embeddings(path: str | Path, ids: list[str]) -> np.ndarray:
     file are ignored.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         first = next((line for line in fh if line.strip()), "")
     keys, matrix = _read_vectors(path, "," if "," in first else " ")
     rows: dict[str, int] = {}

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guarded open of input files."""
+
+from contextlib import contextmanager
 
 
 class PolyemoError(Exception):
@@ -10,7 +12,7 @@ class SchemaError(PolyemoError):
 
 
 class DataError(PolyemoError):
-    """A value inside an otherwise well-formed file violates the data contract."""
+    """An input file cannot be opened, or a value inside it violates the data contract."""
 
 
 class FormatError(PolyemoError, ValueError):
@@ -39,3 +41,34 @@ class ResolutionError(PolyemoError):
 
 class TransportError(PolyemoError):
     """The remote chat-completion backend could not be reached."""
+
+
+def _first_undecodable_line(path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8, or 0 if every line is."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
+
+
+@contextmanager
+def open_input(path, **open_kwargs):
+    """Open an input text file as UTF-8; what goes wrong names the file.
+
+    An OSError while opening it is a DataError naming ``path``, and text that
+    is not UTF-8, met while the block reads it, is a FormatError naming the
+    line. Any other error leaves the block as it came.
+    """
+    try:
+        fh = open(path, encoding="utf-8", **open_kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            lineno = _first_undecodable_line(path)
+            raise FormatError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})") from exc

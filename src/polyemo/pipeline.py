@@ -17,7 +17,7 @@ import numpy as np
 from .atomic import atomic_open
 from .corpus import EMOTIONS
 from .dense_features import EmbeddingTable, embed_documents
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError, open_input
 from .reduce import PcaModel, normalize_rows, transform_pca
 from .sparse_features import TfidfModel, transform_tfidf
 from .tokenize import Tokenizer, TokenizerSpec
@@ -105,7 +105,7 @@ def write_predictions(path: str | Path, ids: list[str], pred: np.ndarray, emotio
 def read_predictions(path: str | Path, emotions=EMOTIONS) -> tuple[list[str], np.ndarray]:
     """Inverse of write_predictions; validates the header and binary cells."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -39,6 +39,7 @@ from . import dense_features
 from .atomic import atomic_open
 from .corpus import ROLES, load_split
 from .dense_features import (
+    EmbeddingTable,
     FallbackPolicy,
     LlmBackendConfig,
     load_precomputed_embeddings,
@@ -605,16 +606,18 @@ def build_representation(
     rep: RepresentationConfig,
     lang: str,
     splits: dict,
-    vector_language: str | None = None,
+    table: EmbeddingTable | None = None,
 ) -> tuple[PipelineModel, list, float]:
     """Fit one language's featurizer on its train split and represent every split, timed.
 
     Returns the featurizer (no PCA, no classifier yet), the train/dev/test
     matrices before reduction, and the seconds spent. Each split is
     tokenized once, with the featurizer's own tokenizer. A word-vector
-    featurizer reads the vectors of ``vector_language`` (``_vector_language``).
-    The featurizer names an external vocabulary by its file name, not its
-    path, so a saved model does not depend on where its inputs sit.
+    featurizer carries ``table``, the vectors of the group's resolved vector
+    language (``_vector_language``), which ``run_matrix`` loads once for
+    every group that reads the same file. The featurizer names an external
+    vocabulary by its file name, not its path, so a saved model does not
+    depend on where its inputs sit.
     """
 
     def work():
@@ -648,9 +651,7 @@ def build_representation(
         elif rep.kind == "tfidf":
             featurizer.tfidf = fit_tfidf(seqs[0])
         else:  # word-vectors
-            featurizer.embeddings = load_word_vectors(
-                rep.vector_paths[vector_language], language=vector_language
-            )
+            featurizer.embeddings = table
         return featurizer, [featurizer.represent(s) for s in seqs]
 
     (featurizer, xs), seconds = time_run(work)
@@ -695,7 +696,8 @@ def run_cell(
     (language, representation, pca) group; ``reduce_seconds`` is the group's
     normalize + PCA time, counted in each cell's train time. ``fingerprint``
     (``cell_fingerprint``) goes into the cell's record. ``memo`` is the
-    ``save_model`` memo of the cell's (language, representation) group.
+    ``save_model`` memo of the run of groups the cell's (language,
+    representation) group belongs to (see ``run_matrix``).
     """
     report = _cell_report(cell)
     model = None
@@ -814,15 +816,25 @@ def run_matrix(
 ) -> ReportTable:
     """Execute every cell of the experiment matrix and write all reports.
 
-    Each (language, representation) group first resolves the vector language
-    its word-vector cells read, once, then fingerprints its cells with it.
-    With ``resume`` enabled, a cell whose completion record in the output
-    directory is ok and carries that fingerprint is loaded instead of
-    re-executed; every other cell runs. So a backend is queried once per
-    group that only it can resolve, resumed or not, and resume needs no
-    fallback cache. ``transport`` overrides the language-fallback HTTP client
-    (used by tests). ``log`` is an optional line sink for progress output,
-    one line per completed cell, numbered ``[k/N]`` in completion order.
+    Every (language, representation) group first resolves the vector language
+    its word-vector cells read, once and before any group runs, then
+    fingerprints its cells with it. With ``resume`` enabled, a cell whose
+    completion record in the output directory is ok and carries that
+    fingerprint is loaded instead of re-executed; every other cell runs. So a
+    backend is queried once per group that only it can resolve, resumed or
+    not, and resume needs no fallback cache. A resolution error fails only
+    its own group's cells.
+
+    Groups run in nesting order, except that the groups which read the same
+    (vector file, vector language) run back to back where the first of them
+    stood: with ``gl`` sent to ``es``'s vectors, es/tfidf, es/word-vectors,
+    gl/word-vectors, gl/tfidf. Such a run of groups parses the file once and
+    shares one table object and one ``save_model`` memo, so the table is
+    encoded and deflated once; both are dropped when the run ends.
+
+    ``transport`` overrides the language-fallback HTTP client (used by
+    tests). ``log`` is an optional line sink for progress output, one line
+    per completed cell, numbered ``[k/N]`` in completion order.
     """
     say = log or (lambda msg: None)
     cells = enumerate_cells(cfg)
@@ -854,16 +866,22 @@ def run_matrix(
             }
         return split_cache[lang]
 
-    def run_group(group: list[Cell]) -> None:
-        # everything the group holds (featurizer, splits' features, the memo
-        # of deflated model members) is released when it returns, before
-        # the next group fits anything
+    def resolve(group: list[Cell]) -> tuple[str | None, float, str]:
+        """The group's vector language, the seconds it took, and the error if it failed."""
         lang, rep = group[0].language, group[0].representation
-        error = ""
         try:
-            code, resolve_seconds = time_run(lambda: _vector_language(cfg, rep, lang, transport))
+            code, seconds = time_run(lambda: _vector_language(cfg, rep, lang, transport))
         except Exception as exc:  # noqa: BLE001 - recorded per cell
-            code, resolve_seconds, error = None, 0.0, f"{type(exc).__name__}: {exc}"
+            return None, 0.0, f"{type(exc).__name__}: {exc}"
+        return code, seconds, ""
+
+    def run_group(
+        group: list[Cell], code: str | None, resolve_seconds: float, error: str, shared: dict
+    ) -> None:
+        # ``shared`` holds what the group's run of groups shares: the vector
+        # table, loaded by the first group that needs it, and the memo of
+        # deflated model members
+        lang, rep = group[0].language, group[0].representation
         fingerprints = {
             c.name: cell_fingerprint(cfg, c, split_digests[lang], file_digests, code) for c in group
         }
@@ -884,17 +902,24 @@ def run_matrix(
         if not pending:
             return
         splits = splits_for(lang)
+        rep_seconds = resolve_seconds
         if not error:
             try:
-                featurizer, xs, rep_seconds = build_representation(cfg, rep, lang, splits, code)
+                if code is not None and "table" not in shared:
+                    path = rep.vector_paths[code]
+                    shared["table"], seconds = time_run(lambda: load_word_vectors(path, language=code))
+                    rep_seconds += seconds
+                featurizer, xs, seconds = build_representation(
+                    cfg, rep, lang, splits, shared.get("table")
+                )
+                rep_seconds += seconds
             except Exception as exc:  # noqa: BLE001 - recorded per cell
                 error = f"{type(exc).__name__}: {exc}"
         if error:
             fail(pending, f"representation: {error}")
             return
-        rep_seconds += resolve_seconds
         _save_vocab_artifact(cfg, rep, lang, featurizer)
-        memo = {}  # every model of the group carries the same featurizer arrays
+        memo = shared.setdefault("memo", {})  # an array the run's models share is deflated once
         for pca, arm in groupby(pending, key=lambda c: c.pca):
             arm = list(arm)
             try:
@@ -913,8 +938,18 @@ def run_matrix(
 
     # cells come in nesting order, so each (language, representation) group
     # and each pca arm inside it is one run of consecutive cells
-    for _, group in groupby(cells, key=lambda c: (c.language, c.representation.name)):
-        run_group(list(group))
+    groups = [list(g) for _, g in groupby(cells, key=lambda c: (c.language, c.representation.name))]
+    runs: dict = {}  # run key -> [(group, resolution)], in order of each run's first group
+    for i, group in enumerate(groups):
+        code, seconds, error = resolve(group)
+        key = i if code is None else (group[0].representation.vector_paths.get(code), code)
+        runs.setdefault(key, []).append((group, (code, seconds, error)))
+    for run in runs.values():
+        # the run's table and memo are released when it ends, before the
+        # next run fits anything
+        shared: dict = {}
+        for group, resolution in run:
+            run_group(group, *resolution, shared)
 
     table = ReportTable(rows=[reports[c.name] for c in cells])
     write_reports(cfg, cells, table)

@@ -35,14 +35,17 @@ those values go in an int64 member. A table without such a form keeps its
 float64 matrix, with ``decimals`` and ``negative_zeros`` null. The form is
 computed once per table object, however many models carry it.
 
-The file is a standard ``.npz`` that ``np.load`` reads: every member holds
-the bytes ``np.savez_compressed`` writes, raw deflate at zlib's default
-level, with zip64 records always written. ``save_model`` takes an optional
-memo of deflated members keyed by the SHA-256 of their ``.npy`` bytes; an
-array already deflated under the same memo is written from it, not deflated
-again. The runner keeps one memo per (language, representation) group, so
-the word-vector table (and its token list) that every model of a group
-carries is deflated once per group rather than once per cell.
+The file is a standard ``.npz`` that ``np.load`` reads: every member
+decompresses to the bytes ``np.savez_compressed`` writes. It is raw deflate
+at zlib's default level, with zip64 records always written; a float64 member
+that LZ77 cannot shrink is deflated Huffman-only (``_strategy``), a rule of
+the member's bytes alone, so equal models still give equal files.
+``save_model`` takes an optional memo of deflated members keyed by the
+SHA-256 of their ``.npy`` bytes; an array already deflated under the same
+memo is written from it, not deflated again. The runner keeps one memo per
+run of (language, representation) groups that share a word-vector table, and
+one per group otherwise, so the table (and its token list) that every model
+of such a run carries is deflated once per run rather than once per cell.
 
 The container carries a format version; a mismatch raises FormatError
 instead of guessing, so files of format 1 to 3 must be refit. A damaged
@@ -179,10 +182,47 @@ def _npy_key(array: np.ndarray) -> bytes:
     return digest.digest()
 
 
+_PROBE_FLOOR = 64 << 10  # a float64 member of more bytes than this is probed
+_PROBE_SLICES, _PROBE_BYTES = 8, 8 << 10
+
+
+def _strategy(data: np.ndarray) -> int:
+    """zlib's strategy for a member's data: Huffman-only for float64 that LZ77 cannot shrink.
+
+    A float64 member of over 64 KiB is probed: eight 8 KiB slices spread
+    evenly over its bytes are deflated at level 1 both ways, and Huffman-only
+    is chosen when it is no larger. On such data (PCA components, network
+    weights) it deflates to the same size in about a third of the time. Every
+    other member keeps the default strategy, which the byte planes of a
+    word-vector table need: their probe favours Huffman-only, but the default
+    deflates them smaller and inflates them faster.
+    """
+    if data.dtype != np.float64 or data.nbytes <= _PROBE_FLOOR:
+        return zlib.Z_DEFAULT_STRATEGY
+    raw = data.reshape(-1).view(np.uint8)
+    step = (raw.size - _PROBE_BYTES) // (_PROBE_SLICES - 1)
+    sample = b"".join(
+        raw[i * step : i * step + _PROBE_BYTES].tobytes() for i in range(_PROBE_SLICES)
+    )
+
+    def size(strategy):
+        compressor = zlib.compressobj(1, zlib.DEFLATED, -15, 8, strategy)
+        return len(compressor.compress(sample)) + len(compressor.flush())
+
+    huffman = size(zlib.Z_HUFFMAN_ONLY) <= size(zlib.Z_DEFAULT_STRATEGY)
+    return zlib.Z_HUFFMAN_ONLY if huffman else zlib.Z_DEFAULT_STRATEGY
+
+
 def _deflate(array: np.ndarray) -> Deflated:
-    """The member ``np.savez_compressed`` writes for ``array``: raw deflate at zlib's default level."""
+    """``array``'s ``.npy`` bytes as a raw deflate member at zlib's default level.
+
+    The member decompresses to the bytes ``np.savez_compressed`` writes; its
+    compressed bytes are numpy's too unless ``_strategy`` picks Huffman-only.
+    """
     header, data = _npy(array)
-    compressor = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15)
+    compressor = zlib.compressobj(
+        zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15, 8, _strategy(data)
+    )
     payload = b"".join((compressor.compress(header), compressor.compress(data), compressor.flush()))
     crc = zlib.crc32(data, zlib.crc32(header))
     return Deflated(memoryview(payload), crc, len(header) + data.nbytes)
@@ -487,8 +527,8 @@ def _table_form(table: EmbeddingTable) -> DecimalForm | None:
     """The decimal form of ``table.matrix``, computed once per table object.
 
     An EmbeddingTable is immutable, so its form is kept for as long as the
-    object lives and dropped with it; the runner's models of one group all
-    carry the same table object.
+    object lives and dropped with it; the runner's models of one run of
+    groups that read the same vector file all carry the same table object.
     """
     key = id(table)
     if key not in _DECIMAL_FORMS:

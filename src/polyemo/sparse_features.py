@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .atomic import atomic_open
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, open_input
 
 
 def _tokens_of(doc) -> tuple[str, ...]:
@@ -145,7 +145,7 @@ def load_vocabulary_stats(path: str | Path) -> list[tuple[str, int]]:
     A line other than ``token<TAB>integer`` is a FormatError naming it.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

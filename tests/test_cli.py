@@ -160,6 +160,25 @@ def test_inspect_malformed_vocab_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and f"{path}: line 2: " in err
 
 
+@pytest.mark.parametrize("flag", ["--vocab", "--vectors", "--dataset"])
+def test_inspect_missing_file_exits_two(flag, tmp_path, capsys):
+    path = tmp_path / "nope.tsv"
+    code = main(["inspect", flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: cannot read {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("flag", ["--vocab", "--vectors", "--dataset"])
+def test_inspect_file_that_is_not_utf8_exits_two(flag, tmp_path, capsys):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\n")
+    code = main(["inspect", flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path}: line 1: not UTF-8 text")
+
+
 def test_workers_flag_is_gone(config_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(config_path), "--workers", "2"])

@@ -14,7 +14,7 @@ from polyemo.corpus import (
     save_split,
     summarize,
 )
-from polyemo.errors import ConfigError, DataError, SchemaError
+from polyemo.errors import ConfigError, DataError, FormatError, SchemaError
 
 HEADER = "id,text," + ",".join(EMOTIONS)
 
@@ -83,6 +83,17 @@ class TestLoadSplit:
         p.write_text("", encoding="utf-8")
         with pytest.raises(DataError, match="empty"):
             load_split(p, role="train")
+
+    def test_missing_file_names_its_path(self, tmp_path):
+        p = tmp_path / "test.csv"
+        with pytest.raises(DataError, match=f"cannot read {p}: "):
+            load_split(p, role="test")
+
+    def test_not_utf8_names_its_line(self, tmp_path):
+        p = tmp_path / "test.csv"
+        p.write_bytes(b"id,text\nd1,fine\nd2,caf\xe9\n")
+        with pytest.raises(FormatError, match=r"test\.csv: line 3: not UTF-8"):
+            load_split(p, role="test")
 
     def test_header_only(self, tmp_path):
         p = write_csv(tmp_path / "train.csv", [HEADER])

@@ -29,6 +29,7 @@ from polyemo.dense_features import (
 from polyemo.errors import (
     AlignmentError,
     ConfigError,
+    DataError,
     FormatError,
     PolyemoError,
     ResolutionError,
@@ -79,6 +80,26 @@ class TestLoadWordVectors:
     def test_empty_file(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "")
         with pytest.raises(FormatError, match="no vector entries"):
+            load_word_vectors(p)
+
+    def test_not_utf8_names_its_line(self, tmp_path):
+        p = tmp_path / "v.vec"
+        p.write_bytes(b"a 1 2\nb 3 4\n\xff\xfe 1 2\n")
+        with pytest.raises(FormatError, match=r"v\.vec: line 3: not UTF-8"):
+            load_word_vectors(p)
+
+    def test_not_utf8_past_the_first_read_names_its_line(self, tmp_path):
+        # the text layer decodes whole chunks, so the line is found apart
+        p = tmp_path / "v.vec"
+        lines = [f"w{i} {i}.5 -1".encode() for i in range(3000)]
+        lines[2500] = b"caf\xe9 1 2"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(FormatError, match=r"line 2501: not UTF-8"):
+            load_word_vectors(p)
+
+    def test_missing_file_names_its_path(self, tmp_path):
+        p = tmp_path / "nope.vec"
+        with pytest.raises(DataError, match=f"cannot read {p}: "):
             load_word_vectors(p)
 
     def test_language_tag_kept(self, tmp_path):
@@ -380,6 +401,12 @@ class TestPrecomputedEmbeddings:
     def test_empty_file(self, tmp_path):
         p = write_vectors(tmp_path / "e.csv", "\n\n")
         with pytest.raises(FormatError, match="no vector entries"):
+            load_precomputed_embeddings(p, ["d1"])
+
+    def test_not_utf8_names_its_line(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_bytes(b"id,a,b\nd1,1,2\nd\xff,3,4\n")
+        with pytest.raises(FormatError, match=r"e\.csv: line 3: not UTF-8"):
             load_precomputed_embeddings(p, ["d1"])
 
 

@@ -4,12 +4,13 @@ import hashlib
 import json
 import math
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyemo import atomic
+from polyemo import atomic, runner, serialize
 from polyemo.corpus import load_split
 from polyemo.errors import ConfigError, FormatError
 from polyemo.evaluate import ConfusionRates, EvalReport, TimingRecord, f1_macro
@@ -756,6 +757,96 @@ class TestResume:
         record.write_text(json.dumps(tampered), encoding="utf-8")
         fresh = run_matrix(cfg)
         assert all(r.f1_macro != 0.5 for r in fresh.rows)
+
+
+class TestSharedVectorTable:
+    """Groups that read one vector file run back to back and share one table."""
+
+    @pytest.fixture()
+    def es_gl_dir(self, synthetic_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "es").symlink_to(synthetic_dir / "data" / "syn")
+        write_corpus(tmp_path / "extra", seed=3, n_documents=60, language="gl")
+        (data / "gl").symlink_to(tmp_path / "extra" / "gl")
+        return data
+
+    def raw(self, data_dir, out_dir, vectors):
+        return {
+            "data_dir": str(data_dir),
+            "languages": ["es", "gl"],
+            "representations": [
+                {"name": "wv", "kind": "word-vectors", "vectors": vectors},
+                {"name": "tfidf", "kind": "tfidf"},
+            ],
+            "classifiers": [{"name": "dt", "kind": "dt"}, {"name": "knn", "kind": "knn"}],
+            "reduction": {"pca": [False]},
+            "seed": 7,
+            "out_dir": str(out_dir),
+            "fallback": {"static_map": {"gl": "es"}},
+        }
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count vector-file loads, and deflates by the ``.npy`` digest of the array."""
+        loads, deflates = [], Counter()
+        load, deflate = runner.load_word_vectors, serialize._deflate
+
+        def counting_load(path, language=""):
+            loads.append((Path(path).name, language))
+            return load(path, language)
+
+        def counting_deflate(array):
+            deflates[(array.ndim, serialize._npy_key(array))] += 1
+            return deflate(array)
+
+        monkeypatch.setattr(runner, "load_word_vectors", counting_load)
+        monkeypatch.setattr(serialize, "_deflate", counting_deflate)
+        return loads, deflates
+
+    def test_one_load_and_one_deflate_of_the_table(self, synthetic_dir, es_gl_dir, tmp_path, monkeypatch):
+        loads, deflates = self.count_calls(monkeypatch)
+        vectors = {"es": str(synthetic_dir / "syn.vec")}
+        lines = []
+        table = run_matrix(parse(self.raw(es_gl_dir, tmp_path / "out", vectors)), log=lines.append)
+        assert table.all_ok
+        assert loads == [("syn.vec", "es")]
+        planes = [n for (ndim, _), n in deflates.items() if ndim == 3]
+        assert planes == [1]  # one table, deflated once for its four models
+        groups = [line.split()[1].rsplit("__", 2)[0] for line in lines]
+        assert list(dict.fromkeys(groups)) == ["es__wv", "gl__wv", "es__tfidf", "gl__tfidf"]
+        for name in ("es__wv__pca-off__dt", "gl__wv__pca-off__knn"):
+            assert load_model(tmp_path / "out" / "models" / f"{name}.npz").embeddings.language == "es"
+
+    def test_outputs_equal_a_run_with_a_copy_per_language(self, synthetic_dir, es_gl_dir, tmp_path):
+        shared = tmp_path / "shared"
+        run_matrix(parse(self.raw(es_gl_dir, shared, {"es": str(synthetic_dir / "syn.vec")})))
+        copy = tmp_path / "copy" / "syn.vec"
+        copy.parent.mkdir()
+        shutil.copyfile(synthetic_dir / "syn.vec", copy)
+        apart = tmp_path / "apart"
+        vectors = {"es": str(synthetic_dir / "syn.vec"), "gl": str(copy)}
+        run_matrix(parse(self.raw(es_gl_dir, apart, vectors)))
+        assert tree_digest(shared, DETERMINISTIC_PATTERNS)[0] == tree_digest(apart, DETERMINISTIC_PATTERNS)[0]
+
+    def test_resume_with_only_the_borrowing_language_pending(
+        self, synthetic_dir, es_gl_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        cfg = parse(self.raw(es_gl_dir, out, {"es": str(synthetic_dir / "syn.vec")}))
+        first = run_matrix(cfg)
+        models = {p.name: p.read_bytes() for p in (out / "models").glob("gl__wv__*.npz")}
+        assert len(models) == 2
+        for path in (out / "cells").glob("gl__wv__*.json"):
+            path.unlink()
+        loads, _ = self.count_calls(monkeypatch)
+        lines = []
+        resumed = run_matrix(cfg, resume=True, log=lines.append)
+        assert loads == [("syn.vec", "es")]
+        rerun = [line.split()[1][:-1] for line in lines if not line.endswith("resumed")]
+        assert rerun == ["gl__wv__pca-off__dt", "gl__wv__pca-off__knn"]
+        assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in first.rows]
+        assert {p.name: p.read_bytes() for p in (out / "models").glob("gl__wv__*.npz")} == models
 
 
 class TestPrecomputed:

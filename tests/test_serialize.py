@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import zipfile
+import zlib
 from dataclasses import replace
 from unittest import mock
 
@@ -296,6 +297,65 @@ class TestZipWriter:
             big, small = z.infolist()
         assert (big.file_size, big.compress_size, small.file_size) == (5 << 30, 2, 0)
         assert small.header_offset == 30 + len("big.npy") + 20 + 2
+
+
+class TestDeflateStrategy:
+    """Huffman-only deflate for float64 members that LZ77 cannot shrink, the default elsewhere."""
+
+    @staticmethod
+    def noise(rng, rows=300, columns=100):
+        return rng.normal(size=(rows, columns))  # 240 KB
+
+    @staticmethod
+    def zero_heavy(rng, rows=300, columns=100):
+        return np.where(rng.random((rows, columns)) < 0.9, 0.0, rng.normal(size=(rows, columns)))
+
+    def test_strategy_rule(self, rng):
+        strategy = serialize._strategy
+        assert strategy(self.noise(rng)) == zlib.Z_HUFFMAN_ONLY
+        assert strategy(self.zero_heavy(rng)) == zlib.Z_DEFAULT_STRATEGY
+        assert strategy(self.noise(rng, rows=80)) == zlib.Z_DEFAULT_STRATEGY  # 64 KB: not probed
+        assert strategy(self.noise(rng).astype(np.float32)) == zlib.Z_DEFAULT_STRATEGY
+        planes = serialize._decimal_form(np.round(self.noise(rng, rows=3000), 5)).planes
+        assert planes.dtype == np.uint8 and planes.nbytes > 1 << 20
+        assert strategy(planes) == zlib.Z_DEFAULT_STRATEGY
+
+    def test_probe_reads_slices_across_the_member(self, rng):
+        # 64 KiB of noise up front, which a probe of the first 64 KiB alone would
+        # Huffman-code, and zero-heavy values behind it, which LZ77 shrinks
+        array = np.concatenate([rng.normal(size=8192), self.zero_heavy(rng, rows=2000).ravel()])
+        assert serialize._strategy(array[:8192]) == zlib.Z_DEFAULT_STRATEGY  # too small to probe
+        sizes = []
+        for strategy in (zlib.Z_HUFFMAN_ONLY, zlib.Z_DEFAULT_STRATEGY):
+            compressor = zlib.compressobj(1, zlib.DEFLATED, -15, 8, strategy)
+            sizes.append(len(compressor.compress(array[:8192].tobytes()) + compressor.flush()))
+        assert sizes[0] <= sizes[1]
+        assert serialize._strategy(array) == zlib.Z_DEFAULT_STRATEGY
+
+    def test_mixed_strategies_read_back(self, rng, tmp_path):
+        arrays = {"noise": self.noise(rng), "zeros": self.zero_heavy(rng), "small": rng.normal(size=8)}
+        ours, ref = tmp_path / "mixed.npz", tmp_path / "ref.npz"
+        save_model(arrays, ours)
+        np.savez_compressed(ref, **serialize._encode_model(arrays))
+
+        def default_deflate_size(data):
+            compressor = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15)
+            return len(compressor.compress(data) + compressor.flush())
+
+        with zipfile.ZipFile(ours) as a, zipfile.ZipFile(ref) as b:
+            assert a.testzip() is None
+            assert a.namelist() == b.namelist() == ["__meta__.npy", "a0.npy", "a1.npy", "a2.npy"]
+            assert all(a.read(n) == b.read(n) for n in b.namelist())
+            default = {n: a.getinfo(n).compress_size == default_deflate_size(a.read(n)) for n in a.namelist()}
+        # the noise member (a0) is Huffman-coded; the rest are what np.savez_compressed deflates
+        assert default == {"__meta__.npy": True, "a0.npy": False, "a1.npy": True, "a2.npy": True}
+        with np.load(ours, allow_pickle=False) as z:
+            for key, array in zip(("a0", "a1", "a2"), arrays.values()):
+                np.testing.assert_array_equal(z[key], array)
+        restored = load_model(ours)
+        assert restored.keys() == arrays.keys()
+        for name, array in arrays.items():
+            np.testing.assert_array_equal(restored[name], array)
 
 
 class TestFeatureModelRoundTrips:

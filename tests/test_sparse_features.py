@@ -237,3 +237,14 @@ class TestVocabularyFile:
         path.write_text(f"a\t1\n\n{line}\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r"vocab\.tsv: line 3: expected 'token<TAB>document frequency'"):
             load_vocabulary_stats(path)
+
+    def test_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(b"a\t1\n\xff\xfe\n")
+        with pytest.raises(FormatError, match=r"vocab\.tsv: line 2: not UTF-8"):
+            load_vocabulary_stats(path)
+
+    def test_missing_file_names_its_path(self, tmp_path):
+        path = tmp_path / "nope.tsv"
+        with pytest.raises(DataError, match=f"cannot read {path}: "):
+            load_vocabulary_stats(path)
