@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `polyemo` command: a run, a resumed run in which
-# every cell must be reused, a prediction with one saved model that must
-# equal the run's own prediction file, and two malformed input files that must
-# each exit 2 with an error naming the file and line, and no traceback.
+# every cell must be reused, an ablation that must write its paired tables, a
+# prediction with one saved model that must equal the run's own prediction
+# file, and three malformed input files (a vector file, a vocabulary and a
+# config that is not UTF-8) that must each exit 2 with an error naming the
+# file, and no traceback.
 #
 #   pip install -e .
 #   bash scripts/cli_smoke.sh [work-dir]
@@ -54,6 +56,18 @@ if [ "$cells" -eq 0 ] || [ "$progress" -ne "$cells" ] || [ "$resumed" -ne "$cell
   exit 1
 fi
 
+polyemo ablate --config "$work/config.json" --out "$work/ablate" > "$work/ablate.txt" || {
+  echo "polyemo ablate exited $?:" >&2
+  cat "$work/ablate.txt" >&2
+  exit 1
+}
+for table in views/ablation_f1.syn.csv views/ablation_f1.syn.txt timing/ablation_train_seconds.syn.csv; do
+  if [ ! -s "$work/ablate/$table" ]; then
+    echo "polyemo ablate wrote no $table" >&2
+    exit 1
+  fi
+done
+
 model=$(ls "$work"/out/models/*.npz | head -n 1)
 name=$(basename "$model" .npz)
 polyemo predict --model "$model" --input "$work/data/syn/test.csv" --out "$work/predicted.csv"
@@ -74,5 +88,7 @@ printf 'a 1 2\nb 3 4\nc 5 x\n' > "$work/bad.vec"
 expect_error "$work/bad.vec: line 3: " inspect --vectors "$work/bad.vec"
 printf 'a\t1\nb 2\n' > "$work/bad.tsv"
 expect_error "$work/bad.tsv: line 2: " inspect --vocab "$work/bad.tsv"
+printf '{"data_dir": "d\xff"}\n' > "$work/bad.json"
+expect_error "$work/bad.json: not UTF-8 text" run --config "$work/bad.json"
 
-echo "cli smoke test passed: $cells cells resumed, $name predicts as in its run, bad inputs exit 2"
+echo "cli smoke test passed: $cells cells resumed, ablation tables written, $name predicts as in its run, bad inputs exit 2"

@@ -379,7 +379,9 @@ def _cache_read(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         return out
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    with open_input(p) as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -12,6 +12,9 @@ Each cell persists its predictions, a fitted model file and a completion
 record. Report files that must reproduce byte-for-byte under a fixed seed
 (the master report, the f1/confusion/ablation views, predictions) never
 contain wall-clock values; timings go to a separate out/timing/ directory.
+Every report table but the per-cell confusion tables has one of two shapes:
+one row per cell (its coordinates, then values), as in ``report.csv``, or
+one row per language (its name, then values), as in the views' pivots.
 
 Every cell gets its own seed derived by hashing the master seed together
 with the cell coordinates, so editing one axis of the config cannot shift
@@ -57,13 +60,14 @@ from .evaluate import (
     format_text_table,
     time_run,
 )
-from .learn import ClassifierSpec, default_voting_spec, fit, grid_search_mlp
+from .learn import CLASSIFIER_KINDS, ClassifierSpec, default_voting_spec, enumerate_grid
+from .learn import fit, grid_search_mlp
 from .learn.tree import trees_of
 from .pipeline import PipelineModel, read_predictions, write_predictions
 from .reduce import ReductionConfig, fit_pca
 from .sparse_features import TfidfModel, fit_bow, fit_tfidf, save_vocabulary
 from .serialize import load_model, save_model
-from .tokenize import Tokenizer, TokenizerSpec, tokenize_split
+from .tokenize import TOKENIZER_KINDS, Tokenizer, TokenizerSpec, tokenize_split
 
 # Not called here (PipelineModel applies them); kept importable under
 # polyemo.runner because the tracing benchmark (perfbench/spans.py) wraps these names.
@@ -123,7 +127,7 @@ CONFIG_SCHEMA = {
                 "additionalProperties": False,
                 "properties": {
                     "name": {"type": "string", "minLength": 1},
-                    "kind": {"enum": ["dt", "knn", "rf", "svm", "mlp", "voting"]},
+                    "kind": {"enum": list(CLASSIFIER_KINDS)},
                     "hyperparameters": {"type": "object"},
                     "members": {
                         "type": "array",
@@ -133,7 +137,7 @@ CONFIG_SCHEMA = {
                             "required": ["kind"],
                             "additionalProperties": False,
                             "properties": {
-                                "kind": {"enum": ["dt", "knn", "rf", "svm", "mlp"]},
+                                "kind": {"enum": [k for k in CLASSIFIER_KINDS if k != "voting"]},
                                 "hyperparameters": {"type": "object"},
                             },
                         },
@@ -173,7 +177,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["unicode-words", "whitespace", "external-vocab"]},
+                "kind": {"enum": list(TOKENIZER_KINDS)},
                 "lowercase": {"type": "boolean"},
                 "vocab_path": {"type": "string"},
             },
@@ -230,15 +234,12 @@ class ClassifierConfig:
     grid: dict | None = None
 
     def spec(self, seed: int) -> ClassifierSpec:
-        if self.kind == "voting":
-            if self.members:
-                members = tuple(
-                    ClassifierSpec(kind=k, hyperparameters=hp, seed=seed)
-                    for k, hp in self.members
-                )
-                return ClassifierSpec(kind="voting", seed=seed, members=members)
-            return default_voting_spec(seed)
-        return ClassifierSpec(kind=self.kind, hyperparameters=self.hyperparameters, seed=seed)
+        """The spec to fit; a voting classifier without ``members`` is the stock ensemble."""
+        hp = self.hyperparameters
+        if self.kind == "voting" and not self.members:
+            return replace(default_voting_spec(seed), hyperparameters=hp)
+        members = tuple(ClassifierSpec(kind=k, hyperparameters=m, seed=seed) for k, m in self.members)
+        return ClassifierSpec(kind=self.kind, hyperparameters=hp, seed=seed, members=members)
 
 
 @dataclass
@@ -368,10 +369,6 @@ def parse_config(raw: dict, source: str = "config", base_dir: Path | None = None
             raise ConfigError(
                 f"{source}: config.classifiers[{i}]: only mlp accepts a 'grid'"
             )
-        if "members" in c and kind != "voting":
-            raise ConfigError(
-                f"{source}: config.classifiers[{i}]: only voting accepts 'members'"
-            )
         hp = {k: _tuplify(v) for k, v in c.get("hyperparameters", {}).items()}
         members = tuple(
             (m["kind"], {k: _tuplify(v) for k, v in m.get("hyperparameters", {}).items()})
@@ -380,9 +377,14 @@ def parse_config(raw: dict, source: str = "config", base_dir: Path | None = None
         grid = None
         if "grid" in c:
             grid = {k: [_tuplify(v) for v in vals] for k, vals in c["grid"].items()}
-        classifiers.append(
-            ClassifierConfig(name=name, kind=kind, hyperparameters=hp, members=members, grid=grid)
-        )
+        clf = ClassifierConfig(name=name, kind=kind, hyperparameters=hp, members=members, grid=grid)
+        try:  # the specs each cell will build, so a bad one fails before anything runs
+            clf.spec(0)
+            for point in enumerate_grid(grid) if grid else ():
+                ClassifierSpec(kind="mlp", hyperparameters=point)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: config.classifiers[{i}]: {exc}") from exc
+        classifiers.append(clf)
     _unique_names([c.name for c in classifiers], "classifier", source)
 
     reduction = raw.get("reduction", {})
@@ -452,6 +454,8 @@ def load_config(
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -966,12 +970,12 @@ def _save_vocab_artifact(cfg, rep, lang, featurizer) -> None:
 # report files
 
 
+def _number_text(value: float, fmt=repr) -> str:
+    return "n/a" if math.isnan(value) else fmt(float(value))
+
+
 def _f1_text(report: EvalReport) -> str:
-    if report.status != "ok":
-        return "error"
-    if math.isnan(report.f1_macro):
-        return "n/a"
-    return repr(report.f1_macro)
+    return _number_text(report.f1_macro) if report.status == "ok" else "error"
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -984,28 +988,18 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def write_reports(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) -> None:
-    _write_master_report(cfg, table)
-    _write_f1_views(cfg, cells, table)
-    _write_confusion_views(cfg, cells, table)
-    _write_timing_views(cfg, cells, table)
-
-
-def _write_master_report(cfg: ExperimentConfig, table: ReportTable) -> None:
-    header = ["language", "representation", "pca", "classifier", "status", "f1_macro", "error"]
+def _write_cell_table(path: Path, columns: list[str], table: ReportTable, values) -> None:
+    """One row per cell: its coordinates, then ``values(report)``."""
     rows = [
-        [
-            r.language,
-            r.representation,
-            "on" if r.pca else "off",
-            r.classifier,
-            r.status,
-            "" if r.status != "ok" else _f1_text(r),
-            r.error,
-        ]
+        [r.language, r.representation, "on" if r.pca else "off", r.classifier, *values(r)]
         for r in table.rows
     ]
-    _write_csv(cfg.out_dir / "report.csv", [header] + rows)
+    _write_csv(path, [["language", "representation", "pca", "classifier", *columns], *rows])
+
+
+def _write_language_table(path: Path, columns: list[str], cfg: ExperimentConfig, values) -> None:
+    """One row per language: its name, then ``values(language)``."""
+    _write_csv(path, [["language", *columns]] + [[lang, *values(lang)] for lang in cfg.languages])
 
 
 def _row_index(cells: list[Cell], table: ReportTable) -> dict:
@@ -1015,86 +1009,55 @@ def _row_index(cells: list[Cell], table: ReportTable) -> dict:
     }
 
 
-def _write_f1_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) -> None:
-    """Language-by-representation and language-by-classifier F1 grids."""
+def _train_test_text(report: EvalReport) -> list[str]:
+    if report.status != "ok":
+        return ["error", "error"]
+    return [format_seconds(report.timing.train_seconds), format_seconds(report.timing.predict_seconds)]
+
+
+def write_reports(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) -> None:
+    """Write every report file of a run; ``run_ablation`` adds the ablation tables.
+
+    Wall-clock values go to ``timing/`` only, never to ``report.csv`` or ``views/``.
+    """
+    out, reps, clfs = cfg.out_dir, cfg.representations, cfg.classifiers
     index = _row_index(cells, table)
-    views = cfg.out_dir / "views"
-
-    def f1(lang, rep, pca, clf):
-        return _f1_text(index[(lang, rep.name, pca, clf.name)])
-
+    _write_cell_table(
+        out / "report.csv", ["status", "f1_macro", "error"], table,
+        lambda r: [r.status, _f1_text(r) if r.status == "ok" else "", r.error],
+    )
+    seconds = ["representation_seconds", "train_seconds", "predict_seconds"]
+    _write_cell_table(
+        out / "timing" / "cells.csv", seconds, table,
+        lambda r: [format_seconds(getattr(r.timing, s)) for s in seconds],
+    )
     for pca in cfg.pca_axis:
-        for clf in cfg.classifiers:
-            rows = [["language"] + [r.name for r in cfg.representations]]
-            for lang in cfg.languages:
-                rows.append([lang] + [f1(lang, rep, pca, clf) for rep in cfg.representations])
-            path = views / f"f1_by_representation.{PCA_TAGS[pca]}.{_sanitize(clf.name)}.csv"
-            _write_csv(path, rows)
-        for rep in cfg.representations:
-            rows = [["language"] + [c.name for c in cfg.classifiers]]
-            for lang in cfg.languages:
-                rows.append([lang] + [f1(lang, rep, pca, clf) for clf in cfg.classifiers])
-            _write_csv(views / f"f1_by_classifier.{PCA_TAGS[pca]}.{_sanitize(rep.name)}.csv", rows)
-
-
-def _write_confusion_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) -> None:
-    """One per-label rate table per scored cell, as CSV and aligned text."""
-    out = cfg.out_dir / "views" / "confusion"
-    for cell, report in zip(cells, table.rows):
-        if report.rates is None:
-            continue
-        rows = [["rate"] + list(report.rates.labels)]
-        for name, values in report.rates.as_rows():
-            rows.append([name] + ["n/a" if math.isnan(v) else repr(float(v)) for v in values])
-        _write_csv(out / f"{cell.name}.csv", rows)
-        _write_text(out / f"{cell.name}.txt", format_confusion_table(report.rates))
-
-
-def _write_timing_views(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) -> None:
-    """Wall-clock tables; non-deterministic by nature, kept out of views/."""
-    index = _row_index(cells, table)
-    timing_dir = cfg.out_dir / "timing"
-    header = [
-        "language",
-        "representation",
-        "pca",
-        "classifier",
-        "representation_seconds",
-        "train_seconds",
-        "predict_seconds",
-    ]
-    rows = [
-        [
-            r.language,
-            r.representation,
-            "on" if r.pca else "off",
-            r.classifier,
-            format_seconds(r.timing.representation_seconds),
-            format_seconds(r.timing.train_seconds),
-            format_seconds(r.timing.predict_seconds),
-        ]
-        for r in table.rows
-    ]
-    _write_csv(timing_dir / "cells.csv", [header] + rows)
-    for pca in cfg.pca_axis:
-        for rep in cfg.representations:
-            header = ["language"]
-            for clf in cfg.classifiers:
-                header += [f"{clf.name}_train", f"{clf.name}_test"]
-            rows = [header]
-            for lang in cfg.languages:
-                row = [lang]
-                for clf in cfg.classifiers:
-                    r = index[(lang, rep.name, pca, clf.name)]
-                    if r.status != "ok":
-                        row += ["error", "error"]
-                    else:
-                        row += [
-                            format_seconds(r.timing.train_seconds),
-                            format_seconds(r.timing.predict_seconds),
-                        ]
-                rows.append(row)
-            _write_csv(timing_dir / f"train_test.{PCA_TAGS[pca]}.{_sanitize(rep.name)}.csv", rows)
+        tag = PCA_TAGS[pca]
+        for clf in clfs:
+            _write_language_table(
+                out / "views" / f"f1_by_representation.{tag}.{_sanitize(clf.name)}.csv",
+                [rep.name for rep in reps], cfg,
+                lambda lang: [_f1_text(index[lang, rep.name, pca, clf.name]) for rep in reps],
+            )
+        for rep in reps:
+            _write_language_table(
+                out / "views" / f"f1_by_classifier.{tag}.{_sanitize(rep.name)}.csv",
+                [c.name for c in clfs], cfg,
+                lambda lang: [_f1_text(index[lang, rep.name, pca, c.name]) for c in clfs],
+            )
+            _write_language_table(
+                out / "timing" / f"train_test.{tag}.{_sanitize(rep.name)}.csv",
+                [f"{c.name}_{part}" for c in clfs for part in ("train", "test")], cfg,
+                lambda lang: [
+                    t for c in clfs for t in _train_test_text(index[lang, rep.name, pca, c.name])
+                ],
+            )
+    confusion = out / "views" / "confusion"
+    for cell, r in zip(cells, table.rows):
+        if r.rates is not None:
+            rows = [[name, *map(_number_text, values)] for name, values in r.rates.as_rows()]
+            _write_csv(confusion / f"{cell.name}.csv", [["rate", *r.rates.labels], *rows])
+            _write_text(confusion / f"{cell.name}.txt", format_confusion_table(r.rates))
 
 
 # ---------------------------------------------------------------------------
@@ -1113,66 +1076,50 @@ def run_ablation(
     cells = enumerate_cells(cfg)
     index = _row_index(cells, table)
     for lang in cfg.languages:
-        _write_ablation_views(cfg, lang, index)
+        tag = _sanitize(lang)
+        _write_ablation(
+            cfg.out_dir / "views" / f"ablation_f1.{tag}", cfg, lang, index,
+            lambda r: r.f1_macro, lambda v: f"{v:.4f}",
+        )
+        _write_ablation(
+            cfg.out_dir / "timing" / f"ablation_train_seconds.{tag}", cfg, lang, index,
+            lambda r: r.timing.train_seconds, format_seconds,
+        )
     on_rows = [r for c, r in zip(cells, table.rows) if c.pca]
     off_rows = [r for c, r in zip(cells, table.rows) if not c.pca]
     return ReportTable(rows=on_rows), ReportTable(rows=off_rows)
 
 
-def _ablation_value(report: EvalReport, metric: str) -> float:
-    if report.status != "ok":
-        return math.nan
-    if metric == "f1":
-        return report.f1_macro
-    return report.timing.train_seconds
+def _write_ablation(
+    path: Path, cfg: ExperimentConfig, lang: str, index: dict, value, fmt
+) -> None:
+    """One language's w/o PCA, w/ PCA and delta blocks, as ``path``.csv and aligned ``path``.txt.
 
+    Each block has a row per representation and a column per classifier,
+    holding ``value(report)`` of an ok cell and n/a of a failed one. The CSV
+    prints full precision, the text ``fmt(value)``.
+    """
 
-def _write_ablation_grid(path_csv, path_txt, cfg, lang, index, metric, fmt) -> None:
-    clf_names = [c.name for c in cfg.classifiers]
-    groups = [("w/o PCA", False), ("w/ PCA", True)]
-    csv_rows = [["group", "representation"] + clf_names]
-    text_rows = [["", ""] + clf_names]
-    blocks = []
-    for label, pca in groups:
-        for rep in cfg.representations:
-            values = [_ablation_value(index[(lang, rep.name, pca, c)], metric) for c in clf_names]
-            blocks.append((label, rep.name, values))
-    for rep in cfg.representations:
-        deltas = []
-        for c in clf_names:
-            on = _ablation_value(index[(lang, rep.name, True, c)], metric)
-            off = _ablation_value(index[(lang, rep.name, False, c)], metric)
-            deltas.append(on - off)
-        blocks.append(("delta", rep.name, deltas))
-    for label, rep_name, values in blocks:
-        csv_rows.append([label, rep_name] + ["n/a" if math.isnan(v) else repr(v) for v in values])
-        text_rows.append([label, rep_name] + ["n/a" if math.isnan(v) else fmt(v) for v in values])
-    _write_csv(path_csv, csv_rows)
-    _write_text(path_txt, format_text_table(text_rows))
+    def values(rep, pca):
+        reports = [index[lang, rep.name, pca, c.name] for c in cfg.classifiers]
+        return [value(r) if r.status == "ok" else math.nan for r in reports]
 
+    blocks = [
+        (label, rep.name, values(rep, pca))
+        for label, pca in (("w/o PCA", False), ("w/ PCA", True))
+        for rep in cfg.representations
+    ]
+    blocks += [
+        ("delta", rep.name, [on - off for on, off in zip(values(rep, True), values(rep, False))])
+        for rep in cfg.representations
+    ]
 
-def _write_ablation_views(cfg: ExperimentConfig, lang: str, index) -> None:
-    views = cfg.out_dir / "views"
-    timing_dir = cfg.out_dir / "timing"
-    tag = _sanitize(lang)
-    _write_ablation_grid(
-        views / f"ablation_f1.{tag}.csv",
-        views / f"ablation_f1.{tag}.txt",
-        cfg,
-        lang,
-        index,
-        "f1",
-        lambda v: f"{v:.4f}",
-    )
-    _write_ablation_grid(
-        timing_dir / f"ablation_train_seconds.{tag}.csv",
-        timing_dir / f"ablation_train_seconds.{tag}.txt",
-        cfg,
-        lang,
-        index,
-        "train_seconds",
-        format_seconds,
-    )
+    def rows(fmt):
+        return [[label, rep, *(_number_text(v, fmt) for v in vs)] for label, rep, vs in blocks]
+
+    names = [c.name for c in cfg.classifiers]
+    _write_csv(Path(f"{path}.csv"), [["group", "representation", *names], *rows(repr)])
+    _write_text(Path(f"{path}.txt"), format_text_table([["", "", *names], *rows(fmt)]))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ class Tokenizer:
                 lines = path.read_text(encoding="utf-8").splitlines()
             except OSError as exc:
                 raise ConfigError(f"cannot read vocabulary file {path}: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"vocabulary file {path} is not UTF-8 text ({exc.reason})") from exc
             empty_message = f"vocabulary file {path} contains no tokens"
         self._build(spec, (line.strip() for line in lines), empty_message)
 

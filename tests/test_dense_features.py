@@ -601,6 +601,15 @@ class TestResolveLanguage:
         with pytest.raises(FormatError, match=r"cache\.tsv: line 2"):
             resolve_language("om", policy, CannedTransport("Amharic"))
 
+    def test_cache_that_is_not_utf8_names_line(self, tmp_path):
+        cache = tmp_path / "cache.tsv"
+        cache.write_bytes(b"xx\tam\nom\t\xffam\n")
+        policy = FallbackPolicy(
+            supported_languages=("am",), llm_backend=self.backend(), cache_path=str(cache)
+        )
+        with pytest.raises(FormatError, match=r"cache\.tsv: line 2: not UTF-8 text"):
+            resolve_language("om", policy, CannedTransport("Amharic"))
+
     def test_llm_resolution_and_cache(self, tmp_path):
         transport = CannedTransport("The most similar language is Amharic.")
         policy = FallbackPolicy(

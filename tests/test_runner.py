@@ -1024,3 +1024,133 @@ class TestPredictFile:
         src.write_text("id,text\na,hi\n", encoding="utf-8")
         with pytest.raises(FormatError, match="pipeline"):
             predict_file(path, src, tmp_path / "out.csv")
+
+
+class TestClassifierSpecsAtLoad:
+    """Every spec a cell will build is built once when the config loads."""
+
+    @pytest.mark.parametrize(
+        "classifier, message",
+        [
+            ({"kind": "knn", "hyperparameters": {"kk": 3}}, r"unknown hyperparameters for knn: \['kk'\]"),
+            (
+                {"kind": "voting", "members": [{"kind": "dt"}, {"kind": "svm", "hyperparameters": {"c": 1}}]},
+                r"unknown hyperparameters for svm: \['c'\]",
+            ),
+            ({"kind": "mlp", "grid": {"epochs": [5], "hidden": [[4]]}}, r"unknown hyperparameters for mlp: \['hidden'\]"),
+            ({"kind": "voting", "hyperparameters": {"k": 3}}, r"unknown hyperparameters for voting: \['k'\]"),
+        ],
+    )
+    def test_bad_spec_fails_at_load(self, synthetic_dir, tmp_path, classifier, message):
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["classifiers"] = [{"name": "dt", "kind": "dt"}, dict(classifier, name="bad")]
+        with pytest.raises(ConfigError, match=r"^config: config\.classifiers\[1\]: " + message):
+            parse(raw)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_that_is_not_utf8(self, synthetic_dir, tmp_path):
+        path = tmp_path / "config.json"
+        text = json.dumps(base_raw(synthetic_dir, tmp_path / "out"))
+        path.write_bytes(text.replace('"syn"', '"sy\\u00ffn"').encode("utf-8").replace(b"\\u00ff", b"\xff"))
+        with pytest.raises(ConfigError, match=f"^{path}: not UTF-8 text"):
+            load_config(path)
+
+
+def write_precomputed(out_dir, data_dir, rng):
+    """Random external document vectors for every split of ``data_dir``; returns their paths."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for role in ("train", "dev", "test"):
+        path = out_dir / f"{role}.csv"
+        ids = load_split(data_dir / f"{role}.csv", role).ids()
+        path.write_text(
+            "".join(f"{i},{a:.6f},{b:.6f}\n" for i, (a, b) in zip(ids, rng.normal(size=(len(ids), 2)))),
+            encoding="utf-8",
+        )
+        paths[role] = str(path)
+    return paths
+
+
+class TestRunnerPaths:
+    def small_raw(self, synthetic_dir, out, classifiers):
+        raw = base_raw(synthetic_dir, out, classifiers=classifiers)
+        raw["representations"] = [{"name": "tfidf", "kind": "tfidf"}]
+        raw["reduction"]["pca"] = [False]
+        return raw
+
+    def test_voting_with_explicit_members(self, synthetic_dir, tmp_path):
+        out = tmp_path / "out"
+        members = [
+            {"kind": "knn", "hyperparameters": {"k": 3}},
+            {"kind": "dt", "hyperparameters": {"max_depth": 2}},
+            {"kind": "svm", "hyperparameters": {"epochs": 50}},
+        ]
+        raw = self.small_raw(synthetic_dir, out, [{"name": "vote", "kind": "voting", "members": members}])
+        table = run_matrix(parse(raw))
+        assert table.all_ok and 0.0 <= table.rows[0].f1_macro <= 1.0
+        model = load_model(out / "models" / "syn__tfidf__pca-off__vote.npz").classifier
+        assert [m.spec.kind for m in model.members] == ["knn", "dt", "svm"]
+        assert model.members[1].spec.hyperparameters == {"max_depth": 2}
+
+        def rerun(raw):
+            lines = []
+            run_matrix(parse(raw), resume=True, log=lines.append)
+            return [line.rsplit(": ", 1)[1] for line in lines]
+
+        assert rerun(raw) == ["resumed"]
+        members[1]["hyperparameters"]["max_depth"] = 3
+        assert rerun(raw) != ["resumed"]
+        assert rerun(raw) == ["resumed"]
+
+    def test_classifier_that_fails_to_fit_fails_only_its_cell(self, synthetic_dir, tmp_path):
+        out = tmp_path / "out"
+        classifiers = [{"name": "dt", "kind": "dt"}, {"name": "knn0", "kind": "knn", "hyperparameters": {"k": 0}}]
+        table = run_matrix(parse(self.small_raw(synthetic_dir, out, classifiers)))
+        dt, knn0 = table.rows
+        assert dt.status == "ok"
+        assert (knn0.status, knn0.error) == ("error", "ConfigError: k must be >= 1, got 0")
+        assert math.isnan(knn0.f1_macro)
+        assert not (out / "models" / "syn__tfidf__pca-off__knn0.npz").exists()
+        record = json.loads((out / "cells" / "syn__tfidf__pca-off__knn0.json").read_text(encoding="utf-8"))
+        assert record["status"] == "error"
+        report = (out / "report.csv").read_text(encoding="utf-8").splitlines()
+        assert report[2] == 'syn,tfidf,off,knn0,error,,"ConfigError: k must be >= 1, got 0"'
+
+    def test_precomputed_without_embeddings_for_a_language(self, synthetic_dir, tmp_path, rng):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "syn").symlink_to(synthetic_dir / "data" / "syn")
+        write_corpus(tmp_path / "extra", seed=3, n_documents=60, language="zz")
+        (data / "zz").symlink_to(tmp_path / "extra" / "zz")
+        paths = write_precomputed(tmp_path / "emb", data / "syn", rng)
+        raw = base_raw(synthetic_dir, tmp_path / "out", data_dir=str(data), languages=["syn", "zz"])
+        raw["representations"] = [
+            {"name": "ext", "kind": "precomputed", "embeddings": {"syn": paths}},
+            {"name": "tfidf", "kind": "tfidf"},
+        ]
+        raw["reduction"]["pca"] = [False]
+        table = run_matrix(parse(raw))
+        failed = {(r.language, r.representation) for r in table.rows if r.status != "ok"}
+        assert failed == {("zz", "ext")}
+        for r in table.rows:
+            if r.status != "ok":
+                assert r.error == "representation: DataError: no precomputed embeddings configured for language 'zz'"
+
+    def test_unlabeled_test_split(self, synthetic_dir, tmp_path):
+        data = shutil.copytree(synthetic_dir / "data", tmp_path / "data")
+        test_csv = data / "syn" / "test.csv"
+        lines = test_csv.read_text(encoding="utf-8").splitlines()
+        test_csv.write_text("".join(",".join(line.split(",")[:2]) + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "out"
+        raw = base_raw(synthetic_dir, out, data_dir=str(data))
+        raw["reduction"]["pca"] = [False]
+        table = run_matrix(parse(raw))
+        assert table.all_ok
+        assert all(math.isnan(r.f1_macro) and r.rates is None for r in table.rows)
+        report = (out / "report.csv").read_text(encoding="utf-8").splitlines()
+        assert report[1:] == [f"syn,{rep},off,{clf},ok,n/a," for rep in ("bow", "tfidf") for clf in ("dt", "knn")]
+        views = out / "views"
+        assert (views / "f1_by_representation.pca-off.dt.csv").read_text(encoding="utf-8") == "language,bow,tfidf\nsyn,n/a,n/a\n"
+        assert (views / "f1_by_classifier.pca-off.bow.csv").read_text(encoding="utf-8") == "language,dt,knn\nsyn,n/a,n/a\n"
+        assert not (views / "confusion").exists()
+        assert len(list((out / "predictions").glob("*.csv"))) == 4

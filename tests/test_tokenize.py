@@ -109,6 +109,13 @@ class TestExternalVocab:
         with pytest.raises(ConfigError, match="cannot read"):
             Tokenizer(spec)
 
+    def test_vocab_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"a\nb\xff\n")
+        spec = TokenizerSpec(kind="external-vocab", vocab_path=str(path))
+        with pytest.raises(ConfigError, match=f"^vocabulary file {path} is not UTF-8 text"):
+            Tokenizer(spec)
+
     def test_empty_vocab_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("\n\n", encoding="utf-8")
