@@ -124,7 +124,7 @@ def format_seconds(v: float) -> str:
     would print as an ambiguous 0.0000."""
     if v == 0.0:
         return "0.0000"
-    if v < 0.00005:
+    if abs(v) < 0.00005:
         return f"{v:.2e}"
     return f"{v:.4f}"
 

@@ -98,8 +98,9 @@ def write_predictions(path: str | Path, ids: list[str], pred: np.ndarray, emotio
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + list(emotions))
-        for i, doc_id in enumerate(ids):
-            writer.writerow([doc_id] + [str(int(v)) for v in pred[i]])
+        writer.writerows(
+            [doc_id] + [str(int(v)) for v in row] for doc_id, row in zip(ids, pred.tolist())
+        )
 
 
 def read_predictions(path: str | Path, emotions=EMOTIONS) -> tuple[list[str], np.ndarray]:

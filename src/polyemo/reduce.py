@@ -5,8 +5,8 @@ eigendecomposition of the covariance, which is better conditioned when there
 are far fewer samples than feature columns. Component signs are canonicalized
 so each component's largest-magnitude entry is non-negative, making repeated
 fits byte-identical. Sparse input is densified first; centering would destroy
-sparsity anyway, and fitting warns of the memory cost once; transforming a
-batch densifies it silently.
+sparsity anyway. Fitting warns of the memory cost when the dense copy takes at
+least ``DENSIFY_WARN_MB``; transforming a batch densifies it silently.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeError
 from .sparse_features import normalize_rows_sparse
+
+# fit_pca warns when densifying sparse input allocates at least this much
+DENSIFY_WARN_MB = 100
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ def fit_pca(m, cfg: ReductionConfig = ReductionConfig()) -> PcaModel:
     variance of the centered data. In variance-fraction mode the smallest k
     whose cumulative ratio reaches the fraction is kept.
     """
-    if sp.issparse(m):
+    if sp.issparse(m) and m.shape[0] * m.shape[1] * 8 / 1e6 >= DENSIFY_WARN_MB:
         warnings.warn(
             f"densifying a sparse {m.shape[0]}x{m.shape[1]} matrix for PCA; "
             f"this allocates roughly {m.shape[0] * m.shape[1] * 8 / 1e6:.0f} MB",

@@ -576,21 +576,24 @@ def cell_fingerprint(
 ) -> str:
     """SHA-256 over everything that decides a cell's results.
 
-    That is the resolved classifier spec and mlp grid, the master seed, the
-    representation (kind and vector or embedding file paths) with the
-    language-fallback map, the vector language a word-vector cell reads
-    (``vector_language``, resolved once per group before any record is read,
-    so a backend answer and a cache entry give the same value), the PCA arm
-    with its normalize and components settings, the tokenizer,
-    ``split_digests`` (the SHA-256 of the language's train/dev/test CSVs) and
-    the SHA-256 of every other file the cell may read (``_input_files``:
-    tokenizer vocabulary, vectors, embeddings), looked up by path in
-    ``file_digests``. ``--resume`` reuses a record only under an equal
-    fingerprint.
+    That is the cell's coordinates (language, representation name, PCA arm,
+    classifier name) and the ``cell_seed`` they give, the resolved classifier
+    spec and mlp grid, the master seed, the representation (kind and vector or
+    embedding file paths) with the language-fallback map, the vector language
+    a word-vector cell reads (``vector_language``, resolved once per group
+    before any record is read, so a backend answer and a cache entry give the
+    same value), the PCA arm with its normalize and components settings, the
+    tokenizer, ``split_digests`` (the SHA-256 of the language's train/dev/test
+    CSVs) and the SHA-256 of every other file the cell may read
+    (``_input_files``: tokenizer vocabulary, vectors, embeddings), looked up
+    by path in ``file_digests``. ``--resume`` reuses a record only under an
+    equal fingerprint.
     """
     rep = cell.representation
     seed = cell_seed(cfg.seed, cell.language, rep.name, cell.pca, cell.classifier.name)
     payload = {
+        "cell": [cell.language, rep.name, cell.pca, cell.classifier.name],
+        "cell_seed": seed,
         "classifier": _spec_json(cell.classifier.spec(seed)),
         "grid": cell.classifier.grid,
         "seed": cfg.seed,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -79,24 +80,24 @@ def fit_bow(corpus) -> Vocabulary:
 
 def transform_bow(docs, vocab: Vocabulary) -> sp.csr_matrix:
     """Raw count matrix; out-of-vocabulary tokens are dropped."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for doc in docs:
-        counts: dict[int, int] = {}
-        for token in _tokens_of(doc):
-            j = vocab.index.get(token)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-        for j in sorted(counts):
-            indices.append(j)
-            data.append(float(counts[j]))
-        indptr.append(len(indices))
-    m = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(indptr) - 1, len(vocab)),
+    seqs = [_tokens_of(doc) for doc in docs]
+    n_rows, n_cols = len(seqs), len(vocab)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=n_rows)
+    cols = np.fromiter(
+        map(vocab.index.get, chain.from_iterable(seqs), repeat(-1)),
+        dtype=np.int64,
+        count=int(lengths.sum()),
     )
-    return m
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
+    known = cols >= 0
+    # row-major cell keys: unique sorts them by row, then by column
+    keys, counts = np.unique(rows[known] * n_cols + cols[known], return_counts=True)
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n_cols, minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix(
+        (counts.astype(np.float64), (keys % n_cols).astype(np.int32), indptr),
+        shape=(n_rows, n_cols),
+    )
 
 
 def compute_idf(vocab: Vocabulary) -> np.ndarray:

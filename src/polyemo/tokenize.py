@@ -5,7 +5,12 @@ Three tokenizer kinds are provided:
 - ``unicode-words`` (default): maximal runs of Unicode letter, mark, number,
   or underscore characters. Pure-punctuation segments are dropped. This is a
   deliberately language-agnostic segmenter that behaves sensibly across
-  scripts without shipping a trained tokenizer model.
+  scripts without shipping a trained tokenizer model. The runs are found in
+  C: ``str.translate`` maps every other character to a space and
+  ``str.split`` cuts on the spaces, which is exact because no word character
+  is whitespace. The translation table classifies a code point with
+  ``unicodedata.category`` the first time it is seen and caches the answer,
+  so it grows only with the distinct code points the process has tokenized.
 - ``whitespace``: str.split semantics.
 - ``external-vocab``: greedy longest-match segmentation of each whitespace
   chunk against a user-supplied vocabulary file (one token per line).
@@ -54,18 +59,25 @@ def _is_word_char(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("L", "M", "N") or ch == "_"
 
 
+class _WordCharTable(dict):
+    """``str.translate`` table that keeps word characters and maps the rest to a space.
+
+    Each code point is classified by ``_is_word_char`` the first time it is
+    looked up and stored, so the table holds only code points seen so far.
+    """
+
+    def __missing__(self, code_point: int) -> int:
+        value = code_point if _is_word_char(chr(code_point)) else 32
+        self[code_point] = value
+        return value
+
+
+_WORD_CHARS = _WordCharTable()
+
+
 def _unicode_word_runs(text: str) -> list[str]:
-    out: list[str] = []
-    cur: list[str] = []
-    for ch in text:
-        if _is_word_char(ch):
-            cur.append(ch)
-        elif cur:
-            out.append("".join(cur))
-            cur = []
-    if cur:
-        out.append("".join(cur))
-    return out
+    # exact: no letter, mark, number or underscore is whitespace to str.split
+    return text.translate(_WORD_CHARS).split()
 
 
 class Tokenizer:

@@ -168,6 +168,9 @@ class TestFormatting:
         # below the display threshold the format switches rather than printing 0.0000
         assert "e" in format_seconds(4.9e-5)
         assert format_seconds(5.1e-5) == "0.0001"
+        # negative values follow the same rule on their magnitude
+        assert format_seconds(-0.5) == "-0.5000"
+        assert format_seconds(-4e-5) == "-4.00e-05"
 
     def test_format_rate(self):
         assert format_rate(float("nan")) == "n/a"

@@ -1,5 +1,7 @@
 """Fitted pipeline objects and the prediction CSV format."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,19 @@ class TestPredictionFiles:
         got_ids, got = read_predictions(path)
         assert got_ids == ids
         np.testing.assert_array_equal(got, pred)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+    def test_bytes_equal_the_row_loop(self, tmp_path, rng, dtype):
+        ids = [f"doc{i}" for i in range(9)]
+        pred = rng.integers(0, 2, size=(9, 6)).astype(dtype)
+        write_predictions(tmp_path / "pred.csv", ids, pred)
+        # the per-row writer that the list-built rows replaced, kept as the reference
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id"] + list(EMOTIONS))
+            for i, doc_id in enumerate(ids):
+                writer.writerow([doc_id] + [str(int(v)) for v in pred[i]])
+        assert (tmp_path / "pred.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

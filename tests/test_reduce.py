@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polyemo import reduce
 from polyemo.errors import ConfigError, ShapeError
 from polyemo.reduce import (
     PcaModel,
@@ -121,11 +122,18 @@ class TestFitPca:
         with pytest.raises(ConfigError, match="at least 2"):
             fit_pca(np.ones((1, 3)))
 
-    def test_sparse_input_warns_then_works(self):
+    def test_sparse_input_warns_then_works(self, monkeypatch):
+        monkeypatch.setattr(reduce, "DENSIFY_WARN_MB", 0)
         m = sp.csr_matrix(FOUR_POINTS)
         with pytest.warns(UserWarning, match="densifying"):
             model = fit_pca(m)
         np.testing.assert_allclose(model.explained_variance_ratio, [0.8, 0.2], atol=1e-9)
+
+    def test_small_sparse_fit_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_pca(sp.csr_matrix(FOUR_POINTS))
+        np.testing.assert_array_equal(model.components, fit_pca(FOUR_POINTS).components)
 
     def test_sparse_transform_is_silent(self):
         model = fit_pca(FOUR_POINTS)

@@ -202,13 +202,12 @@ def test_ablation_report_bytes(reported, monkeypatch):
         "delta,bow,-0.5,-0.5\r\n"
         "delta,tf idf,-0.5,n/a\r\n"
     )
-    # format_seconds prints every negative value in scientific notation
     assert read(cfg, "timing/ablation_train_seconds.aa.txt") == (
-        "                 dt         k nn\n"
-        "w/o PCA  bow     1.0000     1.2500\n"
-        "w/o PCA  tf idf  2.0000     2.2500\n"
-        "w/ PCA   bow     0.5000     0.7500\n"
-        "w/ PCA   tf idf  1.5000     n/a\n"
-        "delta    bow     -5.00e-01  -5.00e-01\n"
-        "delta    tf idf  -5.00e-01  n/a\n"
+        "                 dt       k nn\n"
+        "w/o PCA  bow     1.0000   1.2500\n"
+        "w/o PCA  tf idf  2.0000   2.2500\n"
+        "w/ PCA   bow     0.5000   0.7500\n"
+        "w/ PCA   tf idf  1.5000   n/a\n"
+        "delta    bow     -0.5000  -0.5000\n"
+        "delta    tf idf  -0.5000  n/a\n"
     )

@@ -627,6 +627,21 @@ class TestResume:
         assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in fresh.rows]
         assert [r.f1_macro for r in resumed.rows] != [r.f1_macro for r in shallow.rows]
 
+    def test_resume_reruns_renamed_cell(self, synthetic_dir, tmp_path):
+        """A rename that sanitizes to the same record file changes the cell seed."""
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["representations"] = [{"name": "bow", "kind": "bow"}]
+        raw["reduction"]["pca"] = [False]
+        raw["classifiers"] = [{"name": "r f", "kind": "rf", "hyperparameters": {"n_estimators": 5}}]
+        run_matrix(parse(raw))
+        raw["classifiers"][0]["name"] = "r-f"
+        lines = []
+        resumed = run_matrix(parse(raw), resume=True, log=lines.append)
+        fresh = run_matrix(parse(dict(raw, out_dir=str(tmp_path / "fresh"))))
+        assert lines and not [line for line in lines if line.endswith("resumed")]
+        assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in fresh.rows]
+        assert [r.classifier for r in resumed.rows] == ["r-f"]
+
     def test_resume_reruns_cell_whose_data_changed(self, tmp_path):
         data = tmp_path / "data"
         write_corpus(data, seed=0, n_documents=120, language="syn")

@@ -203,7 +203,6 @@ REPRESENTATION_KINDS = ("bow", "tfidf", "word-vectors", "precomputed")
 
 
 class TestZipWriter:
-    @pytest.mark.filterwarnings("ignore:densifying")
     @pytest.mark.parametrize("spec", CLASSIFIER_SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("kind", REPRESENTATION_KINDS)
     def test_members_equal_numpy_writer(self, kind, spec, rng, tmp_path):
@@ -750,7 +749,6 @@ def object_layouts(node, layouts):
 
 
 class TestCodecLayout:
-    @pytest.mark.filterwarnings("ignore:densifying")
     def test_field_names_of_every_registered_type(self, rng, tmp_path):
         mlp = ClassifierSpec(kind="mlp", hyperparameters={"hidden_sizes": (3,), "epochs": 2})
         layouts = {}

@@ -105,6 +105,50 @@ class TestTransformBow:
             assert m[i].sum() == sum(1 for t in doc if t in vocab.index)
 
 
+def reference_transform_bow(docs, vocab):
+    """The per-document dict loop that array-built counts replaced, kept as the reference."""
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        counts = {}
+        for token in doc:
+            j = vocab.index.get(token)
+            if j is not None:
+                counts[j] = counts.get(j, 0) + 1
+        for j in sorted(counts):
+            indices.append(j)
+            data.append(float(counts[j]))
+        indptr.append(len(indices))
+    return (
+        np.array(data),
+        np.array(indices, dtype=np.int32),
+        np.array(indptr, dtype=np.int32),
+        (len(indptr) - 1, len(vocab)),
+    )
+
+
+class TestArrayCountsMatchLoop:
+    # documents to transform draw from a wider alphabet than the fitted
+    # vocabulary, so OOV tokens, all-OOV documents and empty ones all occur
+    @given(
+        fitted=token_corpus,
+        docs=st.lists(st.lists(st.sampled_from("abcdefghxyz"), max_size=12), max_size=10),
+    )
+    def test_same_csr_arrays(self, fitted, docs):
+        vocab = fit_bow(fitted)
+        m = transform_bow(docs, vocab)
+        data, indices, indptr, shape = reference_transform_bow(docs, vocab)
+        assert m.shape == shape
+        for got, want in ((m.data, data), (m.indices, indices), (m.indptr, indptr)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_document_list(self):
+        m = transform_bow([], fit_bow([["a", "b"]]))
+        assert m.shape == (0, 2)
+        assert m.data.dtype == np.float64 and m.indices.dtype == np.int32
+        assert m.indptr.tolist() == [0] and m.indptr.dtype == np.int32
+
+
 class TestIdf:
     def test_everywhere_token_weighs_one(self):
         model = fit_tfidf([["a", "b"], ["a"], ["a", "c"]])

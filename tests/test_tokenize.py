@@ -1,11 +1,13 @@
 """Tokenizer kinds: unicode word runs, whitespace, external vocabulary."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polyemo.errors import ConfigError
-from polyemo.tokenize import TokenizerSpec, Tokenizer, tokenize, tokenize_split
+from polyemo.tokenize import TokenizerSpec, Tokenizer, _is_word_char, tokenize, tokenize_split
 from conftest import make_split
 
 word_text = st.text(
@@ -54,6 +56,45 @@ class TestUnicodeWords:
             found = lowered.find(token, pos)
             assert found >= pos
             pos = found + len(token)
+
+
+def reference_word_runs(text):
+    """The per-character loop the translate table replaced, kept as the reference."""
+    out, cur = [], []
+    for ch in text:
+        if _is_word_char(ch):
+            cur.append(ch)
+        elif cur:
+            out.append("".join(cur))
+            cur = []
+    if cur:
+        out.append("".join(cur))
+    return out
+
+
+# every major category, plus combining marks, non-ASCII digits, the
+# underscore, NEL, LINE SEPARATOR and a capital whose lowercase is longer
+any_text = st.text(
+    alphabet=st.one_of(
+        st.characters(whitelist_categories=("L", "M", "N", "P", "S", "Z", "C")),
+        st.sampled_from("_\u0301\u0663\u0966\u0085\u2028\u0130 \t\n"),
+    ),
+    max_size=80,
+)
+
+
+class TestTranslateTableMatchesLoop:
+    @given(text=any_text, lowercase=st.booleans())
+    def test_same_tokens_as_the_loop(self, text, lowercase):
+        tok = Tokenizer(TokenizerSpec(lowercase=lowercase))
+        expected = reference_word_runs(text.lower() if lowercase else text)
+        assert tok(text).tokens == tuple(expected)
+
+    def test_no_word_character_is_whitespace_to_split(self):
+        words = "".join(
+            ch for ch in map(chr, range(sys.maxunicode + 1)) if _is_word_char(ch)
+        )
+        assert words.split() == [words]
 
 
 class TestWhitespace:
