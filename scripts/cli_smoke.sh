@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `polyemo` command: a run, a resumed run in which
-# every cell must be reused, an ablation that must write its paired tables, a
-# prediction with one saved model that must equal the run's own prediction
-# file, and three malformed input files (a vector file, a vocabulary and a
+# every cell must be reused, an ablation that must write its paired tables,
+# predictions with a saved tf-idf model and a saved word-vector model (whose
+# table is restored from its byte planes) that must each equal the run's own
+# prediction file, and three malformed input files (a vector file, a vocabulary and a
 # config that is not UTF-8) that must each exit 2 with an error naming the
 # file, and no traceback.
 #
@@ -68,10 +69,14 @@ for table in views/ablation_f1.syn.csv views/ablation_f1.syn.txt timing/ablation
   fi
 done
 
-model=$(ls "$work"/out/models/*.npz | head -n 1)
-name=$(basename "$model" .npz)
-polyemo predict --model "$model" --input "$work/data/syn/test.csv" --out "$work/predicted.csv"
-cmp "$work/predicted.csv" "$work/out/predictions/$name.csv"
+names=""
+for pattern in 'syn__tfidf__*.npz' 'syn__wv__*.npz'; do
+  model=$(ls "$work"/out/models/$pattern | head -n 1)
+  name=$(basename "$model" .npz)
+  polyemo predict --model "$model" --input "$work/data/syn/test.csv" --out "$work/predicted-$name.csv"
+  cmp "$work/predicted-$name.csv" "$work/out/predictions/$name.csv"
+  names="$names $name"
+done
 
 # expect_error WANT ARGS...: `polyemo ARGS...` exits 2, prints WANT and no traceback
 expect_error() {
@@ -91,4 +96,4 @@ expect_error "$work/bad.tsv: line 2: " inspect --vocab "$work/bad.tsv"
 printf '{"data_dir": "d\xff"}\n' > "$work/bad.json"
 expect_error "$work/bad.json: not UTF-8 text" run --config "$work/bad.json"
 
-echo "cli smoke test passed: $cells cells resumed, ablation tables written, $name predicts as in its run, bad inputs exit 2"
+echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, bad inputs exit 2"

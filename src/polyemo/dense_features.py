@@ -70,7 +70,7 @@ class EmbeddingTable:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "index", dict(zip(self.tokens, range(len(self.tokens)))))
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.tokens):
             raise ConfigError(
                 f"an embedding table of {len(self.tokens)} tokens needs a "

@@ -19,7 +19,7 @@ class FormatError(PolyemoError, ValueError):
     """A file does not follow its declared serialization format.
 
     Like ``json.JSONDecodeError``, it is also a ``ValueError``, which is what
-    numpy raises for the malformed or pickled members it refuses.
+    numpy's own loaders raise for the malformed or pickled arrays they refuse.
     """
 
 
@@ -56,14 +56,14 @@ def _first_undecodable_line(path) -> int:
 
 @contextmanager
 def open_input(path, **open_kwargs):
-    """Open an input text file as UTF-8; what goes wrong names the file.
+    """Open an input text file as UTF-8, dropping one leading byte-order mark; what goes wrong names the file.
 
     An OSError while opening it is a DataError naming ``path``, and text that
     is not UTF-8, met while the block reads it, is a FormatError naming the
     line. Any other error leaves the block as it came.
     """
     try:
-        fh = open(path, encoding="utf-8", **open_kwargs)
+        fh = open(path, encoding="utf-8-sig", **open_kwargs)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     with fh:

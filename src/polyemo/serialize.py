@@ -47,11 +47,22 @@ run of (language, representation) groups that share a word-vector table, and
 one per group otherwise, so the table (and its token list) that every model
 of such a run carries is deflated once per run rather than once per cell.
 
+``load_model`` reads only files laid out this way, in one pass and without
+``np.load``. It opens the file once and takes the member list from the zip
+central directory. For each member it checks the local header (signature,
+the directory's name, deflate), inflates the payload with one
+``zlib.decompress`` and checks its length and CRC-32. The ``.npy`` header
+must be version 1.0 in exactly numpy's spelling, of a bool, integer or float
+dtype, and its shape must account for every byte after it; there is no
+``literal_eval`` and nothing is unpickled. Each array is a read-only view of
+its inflated bytes, and only one member's payload is held at a time.
+
 The container carries a format version; a mismatch raises FormatError
 instead of guessing, so files of format 1 to 3 must be refit. A damaged
-file (a bad CRC, a broken deflate stream or ``.npy`` header, a member the
+file (a bad CRC, a broken deflate stream, a stored or duplicated member, a
+``.npy`` header that is malformed or does not fit its data, a member the
 structure names but the file lacks, a table whose planes or indices do not
-fit it) is a FormatError naming the file, never a traceback.
+fit it) is a FormatError naming the file and the member, never a traceback.
 """
 
 from __future__ import annotations
@@ -60,6 +71,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import re
 import struct
 import weakref
 import zipfile
@@ -318,47 +331,143 @@ def save_model(obj, path: str | Path, memo: dict[bytes, Deflated] | None = None)
         _write_zip(fh, [(f"{name}.npy", memo[key]) for name, key in keys.items()])
 
 
-# what reading a damaged member raises: a bad CRC, a broken deflate stream, a
-# truncated payload, a bad .npy header (or a pickled object array)
-_DAMAGED_MEMBER = (zipfile.BadZipFile, zlib.error, EOFError, ValueError)
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"  # .npy format 1.0
+# the header numpy writes, exactly: a quoted dtype code, the order, and a shape tuple
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([^']*)', 'fortran_order': (False|True), "
+    rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n"
+)
+# the dtypes a model member may hold, by the code numpy writes for them
+_NPY_DTYPES = {
+    dtype.str.encode("ascii"): dtype
+    for code in ("b1", "i1", "u1", "i2", "u2", "i4", "u4", "i8", "u8", "f2", "f4", "f8")
+    for dtype in (np.dtype("<" + code), np.dtype(">" + code))
+}
+# a deflate match (at most 258 bytes) takes at least 2 bits: a payload inflates to <= 1032x its size
+_MAX_INFLATE = 1032
+
+
+def _npy_header(data: bytes) -> tuple[tuple[int, ...], bool, np.dtype, int]:
+    """``(shape, fortran_order, dtype, data offset)`` of ``.npy`` 1.0 bytes; ValueError if not one.
+
+    The header must read exactly as numpy writes it for a bool, integer or
+    float array: other versions, dtypes (object arrays among them, so
+    nothing is unpickled) and spellings are refused rather than parsed.
+    """
+    if data[:8] != _NPY_MAGIC:
+        raise ValueError(f"not a .npy 1.0 array (it starts {data[:8]!r})")
+    start = 10 + int.from_bytes(data[8:10], "little")
+    header = _NPY_HEADER.fullmatch(data, 10, start)
+    if header is None:
+        raise ValueError(f"malformed .npy header {data[10:start]!r}")
+    code, fortran_order, dims = header.groups()
+    dtype = _NPY_DTYPES.get(code)
+    if dtype is None:
+        descr = code.decode("latin-1")
+        raise ValueError(
+            f"dtype {descr!r} is not a bool, integer or float type (a model is never unpickled)"
+        )
+    shape = tuple(int(d) for d in dims.split(b",") if d)
+    return shape, fortran_order == b"True", dtype, start
+
+
+def _npy_array(data: bytes) -> np.ndarray:
+    """The array of ``.npy`` 1.0 bytes, as a read-only view of them.
+
+    ValueError if the header does not parse or its shape does not fit the data.
+    """
+    shape, fortran_order, dtype, start = _npy_header(data)
+    count = math.prod(shape)
+    if count * dtype.itemsize != len(data) - start:
+        promised, held = count * dtype.itemsize, len(data) - start
+        raise ValueError(f".npy header promises {promised} data bytes, the member holds {held}")
+    array = np.frombuffer(data, dtype, count, start)
+    return array.reshape(shape, order="F" if fortran_order else "C")
+
+
+def _inflate(fh, info: zipfile.ZipInfo) -> bytes:
+    """Member ``info`` of the open zip ``fh``, inflated, its length and CRC-32 checked.
+
+    A local header that is not the directory entry's, a method other than
+    deflate and a short or damaged payload raise ValueError or zlib.error.
+    """
+    fh.seek(info.header_offset)
+    local = fh.read(_LOCAL_HEADER.size)
+    if len(local) != _LOCAL_HEADER.size:
+        raise ValueError("truncated local header")
+    signature, _, _, _, method, *_, name_size, extra_size = _LOCAL_HEADER.unpack(local)
+    if signature != b"PK\x03\x04":
+        raise ValueError(f"bad local header signature {signature!r}")
+    name = fh.read(name_size).decode("utf-8" if info.flag_bits & 0x800 else "cp437", "replace")
+    if name != info.orig_filename:
+        raise ValueError(f"local header names {name!r}, the directory {info.orig_filename!r}")
+    if method != _DEFLATED:
+        raise ValueError(f"compression method {method}, not deflate")
+    fh.seek(extra_size, io.SEEK_CUR)
+    payload = fh.read(info.compress_size)
+    if len(payload) != info.compress_size:
+        raise ValueError(f"payload of {len(payload)} bytes, not {info.compress_size}")
+    # a damaged directory cannot make the inflate reserve more than the payload can hold
+    data = zlib.decompress(payload, -15, min(info.file_size, _MAX_INFLATE * len(payload)))
+    if len(data) != info.file_size:
+        raise ValueError(f"inflates to {len(data)} bytes, not {info.file_size}")
+    if zlib.crc32(data) != info.CRC:
+        raise ValueError("bad CRC-32")
+    return data
+
+
+def _read_members(path: Path) -> dict[str, np.ndarray]:
+    """Every array of the model file at ``path``, by member name without ``.npy``.
+
+    One open, the member list from the zip central directory, then for each
+    member one read of its payload, one inflate and one strict ``.npy``
+    parse; each array is a read-only view of its inflated bytes. Only one
+    member's payload is held at a time. A file that cannot be read, is not
+    a zip, or has a damaged or duplicated member raises FormatError naming
+    ``path`` (and the member).
+    """
+    try:
+        with open(path, "rb") as fh:
+            try:
+                infos = zipfile.ZipFile(fh).infolist()
+            except (ValueError, zipfile.BadZipFile) as exc:
+                raise FormatError(f"{path}: not a model file: {exc}") from exc
+            members = {}
+            for info in infos:
+                key = info.filename.removesuffix(".npy")
+                try:
+                    if key in members:
+                        raise ValueError("a second member of this name")
+                    members[key] = _npy_array(_inflate(fh, info))
+                except (ValueError, zlib.error) as exc:
+                    raise FormatError(f"{path}: damaged model member {key!r}: {exc}") from exc
+            return members
+    except OSError as exc:
+        raise FormatError(f"cannot read model {path}: {exc}") from exc
 
 
 def load_model(path: str | Path):
     """Read back an object written by save_model; never unpickles.
 
     A file that is not a model of this format, or is damaged, raises
-    FormatError naming ``path``.
+    FormatError naming ``path``. Its arrays are read-only.
     """
     path = Path(path)
+    arrays = _read_members(path)
+    if "__meta__" not in arrays:
+        raise FormatError(f"{path}: not a model file (missing metadata)")
     try:
-        container = np.load(path, allow_pickle=False)
-    except OSError as exc:
-        raise FormatError(f"cannot read model {path}: {exc}") from exc
-    except (ValueError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"{path}: not a model file: {exc}") from exc
-
-    def read(z, name):
-        try:
-            return z[name]
-        except _DAMAGED_MEMBER as exc:
-            raise FormatError(f"{path}: damaged model member {name!r}: {exc}") from exc
-
-    with container as z:
-        if "__meta__" not in z.files:
-            raise FormatError(f"{path}: not a model file (missing metadata)")
-        try:
-            meta = json.loads(read(z, "__meta__").tobytes().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: corrupt model metadata: {exc}") from exc
-        if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
-            found = meta.get("format") if isinstance(meta, dict) else None
-            raise FormatError(f"{path}: unrecognized container format {found!r}")
-        if meta.get("version") != FORMAT_VERSION:
-            raise FormatError(
-                f"{path}: model format version {meta.get('version')!r} is not "
-                f"supported (this build reads version {FORMAT_VERSION})"
-            )
-        arrays = {k: read(z, k) for k in z.files if k != "__meta__"}
+        meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: corrupt model metadata: {exc}") from exc
+    if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
+        found = meta.get("format") if isinstance(meta, dict) else None
+        raise FormatError(f"{path}: unrecognized container format {found!r}")
+    if meta.get("version") != FORMAT_VERSION:
+        raise FormatError(
+            f"{path}: model format version {meta.get('version')!r} is not "
+            f"supported (this build reads version {FORMAT_VERSION})"
+        )
     try:
         return _decode_node(meta["root"], arrays)
     except FormatError as exc:
@@ -514,8 +623,7 @@ def _restore_decimals(decimals, planes, negative_zeros, rows: int) -> np.ndarray
         and not ints[negative_zeros].any()
     ):
         raise FormatError("embedding table negative-zero indices do not name zero mantissas")
-    matrix = ints.astype(np.float64)
-    matrix /= float(10**decimals)
+    matrix = np.divide(ints, float(10**decimals))  # the same conversion and division, in one pass
     matrix[negative_zeros] = -0.0
     return matrix.reshape(rows, columns)
 

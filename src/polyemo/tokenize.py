@@ -88,7 +88,7 @@ class Tokenizer:
         if spec.kind == "external-vocab":
             path = Path(spec.vocab_path)
             try:
-                lines = path.read_text(encoding="utf-8").splitlines()
+                lines = path.read_text(encoding="utf-8-sig").splitlines()  # a leading BOM is not a token
             except OSError as exc:
                 raise ConfigError(f"cannot read vocabulary file {path}: {exc}") from exc
             except UnicodeDecodeError as exc:

@@ -35,6 +35,13 @@ class TestLoadSplit:
         assert doc.text == "hello world"
         assert doc.labels == (0, 0, 0, 1, 0, 0)
 
+    def test_leading_byte_order_mark_keeps_the_id_column(self, tmp_path):
+        p = tmp_path / "train.csv"
+        p.write_text(HEADER + '\nx1,"hi",0,0,0,1,0,0\n', encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbfid,")
+        split = load_split(p, role="train")
+        assert [(d.id, d.text) for d in split.documents] == [("x1", "hi")]
+
     def test_language_from_parent_dir(self, tmp_path):
         d = tmp_path / "swa"
         d.mkdir()

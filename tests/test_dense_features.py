@@ -56,6 +56,12 @@ class TestLoadWordVectors:
         assert table.dimension == 2
         np.testing.assert_array_equal(table.matrix[table.index["a"]], [1.5, -2.0])
 
+    def test_leading_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
+        p = write_vectors(tmp_path / "v.vec", "\ufeffhello 1 2\nworld 3 4\n")
+        table = load_word_vectors(p)
+        assert table.tokens[0] == "hello"
+        np.testing.assert_array_equal(table.matrix[table.index["hello"]], [1.0, 2.0])
+
     def test_dimension_mismatch_names_line(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "2 3\na 1 0 0\nb 0 1\n")
         with pytest.raises(FormatError, match="line 3"):
@@ -131,6 +137,29 @@ class TestLoadWordVectors:
 # ---------------------------------------------------------------------------
 # frozen copies of the line-by-line .vec parser and the np.mean pooling loop
 # that the array-based table replaced; the fast paths must match them bit for bit
+
+
+def _reference_index(tokens):
+    """``EmbeddingTable.index`` as a comprehension over ``enumerate``, with its duplicate check."""
+    index = {t: i for i, t in enumerate(tokens)}
+    if len(index) != len(tokens):
+        raise ConfigError("embedding table tokens must be distinct")
+    return index
+
+
+class TestEmbeddingTableIndex:
+    @given(tokens=st.lists(st.text(alphabet="abcé", min_size=1, max_size=3), max_size=40))
+    def test_same_index_or_same_error_as_the_comprehension(self, tokens):
+        matrix = np.zeros((len(tokens), 2))
+        try:
+            expected = _reference_index(tokens)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=f"^{exc}$"):
+                EmbeddingTable(tuple(tokens), matrix)
+            return
+        table = EmbeddingTable(tuple(tokens), matrix)
+        assert table.index == expected
+        assert list(table.index) == list(expected)
 
 
 def _reference_load(path):

@@ -1,5 +1,6 @@
 """Pickle-free model persistence: round trips and format refusal."""
 
+import io
 import json
 import re
 import struct
@@ -547,6 +548,20 @@ def decimal_tables(draw):
     return matrix, decimals, mantissas
 
 
+def restore_decimals_reference(decimals, planes, negative_zeros, rows):
+    """The float64 matrix of valid DecimalForm fields, as ``_restore_decimals`` built it before
+    its conversion and division became one ``np.divide``."""
+    width, _, columns = planes.shape
+    ints = np.empty(rows * columns, dtype=f"<i{width}")
+    interleaved = ints.view(np.uint8).reshape(-1, width)
+    for i in range(width):
+        interleaved[:, i] = planes[i].reshape(-1)
+    matrix = ints.astype(np.float64)
+    matrix /= float(10**decimals)
+    matrix[negative_zeros] = -0.0
+    return matrix.reshape(rows, columns)
+
+
 class TestDecimalTables:
     @given(table=decimal_tables(), block_values=st.sampled_from([1, 7, 1 << 16]))
     def test_decimal_tables_round_trip_bit_for_bit(self, table, block_values, tmp_path_factory):
@@ -577,6 +592,24 @@ class TestDecimalTables:
         assert (form.decimals, form.planes.shape) == (3, (4, 2, 1))
         restored = serialize._restore_decimals(3, form.planes, form.negative_zeros, 2)
         assert same_bits(restored, matrix)
+
+    @given(
+        decimals=st.integers(0, MAX_DECIMALS),
+        width=st.sampled_from([1, 2, 4, 8]),
+        rows=st.integers(0, 20),
+        columns=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_restore_gives_the_bits_of_convert_then_divide(
+        self, decimals, width, rows, columns, seed
+    ):
+        rng = np.random.default_rng(seed)
+        planes = rng.integers(0, 256, size=(width, rows, columns), dtype=np.uint8)
+        zeros = rng.random((rows, columns)) < 0.3
+        planes[:, zeros] = 0
+        signed = zeros & (rng.random((rows, columns)) < 0.5)
+        fields = (decimals, planes, np.flatnonzero(signed).astype(np.int64), rows)
+        assert same_bits(serialize._restore_decimals(*fields), restore_decimals_reference(*fields))
 
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), columns=st.integers(1, 9))
     def test_plain_floats_keep_the_float64_member(self, seed, rows, columns, tmp_path_factory):
@@ -706,6 +739,180 @@ class TestDamagedFiles:
         assert main(["predict", "--model", str(path), "--input", str(texts), "--out", str(out)]) == 2
         assert f"error: {path}: damaged model member" in capsys.readouterr().err
         assert not out.exists()
+
+
+def npy_bytes(array, version=(1, 0)) -> bytes:
+    """The ``.npy`` bytes numpy writes for ``array`` (pickling an object array)."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, version=version, allow_pickle=True)
+    return buffer.getvalue()
+
+
+def claiming(shape):
+    """A change of ``.npy`` bytes whose header claims ``shape`` over the same data."""
+
+    def change(npy):
+        array = np.load(io.BytesIO(npy))
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": array.dtype.str, "fortran_order": False, "shape": shape(array)}
+        )
+        return header.getvalue() + npy[len(npy) - array.nbytes :]
+
+    return change
+
+
+def rezip(path, change=lambda npy: npy, stored=(), extra=()):
+    """Rewrite the zip at ``path`` with member ``a0.npy`` as ``change(bytes)``.
+
+    Members named in ``stored`` are written ``ZIP_STORED``, the rest
+    deflated, and the ``(name, bytes)`` pairs of ``extra`` are appended.
+    """
+    with zipfile.ZipFile(path) as z:
+        members = [(i.filename, z.read(i)) for i in z.infolist()]
+    members = [(n, change(d) if n == "a0.npy" else d) for n, d in members] + list(extra)
+    with zipfile.ZipFile(path, "w") as z:
+        for name, data in members:
+            method = zipfile.ZIP_STORED if name in stored else zipfile.ZIP_DEFLATED
+            z.writestr(name, data, compress_type=method)
+
+
+def version_two(npy):
+    """``.npy`` 1.0 bytes rewritten as format 2.0."""
+    return npy_bytes(np.load(io.BytesIO(npy)), version=(2, 0))
+
+
+def first_member(path) -> bytes:
+    with zipfile.ZipFile(path) as z:
+        return z.read("a0.npy")
+
+
+def duplicate_first_member(path):
+    with pytest.warns(UserWarning, match="Duplicate name"):
+        rezip(path, extra=[("a0.npy", first_member(path))])
+
+
+def rename_in_local_header(path):
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"a0.npy", b"a9.npy", 1))  # the local header comes first
+
+
+class TestModelReader:
+    """``load_model``'s one-pass reader: one inflate per member and a strict ``.npy`` 1.0 header."""
+
+    @staticmethod
+    def saved_tree(rng, path):
+        x, y = small_problem(rng)
+        save_model(fit(ClassifierSpec(kind="dt"), x, y), path)  # a0 is its int64 feature array
+        return path
+
+    @staticmethod
+    def assert_header_agrees(header):
+        buffer = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buffer, header)
+        raw = buffer.getvalue()
+        shape, fortran_order, dtype, start = serialize._npy_header(raw)
+        expected = np.lib.format.read_array_header_1_0(io.BytesIO(raw[8:]))
+        assert (shape, fortran_order, dtype) == expected
+        assert dtype.str == expected[2].str and start == len(raw)
+
+    @pytest.mark.parametrize("kind", REPRESENTATION_KINDS)
+    def test_headers_of_every_member_the_codecs_write_agree_with_numpy(self, kind, rng):
+        arrays = [
+            np.zeros(()),
+            np.arange(6.0).reshape(2, 3).T,
+            np.asfortranarray(np.ones((2, 3, 4))),
+            np.zeros((3, 0, 2), dtype=np.uint8),
+            np.array([True, False]),
+            np.arange(5, dtype=np.int64),
+        ]
+        for spec in CLASSIFIER_SPECS:
+            arrays += serialize._encode_model(fitted_pipeline(kind, spec, rng)).values()
+        kinds = {(a.dtype.str, a.ndim, np.isfortran(a)) for a in arrays}
+        assert {("|b1", 1, False), ("|u1", 3, False), ("<f8", 2, True), ("<i8", 1, False)} <= kinds
+        for array in arrays:
+            self.assert_header_agrees(np.lib.format.header_data_from_array_1_0(array))
+            restored = serialize._npy_array(npy_bytes(array))
+            assert restored.dtype == array.dtype and restored.shape == array.shape
+            assert np.isfortran(restored) == np.isfortran(array)
+            np.testing.assert_array_equal(restored, array)
+
+    @given(
+        dtype=st.sampled_from(sorted(serialize._NPY_DTYPES.values(), key=lambda d: d.str)),
+        fortran_order=st.booleans(),
+        shape=st.lists(st.integers(0, 10**12), max_size=3).map(tuple),
+    )
+    def test_any_header_numpy_writes_agrees(self, dtype, fortran_order, shape):
+        header = {"descr": dtype.str, "fortran_order": fortran_order, "shape": shape}
+        self.assert_header_agrees(header)
+
+    def test_members_equal_np_load_and_are_read_only(self, rng, tmp_path):
+        path = tmp_path / "wv.npz"
+        pipe = saved_word_vector_model(rng, path)
+        members = serialize._read_members(path)
+        with np.load(path, allow_pickle=False) as z:
+            assert list(members) == z.files
+            for name in z.files:
+                ours, theirs = members[name], z[name]
+                assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+                assert ours.tobytes() == theirs.tobytes()
+        assert not any(a.flags.writeable for a in members.values())
+        restored = load_model(path)
+        with pytest.raises(ValueError, match="read-only"):
+            restored.classifier.threshold[0] = 0.0
+        np.testing.assert_array_equal(restored.predict_texts(TEXTS), pipe.predict_texts(TEXTS))
+
+    @pytest.mark.parametrize("spec", CLASSIFIER_SPECS, ids=lambda s: s.kind)
+    def test_every_loaded_learner_predicts_and_refits(self, spec, rng, tmp_path):
+        x, y = small_problem(rng)
+        model = fit(spec, x, y)
+        save_model(model, tmp_path / "m.npz")
+        loaded = load_model(tmp_path / "m.npz")
+        np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
+        x2, y2 = small_problem(rng)
+        loaded.fit(x2, y2)
+        np.testing.assert_array_equal(loaded.predict(x2), fit(spec, x2, y2).predict(x2))
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (duplicate_first_member, "a second member of this name"),
+            (rename_in_local_header, "local header names 'a9.npy', the directory 'a0.npy'"),
+            (lambda path: rezip(path, stored=("a0.npy",)), "compression method 0, not deflate"),
+            (lambda path: rezip(path, claiming(lambda a: (a.size + 1,))), "header promises"),
+            (lambda path: rezip(path, claiming(lambda a: (a.size - 1,))), "header promises"),
+            (lambda path: rezip(path, lambda npy: npy_bytes(np.array([{}]))), "dtype '|O' is not"),
+            (lambda path: rezip(path, version_two), "not a .npy 1.0"),
+        ],
+        ids=["duplicate", "local-name", "stored", "more-bytes", "fewer-bytes", "object", "npy-2.0"],
+    )
+    def test_refused_member_names_file_and_member(self, damage, message, rng, tmp_path):
+        path = self.saved_tree(rng, tmp_path / "dt.npz")
+        damage(path)
+        where = re.escape(f"{path}: damaged model member 'a0': ")
+        with pytest.raises(FormatError, match=where + ".*" + re.escape(message)):
+            load_model(path)
+
+    def test_size_past_what_the_payload_can_inflate_to_is_damage(self, tmp_path):
+        # the inflate reserves no more than 1032 bytes per payload byte, whatever the directory says
+        path = tmp_path / "m.npz"
+        member = serialize._deflate(np.arange(3))
+        with open(path, "wb") as fh:
+            serialize._write_zip(fh, [("__meta__.npy", replace(member, size=1 << 40))])
+        message = f"{path}: damaged model member '__meta__': inflates to {member.size} bytes, not {1 << 40}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize("content", [b"", npy_bytes(np.arange(3))], ids=["empty", "plain-npy"])
+    def test_file_that_is_not_a_zip_is_not_a_model(self, content, tmp_path):
+        path = tmp_path / "m.npz"
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: not a model file")):
+            load_model(path)
+
+    def test_unreadable_path_cannot_be_read(self, tmp_path):
+        with pytest.raises(FormatError, match=re.escape(f"cannot read model {tmp_path}")):
+            load_model(tmp_path)
 
 
 # the JSON field names of every registered type, in file order

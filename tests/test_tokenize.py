@@ -145,6 +145,13 @@ class TestExternalVocab:
         tok = Tokenizer(TokenizerSpec(kind="external-vocab", vocab_path=str(path)))
         assert tok.vocab_tokens == ("a", "b")
 
+    def test_leading_byte_order_mark_keeps_the_first_token(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("ab\ncd\n", encoding="utf-8-sig")
+        tok = Tokenizer(TokenizerSpec(kind="external-vocab", vocab_path=str(path)))
+        assert tok.vocab_tokens == ("ab", "cd")
+        assert tok("abcd").tokens == ("ab", "cd")
+
     def test_missing_file(self, tmp_path):
         spec = TokenizerSpec(kind="external-vocab", vocab_path=str(tmp_path / "nope.txt"))
         with pytest.raises(ConfigError, match="cannot read"):
