@@ -2,10 +2,11 @@
 # Smoke test of the installed `polyemo` command: a run, a resumed run in which
 # every cell must be reused, an ablation that must write its paired tables,
 # predictions with a saved tf-idf model and a saved word-vector model (whose
-# table is restored from its byte planes) that must each equal the run's own
-# prediction file, and three malformed input files (a vector file, a vocabulary and a
-# config that is not UTF-8) that must each exit 2 with an error naming the
-# file, and no traceback.
+# table keeps its byte planes and restores the rows a request reads) that must
+# each equal the run's own prediction file, a run of the config saved with a byte-order mark that must
+# exit 0 and write the same report, and three malformed input files (a vector
+# file, a vocabulary and a config that is not UTF-8) that must each exit 2 with
+# an error naming the file, and no traceback.
 #
 #   pip install -e .
 #   bash scripts/cli_smoke.sh [work-dir]
@@ -78,6 +79,16 @@ for pattern in 'syn__tfidf__*.npz' 'syn__wv__*.npz'; do
   names="$names $name"
 done
 
+# a config saved with a byte-order mark runs as the config itself does
+printf '\xef\xbb\xbf' > "$work/config-bom.json"
+cat "$work/config.json" >> "$work/config-bom.json"
+polyemo run --config "$work/config-bom.json" --out "$work/out-bom" > "$work/run-bom.txt" 2>&1 || {
+  echo "polyemo run with a byte-order-marked config exited $?:" >&2
+  cat "$work/run-bom.txt" >&2
+  exit 1
+}
+cmp "$work/out/report.csv" "$work/out-bom/report.csv"
+
 # expect_error WANT ARGS...: `polyemo ARGS...` exits 2, prints WANT and no traceback
 expect_error() {
   local want="$1" status=0
@@ -96,4 +107,4 @@ expect_error "$work/bad.tsv: line 2: " inspect --vocab "$work/bad.tsv"
 printf '{"data_dir": "d\xff"}\n' > "$work/bad.json"
 expect_error "$work/bad.json: not UTF-8 text" run --config "$work/bad.json"
 
-echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, bad inputs exit 2"
+echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs exit 2"

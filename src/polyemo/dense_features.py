@@ -53,35 +53,95 @@ DEFAULT_PROMPT_TEMPLATE = (
 
 
 @dataclass(frozen=True)
+class DecimalForm:
+    """A float64 matrix as integer mantissas over ``10**decimals``, in byte planes.
+
+    ``planes`` is uint8 ``(width, rows, columns)``: plane ``i`` holds byte
+    ``i`` of every little-endian ``width``-byte signed mantissa.
+    ``negative_zeros`` holds the flat indices of the ``-0.0`` values, whose
+    sign a mantissa cannot carry. ``serialize`` finds the form of a matrix
+    when it saves one and checks the form it reads.
+    """
+
+    decimals: int
+    planes: np.ndarray
+    negative_zeros: np.ndarray
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The float64 rows ``ids`` of the matrix, which must be ascending and distinct.
+
+        Only those rows' bytes are read. Each mantissa is converted and
+        divided by ``10**decimals`` in one ``np.divide``, as for the whole
+        matrix, so every row has the bits it has there.
+        """
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("row ids must be ascending and distinct")
+        width, _, columns = self.planes.shape
+        picked = self.planes[:, ids]
+        ints = np.empty(len(ids) * columns, dtype=f"<i{width}")
+        interleaved = ints.view(np.uint8).reshape(-1, width)
+        for i in range(width):  # column by column: a transpose copy is about 3x slower
+            interleaved[:, i] = picked[i].reshape(-1)
+        block = np.divide(ints, float(10**self.decimals)).reshape(len(ids), columns)
+        row, column = np.divmod(self.negative_zeros, columns)
+        at = np.searchsorted(ids, row)  # where each -0.0's row would sit among ids
+        hit = at < len(ids)
+        hit[hit] = ids[at[hit]] == row[hit]
+        block[at[hit], column[hit]] = -0.0
+        return block
+
+
 class EmbeddingTable:
     """Exact-match token-to-vector lookup.
 
-    Row ``i`` of the ``(len(tokens), dimension)`` float64 ``matrix`` is the
-    vector of ``tokens[i]``; tokens are distinct, and ``index`` maps each one
-    to its row. ``source`` is the name of the file the table was read from:
-    its name, not its path, so a saved model does not depend on where its
-    inputs sit.
+    Tokens are distinct, and ``index`` maps each one to its row id.
+    ``source`` is the name of the file the table was read from: its name,
+    not its path, so a saved model does not depend on where its inputs sit.
+
+    A table holds its ``(len(tokens), dimension)`` float64 matrix whole, or
+    as a DecimalForm ``form`` alone; the model reader builds the latter, so
+    a request to a loaded model pays for the rows it reads, not for the
+    table. ``rows(ids)`` gives the same bits either way, and ``matrix`` is
+    the whole matrix, which a table held in decimal form builds on first
+    read.
+
+    ``form`` is also what a save writes. A save finds the form of a matrix
+    the first time and keeps it here, ``False`` if the matrix has none, so
+    a table is searched once however many models carry it.
     """
 
-    tokens: tuple[str, ...]
-    matrix: np.ndarray
-    language: str = ""
-    source: str = ""
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", dict(zip(self.tokens, range(len(self.tokens)))))
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.tokens):
+    def __init__(self, tokens, matrix=None, language="", source="", form=None):
+        if matrix is None and not isinstance(form, DecimalForm):
+            raise ConfigError("an embedding table needs its matrix or its decimal form")
+        shape = form.planes.shape[1:] if matrix is None else matrix.shape
+        if len(shape) != 2 or shape[0] != len(tokens):
             raise ConfigError(
-                f"an embedding table of {len(self.tokens)} tokens needs a "
-                f"({len(self.tokens)}, dimension) matrix, got shape {self.matrix.shape}"
+                f"an embedding table of {len(tokens)} tokens needs a "
+                f"({len(tokens)}, dimension) matrix, got shape {shape}"
             )
-        if len(self.index) != len(self.tokens):
+        self.tokens: tuple[str, ...] = tokens
+        self.language = language
+        self.source = source
+        self.form: DecimalForm | bool | None = form
+        self.index: dict[str, int] = dict(zip(tokens, range(len(tokens))))
+        if len(self.index) != len(tokens):
             raise ConfigError("embedding table tokens must be distinct")
+        self._matrix = matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The whole float64 matrix; a table held in decimal form builds it on first read."""
+        if self._matrix is None:
+            self._matrix = self.form.rows(np.arange(len(self.tokens)))
+        return self._matrix
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The float64 rows ``ids`` (ascending and distinct, as ``np.unique`` gives them)."""
+        return self.form.rows(ids) if self._matrix is None else self._matrix[ids]
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[1]
+        return (self.form.planes if self._matrix is None else self._matrix).shape[-1]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -204,9 +264,11 @@ def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]
     """Mean-pool token vectors into one row per document.
 
     Returns the (n_docs, dimension) matrix and an OovReport counting dropped
-    tokens and fully out-of-vocabulary documents. The sums are one product of
-    a CSR hit-count matrix, built in token order, with ``table.matrix``:
-    scipy adds each row's hits in that order, starting from zero, as
+    tokens and fully out-of-vocabulary documents. Only the distinct rows the
+    documents hit are asked of the table (``table.rows``), so a table held in
+    decimal form restores just those. The sums are one product of a CSR
+    hit-count matrix over those rows, built in token order, with them: scipy
+    adds each row's hits in that order, starting from zero, as
     ``np.mean(hits, axis=0)`` does for a table of dimension 2 or more, so
     the rows are bit-identical to it (at dimension 1 numpy's mean sums
     pairwise, which can round differently from the in-order sum).
@@ -223,11 +285,12 @@ def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]
         indptr.append(len(hits))
         n_tokens += len(tokens)
     counts = np.diff(indptr)
+    ids, columns = np.unique(np.array(hits, dtype=np.int64), return_inverse=True)
     hit_matrix = sp.csr_matrix(
-        (np.ones(len(hits)), np.array(hits, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(counts), len(table)),
+        (np.ones(len(hits)), columns, np.array(indptr, dtype=np.int64)),
+        shape=(len(counts), len(ids)),
     )
-    sums = hit_matrix @ table.matrix
+    sums = hit_matrix @ table.rows(ids)
     rows = np.zeros_like(sums)
     np.divide(sums, counts[:, None], out=rows, where=counts[:, None] > 0)
     return rows, OovReport(

@@ -448,10 +448,10 @@ def _check_paths(cfg: ExperimentConfig, source: str) -> None:
 def load_config(
     path: str | Path, seed: int | None = None, out_dir: str | None = None
 ) -> ExperimentConfig:
-    """Read a JSON config file; CLI flags override seed/out_dir."""
+    """Read a JSON config file, a leading byte-order mark dropped; CLI flags override seed/out_dir."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -33,7 +33,8 @@ member whose plane ``i`` is byte ``i`` of every little-endian mantissa; the
 bytes). An integer cannot carry the sign of ``-0.0``, so the flat indices of
 those values go in an int64 member. A table without such a form keeps its
 float64 matrix, with ``decimals`` and ``negative_zeros`` null. The form is
-computed once per table object, however many models carry it.
+found once per table object, however many models carry it, and a table read
+from a model file is written back in the form it was read in, unsearched.
 
 The file is a standard ``.npz`` that ``np.load`` reads: every member
 decompresses to the bytes ``np.savez_compressed`` writes. It is raw deflate
@@ -57,6 +58,11 @@ dtype, and its shape must account for every byte after it; there is no
 ``literal_eval`` and nothing is unpickled. Each array is a read-only view of
 its inflated bytes, and only one member's payload is held at a time.
 
+A load restores no word-vector row. A table stored in decimal form keeps its
+byte planes, ``decimals`` and negative-zero indices, all checked while the
+model loads, and restores float64 rows only as they are read: a request
+restores the rows its documents hit (see ``dense_features.DecimalForm``).
+
 The container carries a format version; a mismatch raises FormatError
 instead of guessing, so files of format 1 to 3 must be refit. A damaged
 file (a bad CRC, a broken deflate stream, a stored or duplicated member, a
@@ -74,7 +80,6 @@ import json
 import math
 import re
 import struct
-import weakref
 import zipfile
 import zlib
 from pathlib import Path
@@ -82,7 +87,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .dense_features import EmbeddingTable
+from .dense_features import DecimalForm, EmbeddingTable
 from .errors import ConfigError, FormatError
 from .learn import (
     ClassifierSpec,
@@ -516,21 +521,6 @@ def _decode_vocabulary(f):
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class DecimalForm:
-    """A float64 matrix as integer mantissas over ``10**decimals``, in byte planes.
-
-    ``planes`` is uint8 ``(width, rows, columns)``: plane ``i`` holds byte
-    ``i`` of every little-endian ``width``-byte signed mantissa.
-    ``negative_zeros`` holds the flat indices of the ``-0.0`` values, whose
-    sign a mantissa cannot carry.
-    """
-
-    decimals: int
-    planes: np.ndarray
-    negative_zeros: np.ndarray
-
-
 MAX_DECIMALS = 9
 _BLOCK_VALUES = 1 << 16  # values per row block of the search and the build
 _WIDTHS = (1, 2, 4, 8)
@@ -594,8 +584,13 @@ def _decimal_form(matrix: np.ndarray) -> DecimalForm | None:
     return DecimalForm(decimals, planes, np.concatenate(negative_zeros))
 
 
-def _restore_decimals(decimals, planes, negative_zeros, rows: int) -> np.ndarray:
-    """The float64 matrix a DecimalForm's fields stand for; FormatError if they do not fit."""
+def _checked_form(decimals, planes, negative_zeros, rows: int) -> DecimalForm:
+    """The DecimalForm of a stored table of ``rows`` tokens; FormatError if its fields do not fit one.
+
+    Every check is made here, while the model loads, though no row is
+    restored: a negative-zero index must name a value whose mantissa bytes
+    are all zero in the planes.
+    """
     if type(decimals) is not int or not 0 <= decimals <= MAX_DECIMALS:
         raise FormatError(f"embedding table decimals {decimals!r} outside 0..{MAX_DECIMALS}")
     if not (
@@ -610,39 +605,30 @@ def _restore_decimals(decimals, planes, negative_zeros, rows: int) -> np.ndarray
             f"embedding table of {rows} tokens needs 1, 2, 4 or 8 uint8 byte planes of "
             f"({rows}, dimension), got shape {shape}"
         )
-    width, _, columns = planes.shape
-    ints = np.empty(rows * columns, dtype=f"<i{width}")
-    interleaved = ints.view(np.uint8).reshape(-1, width)
-    for i in range(width):  # column by column: a transpose copy is about 3x slower
-        interleaved[:, i] = planes[i].reshape(-1)
+    bytes_of = planes.reshape(planes.shape[0], -1)  # (width, values)
     if not (
         isinstance(negative_zeros, np.ndarray)
         and negative_zeros.dtype == np.int64
         and negative_zeros.ndim == 1
-        and ((0 <= negative_zeros) & (negative_zeros < ints.size)).all()
-        and not ints[negative_zeros].any()
+        and ((0 <= negative_zeros) & (negative_zeros < bytes_of.shape[1])).all()
+        and not bytes_of[:, negative_zeros].any()
     ):
         raise FormatError("embedding table negative-zero indices do not name zero mantissas")
-    matrix = np.divide(ints, float(10**decimals))  # the same conversion and division, in one pass
-    matrix[negative_zeros] = -0.0
-    return matrix.reshape(rows, columns)
-
-
-_DECIMAL_FORMS: dict[int, DecimalForm | None] = {}
+    return DecimalForm(decimals, planes, negative_zeros)
 
 
 def _table_form(table: EmbeddingTable) -> DecimalForm | None:
-    """The decimal form of ``table.matrix``, computed once per table object.
+    """The decimal form a save writes for ``table``, None if its matrix has none.
 
-    An EmbeddingTable is immutable, so its form is kept for as long as the
-    object lives and dropped with it; the runner's models of one run of
-    groups that read the same vector file all carry the same table object.
+    A table read from a model file carries the form it was stored in, and
+    writes it back as it is. Any other table is searched on its first save
+    and keeps the result, so the runner's models of one run of groups that
+    read the same vector file, which all carry the same table object, search
+    it once.
     """
-    key = id(table)
-    if key not in _DECIMAL_FORMS:
-        _DECIMAL_FORMS[key] = _decimal_form(table.matrix)
-        weakref.finalize(table, _DECIMAL_FORMS.pop, key)
-    return _DECIMAL_FORMS[key]
+    if table.form is None:
+        table.form = _decimal_form(table.matrix) or False
+    return table.form or None
 
 
 def _encode_embedding_table(t):
@@ -658,12 +644,14 @@ def _encode_embedding_table(t):
 
 
 def _decode_embedding_table(f):
+    """A table as it is stored: its decimal form alone, or its float64 matrix, which has none."""
     tokens = _member_tokens(f["tokens"])
-    matrix = f["matrix"]
-    if f["decimals"] is not None:
-        matrix = _restore_decimals(f["decimals"], matrix, f["negative_zeros"], len(tokens))
+    if f["decimals"] is None:
+        matrix, form = f["matrix"], False
+    else:
+        matrix, form = None, _checked_form(f["decimals"], f["matrix"], f["negative_zeros"], len(tokens))
     try:
-        return EmbeddingTable(tokens, matrix, language=f["language"], source=f["source"])
+        return EmbeddingTable(tokens, matrix, f["language"], f["source"], form)
     except ConfigError as exc:
         raise FormatError(str(exc)) from exc
 

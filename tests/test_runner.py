@@ -160,6 +160,13 @@ class TestParseConfig:
         assert cfg.seed == 99
         assert cfg.out_dir == tmp_path / "other"
 
+    def test_load_config_with_a_byte_order_mark(self, synthetic_dir, tmp_path):
+        path = tmp_path / "config.json"
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        path.write_text(json.dumps(raw), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(path) == parse_config(raw, source=str(path), base_dir=tmp_path)
+
     def test_load_config_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json", encoding="utf-8")

@@ -11,11 +11,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from polyemo import serialize
-from polyemo.dense_features import EmbeddingTable
+from polyemo.dense_features import DecimalForm, EmbeddingTable
 from polyemo.errors import ConfigError, FormatError
 from polyemo.learn import (
     ClassifierSpec,
@@ -28,7 +28,8 @@ from polyemo.learn import (
     default_voting_spec,
     fit,
 )
-from polyemo.pipeline import PipelineModel
+from polyemo.pipeline import PipelineModel, read_predictions
+from polyemo.runner import predict_file
 from polyemo.reduce import fit_pca
 from polyemo.serialize import (
     FORMAT_NAME,
@@ -492,8 +493,9 @@ class TestFormatGuards:
             "root": {"__kind__": "array", "key": "a0"},
         }
         raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez(path, __meta__=raw, a0=np.array([{"x": 1}], dtype=object))
-        with pytest.raises(ValueError, match="pickle"):
+        np.savez_compressed(path, __meta__=raw, a0=np.array([{"x": 1}], dtype=object))
+        message = "damaged model member 'a0': dtype '|O' is not a bool, integer or float type"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -549,8 +551,7 @@ def decimal_tables(draw):
 
 
 def restore_decimals_reference(decimals, planes, negative_zeros, rows):
-    """The float64 matrix of valid DecimalForm fields, as ``_restore_decimals`` built it before
-    its conversion and division became one ``np.divide``."""
+    """The float64 matrix of valid DecimalForm fields: every mantissa converted, then divided."""
     width, _, columns = planes.shape
     ints = np.empty(rows * columns, dtype=f"<i{width}")
     interleaved = ints.view(np.uint8).reshape(-1, width)
@@ -590,8 +591,8 @@ class TestDecimalTables:
         with mock.patch.object(serialize, "_BLOCK_VALUES", 1):
             form = serialize._decimal_form(matrix)
         assert (form.decimals, form.planes.shape) == (3, (4, 2, 1))
-        restored = serialize._restore_decimals(3, form.planes, form.negative_zeros, 2)
-        assert same_bits(restored, matrix)
+        restored = serialize._checked_form(3, form.planes, form.negative_zeros, 2)
+        assert same_bits(restored.rows(np.arange(2)), matrix)
 
     @given(
         decimals=st.integers(0, MAX_DECIMALS),
@@ -609,7 +610,17 @@ class TestDecimalTables:
         planes[:, zeros] = 0
         signed = zeros & (rng.random((rows, columns)) < 0.5)
         fields = (decimals, planes, np.flatnonzero(signed).astype(np.int64), rows)
-        assert same_bits(serialize._restore_decimals(*fields), restore_decimals_reference(*fields))
+        form = serialize._checked_form(*fields)
+        whole = restore_decimals_reference(*fields)
+        assert same_bits(form.rows(np.arange(rows)), whole)
+        # rows restored on demand: none, each one alone, and an ascending subset
+        subset = np.flatnonzero(rng.random(rows) < 0.5)
+        for ids in [np.array([], dtype=np.int64), subset, *(np.array([i]) for i in range(rows))]:
+            assert same_bits(form.rows(ids), whole[ids])
+        if rows >= 2:
+            for ids in ([1, 0], [1, 1]):
+                with pytest.raises(ValueError, match="ascending and distinct"):
+                    form.rows(np.array(ids))
 
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), columns=st.integers(1, 9))
     def test_plain_floats_keep_the_float64_member(self, seed, rows, columns, tmp_path_factory):
@@ -637,9 +648,10 @@ class TestDecimalTables:
 def saved_word_vector_model(rng, path):
     """A word-vector pipeline whose five-decimal table holds a ``-0.0``, saved at ``path``."""
     pipe = fitted_pipeline("word-vectors", ClassifierSpec(kind="dt"), rng)
-    matrix = pipe.embeddings.matrix.copy()
+    table = pipe.embeddings
+    matrix = table.matrix.copy()
     matrix[0, 0] = -0.0
-    pipe = replace(pipe, embeddings=replace(pipe.embeddings, matrix=matrix))
+    pipe = replace(pipe, embeddings=EmbeddingTable(table.tokens, matrix, table.language, table.source))
     save_model(pipe, path)
     return pipe
 
@@ -739,6 +751,67 @@ class TestDamagedFiles:
         assert main(["predict", "--model", str(path), "--input", str(texts), "--out", str(out)]) == 2
         assert f"error: {path}: damaged model member" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLoadedWordVectorModels:
+    """A loaded table keeps its decimal form and restores only the rows a request reads."""
+
+    @given(
+        table=decimal_tables(),
+        docs=st.lists(st.lists(st.integers(-3, 29), max_size=8), max_size=6),
+    )
+    def test_features_equal_the_in_memory_pipeline(self, table, docs, tmp_path_factory):
+        matrix = table[0]
+        assume(len(matrix))
+        tokens = tuple(f"w{i}" for i in range(len(matrix)))
+        # a negative number is an out-of-vocabulary word; the last two texts hit no row
+        texts = [" ".join(f"w{i}" if i >= 0 else f"oov{-i}" for i in doc) for doc in docs]
+        texts += ["oov1 oov2", ""]
+        pipe = PipelineModel(
+            "xx", "wv", "word-vectors", TokenizerSpec(), embeddings=EmbeddingTable(tokens, matrix, "xx", "xx.vec")
+        )
+        path = tmp_path_factory.mktemp("features") / "wv.npz"
+        save_model(pipe, path)
+        loaded = load_model(path)
+        assert isinstance(loaded.embeddings.form, DecimalForm)
+        assert same_bits(loaded.features(texts), pipe.features(texts))
+
+    def test_predict_restores_only_the_rows_its_batch_hits(self, rng, tmp_path, monkeypatch):
+        model = tmp_path / "wv.npz"
+        pipe = saved_word_vector_model(rng, model)
+        texts = ["joy smile", "nothing known", "smile gloom joy"]
+        expected = pipe.predict_texts(texts)
+        hit = sorted(pipe.embeddings.index[w] for w in ("joy", "smile", "gloom"))
+        assert len(hit) < len(pipe.embeddings)
+        batch = tmp_path / "texts.csv"
+        batch.write_text("id,text\n" + "".join(f"d{i},{t}\n" for i, t in enumerate(texts)), encoding="utf-8")
+        restored = []
+        rows = DecimalForm.rows
+
+        def spy(form, ids):
+            restored.append(ids.tolist())
+            return rows(form, ids)
+
+        monkeypatch.setattr(DecimalForm, "rows", spy)
+        monkeypatch.setattr(EmbeddingTable, "matrix", property(lambda t: pytest.fail("built the whole table")))
+        assert predict_file(model, batch, tmp_path / "out.csv") == len(texts)
+        assert restored == [hit]
+        np.testing.assert_array_equal(read_predictions(tmp_path / "out.csv")[1], expected)
+
+    @pytest.mark.parametrize("stored", ["decimal-form", "float64"])
+    def test_resaving_a_loaded_table_writes_its_bytes_without_a_search(
+        self, stored, rng, tmp_path, monkeypatch
+    ):
+        original = tmp_path / "model.npz"
+        if stored == "decimal-form":
+            saved_word_vector_model(rng, original)
+        else:
+            save_model(EmbeddingTable(("a", "b"), rng.normal(size=(2, 3))), original)
+        searches = []
+        monkeypatch.setattr(serialize, "_decimal_form", searches.append)
+        save_model(load_model(original), tmp_path / "again.npz")
+        assert (tmp_path / "again.npz").read_bytes() == original.read_bytes()
+        assert searches == []
 
 
 def npy_bytes(array, version=(1, 0)) -> bytes:
