@@ -6,7 +6,9 @@
 # each equal the run's own prediction file, a run of the config saved with a byte-order mark that must
 # exit 0 and write the same report, and three malformed input files (a vector
 # file, a vocabulary and a config that is not UTF-8) that must each exit 2 with
-# an error naming the file, and no traceback.
+# an error naming the file, and no traceback; last, a re-run in which every
+# pca-on cell fails must exit 1 and leave no pca-on model or prediction file,
+# while the pca-off prediction files stay byte for byte as they were.
 #
 #   pip install -e .
 #   bash scripts/cli_smoke.sh [work-dir]
@@ -107,4 +109,38 @@ expect_error "$work/bad.tsv: line 2: " inspect --vocab "$work/bad.tsv"
 printf '{"data_dir": "d\xff"}\n' > "$work/bad.json"
 expect_error "$work/bad.json: not UTF-8 text" run --config "$work/bad.json"
 
-echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs exit 2"
+# a re-run into the same output directory whose PCA must keep more components
+# than the train split has rows: every pca-on cell fails and keeps no model or
+# prediction file from the first run, and the pca-off predictions stay as they were
+mkdir -p "$work/pca-off"
+cp "$work"/out/predictions/*__pca-off__*.csv "$work/pca-off/"
+python - "$work" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+root = Path(sys.argv[1])
+config = json.loads((root / "config.json").read_text(encoding="utf-8"))
+config["reduction"]["components"] = 1000000
+(root / "config-pca-fails.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+PY
+status=0
+polyemo run --config "$work/config-pca-fails.json" > "$work/run-pca-fails.txt" 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "a run whose pca-on cells all fail exited $status; expected 1:" >&2
+  cat "$work/run-pca-fails.txt" >&2
+  exit 1
+fi
+left=$(ls "$work"/out/models/*__pca-on__* "$work"/out/predictions/*__pca-on__* 2>/dev/null || true)
+if [ -n "$left" ]; then
+  echo "failed pca-on cells left files of the earlier run:" >&2
+  echo "$left" >&2
+  exit 1
+fi
+kept=0
+for copy in "$work"/pca-off/*.csv; do
+  cmp "$copy" "$work/out/predictions/$(basename "$copy")"
+  kept=$((kept + 1))
+done
+
+echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataError, SchemaError, open_input
 
 EMOTIONS = ("anger", "disgust", "fear", "joy", "sadness", "surprise")
@@ -126,10 +127,8 @@ def _parse_label(cell: str, emotion: str, path: Path, lineno: int) -> int:
 
 def save_split(split: DatasetSplit, path: str | Path) -> None:
     """Write a split back to CSV; inverse of load_split for round-tripping."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     labeled = split.labeled and len(split) > 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["id", "text"] + (list(EMOTIONS) if labeled else [])
         writer.writerow(header)

@@ -40,6 +40,7 @@ from .errors import (
     TransportError,
     open_input,
 )
+from .tokenize import tokens_of
 
 ENV_API_KEY = "EMO_LLM_API_KEY"
 ENV_ENDPOINT = "EMO_LLM_ENDPOINT"
@@ -280,7 +281,7 @@ def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]
     indptr = [0]
     n_tokens = 0
     for doc in docs:
-        tokens = doc.tokens if hasattr(doc, "tokens") else tuple(doc)
+        tokens = tokens_of(doc)
         hits.extend(index[t] for t in tokens if t in index)
         indptr.append(len(hits))
         n_tokens += len(tokens)

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeError
+from .learn.base import as_dense
 from .sparse_features import normalize_rows_sparse
 
 # fit_pca warns when densifying sparse input allocates at least this much
@@ -58,10 +59,6 @@ def normalize_rows(m):
     return m / scale
 
 
-def _densify(m) -> np.ndarray:
-    return np.asarray(m.todense() if sp.issparse(m) else m, dtype=float)
-
-
 def fit_pca(m, cfg: ReductionConfig = ReductionConfig()) -> PcaModel:
     """Fit PCA on the rows of ``m`` and keep components per ``cfg``.
 
@@ -75,7 +72,7 @@ def fit_pca(m, cfg: ReductionConfig = ReductionConfig()) -> PcaModel:
             f"this allocates roughly {m.shape[0] * m.shape[1] * 8 / 1e6:.0f} MB",
             stacklevel=2,
         )
-    x = _densify(m)
+    x = as_dense(m)
     n, d = x.shape
     if n < 2:
         raise ConfigError(f"PCA requires at least 2 samples, got {n}")
@@ -118,7 +115,7 @@ def fit_pca(m, cfg: ReductionConfig = ReductionConfig()) -> PcaModel:
 
 
 def transform_pca(m, model: PcaModel) -> np.ndarray:
-    x = _densify(m)
+    x = as_dense(m)
     if x.shape[1] != model.input_dim:
         raise ShapeError(
             f"matrix has {x.shape[1]} columns but the PCA model expects {model.input_dim}"

@@ -8,10 +8,14 @@ and shares that featurizer, and the reduced splits, across the arm's
 classifiers. Every saved model is that same featurizer plus the cell's
 classifier, so ``predict`` computes features exactly as training did.
 
-Each cell persists its predictions, a fitted model file and a completion
-record. Report files that must reproduce byte-for-byte under a fixed seed
-(the master report, the f1/confusion/ablation views, predictions) never
-contain wall-clock values; timings go to a separate out/timing/ directory.
+Each cell that runs persists its predictions and a fitted model file. Every
+cell that runs or fails ends in ``_end_cell``: its completion record is
+written, a failed cell's prediction and model files (an earlier run's too)
+are removed, and its ``[k/N]`` progress line is logged; a cell that
+``--resume`` reuses is only logged. Report files that must reproduce
+byte-for-byte under a fixed seed (the master report, the f1/confusion/ablation
+views, predictions) never contain wall-clock values; timings go to a separate
+out/timing/ directory.
 Every report table but the per-cell confusion tables has one of two shapes:
 one row per cell (its coordinates, then values), as in ``report.csv``, or
 one row per language (its name, then values), as in the views' pivots.
@@ -614,55 +618,49 @@ def build_representation(
     lang: str,
     splits: dict,
     table: EmbeddingTable | None = None,
-) -> tuple[PipelineModel, list, float]:
-    """Fit one language's featurizer on its train split and represent every split, timed.
+) -> tuple[PipelineModel, list]:
+    """Fit one language's featurizer on its train split and represent every split.
 
-    Returns the featurizer (no PCA, no classifier yet), the train/dev/test
-    matrices before reduction, and the seconds spent. Each split is
-    tokenized once, with the featurizer's own tokenizer. A word-vector
-    featurizer carries ``table``, the vectors of the group's resolved vector
-    language (``_vector_language``), which ``run_matrix`` loads once for
-    every group that reads the same file. The featurizer names an external
-    vocabulary by its file name, not its path, so a saved model does not
-    depend on where its inputs sit.
+    Returns the featurizer (no PCA, no classifier yet) and the train/dev/test
+    matrices before reduction. Each split is tokenized once, with the
+    featurizer's own tokenizer. A word-vector featurizer carries ``table``,
+    the vectors of the group's resolved vector language, which ``run_matrix``
+    loads once for every group that reads the same file. The featurizer names
+    an external vocabulary by its file name, not its path, so a saved model
+    does not depend on where its inputs sit.
     """
-
-    def work():
-        spec = cfg.tokenizer
-        featurizer = PipelineModel(
-            language=lang,
-            representation=rep.name,
-            representation_kind=rep.kind,
-            tokenizer_spec=replace(spec, vocab_path=spec.vocab_path and Path(spec.vocab_path).name),
-            normalize=cfg.normalize,
-        )
-        if rep.kind == "precomputed":
-            if lang not in rep.split_paths:
-                raise DataError(
-                    f"no precomputed embeddings configured for language {lang!r}"
-                )
-            return featurizer, [
-                load_precomputed_embeddings(rep.split_paths[lang][role], splits[role].ids())
-                for role in ROLES
-            ]
-
-        featurizer.tokenizer_vocab = Tokenizer(spec).vocab_tokens
-        tokenizer = featurizer.make_tokenizer()
-        seqs = [tokenize_split(splits[role], tokenizer) for role in ROLES]
-        if rep.kind == "bow":
-            vocab = fit_bow(seqs[0])
-            # unit idf without row normalization is exactly the count matrix
-            featurizer.tfidf = TfidfModel(
-                vocabulary=vocab, idf=np.ones(len(vocab)), row_normalize=False
+    spec = cfg.tokenizer
+    featurizer = PipelineModel(
+        language=lang,
+        representation=rep.name,
+        representation_kind=rep.kind,
+        tokenizer_spec=replace(spec, vocab_path=spec.vocab_path and Path(spec.vocab_path).name),
+        normalize=cfg.normalize,
+    )
+    if rep.kind == "precomputed":
+        if lang not in rep.split_paths:
+            raise DataError(
+                f"no precomputed embeddings configured for language {lang!r}"
             )
-        elif rep.kind == "tfidf":
-            featurizer.tfidf = fit_tfidf(seqs[0])
-        else:  # word-vectors
-            featurizer.embeddings = table
-        return featurizer, [featurizer.represent(s) for s in seqs]
+        return featurizer, [
+            load_precomputed_embeddings(rep.split_paths[lang][role], splits[role].ids())
+            for role in ROLES
+        ]
 
-    (featurizer, xs), seconds = time_run(work)
-    return featurizer, xs, seconds
+    featurizer.tokenizer_vocab = Tokenizer(spec).vocab_tokens
+    tokenizer = featurizer.make_tokenizer()
+    seqs = [tokenize_split(splits[role], tokenizer) for role in ROLES]
+    if rep.kind == "bow":
+        vocab = fit_bow(seqs[0])
+        # unit idf without row normalization is exactly the count matrix
+        featurizer.tfidf = TfidfModel(
+            vocabulary=vocab, idf=np.ones(len(vocab)), row_normalize=False
+        )
+    elif rep.kind == "tfidf":
+        featurizer.tfidf = fit_tfidf(seqs[0])
+    else:  # word-vectors
+        featurizer.embeddings = table
+    return featurizer, [featurizer.represent(s) for s in seqs]
 
 
 def _fit_reduction(cfg: ExperimentConfig, featurizer: PipelineModel, pca: bool, xs: list):
@@ -673,6 +671,10 @@ def _fit_reduction(cfg: ExperimentConfig, featurizer: PipelineModel, pca: bool, 
         )
         featurizer = replace(featurizer, pca=pca_model)
     return featurizer, [featurizer.reduce(x) for x in xs]
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _cell_report(cell: Cell, **values) -> EvalReport:
@@ -686,6 +688,10 @@ def _cell_report(cell: Cell, **values) -> EvalReport:
     )
 
 
+def _cell_files(cfg: ExperimentConfig, cell: Cell) -> tuple[Path, Path]:
+    return cfg.out_dir / "predictions" / f"{cell.name}.csv", cfg.out_dir / "models" / f"{cell.name}.npz"
+
+
 def run_cell(
     cfg: ExperimentConfig,
     cell: Cell,
@@ -694,15 +700,13 @@ def run_cell(
     xs: list,
     representation_seconds: float,
     reduce_seconds: float,
-    fingerprint: str,
     memo: dict,
-) -> EvalReport:
-    """Fit, predict and score one cell on its group's reduced features; persist it.
+) -> tuple[EvalReport, object]:
+    """Fit, predict, score and save one cell; return its report and classifier (None if unfitted).
 
     ``featurizer`` and ``xs`` are shared by every classifier of the cell's
     (language, representation, pca) group; ``reduce_seconds`` is the group's
-    normalize + PCA time, counted in each cell's train time. ``fingerprint``
-    (``cell_fingerprint``) goes into the cell's record. ``memo`` is the
+    normalize + PCA time, counted in each cell's train time. ``memo`` is the
     ``save_model`` memo of the run of groups the cell's (language,
     representation) group belongs to (see ``run_matrix``).
     """
@@ -734,7 +738,7 @@ def run_cell(
             representation_seconds=representation_seconds,
         )
 
-        pred_path = cfg.out_dir / "predictions" / f"{cell.name}.csv"
+        pred_path, model_path = _cell_files(cfg, cell)
         write_predictions(pred_path, splits["test"].ids(), pred)
         # score from the persisted file so emitted numbers always re-validate
         _, persisted = read_predictions(pred_path)
@@ -743,13 +747,11 @@ def run_cell(
             report.f1_macro = f1_macro(y_test, persisted)
             report.rates = confusion_rates(y_test, persisted)
 
-        model_path = cfg.out_dir / "models" / f"{cell.name}.npz"
         save_model(replace(featurizer, classifier=model), model_path, memo=memo)
     except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the matrix
         report.status = "error"
-        report.error = f"{type(exc).__name__}: {exc}"
-    _write_cell_record(cfg, cell, report, fingerprint, model)
-    return report
+        report.error = _error_text(exc)
+    return report, model
 
 
 # ---------------------------------------------------------------------------
@@ -811,8 +813,63 @@ def _read_cell_record(cfg: ExperimentConfig, cell: Cell, fingerprint: str) -> Ev
         return None  # truncated or malformed: the cell runs again
 
 
+def _end_cell(
+    cfg: ExperimentConfig, cell: Cell, report: EvalReport, fingerprint: str, model, log
+) -> None:
+    """End a cell that ran or failed: write its record, remove a failed cell's files, log it."""
+    _write_cell_record(cfg, cell, report, fingerprint, model)
+    if report.status != "ok":  # after the record: a cut run leaves no ok record without its files
+        for path in _cell_files(cfg, cell):
+            path.unlink(missing_ok=True)
+    log(cell, report, _f1_text(report) if report.status == "ok" else report.error)
+
+
 # ---------------------------------------------------------------------------
 # the matrix
+
+
+def _run_group(cfg: ExperimentConfig, cells: list[Cell], splits: dict, resolution: tuple, shared: dict):
+    """Run a (language, representation) group's pending cells; yield each ``(cell, report, model)``.
+
+    ``resolution`` is the group's vector language, its seconds and error text.
+    ``shared`` holds what the group's run of groups shares: the vector table,
+    loaded by the first group that needs it, and the memo of deflated model members.
+    """
+    lang, rep = cells[0].language, cells[0].representation
+    code, rep_seconds, error = resolution
+    if not error:
+        try:
+            if code is not None and "table" not in shared:
+                path = rep.vector_paths[code]
+                shared["table"], seconds = time_run(lambda: load_word_vectors(path, language=code))
+                rep_seconds += seconds
+            (featurizer, xs), seconds = time_run(
+                lambda: build_representation(cfg, rep, lang, splits, shared.get("table"))
+            )
+            rep_seconds += seconds
+        except Exception as exc:  # noqa: BLE001 - recorded per cell
+            error = _error_text(exc)
+    if error:
+        for cell in cells:
+            yield cell, _cell_report(cell, status="error", error=f"representation: {error}"), None
+        return
+    if featurizer.tfidf is not None:
+        path = cfg.out_dir / "vocab" / f"{_sanitize(lang)}__{_sanitize(rep.name)}.tsv"
+        save_vocabulary(featurizer.tfidf.vocabulary, path)
+    memo = shared.setdefault("memo", {})  # an array the run's models share is deflated once
+    for pca, arm in groupby(cells, key=lambda c: c.pca):
+        try:
+            (arm_featurizer, reduced), reduce_seconds = time_run(
+                lambda: _fit_reduction(cfg, featurizer, pca, xs)
+            )
+        except Exception as exc:  # noqa: BLE001 - recorded per cell
+            for cell in arm:
+                yield cell, _cell_report(cell, status="error", error=_error_text(exc)), None
+            continue
+        for cell in arm:
+            yield cell, *run_cell(
+                cfg, cell, splits, arm_featurizer, reduced, rep_seconds, reduce_seconds, memo
+            )
 
 
 def run_matrix(
@@ -848,10 +905,8 @@ def run_matrix(
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[str, EvalReport] = {}
 
-    def done(cell: Cell, report: EvalReport, marker: str | None = None) -> None:
+    def done(cell: Cell, report: EvalReport, marker: str) -> None:
         reports[cell.name] = report
-        if marker is None:
-            marker = _f1_text(report) if report.status == "ok" else report.error
         say(f"[{len(reports)}/{len(cells)}] {cell.name}: {marker}")
 
     split_digests = {
@@ -863,110 +918,49 @@ def run_matrix(
         p for rep in cfg.representations for lang in cfg.languages for p in _input_files(cfg, rep, lang)
     }
     file_digests = {p: _file_digest(p) for p in files}
-    split_cache: dict[str, dict] = {}
-
-    def splits_for(lang: str) -> dict:
-        if lang not in split_cache:
-            split_cache[lang] = {
-                role: load_split(cfg.data_dir / lang / f"{role}.csv", role, lang)
-                for role in ROLES
-            }
-        return split_cache[lang]
-
-    def resolve(group: list[Cell]) -> tuple[str | None, float, str]:
-        """The group's vector language, the seconds it took, and the error if it failed."""
-        lang, rep = group[0].language, group[0].representation
-        try:
-            code, seconds = time_run(lambda: _vector_language(cfg, rep, lang, transport))
-        except Exception as exc:  # noqa: BLE001 - recorded per cell
-            return None, 0.0, f"{type(exc).__name__}: {exc}"
-        return code, seconds, ""
-
-    def run_group(
-        group: list[Cell], code: str | None, resolve_seconds: float, error: str, shared: dict
-    ) -> None:
-        # ``shared`` holds what the group's run of groups shares: the vector
-        # table, loaded by the first group that needs it, and the memo of
-        # deflated model members
-        lang, rep = group[0].language, group[0].representation
-        fingerprints = {
-            c.name: cell_fingerprint(cfg, c, split_digests[lang], file_digests, code) for c in group
-        }
-        pending = []
-        for cell in group:
-            existing = _read_cell_record(cfg, cell, fingerprints[cell.name]) if resume else None
-            if existing is None:
-                pending.append(cell)
-            else:
-                done(cell, existing, "resumed")
-
-        def fail(failed: list[Cell], message: str) -> None:
-            for cell in failed:
-                report = _cell_report(cell, status="error", error=message)
-                _write_cell_record(cfg, cell, report, fingerprints[cell.name])
-                done(cell, report)
-
-        if not pending:
-            return
-        splits = splits_for(lang)
-        rep_seconds = resolve_seconds
-        if not error:
-            try:
-                if code is not None and "table" not in shared:
-                    path = rep.vector_paths[code]
-                    shared["table"], seconds = time_run(lambda: load_word_vectors(path, language=code))
-                    rep_seconds += seconds
-                featurizer, xs, seconds = build_representation(
-                    cfg, rep, lang, splits, shared.get("table")
-                )
-                rep_seconds += seconds
-            except Exception as exc:  # noqa: BLE001 - recorded per cell
-                error = f"{type(exc).__name__}: {exc}"
-        if error:
-            fail(pending, f"representation: {error}")
-            return
-        _save_vocab_artifact(cfg, rep, lang, featurizer)
-        memo = shared.setdefault("memo", {})  # an array the run's models share is deflated once
-        for pca, arm in groupby(pending, key=lambda c: c.pca):
-            arm = list(arm)
-            try:
-                (arm_featurizer, reduced), reduce_seconds = time_run(
-                    lambda: _fit_reduction(cfg, featurizer, pca, xs)
-                )
-            except Exception as exc:  # noqa: BLE001 - recorded per cell
-                fail(arm, f"{type(exc).__name__}: {exc}")
-                continue
-            for cell in arm:
-                report = run_cell(
-                    cfg, cell, splits, arm_featurizer, reduced, rep_seconds, reduce_seconds,
-                    fingerprints[cell.name], memo,
-                )
-                done(cell, report)
+    fingerprints: dict[str, str] = {}
+    splits: dict[str, dict] = {}  # a language's splits, loaded when a cell of it first runs
 
     # cells come in nesting order, so each (language, representation) group
     # and each pca arm inside it is one run of consecutive cells
     groups = [list(g) for _, g in groupby(cells, key=lambda c: (c.language, c.representation.name))]
     runs: dict = {}  # run key -> [(group, resolution)], in order of each run's first group
     for i, group in enumerate(groups):
-        code, seconds, error = resolve(group)
-        key = i if code is None else (group[0].representation.vector_paths.get(code), code)
-        runs.setdefault(key, []).append((group, (code, seconds, error)))
+        lang, rep = group[0].language, group[0].representation
+        try:
+            code, seconds = time_run(lambda: _vector_language(cfg, rep, lang, transport))
+            resolution = code, seconds, ""
+        except Exception as exc:  # noqa: BLE001 - recorded per cell
+            code, resolution = None, (None, 0.0, _error_text(exc))
+        for c in group:
+            fingerprints[c.name] = cell_fingerprint(cfg, c, split_digests[lang], file_digests, code)
+        key = i if code is None else (rep.vector_paths.get(code), code)
+        runs.setdefault(key, []).append((group, resolution))
     for run in runs.values():
         # the run's table and memo are released when it ends, before the
         # next run fits anything
         shared: dict = {}
         for group, resolution in run:
-            run_group(group, *resolution, shared)
+            lang = group[0].language
+            pending = []
+            for cell in group:
+                existing = _read_cell_record(cfg, cell, fingerprints[cell.name]) if resume else None
+                if existing is None:
+                    pending.append(cell)
+                else:
+                    done(cell, existing, "resumed")
+            if not pending:
+                continue
+            if lang not in splits:
+                splits[lang] = {
+                    role: load_split(cfg.data_dir / lang / f"{role}.csv", role, lang) for role in ROLES
+                }
+            for cell, report, model in _run_group(cfg, pending, splits[lang], resolution, shared):
+                _end_cell(cfg, cell, report, fingerprints[cell.name], model, done)
 
     table = ReportTable(rows=[reports[c.name] for c in cells])
     write_reports(cfg, cells, table)
     return table
-
-
-def _save_vocab_artifact(cfg, rep, lang, featurizer) -> None:
-    if featurizer.tfidf is not None:
-        path = cfg.out_dir / "vocab" / f"{_sanitize(lang)}__{_sanitize(rep.name)}.tsv"
-        save_vocabulary(featurizer.tfidf.vocabulary, path)
 
 
 # ---------------------------------------------------------------------------
@@ -1057,10 +1051,14 @@ def write_reports(cfg: ExperimentConfig, cells: list[Cell], table: ReportTable) 
             )
     confusion = out / "views" / "confusion"
     for cell, r in zip(cells, table.rows):
-        if r.rates is not None:
+        csv_path, txt_path = confusion / f"{cell.name}.csv", confusion / f"{cell.name}.txt"
+        if r.rates is None:  # failed, or its test split has no labels: no earlier view stays
+            csv_path.unlink(missing_ok=True)
+            txt_path.unlink(missing_ok=True)
+        else:
             rows = [[name, *map(_number_text, values)] for name, values in r.rates.as_rows()]
-            _write_csv(confusion / f"{cell.name}.csv", [["rate", *r.rates.labels], *rows])
-            _write_text(confusion / f"{cell.name}.txt", format_confusion_table(r.rates))
+            _write_csv(csv_path, [["rate", *r.rates.labels], *rows])
+            _write_text(txt_path, format_confusion_table(r.rates))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,7 @@ import scipy.sparse as sp
 
 from .atomic import atomic_open
 from .errors import DataError, FormatError, open_input
-
-
-def _tokens_of(doc) -> tuple[str, ...]:
-    return doc.tokens if hasattr(doc, "tokens") else tuple(doc)
+from .tokenize import tokens_of
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ def fit_bow(corpus) -> Vocabulary:
     n_docs = 0
     for doc in corpus:
         n_docs += 1
-        for token in set(_tokens_of(doc)):
+        for token in set(tokens_of(doc)):
             df[token] = df.get(token, 0) + 1
     if n_docs == 0:
         raise DataError("cannot fit a vocabulary on an empty corpus")
@@ -80,7 +77,7 @@ def fit_bow(corpus) -> Vocabulary:
 
 def transform_bow(docs, vocab: Vocabulary) -> sp.csr_matrix:
     """Raw count matrix; out-of-vocabulary tokens are dropped."""
-    seqs = [_tokens_of(doc) for doc in docs]
+    seqs = [tokens_of(doc) for doc in docs]
     n_rows, n_cols = len(seqs), len(vocab)
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=n_rows)
     cols = np.fromiter(

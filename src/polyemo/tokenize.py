@@ -55,6 +55,11 @@ class TokenSequence:
     source_id: str = ""
 
 
+def tokens_of(doc) -> tuple[str, ...]:
+    """The tokens of a ``TokenSequence``, or of a plain iterable of tokens."""
+    return doc.tokens if hasattr(doc, "tokens") else tuple(doc)
+
+
 def _is_word_char(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("L", "M", "N") or ch == "_"
 

@@ -188,6 +188,16 @@ class TestRoundTrip:
         save_split(split, path)
         assert load_split(path, role="test", language="xx") == split
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, fill_disk):
+        path = tmp_path / "out.csv"
+        save_split(DatasetSplit("xx", "test", (LabeledDocument("a", "hi"),)), path)
+        before = path.read_bytes()
+        fill_disk()
+        with pytest.raises(OSError, match="no space"):
+            save_split(DatasetSplit("xx", "test", (LabeledDocument("b", "yo"),)), path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
     @given(
         docs=st.lists(
             st.tuples(

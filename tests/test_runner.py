@@ -781,6 +781,98 @@ class TestResume:
         assert all(r.f1_macro != 0.5 for r in fresh.rows)
 
 
+class TestCellLifecycle:
+    """How every cell of one mixed run ends: its progress line and its one record."""
+
+    def raw(self, synthetic_dir, out):
+        vec = str(synthetic_dir / "syn.vec")
+        raw = base_raw(synthetic_dir, out)
+        raw["representations"] = [
+            {"name": "bow", "kind": "bow"},
+            # only zz has vectors and nothing maps syn to it: resolution fails
+            {"name": "wv", "kind": "word-vectors", "vectors": {"zz": vec}},
+            # only zz has embeddings: building the representation fails
+            {"name": "pre", "kind": "precomputed",
+             "embeddings": {"zz": {"train": vec, "dev": vec, "test": vec}}},
+        ]
+        raw["reduction"]["components"] = 1000  # no pca-on arm can keep that many
+        return raw
+
+    def test_resumed_failed_and_ok_cells_in_one_run(self, synthetic_dir, tmp_path):
+        out = tmp_path / "out"
+        first = self.raw(synthetic_dir, out)
+        first["representations"] = first["representations"][:1]
+        first["classifiers"] = first["classifiers"][1:]
+        first["reduction"]["pca"] = [False]
+        run_matrix(parse(first))
+        kept = out / "cells" / "syn__bow__pca-off__knn.json"
+        kept_bytes = kept.read_bytes()
+
+        lines = []
+        cfg = parse(self.raw(synthetic_dir, out))
+        table = run_matrix(cfg, resume=True, log=lines.append)
+        rows = {c.name: r for c, r in zip(enumerate_cells(cfg), table.rows)}
+        pca = "ConfigError: components=1000 out of range 1..84"
+        wv = (
+            "representation: ResolutionError: language 'syn' is not supported "
+            "and no static mapping or backend is configured"
+        )
+        pre = "representation: DataError: no precomputed embeddings configured for language 'syn'"
+        ended = [
+            ("syn__bow__pca-off__knn", "resumed"),
+            ("syn__bow__pca-on__dt", pca),
+            ("syn__bow__pca-on__knn", pca),
+            ("syn__bow__pca-off__dt", repr(rows["syn__bow__pca-off__dt"].f1_macro)),
+            *((f"syn__wv__{arm}__{clf}", wv) for arm in ("pca-on", "pca-off") for clf in ("dt", "knn")),
+            *((f"syn__pre__{arm}__{clf}", pre) for arm in ("pca-on", "pca-off") for clf in ("dt", "knn")),
+        ]
+        assert lines == [f"[{k}/12] {name}: {marker}" for k, (name, marker) in enumerate(ended, 1)]
+
+        assert kept.read_bytes() == kept_bytes
+        records = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in (out / "cells").glob("*.json")}
+        assert sorted(records) == sorted(rows)
+        for name, marker in ended:
+            ok = marker == "resumed" or name == "syn__bow__pca-off__dt"
+            assert records[name]["status"] == rows[name].status == ("ok" if ok else "error")
+            assert records[name]["error"] == rows[name].error == ("" if ok else marker)
+
+    def test_failed_rerun_leaves_no_files_of_the_cell(self, synthetic_dir, tmp_path):
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["representations"] = [
+            {"name": "wv", "kind": "word-vectors", "vectors": {"syn": str(synthetic_dir / "syn.vec")}}
+        ]
+        raw["classifiers"] = raw["classifiers"][:1]
+        raw["reduction"]["pca"] = [True]
+        cfg = parse(raw)
+        (cell,) = enumerate_cells(cfg)
+        out = cfg.out_dir
+        files = [
+            out / "predictions" / f"{cell.name}.csv",
+            out / "models" / f"{cell.name}.npz",
+            out / "views" / "confusion" / f"{cell.name}.csv",
+            out / "views" / "confusion" / f"{cell.name}.txt",
+        ]
+        assert run_matrix(cfg).all_ok and all(p.is_file() for p in files)
+
+        raw["reduction"]["components"] = 50  # the 12-dim vectors cannot give 50
+        run_matrix(parse(raw))
+        record = json.loads((out / "cells" / f"{cell.name}.json").read_text(encoding="utf-8"))
+        assert record["status"] == "error"
+        assert [p for p in files if p.exists()] == []
+
+    def test_reports_drop_confusion_views_of_a_cell_without_rates(self, synthetic_dir, tmp_path):
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["reduction"]["pca"] = [False]
+        cfg = parse(raw)
+        table = run_matrix(cfg)
+        cells = enumerate_cells(cfg)
+        confusion = cfg.out_dir / "views" / "confusion"
+        table.rows[0].rates = None  # as for a test split that is now unlabeled
+        write_reports(cfg, cells, table)
+        assert sorted(p.stem for p in confusion.glob("*.txt")) == sorted(c.name for c in cells[1:])
+        assert sorted(p.stem for p in confusion.glob("*.csv")) == sorted(c.name for c in cells[1:])
+
+
 class TestSharedVectorTable:
     """Groups that read one vector file run back to back and share one table."""
 
