@@ -3,12 +3,14 @@
 # every cell must be reused, an ablation that must write its paired tables,
 # predictions with a saved tf-idf model and a saved word-vector model (whose
 # table keeps its byte planes and restores the rows a request reads) that must
-# each equal the run's own prediction file, a run of the config saved with a byte-order mark that must
-# exit 0 and write the same report, and three malformed input files (a vector
-# file, a vocabulary and a config that is not UTF-8) that must each exit 2 with
-# an error naming the file, and no traceback; last, a re-run in which every
-# pca-on cell fails must exit 1 and leave no pca-on model or prediction file,
-# while the pca-off prediction files stay byte for byte as they were.
+# each equal the run's own prediction file, a run of the config saved with a
+# byte-order mark that must exit 0 and write the same report, three malformed
+# input files (a vector file, a vocabulary and a config that is not UTF-8) and
+# a saved model rewritten to claim model format version 4 that must each exit
+# 2 with an error naming the file (and, for the model, its version), and no
+# traceback; last, a re-run in which every pca-on cell fails must exit 1 and
+# leave no pca-on model or prediction file, while the pca-off prediction files
+# stay byte for byte as they were.
 #
 #   pip install -e .
 #   bash scripts/cli_smoke.sh [work-dir]
@@ -109,6 +111,26 @@ expect_error "$work/bad.tsv: line 2: " inspect --vocab "$work/bad.tsv"
 printf '{"data_dir": "d\xff"}\n' > "$work/bad.json"
 expect_error "$work/bad.json: not UTF-8 text" run --config "$work/bad.json"
 
+# a model of an older format is refused by name, not read as this one
+python - "$work" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+root = Path(sys.argv[1])
+model = sorted((root / "out" / "models").glob("syn__tfidf__*.npz"))[0]
+with np.load(model, allow_pickle=False) as z:
+    members = {name: z[name] for name in z.files}
+meta = json.loads(members["__meta__"].tobytes().decode("utf-8"))
+meta["version"] = 4
+members["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+np.savez_compressed(root / "format-4.npz", **members)
+PY
+expect_error "$work/format-4.npz: model format version 4 is not supported" \
+  predict --model "$work/format-4.npz" --input "$work/data/syn/test.csv" --out "$work/format-4.csv"
+
 # a re-run into the same output directory whose PCA must keep more components
 # than the train split has rows: every pca-on cell fails and keeps no model or
 # prediction file from the first run, and the pca-off predictions stay as they were
@@ -143,4 +165,4 @@ for copy in "$work"/pca-off/*.csv; do
   kept=$((kept + 1))
 done
 
-echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"
+echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs and a format-4 model exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"

@@ -57,11 +57,15 @@ DEFAULT_PROMPT_TEMPLATE = (
 class DecimalForm:
     """A float64 matrix as integer mantissas over ``10**decimals``, in byte planes.
 
-    ``planes`` is uint8 ``(width, rows, columns)``: plane ``i`` holds byte
-    ``i`` of every little-endian ``width``-byte signed mantissa.
-    ``negative_zeros`` holds the flat indices of the ``-0.0`` values, whose
-    sign a mantissa cannot carry. ``serialize`` finds the form of a matrix
-    when it saves one and checks the form it reads.
+    A mantissa ``m`` is stored as its zigzag code ``(m << 1) ^ (m >> 63)``,
+    which maps 0, -1, 1, -2, ... to 0, 1, 2, 3, ..., so a small mantissa of
+    either sign has a small code and no byte repeats its sign. ``planes`` is
+    uint8 ``(width, rows, columns)``: plane ``i`` holds byte ``i`` of every
+    little-endian code, and ``width``, from 1 to 8, is the fewest bytes
+    that hold the largest code. ``negative_zeros`` holds the flat indices of
+    the ``-0.0`` values, whose sign a mantissa cannot carry. ``serialize``
+    finds the form of a matrix when it saves one and checks the form it
+    reads.
     """
 
     decimals: int
@@ -71,7 +75,8 @@ class DecimalForm:
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The float64 rows ``ids`` of the matrix, which must be ascending and distinct.
 
-        Only those rows' bytes are read. Each mantissa is converted and
+        Only those rows' bytes are read: their codes are assembled, decoded
+        with ``(c >> 1) ^ -(c & 1)``, and each mantissa is converted and
         divided by ``10**decimals`` in one ``np.divide``, as for the whole
         matrix, so every row has the bits it has there.
         """
@@ -79,11 +84,12 @@ class DecimalForm:
             raise ValueError("row ids must be ascending and distinct")
         width, _, columns = self.planes.shape
         picked = self.planes[:, ids]
-        ints = np.empty(len(ids) * columns, dtype=f"<i{width}")
-        interleaved = ints.view(np.uint8).reshape(-1, width)
+        codes = np.zeros(len(ids) * columns, dtype="<u8")
+        interleaved = codes.view(np.uint8).reshape(-1, 8)
         for i in range(width):  # column by column: a transpose copy is about 3x slower
             interleaved[:, i] = picked[i].reshape(-1)
-        block = np.divide(ints, float(10**self.decimals)).reshape(len(ids), columns)
+        mantissas = (codes >> 1).view("<i8") ^ -(codes & 1).view("<i8")
+        block = np.divide(mantissas, float(10**self.decimals)).reshape(len(ids), columns)
         row, column = np.divmod(self.negative_zeros, columns)
         at = np.searchsorted(ids, row)  # where each -0.0's row would sit among ids
         hit = at < len(ids)

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dense_features
+from . import dense_features, serialize
 from .atomic import atomic_open
 from .corpus import ROLES, load_split
 from .dense_features import (
@@ -590,8 +590,9 @@ def cell_fingerprint(
     tokenizer, ``split_digests`` (the SHA-256 of the language's train/dev/test
     CSVs) and the SHA-256 of every other file the cell may read
     (``_input_files``: tokenizer vocabulary, vectors, embeddings), looked up
-    by path in ``file_digests``. ``--resume`` reuses a record only under an
-    equal fingerprint.
+    by path in ``file_digests``, and the model format version, so a record
+    whose model this build cannot read is not reused. ``--resume`` reuses a
+    record only under an equal fingerprint.
     """
     rep = cell.representation
     seed = cell_seed(cfg.seed, cell.language, rep.name, cell.pca, cell.classifier.name)
@@ -608,6 +609,7 @@ def cell_fingerprint(
         "tokenizer": asdict(cfg.tokenizer),
         "splits": split_digests,
         "files": {p: file_digests[p] for p in _input_files(cfg, rep, cell.language)},
+        "model_format": serialize.FORMAT_VERSION,
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -849,13 +851,14 @@ def _run_group(cfg: ExperimentConfig, cells: list[Cell], splits: dict, resolutio
             rep_seconds += seconds
         except Exception as exc:  # noqa: BLE001 - recorded per cell
             error = _error_text(exc)
+    listing = cfg.out_dir / "vocab" / f"{_sanitize(lang)}__{_sanitize(rep.name)}.tsv"
     if error:
+        listing.unlink(missing_ok=True)  # an earlier run's vocabulary is not this run's
         for cell in cells:
             yield cell, _cell_report(cell, status="error", error=f"representation: {error}"), None
         return
     if featurizer.tfidf is not None:
-        path = cfg.out_dir / "vocab" / f"{_sanitize(lang)}__{_sanitize(rep.name)}.tsv"
-        save_vocabulary(featurizer.tfidf.vocabulary, path)
+        save_vocabulary(featurizer.tfidf.vocabulary, listing)
     memo = shared.setdefault("memo", {})  # an array the run's models share is deflated once
     for pca, arm in groupby(cells, key=lambda c: c.pca):
         try:

@@ -13,7 +13,7 @@ and the state ``_LEARNERS`` lists for it, in that order, and decodes as
 ``Vocabulary``, ``EmbeddingTable`` and ``PipelineModel``, which hold token
 lists, have codecs of their own.
 
-Layout (format 4). A decision tree is its five preorder node arrays; a
+Layout (format 5). A decision tree is its five preorder node arrays; a
 random forest is the same five arrays with its trees packed end to end plus
 their node counts (see ``learn.tree``), six members whatever its tree count.
 A token list is one uint8 member holding the UTF-8 bytes of its tokens
@@ -21,32 +21,45 @@ joined by newlines: a vocabulary is that member (in column order) plus its
 int64 document frequencies, and an external-vocab tokenizer's list takes one
 too. No per-token or per-tree structure goes through the JSON document.
 
+The large numeric members, a word-vector table and most float64 members
+of over 64 KiB, are stored as uint8 byte planes, plane ``i`` holding byte
+``i`` of every little-endian value: the "shuffle" filter of Blosc, after
+which the bytes that barely vary (signs, exponents, high bytes) sit
+together and deflate far better than the interleaved values.
+
 A word-vector table is its token list plus its ``(tokens, dimension)``
 matrix in decimal form when it has one. A text vector file holds
 fixed-point decimals, so each value is an integer mantissa over
 ``10**decimals``: the save finds the smallest ``decimals`` in 0..9 at which
 ``rint(m * 10**decimals) / 10**decimals`` equals ``m`` bit for bit for every
-value, and stores the mantissas in the narrowest signed integer type that
-holds them, split into byte planes (a uint8 ``(width, tokens, dimension)``
-member whose plane ``i`` is byte ``i`` of every little-endian mantissa; the
-"shuffle" filter of Blosc, which deflates far better than the interleaved
-bytes). An integer cannot carry the sign of ``-0.0``, so the flat indices of
-those values go in an int64 member. A table without such a form keeps its
-float64 matrix, with ``decimals`` and ``negative_zeros`` null. The form is
-found once per table object, however many models carry it, and a table read
-from a model file is written back in the form it was read in, unsearched.
+value, and stores the zigzag codes of the mantissas (see
+``dense_features.DecimalForm``) in as few low bytes as the largest code
+needs, 1 to 8, as a uint8 ``(width, tokens, dimension)`` member. An integer
+cannot carry the sign of ``-0.0``, so the flat indices of those values go
+in an int64 member. A table without such a form keeps its float64 matrix,
+with ``decimals`` and ``negative_zeros`` null. The form is found once per
+table object, however many models carry it, and a table read from a model
+file is written back in the form it was read in, unsearched.
+
+Any other float64 member of over 64 KiB whose values a probe finds
+shuffle well (``_shuffles``) is stored as the uint8 ``(8, values)``
+planes of its ``.npy`` data, and the JSON names it with a ``shuffled``
+node that records its shape and order; a load rebuilds the values as a
+read-only array. Mostly-zero matrices fail the probe and stay plain.
 
 The file is a standard ``.npz`` that ``np.load`` reads: every member
-decompresses to the bytes ``np.savez_compressed`` writes. It is raw deflate
-at zlib's default level, with zip64 records always written; a float64 member
-that LZ77 cannot shrink is deflated Huffman-only (``_strategy``), a rule of
-the member's bytes alone, so equal models still give equal files.
-``save_model`` takes an optional memo of deflated members keyed by the
-SHA-256 of their ``.npy`` bytes; an array already deflated under the same
-memo is written from it, not deflated again. The runner keeps one memo per
-run of (language, representation) groups that share a word-vector table, and
-one per group otherwise, so the table (and its token list) that every model
-of such a run carries is deflated once per run rather than once per cell.
+decompresses to the bytes ``np.savez_compressed`` writes for the array
+stored, so for a table or a shuffled member ``np.load`` returns its byte
+planes. It is raw deflate with zip64 records always written. A member's
+deflate setting (``_deflate``) depends on the member alone, so equal models
+still give equal files: table planes at level 3, shuffled planes with
+``Z_RLE``, anything else at zlib's default level. ``save_model`` takes an
+optional memo of deflated members keyed by that setting and the SHA-256 of
+their ``.npy`` bytes; a member already deflated under the same memo is
+written from it, not deflated again. The runner keeps one memo per run of
+(language, representation) groups that share a word-vector table, and one
+per group otherwise, so the table (and its token list) that every model of
+such a run carries is deflated once per run rather than once per cell.
 
 ``load_model`` reads only files laid out this way, in one pass and without
 ``np.load``. It opens the file once and takes the member list from the zip
@@ -64,11 +77,12 @@ model loads, and restores float64 rows only as they are read: a request
 restores the rows its documents hit (see ``dense_features.DecimalForm``).
 
 The container carries a format version; a mismatch raises FormatError
-instead of guessing, so files of format 1 to 3 must be refit. A damaged
+instead of guessing, so files of format 1 to 4 must be refit. A damaged
 file (a bad CRC, a broken deflate stream, a stored or duplicated member, a
 ``.npy`` header that is malformed or does not fit its data, a member the
 structure names but the file lacks, a table whose planes or indices do not
-fit it) is a FormatError naming the file and the member, never a traceback.
+fit it, a shuffled member that is not 8 planes of its values) is a
+FormatError naming the file and the member, never a traceback.
 """
 
 from __future__ import annotations
@@ -104,10 +118,81 @@ from .sparse_features import TfidfModel, Vocabulary
 from .tokenize import TokenizerSpec
 
 FORMAT_NAME = "polyemo"
-FORMAT_VERSION = 4  # 4: word-vector tables as decimal mantissas in byte planes
+FORMAT_VERSION = 5  # 5: zigzag word-vector planes of any width, shuffled float64 members
 
 
-def _encode_node(value, arrays: dict, counter: list):
+_PROBE_FLOOR = 64 << 10  # a float64 member of more bytes than this is probed
+_PROBE_SLICES, _PROBE_VALUES = 8, 1 << 10  # eight slices of 8 KiB
+
+# (level, strategy) of zlib's deflate for a member: numpy's, a word-vector
+# table's byte planes, and a shuffled float64 member (Z_RLE ignores the level)
+_NUMPY = (zlib.Z_DEFAULT_COMPRESSION, zlib.Z_DEFAULT_STRATEGY)
+_TABLE = (3, zlib.Z_DEFAULT_STRATEGY)
+_SHUFFLED = (1, zlib.Z_RLE)
+
+
+def _deflated_size(data: bytes, setting: tuple[int, int]) -> int:
+    compressor = zlib.compressobj(setting[0], zlib.DEFLATED, -15, 8, setting[1])
+    return len(compressor.compress(data)) + len(compressor.flush())
+
+
+def _byte_planes(values: np.ndarray) -> np.ndarray:
+    """The uint8 ``(8, n)`` planes of ``n`` float64 values: plane ``i`` is byte ``i`` of each."""
+    return np.ascontiguousarray(values.view(np.uint8).reshape(-1, 8).T)
+
+
+def _shuffles(values: np.ndarray) -> bool:
+    """Whether the float64 ``values`` of a member of over 64 KiB are stored as their 8 byte planes.
+
+    Eight 8 KiB slices spread evenly over the values are deflated at level 1
+    as they are, and their byte planes with ``Z_RLE``; the member is
+    shuffled when the planes come out smaller. On dense values (PCA
+    components, network weights) the sign-and-exponent planes repeat and
+    the mantissa planes are coded alone, so the planes deflate smaller and
+    several times faster than the values at zlib's default level, and
+    inflate faster too. On mostly-zero values LZ77 does better on the
+    values, and they stay plain.
+    """
+    step = (values.size - _PROBE_VALUES) // (_PROBE_SLICES - 1)
+    sample = np.concatenate([values[i * step : i * step + _PROBE_VALUES] for i in range(_PROBE_SLICES)])
+    planes = _deflated_size(_byte_planes(sample).tobytes(), _SHUFFLED)
+    return planes < _deflated_size(sample.tobytes(), (1, zlib.Z_DEFAULT_STRATEGY))
+
+
+@dataclasses.dataclass(frozen=True)
+class _TablePlanes:
+    """A word-vector table's byte planes, which a codec hands on to be deflated at ``_TABLE``."""
+
+    planes: np.ndarray
+
+
+def _member(array: np.ndarray, members: dict, setting: tuple[int, int]) -> str:
+    """Add ``array`` to ``members`` under the next key, to be deflated at ``setting``; return the key."""
+    key = f"a{len(members)}"
+    members[key] = (array, setting)
+    return key
+
+
+def _encode_array(array: np.ndarray, members: dict) -> dict:
+    """The node of an array: a plain member, or the byte planes of float64 values that ``_shuffles``.
+
+    The planes are of the values in the order ``.npy`` data holds them: C
+    order, or Fortran order for an array that is only Fortran-contiguous.
+    """
+    if array.dtype == np.dtype("<f8") and array.nbytes > _PROBE_FLOOR:
+        fortran_order = array.flags.f_contiguous and not array.flags.c_contiguous
+        values = array.ravel(order="F" if fortran_order else "C")
+        if _shuffles(values):
+            return {
+                "__kind__": "shuffled",
+                "key": _member(_byte_planes(values), members, _SHUFFLED),
+                "shape": list(array.shape),
+                "fortran_order": fortran_order,
+            }
+    return {"__kind__": "array", "key": _member(array, members, _NUMPY)}
+
+
+def _encode_node(value, members: dict):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -117,37 +202,57 @@ def _encode_node(value, arrays: dict, counter: list):
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.ndarray):
-        key = f"a{counter[0]}"
-        counter[0] += 1
-        arrays[key] = value
-        return {"__kind__": "array", "key": key}
+        return _encode_array(value, members)
+    if isinstance(value, _TablePlanes):
+        return {"__kind__": "array", "key": _member(value.planes, members, _TABLE)}
     if isinstance(value, list):
-        return {"__kind__": "list", "items": [_encode_node(v, arrays, counter) for v in value]}
+        return {"__kind__": "list", "items": [_encode_node(v, members) for v in value]}
     if isinstance(value, tuple):
-        return {"__kind__": "tuple", "items": [_encode_node(v, arrays, counter) for v in value]}
+        return {"__kind__": "tuple", "items": [_encode_node(v, members) for v in value]}
     if isinstance(value, dict):
         items = {}
         for k, v in value.items():
             if not isinstance(k, str):
                 raise ConfigError(f"only string dict keys can be serialized, got {k!r}")
-            items[k] = _encode_node(v, arrays, counter)
+            items[k] = _encode_node(v, members)
         return {"__kind__": "dict", "items": items}
     type_name = type(value).__name__
     if type_name not in _REGISTRY:
         raise ConfigError(f"cannot serialize object of type {type_name}")
     encode, _ = _REGISTRY[type_name]
-    fields = {k: _encode_node(v, arrays, counter) for k, v in encode(value).items()}
+    fields = {k: _encode_node(v, members) for k, v in encode(value).items()}
     return {"__kind__": "object", "type": type_name, "fields": fields}
+
+
+def _unshuffled(node: dict, planes: np.ndarray) -> np.ndarray:
+    """The read-only float64 array of a ``shuffled`` node; FormatError if ``planes`` are not 8 planes of it."""
+    shape, fortran_order = node.get("shape"), node.get("fortran_order")
+    if not (
+        isinstance(shape, list)
+        and all(type(d) is int and d >= 0 for d in shape)
+        and isinstance(fortran_order, bool)
+    ):
+        raise FormatError(f"malformed shuffled node {node!r}")
+    count = math.prod(shape)
+    if not (planes.dtype == np.uint8 and planes.shape == (8, count)):
+        raise FormatError(
+            f"shuffled member {node['key']!r} of shape {shape} needs 8 uint8 byte planes "
+            f"of {count} values, got {planes.dtype} of shape {planes.shape}"
+        )
+    values = np.ascontiguousarray(planes.T).view("<f8").reshape(shape, order="F" if fortran_order else "C")
+    values.flags.writeable = False
+    return values
 
 
 def _decode_node(node, arrays):
     if node is None or isinstance(node, (bool, int, float, str)):
         return node
     kind = node.get("__kind__")
-    if kind == "array":
+    if kind in ("array", "shuffled"):
         if node["key"] not in arrays:
             raise FormatError(f"model structure names a missing member {node['key']!r}")
-        return arrays[node["key"]]
+        array = arrays[node["key"]]
+        return array if kind == "array" else _unshuffled(node, array)
     if kind == "list":
         return [_decode_node(v, arrays) for v in node["items"]]
     if kind == "tuple":
@@ -200,47 +305,18 @@ def _npy_key(array: np.ndarray) -> bytes:
     return digest.digest()
 
 
-_PROBE_FLOOR = 64 << 10  # a float64 member of more bytes than this is probed
-_PROBE_SLICES, _PROBE_BYTES = 8, 8 << 10
+def _deflate(array: np.ndarray, setting: tuple[int, int]) -> Deflated:
+    """``array``'s ``.npy`` bytes as a raw deflate member at ``setting``, a (level, strategy) pair.
 
-
-def _strategy(data: np.ndarray) -> int:
-    """zlib's strategy for a member's data: Huffman-only for float64 that LZ77 cannot shrink.
-
-    A float64 member of over 64 KiB is probed: eight 8 KiB slices spread
-    evenly over its bytes are deflated at level 1 both ways, and Huffman-only
-    is chosen when it is no larger. On such data (PCA components, network
-    weights) it deflates to the same size in about a third of the time. Every
-    other member keeps the default strategy, which the byte planes of a
-    word-vector table need: their probe favours Huffman-only, but the default
-    deflates them smaller and inflates them faster.
-    """
-    if data.dtype != np.float64 or data.nbytes <= _PROBE_FLOOR:
-        return zlib.Z_DEFAULT_STRATEGY
-    raw = data.reshape(-1).view(np.uint8)
-    step = (raw.size - _PROBE_BYTES) // (_PROBE_SLICES - 1)
-    sample = b"".join(
-        raw[i * step : i * step + _PROBE_BYTES].tobytes() for i in range(_PROBE_SLICES)
-    )
-
-    def size(strategy):
-        compressor = zlib.compressobj(1, zlib.DEFLATED, -15, 8, strategy)
-        return len(compressor.compress(sample)) + len(compressor.flush())
-
-    huffman = size(zlib.Z_HUFFMAN_ONLY) <= size(zlib.Z_DEFAULT_STRATEGY)
-    return zlib.Z_HUFFMAN_ONLY if huffman else zlib.Z_DEFAULT_STRATEGY
-
-
-def _deflate(array: np.ndarray) -> Deflated:
-    """``array``'s ``.npy`` bytes as a raw deflate member at zlib's default level.
-
-    The member decompresses to the bytes ``np.savez_compressed`` writes; its
-    compressed bytes are numpy's too unless ``_strategy`` picks Huffman-only.
+    The encoder picks the setting from the member alone: ``_TABLE`` for a
+    word-vector table's planes, ``_SHUFFLED`` for the planes of a float64
+    member that ``_shuffles``, and ``_NUMPY``, zlib's default level, for
+    every other member. The member decompresses to the bytes
+    ``np.savez_compressed`` writes for ``array``, and at ``_NUMPY`` its
+    compressed bytes are numpy's too.
     """
     header, data = _npy(array)
-    compressor = zlib.compressobj(
-        zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15, 8, _strategy(data)
-    )
+    compressor = zlib.compressobj(setting[0], zlib.DEFLATED, -15, 8, setting[1])
     payload = b"".join((compressor.compress(header), compressor.compress(data), compressor.flush()))
     crc = zlib.crc32(data, zlib.crc32(header))
     return Deflated(memoryview(payload), crc, len(header) + data.nbytes)
@@ -307,31 +383,32 @@ def _write_zip(fh, members: list[tuple[str, Deflated]]) -> None:
     )
 
 
-def _encode_model(obj) -> dict[str, np.ndarray]:
-    """The npz members of ``obj``: ``__meta__`` first, then its arrays in encoding order."""
-    arrays: dict[str, np.ndarray] = {}
-    root = _encode_node(obj, arrays, [0])
+def _encode_model(obj) -> dict[str, tuple[np.ndarray, tuple[int, int]]]:
+    """The npz members of ``obj`` with their deflate settings: ``__meta__`` first, then in encoding order."""
+    members: dict[str, tuple[np.ndarray, tuple[int, int]]] = {}
+    root = _encode_node(obj, members)
     meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "root": root}
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    return {"__meta__": meta_bytes, **arrays}
+    return {"__meta__": (meta_bytes, _NUMPY), **members}
 
 
-def save_model(obj, path: str | Path, memo: dict[bytes, Deflated] | None = None) -> None:
+def save_model(obj, path: str | Path, memo: dict | None = None) -> None:
     """Write any registered object (and everything it references) to ``path``.
 
-    ``memo`` maps ``.npy`` digests to deflated members; pass the same dict to
-    several saves and each distinct array is deflated once across them. The
-    memo holds every payload it has seen, so drop it when its saves are done.
+    ``memo`` maps a member's deflate setting and ``.npy`` digest to its
+    deflated bytes; pass the same dict to several saves and each distinct
+    member is deflated once across them. The memo holds every payload it has
+    seen, so drop it when its saves are done.
 
     The file is replaced whole or not at all: a failed save leaves the
     previous model in place.
     """
-    arrays = _encode_model(obj)
+    members = _encode_model(obj)
     memo = {} if memo is None else memo
-    keys = {name: _npy_key(a) for name, a in arrays.items()}
+    keys = {name: (setting, _npy_key(array)) for name, (array, setting) in members.items()}
     for name, key in keys.items():
         if key not in memo:
-            memo[key] = _deflate(arrays[name])
+            memo[key] = _deflate(*members[name])
     with atomic_open(path, "wb") as fh:
         _write_zip(fh, [(f"{name}.npy", memo[key]) for name, key in keys.items()])
 
@@ -523,7 +600,6 @@ def _decode_vocabulary(f):
 
 MAX_DECIMALS = 9
 _BLOCK_VALUES = 1 << 16  # values per row block of the search and the build
-_WIDTHS = (1, 2, 4, 8)
 
 
 def _row_blocks(matrix: np.ndarray):
@@ -551,8 +627,10 @@ def _decimal_form(matrix: np.ndarray) -> DecimalForm | None:
 
     One pass over row blocks: a block that is not exact at ``decimals``
     raises it and restarts the pass, so every block is checked at the
-    decimals finally chosen. A second pass writes the planes; neither
-    allocates a temporary the size of the matrix.
+    decimals finally chosen. A second pass writes the planes of the zigzag
+    codes ``(m << 1) ^ (m >> 63)`` of the mantissas ``m``, as many low bytes
+    as the largest code needs; neither pass allocates a temporary the size
+    of the matrix.
     """
     if matrix.dtype != np.float64 or matrix.ndim != 2:
         return None
@@ -570,14 +648,16 @@ def _decimal_form(matrix: np.ndarray) -> DecimalForm | None:
         if mantissas.size:
             lo, hi = min(lo, mantissas.min()), max(hi, mantissas.max())
         k += 1
-    width = next(w for w in _WIDTHS if np.iinfo(f"i{w}").min <= lo and hi <= np.iinfo(f"i{w}").max)
+    largest = max(2 * int(hi), -2 * int(lo) - 1)  # the zigzag codes of the extremes
+    width = max(1, -(-largest.bit_length() // 8))
     scale = float(10**decimals)
     planes = np.empty((width,) + matrix.shape, dtype=np.uint8)
     negative_zeros = [np.empty(0, dtype=np.int64)]
     for start, block in blocks:
-        ints = np.rint(block * scale).astype(f"<i{width}")
+        ints = np.rint(block * scale).astype("<i8")
+        codes = (ints << 1) ^ (ints >> 63)
         planes[:, start : start + len(block)] = np.moveaxis(
-            ints.view(np.uint8).reshape(block.shape + (width,)), -1, 0
+            codes.view(np.uint8).reshape(block.shape + (8,))[..., :width], -1, 0
         )
         signed_zeros = np.flatnonzero((block == 0) & np.signbit(block))
         negative_zeros.append(signed_zeros + start * matrix.shape[1])
@@ -588,8 +668,8 @@ def _checked_form(decimals, planes, negative_zeros, rows: int) -> DecimalForm:
     """The DecimalForm of a stored table of ``rows`` tokens; FormatError if its fields do not fit one.
 
     Every check is made here, while the model loads, though no row is
-    restored: a negative-zero index must name a value whose mantissa bytes
-    are all zero in the planes.
+    restored: a negative-zero index must name a value whose code bytes are
+    all zero in the planes.
     """
     if type(decimals) is not int or not 0 <= decimals <= MAX_DECIMALS:
         raise FormatError(f"embedding table decimals {decimals!r} outside 0..{MAX_DECIMALS}")
@@ -597,12 +677,12 @@ def _checked_form(decimals, planes, negative_zeros, rows: int) -> DecimalForm:
         isinstance(planes, np.ndarray)
         and planes.dtype == np.uint8
         and planes.ndim == 3
-        and planes.shape[0] in _WIDTHS
+        and 1 <= planes.shape[0] <= 8
         and planes.shape[1] == rows
     ):
         shape = getattr(planes, "shape", None)
         raise FormatError(
-            f"embedding table of {rows} tokens needs 1, 2, 4 or 8 uint8 byte planes of "
+            f"embedding table of {rows} tokens needs 1 to 8 uint8 byte planes of "
             f"({rows}, dimension), got shape {shape}"
         )
     bytes_of = planes.reshape(planes.shape[0], -1)  # (width, values)
@@ -638,7 +718,7 @@ def _encode_embedding_table(t):
         "source": t.source,
         "tokens": _token_member(t.tokens),
         "decimals": None if form is None else form.decimals,
-        "matrix": t.matrix if form is None else form.planes,
+        "matrix": t.matrix if form is None else _TablePlanes(form.planes),
         "negative_zeros": None if form is None else form.negative_zeros,
     }
 

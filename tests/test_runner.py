@@ -1,5 +1,6 @@
 """The experiment runner: config validation, the cell matrix, reports, resume."""
 
+import csv
 import hashlib
 import json
 import math
@@ -693,6 +694,21 @@ class TestResume:
         fresh = run_matrix(parse(dict(raw, out_dir=str(tmp_path / "fresh"))))
         assert [r.f1_macro for r in resumed.rows] == [r.f1_macro for r in fresh.rows]
 
+    def test_resume_reruns_cells_whose_models_are_of_another_format(
+        self, synthetic_dir, tmp_path, monkeypatch
+    ):
+        """A model written in a format this build does not read is not kept."""
+        raw = base_raw(synthetic_dir, tmp_path / "out")
+        raw["reduction"]["pca"] = [False]
+        cfg = parse(raw)
+        run_matrix(cfg)
+        monkeypatch.setattr(serialize, "FORMAT_VERSION", serialize.FORMAT_VERSION + 1)
+        lines = []
+        assert run_matrix(cfg, resume=True, log=lines.append).all_ok
+        assert len(lines) == 4 and not [line for line in lines if line.endswith("resumed")]
+        for cell in enumerate_cells(cfg):
+            load_model(cfg.out_dir / "models" / f"{cell.name}.npz")
+
     def test_resume_retries_failed_cell(self, synthetic_dir, tmp_path):
         out = tmp_path / "out"
         raw = base_raw(synthetic_dir, out)
@@ -860,6 +876,28 @@ class TestCellLifecycle:
         assert record["status"] == "error"
         assert [p for p in files if p.exists()] == []
 
+    def test_failed_representation_leaves_no_vocabulary_listing(self, synthetic_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synthetic_dir / "data", data)
+        raw = base_raw(tmp_path, tmp_path / "out")
+        raw["representations"] = raw["representations"][1:]  # tfidf
+        raw["reduction"]["pca"] = [False]
+        listing = tmp_path / "out" / "vocab" / "syn__tfidf.tsv"
+        assert run_matrix(parse(raw)).all_ok and listing.is_file()
+
+        train = data / "syn" / "train.csv"
+        with open(train, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[1] = "!"  # a text without a token: the vocabulary is empty
+        with open(train, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        table = run_matrix(parse(raw))
+        assert {r.error for r in table.rows} == {
+            "representation: DataError: all documents are empty; vocabulary would be empty"
+        }
+        assert not listing.exists()
+
     def test_reports_drop_confusion_views_of_a_cell_without_rates(self, synthetic_dir, tmp_path):
         raw = base_raw(synthetic_dir, tmp_path / "out")
         raw["reduction"]["pca"] = [False]
@@ -910,9 +948,9 @@ class TestSharedVectorTable:
             loads.append((Path(path).name, language))
             return load(path, language)
 
-        def counting_deflate(array):
+        def counting_deflate(array, setting):
             deflates[(array.ndim, serialize._npy_key(array))] += 1
-            return deflate(array)
+            return deflate(array, setting)
 
         monkeypatch.setattr(runner, "load_word_vectors", counting_load)
         monkeypatch.setattr(serialize, "_deflate", counting_deflate)
