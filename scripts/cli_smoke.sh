@@ -6,7 +6,7 @@
 # each equal the run's own prediction file, a run of the config saved with a
 # byte-order mark that must exit 0 and write the same report, three malformed
 # input files (a vector file, a vocabulary and a config that is not UTF-8) and
-# a saved model rewritten to claim model format version 4 that must each exit
+# a saved model rewritten to claim model format version 5 that must each exit
 # 2 with an error naming the file (and, for the model, its version), and no
 # traceback; last, a re-run in which every pca-on cell fails must exit 1 and
 # leave no pca-on model or prediction file, while the pca-off prediction files
@@ -124,12 +124,12 @@ model = sorted((root / "out" / "models").glob("syn__tfidf__*.npz"))[0]
 with np.load(model, allow_pickle=False) as z:
     members = {name: z[name] for name in z.files}
 meta = json.loads(members["__meta__"].tobytes().decode("utf-8"))
-meta["version"] = 4
+meta["version"] = 5
 members["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-np.savez_compressed(root / "format-4.npz", **members)
+np.savez_compressed(root / "format-5.npz", **members)
 PY
-expect_error "$work/format-4.npz: model format version 4 is not supported" \
-  predict --model "$work/format-4.npz" --input "$work/data/syn/test.csv" --out "$work/format-4.csv"
+expect_error "$work/format-5.npz: model format version 5 is not supported" \
+  predict --model "$work/format-5.npz" --input "$work/data/syn/test.csv" --out "$work/format-5.csv"
 
 # a re-run into the same output directory whose PCA must keep more components
 # than the train split has rows: every pca-on cell fails and keeps no model or
@@ -165,4 +165,4 @@ for copy in "$work"/pca-off/*.csv; do
   kept=$((kept + 1))
 done
 
-echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs and a format-4 model exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"
+echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs and a format-5 model exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"

@@ -53,42 +53,62 @@ DEFAULT_PROMPT_TEMPLATE = (
 )
 
 
+# byte k of _SPREAD[b] is bit 7 - k of b: a byte that np.packbits made of eight 0/1 values, spread back
+_SPREAD = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view("<u8").reshape(-1)
+
+
 @dataclass(frozen=True)
 class DecimalForm:
-    """A float64 matrix as integer mantissas over ``10**decimals``, in byte planes.
+    """A float64 matrix as integer mantissas over ``10**decimals``, in byte and bit planes.
 
     A mantissa ``m`` is stored as its zigzag code ``(m << 1) ^ (m >> 63)``,
     which maps 0, -1, 1, -2, ... to 0, 1, 2, 3, ..., so a small mantissa of
-    either sign has a small code and no byte repeats its sign. ``planes`` is
-    uint8 ``(width, rows, columns)``: plane ``i`` holds byte ``i`` of every
-    little-endian code, and ``width``, from 1 to 8, is the fewest bytes
-    that hold the largest code. ``negative_zeros`` holds the flat indices of
-    the ``-0.0`` values, whose sign a mantissa cannot carry. ``serialize``
-    finds the form of a matrix when it saves one and checks the form it
-    reads.
+    either sign has a small code and no byte repeats its sign. The codes
+    take ``8 * (w - 1) + t`` bits: ``w``, from 1 to 8, is the fewest bytes
+    that hold the largest code, and ``t``, from 0 to 8, the bits its top
+    byte uses. ``byte_planes`` are ``w - 1`` uint8 ``(rows, columns)``
+    arrays, plane ``i`` holding byte ``i`` of every little-endian code.
+    The top byte is split into its ``t`` bits (the bitshuffle of Masui et
+    al., 2015): ``bit_planes[j]`` holds bit ``j`` of every code's top byte,
+    packed by ``np.packbits`` along each row into uint8 ``(rows,
+    ceil(columns / 8))`` with zero pad bits. A top byte of a few small
+    values, mostly 0, thus leaves a few sparse planes that deflate well,
+    while the low bytes, which barely compress, can be stored as they are.
+    ``negative_zeros`` holds the flat indices of the ``-0.0`` values, whose
+    sign a mantissa cannot carry. ``serialize`` finds the form of a matrix
+    when it saves one and checks the form it reads.
     """
 
     decimals: int
-    planes: np.ndarray
+    shape: tuple[int, int]
+    byte_planes: tuple[np.ndarray, ...]
+    bit_planes: tuple[np.ndarray, ...]
     negative_zeros: np.ndarray
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The float64 rows ``ids`` of the matrix, which must be ascending and distinct.
 
-        Only those rows' bytes are read: their codes are assembled, decoded
+        Only those rows' bytes are read: their codes are assembled, in
+        uint32 when they fit in 32 bits and in uint64 otherwise, decoded
         with ``(c >> 1) ^ -(c & 1)``, and each mantissa is converted and
         divided by ``10**decimals`` in one ``np.divide``, as for the whole
         matrix, so every row has the bits it has there.
         """
         if np.any(ids[1:] <= ids[:-1]):
             raise ValueError("row ids must be ascending and distinct")
-        width, _, columns = self.planes.shape
-        picked = self.planes[:, ids]
-        codes = np.zeros(len(ids) * columns, dtype="<u8")
-        interleaved = codes.view(np.uint8).reshape(-1, 8)
-        for i in range(width):  # column by column: a transpose copy is about 3x slower
-            interleaved[:, i] = picked[i].reshape(-1)
-        mantissas = (codes >> 1).view("<i8") ^ -(codes & 1).view("<i8")
+        columns = self.shape[1]
+        low = len(self.byte_planes)
+        codes = np.zeros(len(ids) * columns, dtype="<u4" if low < 4 else "<u8")
+        interleaved = codes.view(np.uint8).reshape(-1, codes.itemsize)
+        for i, plane in enumerate(self.byte_planes):  # column by column: a transpose copy is about 3x slower
+            interleaved[:, i] = plane.take(ids, axis=0).reshape(-1)
+        if self.bit_planes:  # eight top bytes at a time, each packed byte spread to its columns
+            top = np.zeros((len(ids), -(-columns // 8)), dtype="<u8")
+            for j, plane in enumerate(self.bit_planes):
+                top |= _SPREAD.take(plane.take(ids, axis=0)) << j
+            interleaved[:, low] = top.view(np.uint8)[:, :columns].reshape(-1)
+        signed = codes.dtype.str.replace("u", "i")
+        mantissas = (codes >> 1).view(signed) ^ -(codes & 1).view(signed)
         block = np.divide(mantissas, float(10**self.decimals)).reshape(len(ids), columns)
         row, column = np.divmod(self.negative_zeros, columns)
         at = np.searchsorted(ids, row)  # where each -0.0's row would sit among ids
@@ -120,7 +140,7 @@ class EmbeddingTable:
     def __init__(self, tokens, matrix=None, language="", source="", form=None):
         if matrix is None and not isinstance(form, DecimalForm):
             raise ConfigError("an embedding table needs its matrix or its decimal form")
-        shape = form.planes.shape[1:] if matrix is None else matrix.shape
+        shape = form.shape if matrix is None else matrix.shape
         if len(shape) != 2 or shape[0] != len(tokens):
             raise ConfigError(
                 f"an embedding table of {len(tokens)} tokens needs a "
@@ -148,7 +168,7 @@ class EmbeddingTable:
 
     @property
     def dimension(self) -> int:
-        return (self.form.planes if self._matrix is None else self._matrix).shape[-1]
+        return (self.form.shape if self._matrix is None else self._matrix.shape)[-1]
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -11,9 +11,10 @@ declaration order and decodes as ``cls(**fields)``. A learner stores ``spec``
 and the state ``_LEARNERS`` lists for it, in that order, and decodes as
 ``cls(spec)`` with the state set on it; an unfitted learner is refused. Only
 ``Vocabulary``, ``EmbeddingTable`` and ``PipelineModel``, which hold token
-lists, have codecs of their own.
+lists, and ``DecimalForm``, whose planes a load checks, have codecs of their
+own.
 
-Layout (format 5). A decision tree is its five preorder node arrays; a
+Layout (format 6). A decision tree is its five preorder node arrays; a
 random forest is the same five arrays with its trees packed end to end plus
 their node counts (see ``learn.tree``), six members whatever its tree count.
 A token list is one uint8 member holding the UTF-8 bytes of its tokens
@@ -21,42 +22,51 @@ joined by newlines: a vocabulary is that member (in column order) plus its
 int64 document frequencies, and an external-vocab tokenizer's list takes one
 too. No per-token or per-tree structure goes through the JSON document.
 
-The large numeric members, a word-vector table and most float64 members
-of over 64 KiB, are stored as uint8 byte planes, plane ``i`` holding byte
-``i`` of every little-endian value: the "shuffle" filter of Blosc, after
-which the bytes that barely vary (signs, exponents, high bytes) sit
-together and deflate far better than the interleaved values.
-
 A word-vector table is its token list plus its ``(tokens, dimension)``
 matrix in decimal form when it has one. A text vector file holds
 fixed-point decimals, so each value is an integer mantissa over
 ``10**decimals``: the save finds the smallest ``decimals`` in 0..9 at which
 ``rint(m * 10**decimals) / 10**decimals`` equals ``m`` bit for bit for every
-value, and stores the zigzag codes of the mantissas (see
-``dense_features.DecimalForm``) in as few low bytes as the largest code
-needs, 1 to 8, as a uint8 ``(width, tokens, dimension)`` member. An integer
-cannot carry the sign of ``-0.0``, so the flat indices of those values go
-in an int64 member. A table without such a form keeps its float64 matrix,
-with ``decimals`` and ``negative_zeros`` null. The form is found once per
-table object, however many models carry it, and a table read from a model
-file is written back in the form it was read in, unsearched.
+value, and stores a ``DecimalForm`` (see ``dense_features``): the zigzag
+codes of the mantissas as the byte planes of all their bytes below the top
+one, each a uint8 ``(tokens, dimension)`` member, and the bits the top byte
+uses as bit planes, each a uint8 ``(tokens, ceil(dimension / 8))`` member
+packed by ``np.packbits``. An integer cannot carry the sign of ``-0.0``, so
+the flat indices of those values go in an int64 member. A table without
+such a form keeps its float64 matrix, and its ``form`` is null. The form is
+found once per table object, however many models carry it, and a table read
+from a model file is written back in the form it was read in, unsearched.
+
+Each table plane is deflated at level 3 when deflate earns its keep: a
+plane of over 64 KiB is probed (``_plane_setting``), eight 8 KiB slices
+spread over it deflated at level 3, and one that does not shrink by at
+least a quarter is written at level 0, in stored blocks, which inflate as
+a plain copy. The low byte planes of a table barely compress and are
+stored; the sparse bit planes of its top byte deflate to a fraction.
 
 Any other float64 member of over 64 KiB whose values a probe finds
-shuffle well (``_shuffles``) is stored as the uint8 ``(8, values)``
-planes of its ``.npy`` data, and the JSON names it with a ``shuffled``
-node that records its shape and order; a load rebuilds the values as a
-read-only array. Mostly-zero matrices fail the probe and stay plain.
+shuffle well (``_shuffles``) is stored as the uint8 ``(8, values)`` byte
+planes of its ``.npy`` data, plane ``i`` holding byte ``i`` of every
+little-endian value: the "shuffle" filter of Blosc, after which the bytes
+that barely vary (signs, exponents, high bytes) sit together and deflate
+far better than the interleaved values. The JSON names it with a
+``shuffled`` node that records its shape and order; a load rebuilds the
+values as a read-only array. Mostly-zero matrices fail the probe and stay
+plain.
 
 The file is a standard ``.npz`` that ``np.load`` reads: every member
 decompresses to the bytes ``np.savez_compressed`` writes for the array
-stored, so for a table or a shuffled member ``np.load`` returns its byte
-planes. It is raw deflate with zip64 records always written. A member's
-deflate setting (``_deflate``) depends on the member alone, so equal models
-still give equal files: table planes at level 3, shuffled planes with
-``Z_RLE``, anything else at zlib's default level. ``save_model`` takes an
-optional memo of deflated members keyed by that setting and the SHA-256 of
-their ``.npy`` bytes; a member already deflated under the same memo is
-written from it, not deflated again. The runner keeps one memo per run of
+stored, so for a table or a shuffled member ``np.load`` returns its planes.
+It is raw deflate (a stored plane too: stored blocks inside a deflate
+stream) with zip64 records always written. A member's deflate setting
+(``_deflate``) depends on the member alone, so equal models still give
+equal files: table planes at level 3 or 0, shuffled planes with ``Z_RLE``,
+anything else at zlib's default level. ``save_model`` takes an optional
+memo that knows, by object (an array weakly), every array and token list a
+save encoded, with its node and payload, and, by setting and the SHA-256 of
+their ``.npy`` bytes, the deflated payloads: a later save under the same
+memo repeats no probe, shuffle, hash or deflate for a live object it has
+seen, and deflates no member equal to one it has. The runner keeps one memo per run of
 (language, representation) groups that share a word-vector table, and one
 per group otherwise, so the table (and its token list) that every model of
 such a run carries is deflated once per run rather than once per cell.
@@ -72,17 +82,20 @@ dtype, and its shape must account for every byte after it; there is no
 its inflated bytes, and only one member's payload is held at a time.
 
 A load restores no word-vector row. A table stored in decimal form keeps its
-byte planes, ``decimals`` and negative-zero indices, all checked while the
-model loads, and restores float64 rows only as they are read: a request
-restores the rows its documents hit (see ``dense_features.DecimalForm``).
+byte and bit planes, ``decimals`` and negative-zero indices, all checked
+while the model loads, and restores float64 rows only as they are read: a
+request restores the rows its documents hit (see
+``dense_features.DecimalForm``).
 
 The container carries a format version; a mismatch raises FormatError
-instead of guessing, so files of format 1 to 4 must be refit. A damaged
-file (a bad CRC, a broken deflate stream, a stored or duplicated member, a
-``.npy`` header that is malformed or does not fit its data, a member the
-structure names but the file lacks, a table whose planes or indices do not
-fit it, a shuffled member that is not 8 planes of its values) is a
-FormatError naming the file and the member, never a traceback.
+instead of guessing, so files of format 1 to 5 must be refit. A damaged
+file (a bad CRC, a broken deflate stream, a zip member stored rather than
+deflated or duplicated, a ``.npy`` header that is malformed or does not fit
+its data, a member the structure names but the file lacks, a table plane
+of the wrong dtype or shape or with nonzero pad bits, a negative-zero index
+that names a set bit, a shuffled member that is not 8 planes of its
+values) is a FormatError naming the file and the member, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -94,9 +107,11 @@ import json
 import math
 import re
 import struct
+import weakref
 import zipfile
 import zlib
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -118,22 +133,31 @@ from .sparse_features import TfidfModel, Vocabulary
 from .tokenize import TokenizerSpec
 
 FORMAT_NAME = "polyemo"
-FORMAT_VERSION = 5  # 5: zigzag word-vector planes of any width, shuffled float64 members
+FORMAT_VERSION = 6  # 6: word-vector tables as stored low byte planes and a bit-packed top byte
 
 
-_PROBE_FLOOR = 64 << 10  # a float64 member of more bytes than this is probed
-_PROBE_SLICES, _PROBE_VALUES = 8, 1 << 10  # eight slices of 8 KiB
+_PROBE_FLOOR = 64 << 10  # a float64 member or a table plane of more bytes than this is probed
+_PROBE_SLICES, _PROBE_SLICE_BYTES = 8, 8 << 10  # eight slices of 8 KiB
 
 # (level, strategy) of zlib's deflate for a member: numpy's, a word-vector
-# table's byte planes, and a shuffled float64 member (Z_RLE ignores the level)
+# table plane that deflates well, one that does not (stored blocks), and a
+# shuffled float64 member (Z_RLE ignores the level)
 _NUMPY = (zlib.Z_DEFAULT_COMPRESSION, zlib.Z_DEFAULT_STRATEGY)
 _TABLE = (3, zlib.Z_DEFAULT_STRATEGY)
+_STORED = (0, zlib.Z_DEFAULT_STRATEGY)
 _SHUFFLED = (1, zlib.Z_RLE)
 
 
 def _deflated_size(data: bytes, setting: tuple[int, int]) -> int:
     compressor = zlib.compressobj(setting[0], zlib.DEFLATED, -15, 8, setting[1])
     return len(compressor.compress(data)) + len(compressor.flush())
+
+
+def _probe_sample(values: np.ndarray) -> np.ndarray:
+    """Eight 8 KiB slices spread evenly over the flat ``values`` of a member of over 64 KiB, joined."""
+    count = _PROBE_SLICE_BYTES // values.itemsize
+    step = (values.size - count) // (_PROBE_SLICES - 1)
+    return np.concatenate([values[i * step : i * step + count] for i in range(_PROBE_SLICES)])
 
 
 def _byte_planes(values: np.ndarray) -> np.ndarray:
@@ -144,37 +168,53 @@ def _byte_planes(values: np.ndarray) -> np.ndarray:
 def _shuffles(values: np.ndarray) -> bool:
     """Whether the float64 ``values`` of a member of over 64 KiB are stored as their 8 byte planes.
 
-    Eight 8 KiB slices spread evenly over the values are deflated at level 1
-    as they are, and their byte planes with ``Z_RLE``; the member is
-    shuffled when the planes come out smaller. On dense values (PCA
-    components, network weights) the sign-and-exponent planes repeat and
-    the mantissa planes are coded alone, so the planes deflate smaller and
-    several times faster than the values at zlib's default level, and
-    inflate faster too. On mostly-zero values LZ77 does better on the
-    values, and they stay plain.
+    The probe sample is deflated at level 1 as it is, and its byte planes
+    with ``Z_RLE``; the member is shuffled when the planes come out
+    smaller. On dense values (PCA components, network weights) the
+    sign-and-exponent planes repeat and the mantissa planes are coded
+    alone, so the planes deflate smaller and several times faster than the
+    values at zlib's default level, and inflate faster too. On mostly-zero
+    values LZ77 does better on the values, and they stay plain.
     """
-    step = (values.size - _PROBE_VALUES) // (_PROBE_SLICES - 1)
-    sample = np.concatenate([values[i * step : i * step + _PROBE_VALUES] for i in range(_PROBE_SLICES)])
+    sample = _probe_sample(values)
     planes = _deflated_size(_byte_planes(sample).tobytes(), _SHUFFLED)
     return planes < _deflated_size(sample.tobytes(), (1, zlib.Z_DEFAULT_STRATEGY))
 
 
+def _plane_setting(plane: np.ndarray) -> tuple[int, int]:
+    """``_TABLE`` for a word-vector table plane that deflate shrinks by a quarter or more, else ``_STORED``.
+
+    A plane of 64 KiB or less is deflated at ``_TABLE`` unprobed. A larger
+    one is when its probe sample deflates at ``_TABLE`` to at most three
+    quarters of its bytes; otherwise it is written in stored blocks, which
+    inflate as a plain copy. The low byte planes of a table barely compress
+    and are stored; the sparse bit planes of its top byte deflate.
+    """
+    if plane.nbytes <= _PROBE_FLOOR:
+        return _TABLE
+    sample = _probe_sample(plane.reshape(-1)).tobytes()
+    return _TABLE if 4 * _deflated_size(sample, _TABLE) <= 3 * len(sample) else _STORED
+
+
 @dataclasses.dataclass(frozen=True)
-class _TablePlanes:
-    """A word-vector table's byte planes, which a codec hands on to be deflated at ``_TABLE``."""
+class _Encoded:
+    """A value a codec hands on with the encoding of its node and member: a table plane or a token list."""
 
-    planes: np.ndarray
-
-
-def _member(array: np.ndarray, members: dict, setting: tuple[int, int]) -> str:
-    """Add ``array`` to ``members`` under the next key, to be deflated at ``setting``; return the key."""
-    key = f"a{len(members)}"
-    members[key] = (array, setting)
-    return key
+    source: object
+    encoding: Callable[[object], tuple[dict, _Member]]
 
 
-def _encode_array(array: np.ndarray, members: dict) -> dict:
-    """The node of an array: a plain member, or the byte planes of float64 values that ``_shuffles``.
+@dataclasses.dataclass
+class _Member:
+    """The array a member stores, its deflate setting and, once deflated, its payload in place of the array."""
+
+    array: np.ndarray
+    setting: tuple[int, int]
+    deflated: Deflated | None = None
+
+
+def _array_encoding(array: np.ndarray) -> tuple[dict, _Member]:
+    """The node and member of an array: a plain member, or the byte planes of float64 values that ``_shuffles``.
 
     The planes are of the values in the order ``.npy`` data holds them: C
     order, or Fortran order for an array that is only Fortran-contiguous.
@@ -183,16 +223,53 @@ def _encode_array(array: np.ndarray, members: dict) -> dict:
         fortran_order = array.flags.f_contiguous and not array.flags.c_contiguous
         values = array.ravel(order="F" if fortran_order else "C")
         if _shuffles(values):
-            return {
+            node = {
                 "__kind__": "shuffled",
-                "key": _member(_byte_planes(values), members, _SHUFFLED),
+                "key": None,
                 "shape": list(array.shape),
                 "fortran_order": fortran_order,
             }
-    return {"__kind__": "array", "key": _member(array, members, _NUMPY)}
+            return node, _Member(_byte_planes(values), _SHUFFLED)
+    return {"__kind__": "array", "key": None}, _Member(array, _NUMPY)
 
 
-def _encode_node(value, members: dict):
+def _plane_encoding(plane: np.ndarray) -> tuple[dict, _Member]:
+    """The node and member of a word-vector table plane, deflated at its ``_plane_setting``."""
+    return {"__kind__": "array", "key": None}, _Member(plane, _plane_setting(plane))
+
+
+def _token_encoding(tokens) -> tuple[dict, _Member]:
+    """The node and member of a token list: its ``_token_member``."""
+    return {"__kind__": "array", "key": None}, _Member(_token_member(tokens), _NUMPY)
+
+
+def _reference(source):
+    """A weak reference to ``source`` if it takes one (an array), else a strong one (a token list)."""
+    try:
+        return weakref.ref(source)
+    except TypeError:
+        return lambda: source
+
+
+def _member(source, encoding, members: dict, memo: dict) -> dict:
+    """The node of ``source``, whose member is added to ``members`` under the next key.
+
+    ``encoding(source)`` gives the node and the member; it runs once per
+    source object under ``memo``, and later saves under the same memo take
+    the member (and its payload, once deflated) from there. The memo refers
+    to an array weakly, so it keeps none alive, and an entry whose object
+    has died is never taken for a new object that got its id.
+    """
+    entry = memo.get((encoding, id(source)))
+    if entry is None or entry[0]() is not source:
+        entry = memo[encoding, id(source)] = (_reference(source), *encoding(source))
+    _, node, member = entry
+    key = f"a{len(members)}"
+    members[key] = member
+    return {**node, "key": key}
+
+
+def _encode_node(value, members: dict, memo: dict):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -202,25 +279,25 @@ def _encode_node(value, members: dict):
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.ndarray):
-        return _encode_array(value, members)
-    if isinstance(value, _TablePlanes):
-        return {"__kind__": "array", "key": _member(value.planes, members, _TABLE)}
+        return _member(value, _array_encoding, members, memo)
+    if isinstance(value, _Encoded):
+        return _member(value.source, value.encoding, members, memo)
     if isinstance(value, list):
-        return {"__kind__": "list", "items": [_encode_node(v, members) for v in value]}
+        return {"__kind__": "list", "items": [_encode_node(v, members, memo) for v in value]}
     if isinstance(value, tuple):
-        return {"__kind__": "tuple", "items": [_encode_node(v, members) for v in value]}
+        return {"__kind__": "tuple", "items": [_encode_node(v, members, memo) for v in value]}
     if isinstance(value, dict):
         items = {}
         for k, v in value.items():
             if not isinstance(k, str):
                 raise ConfigError(f"only string dict keys can be serialized, got {k!r}")
-            items[k] = _encode_node(v, members)
+            items[k] = _encode_node(v, members, memo)
         return {"__kind__": "dict", "items": items}
     type_name = type(value).__name__
     if type_name not in _REGISTRY:
         raise ConfigError(f"cannot serialize object of type {type_name}")
     encode, _ = _REGISTRY[type_name]
-    fields = {k: _encode_node(v, members) for k, v in encode(value).items()}
+    fields = {k: _encode_node(v, members, memo) for k, v in encode(value).items()}
     return {"__kind__": "object", "type": type_name, "fields": fields}
 
 
@@ -244,6 +321,14 @@ def _unshuffled(node: dict, planes: np.ndarray) -> np.ndarray:
     return values
 
 
+class _MemberError(FormatError):
+    """A codec's refusal of the array in its field ``field`` (item ``index`` of a list there)."""
+
+    def __init__(self, message: str, field: str, index: int | None = None):
+        super().__init__(message)
+        self.field, self.index = field, index
+
+
 def _decode_node(node, arrays):
     if node is None or isinstance(node, (bool, int, float, str)):
         return node
@@ -265,7 +350,13 @@ def _decode_node(node, arrays):
             raise FormatError(f"model file references unknown type {type_name!r}")
         _, decode = _REGISTRY[type_name]
         fields = {k: _decode_node(v, arrays) for k, v in node["fields"].items()}
-        return decode(fields)
+        try:
+            return decode(fields)
+        except _MemberError as exc:  # name the member the refused array was read from
+            child = node["fields"][exc.field]
+            if exc.index is not None:
+                child = child["items"][exc.index]
+            raise FormatError(f"member {child['key']!r}: {exc}") from exc
     raise FormatError(f"malformed model node {node!r}")
 
 
@@ -308,12 +399,12 @@ def _npy_key(array: np.ndarray) -> bytes:
 def _deflate(array: np.ndarray, setting: tuple[int, int]) -> Deflated:
     """``array``'s ``.npy`` bytes as a raw deflate member at ``setting``, a (level, strategy) pair.
 
-    The encoder picks the setting from the member alone: ``_TABLE`` for a
-    word-vector table's planes, ``_SHUFFLED`` for the planes of a float64
-    member that ``_shuffles``, and ``_NUMPY``, zlib's default level, for
-    every other member. The member decompresses to the bytes
-    ``np.savez_compressed`` writes for ``array``, and at ``_NUMPY`` its
-    compressed bytes are numpy's too.
+    The encoder picks the setting from the member alone: ``_TABLE`` or
+    ``_STORED`` for a word-vector table plane (``_plane_setting``),
+    ``_SHUFFLED`` for the planes of a float64 member that ``_shuffles``, and
+    ``_NUMPY``, zlib's default level, for every other member. The member
+    decompresses to the bytes ``np.savez_compressed`` writes for ``array``,
+    and at ``_NUMPY`` its compressed bytes are numpy's too.
     """
     header, data = _npy(array)
     compressor = zlib.compressobj(setting[0], zlib.DEFLATED, -15, 8, setting[1])
@@ -383,34 +474,41 @@ def _write_zip(fh, members: list[tuple[str, Deflated]]) -> None:
     )
 
 
-def _encode_model(obj) -> dict[str, tuple[np.ndarray, tuple[int, int]]]:
-    """The npz members of ``obj`` with their deflate settings: ``__meta__`` first, then in encoding order."""
-    members: dict[str, tuple[np.ndarray, tuple[int, int]]] = {}
-    root = _encode_node(obj, members)
+def _encode_model(obj, memo: dict | None = None) -> dict[str, _Member]:
+    """The npz members of ``obj``: ``__meta__``, already deflated, first, then in encoding order."""
+    members: dict[str, _Member] = {}
+    root = _encode_node(obj, members, {} if memo is None else memo)
     meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "root": root}
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    return {"__meta__": (meta_bytes, _NUMPY), **members}
+    return {"__meta__": _Member(meta_bytes, _NUMPY, _deflate(meta_bytes, _NUMPY)), **members}
 
 
 def save_model(obj, path: str | Path, memo: dict | None = None) -> None:
     """Write any registered object (and everything it references) to ``path``.
 
-    ``memo`` maps a member's deflate setting and ``.npy`` digest to its
-    deflated bytes; pass the same dict to several saves and each distinct
-    member is deflated once across them. The memo holds every payload it has
-    seen, so drop it when its saves are done.
+    Pass the same ``memo`` dict to several saves and each distinct member is
+    deflated once across them. It holds, by object, each array (or token
+    list) that a save has encoded, with its node and deflated payload, so a
+    later save of the same live object repeats no probe, shuffle, hash or
+    deflate; and, by deflate setting and the SHA-256 of its ``.npy`` bytes,
+    each payload, so an equal array of another object is not deflated again.
+    An array must not change while a memo that has seen it is in use. The
+    memo holds every payload it has made, so drop it when its saves are
+    done.
 
     The file is replaced whole or not at all: a failed save leaves the
     previous model in place.
     """
-    members = _encode_model(obj)
     memo = {} if memo is None else memo
-    keys = {name: (setting, _npy_key(array)) for name, (array, setting) in members.items()}
-    for name, key in keys.items():
-        if key not in memo:
-            memo[key] = _deflate(*members[name])
+    members = _encode_model(obj, memo)
+    for member in members.values():
+        if member.deflated is None:
+            key = (member.setting, _npy_key(member.array))
+            if key not in memo:
+                memo[key] = _deflate(member.array, member.setting)
+            member.deflated, member.array = memo[key], None  # a later save needs only the payload
     with atomic_open(path, "wb") as fh:
-        _write_zip(fh, [(f"{name}.npy", memo[key]) for name, key in keys.items()])
+        _write_zip(fh, [(f"{name}.npy", member.deflated) for name, member in members.items()])
 
 
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"  # .npy format 1.0
@@ -583,7 +681,7 @@ def _dataclass_fields(obj) -> dict:
 def _encode_vocabulary(v):
     tokens = v.tokens  # in column order
     return {
-        "tokens": _token_member(tokens),
+        "tokens": _Encoded(tokens, _token_encoding),
         "document_frequency": np.array([v.document_frequency[t] for t in tokens], dtype=np.int64),
         "corpus_size": v.corpus_size,
     }
@@ -627,10 +725,11 @@ def _decimal_form(matrix: np.ndarray) -> DecimalForm | None:
 
     One pass over row blocks: a block that is not exact at ``decimals``
     raises it and restarts the pass, so every block is checked at the
-    decimals finally chosen. A second pass writes the planes of the zigzag
-    codes ``(m << 1) ^ (m >> 63)`` of the mantissas ``m``, as many low bytes
-    as the largest code needs; neither pass allocates a temporary the size
-    of the matrix.
+    decimals finally chosen. A second pass writes the zigzag codes
+    ``(m << 1) ^ (m >> 63)`` of the mantissas ``m``: as many low byte
+    planes as the largest code needs below its top byte, and that top byte,
+    which is then split into one packed bit plane per bit the largest code
+    uses there. Neither pass allocates a temporary the size of the matrix.
     """
     if matrix.dtype != np.float64 or matrix.ndim != 2:
         return None
@@ -648,53 +747,92 @@ def _decimal_form(matrix: np.ndarray) -> DecimalForm | None:
         if mantissas.size:
             lo, hi = min(lo, mantissas.min()), max(hi, mantissas.max())
         k += 1
-    largest = max(2 * int(hi), -2 * int(lo) - 1)  # the zigzag codes of the extremes
-    width = max(1, -(-largest.bit_length() // 8))
+    bits = max(2 * int(hi), -2 * int(lo) - 1).bit_length()  # of the larger extreme's zigzag code
+    low = max(0, bits - 1) // 8  # the bytes below the top one
     scale = float(10**decimals)
-    planes = np.empty((width,) + matrix.shape, dtype=np.uint8)
+    byte_planes = np.empty((low,) + matrix.shape, dtype=np.uint8)
+    top = np.empty(matrix.shape, dtype=np.uint8)
     negative_zeros = [np.empty(0, dtype=np.int64)]
     for start, block in blocks:
         ints = np.rint(block * scale).astype("<i8")
-        codes = (ints << 1) ^ (ints >> 63)
-        planes[:, start : start + len(block)] = np.moveaxis(
-            codes.view(np.uint8).reshape(block.shape + (8,))[..., :width], -1, 0
-        )
+        codes = ((ints << 1) ^ (ints >> 63)).view(np.uint8).reshape(block.shape + (8,))
+        byte_planes[:, start : start + len(block)] = np.moveaxis(codes[..., :low], -1, 0)
+        top[start : start + len(block)] = codes[..., low]
         signed_zeros = np.flatnonzero((block == 0) & np.signbit(block))
         negative_zeros.append(signed_zeros + start * matrix.shape[1])
-    return DecimalForm(decimals, planes, np.concatenate(negative_zeros))
+    bit_planes = tuple(np.packbits((top >> j) & 1, axis=1) for j in range(bits - 8 * low))
+    return DecimalForm(decimals, matrix.shape, tuple(byte_planes), bit_planes, np.concatenate(negative_zeros))
 
 
-def _checked_form(decimals, planes, negative_zeros, rows: int) -> DecimalForm:
-    """The DecimalForm of a stored table of ``rows`` tokens; FormatError if its fields do not fit one.
+def _encode_form(form: DecimalForm) -> dict:
+    return {
+        "decimals": form.decimals,
+        "shape": form.shape,
+        "byte_planes": [_Encoded(plane, _plane_encoding) for plane in form.byte_planes],
+        "bit_planes": [_Encoded(plane, _plane_encoding) for plane in form.bit_planes],
+        "negative_zeros": form.negative_zeros,
+    }
+
+
+def _decode_form(f) -> DecimalForm:
+    """A stored DecimalForm; FormatError if its fields do not fit one, naming the member at fault.
 
     Every check is made here, while the model loads, though no row is
-    restored: a negative-zero index must name a value whose code bytes are
-    all zero in the planes.
+    restored: each plane's dtype and shape, the pad bits of each bit plane,
+    which must be zero, and each negative-zero index, which must name a
+    value whose code bits are all zero in every plane.
     """
+    decimals, shape, negative_zeros = f["decimals"], f["shape"], f["negative_zeros"]
     if type(decimals) is not int or not 0 <= decimals <= MAX_DECIMALS:
         raise FormatError(f"embedding table decimals {decimals!r} outside 0..{MAX_DECIMALS}")
-    if not (
-        isinstance(planes, np.ndarray)
-        and planes.dtype == np.uint8
-        and planes.ndim == 3
-        and 1 <= planes.shape[0] <= 8
-        and planes.shape[1] == rows
-    ):
-        shape = getattr(planes, "shape", None)
-        raise FormatError(
-            f"embedding table of {rows} tokens needs 1 to 8 uint8 byte planes of "
-            f"({rows}, dimension), got shape {shape}"
-        )
-    bytes_of = planes.reshape(planes.shape[0], -1)  # (width, values)
+    if not (type(shape) is tuple and len(shape) == 2 and all(type(d) is int and d >= 0 for d in shape)):
+        raise FormatError(f"malformed embedding table shape {shape!r}")
+    rows, columns = shape
+    # field -> (what one plane is called, most planes, shape of a plane)
+    kinds = {
+        "byte_planes": ("byte plane", 7, shape),
+        "bit_planes": ("bit plane", 8, (rows, -(-columns // 8))),
+    }
+    for field, (kind, most, plane_shape) in kinds.items():
+        planes = f[field]
+        if not (isinstance(planes, list) and len(planes) <= most and all(isinstance(p, np.ndarray) for p in planes)):
+            raise FormatError(f"embedding table {kind}s must be a list of at most {most} arrays")
+        for i, plane in enumerate(planes):
+            if plane.dtype != np.uint8 or plane.shape != plane_shape:
+                raise _MemberError(
+                    f"{kind} {i} of a {rows} x {columns} embedding table must be uint8 of shape "
+                    f"{plane_shape}, got {plane.dtype} of shape {plane.shape}",
+                    field,
+                    i,
+                )
+    pad = 0xFF >> columns % 8 if columns % 8 else 0  # the low bits of a row's last byte
+    for i, plane in enumerate(f["bit_planes"]):
+        if pad and (plane[:, -1] & pad).any():
+            raise _MemberError(f"bit plane {i} of the embedding table has nonzero pad bits", "bit_planes", i)
     if not (
         isinstance(negative_zeros, np.ndarray)
         and negative_zeros.dtype == np.int64
         and negative_zeros.ndim == 1
-        and ((0 <= negative_zeros) & (negative_zeros < bytes_of.shape[1])).all()
-        and not bytes_of[:, negative_zeros].any()
+        and ((0 <= negative_zeros) & (negative_zeros < rows * columns)).all()
     ):
-        raise FormatError("embedding table negative-zero indices do not name zero mantissas")
-    return DecimalForm(decimals, planes, negative_zeros)
+        message = "embedding table negative-zero indices must be int64 indices of its values"
+        if isinstance(negative_zeros, np.ndarray):
+            raise _MemberError(message, "negative_zeros")
+        raise FormatError(message)
+    if negative_zeros.size:
+        row, column = np.divmod(negative_zeros, columns)
+        packed, bit = (row, column >> 3), 0x80 >> (column & 7)  # each -0.0's byte and bit in a bit plane
+        bits_at = {
+            "byte_planes": lambda plane: plane.reshape(-1)[negative_zeros],
+            "bit_planes": lambda plane: plane[packed] & bit,
+        }
+        for field, (kind, _, _) in kinds.items():
+            for i, plane in enumerate(f[field]):
+                if bits_at[field](plane).any():
+                    raise _MemberError(
+                        f"an embedding table negative-zero index names a set bit of its {kind} {i}", field, i
+                    )
+    return DecimalForm(decimals, shape, tuple(f["byte_planes"]), tuple(f["bit_planes"]), negative_zeros)
 
 
 def _table_form(table: EmbeddingTable) -> DecimalForm | None:
@@ -716,28 +854,23 @@ def _encode_embedding_table(t):
     return {
         "language": t.language,
         "source": t.source,
-        "tokens": _token_member(t.tokens),
-        "decimals": None if form is None else form.decimals,
-        "matrix": t.matrix if form is None else _TablePlanes(form.planes),
-        "negative_zeros": None if form is None else form.negative_zeros,
+        "tokens": _Encoded(t.tokens, _token_encoding),
+        "matrix": t.matrix if form is None else None,
+        "form": form,
     }
 
 
 def _decode_embedding_table(f):
     """A table as it is stored: its decimal form alone, or its float64 matrix, which has none."""
     tokens = _member_tokens(f["tokens"])
-    if f["decimals"] is None:
-        matrix, form = f["matrix"], False
-    else:
-        matrix, form = None, _checked_form(f["decimals"], f["matrix"], f["negative_zeros"], len(tokens))
     try:
-        return EmbeddingTable(tokens, matrix, f["language"], f["source"], form)
+        return EmbeddingTable(tokens, f["matrix"], f["language"], f["source"], f["form"] or False)
     except ConfigError as exc:
         raise FormatError(str(exc)) from exc
 
 
 def _encode_pipeline(p):
-    return {**_dataclass_fields(p), "tokenizer_vocab": _token_member(p.tokenizer_vocab)}
+    return {**_dataclass_fields(p), "tokenizer_vocab": _Encoded(p.tokenizer_vocab, _token_encoding)}
 
 
 def _decode_pipeline(f):
@@ -785,6 +918,7 @@ _REGISTRY = {
     for cls, codec in [
         (Vocabulary, (_encode_vocabulary, _decode_vocabulary)),
         (EmbeddingTable, (_encode_embedding_table, _decode_embedding_table)),
+        (DecimalForm, (_encode_form, _decode_form)),
         (PipelineModel, (_encode_pipeline, _decode_pipeline)),
         *((cls, _dataclass_codec(cls)) for cls in _DATACLASSES),
         *((cls, _learner_codec(cls, *entry)) for cls, entry in _LEARNERS.items()),

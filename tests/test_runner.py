@@ -940,7 +940,7 @@ class TestSharedVectorTable:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """Count vector-file loads, and deflates by the ``.npy`` digest of the array."""
+        """Count vector-file loads, and deflates by deflate setting and ``.npy`` digest of the array."""
         loads, deflates = [], Counter()
         load, deflate = runner.load_word_vectors, serialize._deflate
 
@@ -949,7 +949,7 @@ class TestSharedVectorTable:
             return load(path, language)
 
         def counting_deflate(array, setting):
-            deflates[(array.ndim, serialize._npy_key(array))] += 1
+            deflates[(setting, serialize._npy_key(array))] += 1
             return deflate(array, setting)
 
         monkeypatch.setattr(runner, "load_word_vectors", counting_load)
@@ -963,8 +963,10 @@ class TestSharedVectorTable:
         table = run_matrix(parse(self.raw(es_gl_dir, tmp_path / "out", vectors)), log=lines.append)
         assert table.all_ok
         assert loads == [("syn.vec", "es")]
-        planes = [n for (ndim, _), n in deflates.items() if ndim == 3]
-        assert planes == [1]  # one table, deflated once for its four models
+        planes = [n for (setting, _), n in deflates.items() if setting in (serialize._TABLE, serialize._STORED)]
+        form = load_model(tmp_path / "out" / "models" / "es__wv__pca-off__dt.npz").embeddings.form
+        distinct = {(plane.shape, plane.tobytes()) for plane in form.byte_planes + form.bit_planes}
+        assert planes == [1] * len(distinct)  # each distinct plane deflated once for the four models
         groups = [line.split()[1].rsplit("__", 2)[0] for line in lines]
         assert list(dict.fromkeys(groups)) == ["es__wv", "gl__wv", "es__tfidf", "gl__tfidf"]
         for name in ("es__wv__pca-off__dt", "gl__wv__pca-off__knn"):

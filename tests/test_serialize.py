@@ -4,6 +4,7 @@ import io
 import json
 import re
 import struct
+import weakref
 import zipfile
 import zlib
 from dataclasses import replace
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyemo import serialize
@@ -206,7 +207,12 @@ REPRESENTATION_KINDS = ("bow", "tfidf", "word-vectors", "precomputed")
 
 def encoded_arrays(obj) -> dict:
     """The arrays ``save_model`` stores for ``obj``, by member name, without their deflate settings."""
-    return {name: array for name, (array, _) in serialize._encode_model(obj).items()}
+    return {name: member.array for name, member in serialize._encode_model(obj).items()}
+
+
+def form_planes(form: DecimalForm) -> tuple:
+    """The byte planes then the bit planes of ``form``, in file order."""
+    return form.byte_planes + form.bit_planes
 
 
 class TestZipWriter:
@@ -235,12 +241,14 @@ class TestZipWriter:
         knn = fit(ClassifierSpec(kind="knn", hyperparameters={"k": 3}), *small_problem(rng))
         knn_pipe = replace(dt_pipe, classifier=knn)
         embeddings = dt_pipe.embeddings
-        planes = serialize._decimal_form(embeddings.matrix).planes
+        planes = form_planes(serialize._decimal_form(embeddings.matrix))
+        distinct = {(plane.shape, plane.tobytes()) for plane in planes}
+        assert len(planes) >= 2
         deflated, searched = [], []
         compress, search = serialize._deflate, serialize._decimal_form
 
         def counting_compress(array, setting):
-            if array.shape == planes.shape and np.array_equal(array, planes):
+            if (array.shape, array.tobytes()) in distinct:
                 deflated.append(array)
             return compress(array, setting)
 
@@ -253,9 +261,9 @@ class TestZipWriter:
         memo = {}
         save_model(dt_pipe, tmp_path / "dt.npz", memo=memo)
         save_model(knn_pipe, tmp_path / "knn.npz", memo=memo)
-        assert len(deflated) == 1
+        assert len(deflated) == len(distinct)  # each distinct plane once
         save_model(knn_pipe, tmp_path / "alone.npz")  # no memo: deflated again
-        assert len(deflated) == 2
+        assert len(deflated) == 2 * len(distinct)
         assert len(searched) == 1  # one table object: its decimal form is found once
         for name, pipe in (("dt", dt_pipe), ("knn", knn_pipe)):
             restored = load_model(tmp_path / f"{name}.npz")
@@ -308,8 +316,8 @@ class TestZipWriter:
 def stored(value):
     """The JSON node of ``value`` saved as ``{"x": value}``, and its member's array and deflate setting."""
     members = serialize._encode_model({"x": value})
-    meta = json.loads(members["__meta__"][0].tobytes())
-    return meta["root"]["items"]["x"], members["a0"]
+    meta = json.loads(members["__meta__"].array.tobytes())
+    return meta["root"]["items"]["x"], (members["a0"].array, members["a0"].setting)
 
 
 class TestDeflateStrategy:
@@ -340,11 +348,51 @@ class TestDeflateStrategy:
             node, (array, setting) = stored(plain)
             assert node == {"__kind__": "array", "key": "a0"}
             assert array is plain and setting == (zlib.Z_DEFAULT_COMPRESSION, zlib.Z_DEFAULT_STRATEGY)
-        tokens = tuple(f"w{i}" for i in range(3000))
-        members = serialize._encode_model(EmbeddingTable(tokens, np.round(self.noise(rng, rows=3000), 5)))
-        planes, setting = members["a1"]  # after the token list
-        assert planes.dtype == np.uint8 and planes.shape == (3, 3000, 100)
-        assert setting == (3, zlib.Z_DEFAULT_STRATEGY)
+
+    def test_table_planes_and_their_settings(self, rng):
+        # five-decimal noise: codes of 20 bits, two low byte planes of 300 KB that
+        # barely compress and are stored, and four bit planes of 39 KB, under the probe floor
+        matrix = np.round(self.noise(rng, rows=3000), 5)
+        ints = np.rint(matrix * 1e5).astype(np.int64)
+        codes = ((ints << 1) ^ (ints >> 63)).view(np.uint64)
+        assert int(codes.max()).bit_length() == 20
+        members = serialize._encode_model(EmbeddingTable(tuple(f"w{i}" for i in range(3000)), matrix))
+        meta = json.loads(members["__meta__"].array.tobytes())["root"]["fields"]
+        assert meta["matrix"] is None and meta["form"]["type"] == "DecimalForm"
+        form = meta["form"]["fields"]
+        assert form["decimals"] == 5 and form["shape"] == {"__kind__": "tuple", "items": [3000, 100]}
+        keys = [[node["key"] for node in form[field]["items"]] for field in ("byte_planes", "bit_planes")]
+        assert keys == [["a1", "a2"], ["a3", "a4", "a5", "a6"]]  # after the token list
+        for i, key in enumerate(keys[0]):  # byte i of every little-endian code
+            plane = members[key].array
+            assert plane.dtype == np.uint8 and plane.shape == (3000, 100)
+            assert plane.tobytes() == codes.view(np.uint8).reshape(-1, 8)[:, i].tobytes()
+            assert members[key].setting == (0, zlib.Z_DEFAULT_STRATEGY)
+        for j, key in enumerate(keys[1]):  # bit 16 + j of every code, eight columns to a byte
+            plane = members[key].array
+            assert plane.dtype == np.uint8 and plane.shape == (3000, 13)
+            bits = (codes >> np.uint64(16 + j)) & np.uint64(1)
+            assert plane.tobytes() == np.packbits(bits.astype(np.uint8), axis=1).tobytes()
+            assert members[key].setting == (3, zlib.Z_DEFAULT_STRATEGY)
+
+    def test_plane_probe_rule(self, rng):
+        # a plane of over 64 KiB is deflated at level 3 when its sample deflates by a quarter, else stored
+        random_bytes = rng.integers(0, 256, size=(3000, 100), dtype=np.uint8)
+        mostly_zero = np.where(rng.random((3000, 100)) < 0.9, 0, random_bytes).astype(np.uint8)
+        stored_blocks, level_three = (0, zlib.Z_DEFAULT_STRATEGY), (3, zlib.Z_DEFAULT_STRATEGY)
+        assert serialize._plane_setting(random_bytes) == stored_blocks
+        assert serialize._plane_setting(mostly_zero) == level_three
+        assert serialize._plane_setting(random_bytes[:650]) == level_three  # 65,000 bytes: not probed
+        sample = serialize._probe_sample(random_bytes.reshape(-1))
+        assert sample.nbytes == 8 * 8192 and sample[:8192].tobytes() == random_bytes.tobytes()[:8192]
+        for plane, setting in ((random_bytes, stored_blocks), (mostly_zero, level_three)):
+            deflated = serialize._deflate(plane, setting)
+            payload = bytes(deflated.payload)
+            assert zlib.decompress(payload, -15)[-plane.nbytes :] == plane.tobytes()
+            if setting == stored_blocks:  # stored blocks (block type 00): a few bytes of framing per block
+                assert payload[0] >> 1 & 3 == 0 and len(payload) < 1.001 * deflated.size
+            else:
+                assert len(payload) < 0.75 * plane.nbytes
 
     def test_probe_reads_slices_across_the_member(self, rng):
         # 64 KiB of noise up front, whose planes alone deflate smaller with Z_RLE,
@@ -389,6 +437,74 @@ class TestDeflateStrategy:
         for name, array in arrays.items():
             assert same_bits(restored[name], array)
             assert not restored[name].flags.writeable
+
+
+def large_model(rng):
+    """A word-vector pipeline, a 3000 x 100 five-decimal table and 240 KB of dense float64 values.
+
+    The table's byte planes are stored and its bit planes deflated; the values are shuffled.
+    """
+    table = EmbeddingTable(tuple(f"w{i}" for i in range(3000)), np.round(rng.normal(size=(3000, 100)), 5))
+    pipe = fitted_pipeline("word-vectors", ClassifierSpec(kind="dt"), rng)
+    return {"pipe": pipe, "table": table, "components": rng.normal(size=(300, 100))}
+
+
+class TestSaveMemo:
+    """A memo keyed by object: a second save under it redoes no probe, shuffle, hash or deflate."""
+
+    def test_second_save_under_a_memo_repeats_no_work(self, rng, tmp_path, monkeypatch):
+        model = large_model(rng)
+        calls = []
+        for name in ("_shuffles", "_plane_setting", "_npy_key", "_byte_planes"):
+            work = getattr(serialize, name)
+            monkeypatch.setattr(serialize, name, lambda *a, _name=name, _work=work: calls.append(_name) or _work(*a))
+        memo = {}
+        save_model(model, tmp_path / "first.npz", memo=memo)
+        assert {"_shuffles", "_plane_setting", "_npy_key", "_byte_planes"} <= set(calls)
+        calls.clear()
+        save_model(model, tmp_path / "second.npz", memo=memo)
+        assert calls == []
+        save_model(model, tmp_path / "alone.npz")
+        assert (tmp_path / "second.npz").read_bytes() == (tmp_path / "alone.npz").read_bytes()
+        assert (tmp_path / "first.npz").read_bytes() == (tmp_path / "alone.npz").read_bytes()
+
+    def test_memo_keeps_no_array_alive_and_never_takes_a_dead_one_for_a_new_one(self, rng, tmp_path):
+        memo = {}
+        x, z = rng.normal(size=(300, 100)), np.arange(10.0)  # shuffled, and a plain member that is z itself
+        seen = [weakref.ref(x), weakref.ref(z)]
+        save_model({"x": x, "z": z}, tmp_path / "x.npz", memo=memo)
+        assert stored(x)[0]["__kind__"] == "shuffled" and stored(z)[0]["__kind__"] == "array"
+        dead = id(x)
+        del x, z
+        assert [ref() for ref in seen] == [None, None]
+        # a new array that got the dead one's id is encoded afresh, not written with its payload
+        y = rng.normal(size=(300, 100))
+        memo[serialize._array_encoding, id(y)] = memo.pop((serialize._array_encoding, dead))
+        save_model({"x": y}, tmp_path / "y.npz", memo=memo)
+        assert same_bits(load_model(tmp_path / "y.npz")["x"], y)
+
+    def test_equal_models_give_equal_files(self, tmp_path):
+        def build():
+            rng = np.random.default_rng(7)
+            return large_model(rng)
+
+        save_model(build(), tmp_path / "a.npz")
+        save_model(build(), tmp_path / "b.npz")
+        memo = {}
+        for name in ("c", "d"):  # equal arrays of other objects: taken from the memo by content
+            save_model(build(), tmp_path / f"{name}.npz", memo=memo)
+        files = [(tmp_path / f"{name}.npz").read_bytes() for name in "abcd"]
+        assert files[1:] == files[:1] * 3
+
+    def test_loaded_model_resaves_byte_for_byte(self, rng, tmp_path):
+        save_model(large_model(rng), tmp_path / "model.npz")
+        loaded = load_model(tmp_path / "model.npz")
+        assert isinstance(loaded["table"].form, DecimalForm)
+        save_model(loaded, tmp_path / "again.npz")
+        assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "model.npz").read_bytes()
+        with zipfile.ZipFile(tmp_path / "model.npz") as z:
+            sizes = {i.file_size: i.compress_size for i in z.infolist()}
+        assert sizes[300128] > 300128  # the byte planes are stored: a few bytes of framing each
 
 
 @st.composite
@@ -556,8 +672,7 @@ class TestFormatGuards:
 
         def mutate(meta):
             meta["version"] = 3
-            fields = meta["root"]["fields"]
-            del fields["decimals"], fields["negative_zeros"]
+            del meta["root"]["fields"]["form"]
 
         self.tamper_meta(path, mutate)
         with pytest.raises(FormatError, match="version 3 is not supported"):
@@ -573,7 +688,24 @@ class TestFormatGuards:
             meta["root"]["fields"]["components"] = {"__kind__": "array", "key": "a1"}
 
         self.tamper_meta(path, mutate)
-        message = f"{path}: model format version 4 is not supported (this build reads version 5)"
+        message = f"{path}: model format version 4 is not supported (this build reads version 6)"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_model(path)
+
+    def test_version_five_model_refused(self, tmp_path):
+        # a v5 word-vector table is one (width, tokens, dimension) member of byte planes, deflated whole
+        path = tmp_path / "emb.npz"
+        save_model(EmbeddingTable(("a", "b"), np.array([[0.5, -1.25], [2.0, -0.0]])), path)
+
+        def mutate(meta):
+            meta["version"] = 5
+            fields = meta["root"]["fields"]
+            form = fields.pop("form")["fields"]
+            fields.update(decimals=form["decimals"], matrix=form["bit_planes"]["items"][0])
+            fields["negative_zeros"] = form["negative_zeros"]
+
+        self.tamper_meta(path, mutate)
+        message = f"{path}: model format version 5 is not supported (this build reads version 6)"
         with pytest.raises(FormatError, match=re.escape(message)):
             load_model(path)
 
@@ -639,56 +771,83 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
 
 
-def narrowest_width(values: np.ndarray) -> int:
-    """The fewest bytes, at least one, that hold the zigzag code of every mantissa in ``values``."""
-    codes = [2 * m if m >= 0 else -2 * m - 1 for m in values.ravel().tolist()]
-    return next(w for w in range(1, 9) if max(codes, default=0) < 1 << (8 * w))
+def code_bits(values: np.ndarray) -> int:
+    """The bit length of the largest zigzag code of the mantissas in ``values`` (0 for none or all zero)."""
+    return max((2 * m if m >= 0 else -2 * m - 1 for m in values.ravel().tolist()), default=0).bit_length()
+
+
+def plane_counts(bits: int) -> tuple[int, int]:
+    """``(byte planes, bit planes)`` of codes of ``bits`` bits: the bytes below the top one, and its used bits."""
+    low = max(0, bits - 1) // 8
+    return low, bits - 8 * low
 
 
 @st.composite
-def decimal_tables(draw):
+def decimal_tables(draw, code_lengths=st.integers(0, 64)):
     """``(matrix, decimals, mantissas)``: each value the float nearest ``mantissa / 10**decimals``.
 
-    Some rows use fewer decimals than others, the zigzag codes of the
-    mantissas fit in from 1 to 8 bytes, and some values are ``-0.0``. A
-    mantissa past 2**53 is an integer a float64 holds exactly, up to the
-    float nearest 2**63 below it on either side, and comes with 0 decimals.
+    The largest zigzag code takes exactly ``bits`` bits, drawn from
+    ``code_lengths`` (0 to 64), some rows use fewer decimals than others, and some values are ``-0.0``.
+    Past 48 bits a mantissa comes with 0 decimals and is an integer a
+    float64 holds exactly, up to the float nearest 2**63 below it on either
+    side.
     """
     rows, columns = draw(st.integers(0, 30)), draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    width = draw(st.integers(1, 8))  # codes below 2**(8 * width) are mantissas in [-half, half)
-    half = 1 << (8 * width - 1)
-    if width <= 6:
+    bits = draw(code_lengths)
+    half = 1 << max(0, bits - 1)  # codes below 2**bits are mantissas in [-half, half)
+    if bits == 0:
+        decimals, mantissas, extreme = draw(st.integers(0, MAX_DECIMALS)), np.zeros((rows, columns), np.int64), 0
+    elif bits <= 48:
         decimals = draw(st.integers(0, MAX_DECIMALS))
         mantissas = rng.integers(-half, half, size=(rows, columns))
+        extreme = -half  # code 2**bits - 1, and no power of two is a multiple of 10
     else:
         decimals = 0
-        top = np.nextafter(float(half), 0.0)
+        top = float(half - 1) if bits <= 53 else np.nextafter(float(half), 0.0)
         mantissas = np.clip(rng.integers(-half + 1, half, size=(rows, columns)).astype(np.float64), -top, top)
-        if mantissas.size and draw(st.booleans()):  # the extremes themselves
-            mantissas.flat[rng.integers(0, mantissas.size, size=2)] = [-top, top]
         mantissas = mantissas.astype(np.int64)
+        extreme = int(-top) if draw(st.booleans()) else int(top)
     for row in np.flatnonzero(rng.random(rows) < draw(st.floats(0, 1))):
-        step = 10 ** int(rng.integers(0, decimals + 1))  # fewer decimals in this row
-        mantissas[row] = mantissas[row] // step * step
+        step = 10 ** int(rng.integers(0, decimals + 1))  # fewer decimals in this row, rounded toward 0
+        mantissas[row] = np.sign(mantissas[row]) * (np.abs(mantissas[row]) // step * step)
     matrix = mantissas / 10.0**decimals
     signed = rng.random(matrix.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    if mantissas.size:
+        at = np.unravel_index(int(rng.integers(0, mantissas.size)), mantissas.shape)
+        mantissas[at], matrix[at], signed[at] = extreme, extreme / 10.0**decimals, False
+        assert code_bits(mantissas) == bits
     matrix[signed] = -0.0
     mantissas[signed] = 0
     return matrix, decimals, mantissas
 
 
-def restore_decimals_reference(decimals, planes, negative_zeros, rows):
-    """The float64 matrix of valid DecimalForm fields: every zigzag code decoded, converted, then divided."""
-    width, _, columns = planes.shape
+def restore_decimals_reference(form: DecimalForm) -> np.ndarray:
+    """The float64 matrix of a valid DecimalForm: every zigzag code assembled bit by bit, decoded, converted, divided."""
+    rows, columns = form.shape
+    low = len(form.byte_planes)
     codes = [
-        sum(int(planes[i].flat[k]) << (8 * i) for i in range(width)) for k in range(rows * columns)
+        sum(int(plane[r, c]) << (8 * i) for i, plane in enumerate(form.byte_planes))
+        + sum((int(plane[r, c // 8]) >> (7 - c % 8) & 1) << (8 * low + j) for j, plane in enumerate(form.bit_planes))
+        for r in range(rows)
+        for c in range(columns)
     ]
     ints = np.array([c // 2 if c % 2 == 0 else -(c + 1) // 2 for c in codes], dtype=np.int64)
     matrix = ints.astype(np.float64)
-    matrix /= float(10**decimals)
-    matrix[negative_zeros] = -0.0
+    matrix /= float(10**form.decimals)
+    matrix[form.negative_zeros] = -0.0
     return matrix.reshape(rows, columns)
+
+
+def form_fields(decimals, shape, byte_planes, bit_planes, negative_zeros) -> dict:
+    """The fields ``_decode_form`` reads, as a load decodes them."""
+    return {
+        "decimals": decimals,
+        "shape": shape,
+        "byte_planes": list(byte_planes),
+        "bit_planes": list(bit_planes),
+        "negative_zeros": negative_zeros,
+    }
 
 
 class TestDecimalTables:
@@ -698,21 +857,39 @@ class TestDecimalTables:
         keep=st.lists(st.booleans(), min_size=30, max_size=30),
     )
     def test_decimal_tables_round_trip_bit_for_bit(self, table, block_values, keep, tmp_path_factory):
+        self.assert_round_trip(table, block_values, keep, tmp_path_factory)
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    @settings(max_examples=4)
+    @given(data=st.data())
+    def test_every_code_bit_length_round_trips(self, bits, data, tmp_path_factory):
+        table = data.draw(decimal_tables(st.just(bits)))
+        assume(len(table[0]))  # a table of no rows has no largest code
+        keep = data.draw(st.lists(st.booleans(), min_size=30, max_size=30))
+        self.assert_round_trip(table, 1 << 16, keep, tmp_path_factory)
+
+    @staticmethod
+    def assert_round_trip(table, block_values, keep, tmp_path_factory):
         matrix, decimals, mantissas = table
         # the fewest decimals the values need, and their mantissas at it
         while decimals and not (mantissas % 10).any():
             decimals, mantissas = decimals - 1, mantissas // 10
         with mock.patch.object(serialize, "_BLOCK_VALUES", block_values):
             form = serialize._decimal_form(matrix)
-        assert form.decimals == decimals
-        assert form.planes.shape == (narrowest_width(mantissas),) + matrix.shape
+        assert form.decimals == decimals and form.shape == matrix.shape
+        low, top_bits = plane_counts(code_bits(mantissas))
+        assert (len(form.byte_planes), len(form.bit_planes)) == (low, top_bits)
+        assert all(plane.dtype == np.uint8 and plane.shape == matrix.shape for plane in form.byte_planes)
+        packed = (len(matrix), -(-matrix.shape[1] // 8))
+        assert all(plane.dtype == np.uint8 and plane.shape == packed for plane in form.bit_planes)
         signed = np.flatnonzero((matrix == 0) & np.signbit(matrix))
         np.testing.assert_array_equal(form.negative_zeros, signed)
+        assert same_bits(restore_decimals_reference(form), matrix)
         path = tmp_path_factory.mktemp("decimal") / "emb.npz"
         tokens = tuple(f"w{i}" for i in range(len(matrix)))
         save_model(EmbeddingTable(tokens, matrix, "xx", "xx.vec"), path)
         with np.load(path, allow_pickle=False) as z:
-            assert [z[k].dtype for k in z.files] == [np.uint8, np.uint8, np.uint8, np.int64]
+            assert [z[k].dtype for k in z.files] == [np.uint8] * (2 + low + top_bits) + [np.int64]
         restored = load_model(path)
         assert restored.tokens == tokens
         ids = np.flatnonzero(keep[: len(matrix)])  # an ascending subset of the rows
@@ -721,33 +898,40 @@ class TestDecimalTables:
 
     def test_a_block_needing_more_decimals_restarts_the_search(self):
         # row 0 alone is exact at 0 decimals; row 1 needs 3, which turns 100 into
-        # 100000, whose zigzag code 200000 takes three bytes
+        # 100000, whose zigzag code 200000 (0x30d40) takes 18 bits: two byte
+        # planes, and bits 16 and 17, both set, of its top byte 3
         matrix = np.array([[100.0], [0.001]])
         with mock.patch.object(serialize, "_BLOCK_VALUES", 1):
             form = serialize._decimal_form(matrix)
-        assert (form.decimals, form.planes.shape) == (3, (3, 2, 1))
-        assert form.planes[:, :, 0].tolist() == [[64, 2], [13, 0], [3, 0]]
-        restored = serialize._checked_form(3, form.planes, form.negative_zeros, 2)
+        assert (form.decimals, form.shape) == (3, (2, 1))
+        assert [plane[:, 0].tolist() for plane in form.byte_planes] == [[64, 2], [13, 0]]
+        assert [plane[:, 0].tolist() for plane in form.bit_planes] == [[128, 0], [128, 0]]
+        restored = serialize._decode_form(form_fields(3, (2, 1), form.byte_planes, form.bit_planes, form.negative_zeros))
         assert same_bits(restored.rows(np.arange(2)), matrix)
 
     @given(
         decimals=st.integers(0, MAX_DECIMALS),
-        width=st.integers(1, 8),
+        low=st.integers(0, 7),
+        top_bits=st.integers(0, 8),
         rows=st.integers(0, 20),
-        columns=st.integers(1, 8),
+        columns=st.integers(1, 20),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_restore_gives_the_bits_of_convert_then_divide(
-        self, decimals, width, rows, columns, seed
+        self, decimals, low, top_bits, rows, columns, seed
     ):
+        # uint32 codes up to 4 bytes, uint64 past them: both give the reference bits
         rng = np.random.default_rng(seed)
-        planes = rng.integers(0, 256, size=(width, rows, columns), dtype=np.uint8)
         zeros = rng.random((rows, columns)) < 0.3
-        planes[:, zeros] = 0
+        byte_planes = rng.integers(0, 256, size=(low, rows, columns), dtype=np.uint8)
+        byte_planes[:, zeros] = 0
+        bits = rng.integers(0, 2, size=(top_bits, rows, columns), dtype=np.uint8)
+        bits[:, zeros] = 0
+        bit_planes = [np.packbits(plane, axis=1) for plane in bits]
         signed = zeros & (rng.random((rows, columns)) < 0.5)
-        fields = (decimals, planes, np.flatnonzero(signed).astype(np.int64), rows)
-        form = serialize._checked_form(*fields)
-        whole = restore_decimals_reference(*fields)
+        fields = form_fields(decimals, (rows, columns), byte_planes, bit_planes, np.flatnonzero(signed).astype(np.int64))
+        form = serialize._decode_form(fields)
+        whole = restore_decimals_reference(form)
         assert same_bits(form.rows(np.arange(rows)), whole)
         # rows restored on demand: none, each one alone, and an ascending subset
         subset = np.flatnonzero(rng.random(rows) < 0.5)
@@ -776,7 +960,7 @@ class TestDecimalTables:
         save_model(EmbeddingTable(tuple(f"w{i}" for i in range(len(matrix))), matrix), path)
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(z["__meta__"].tobytes())["root"]["fields"]
-            assert (meta["decimals"], meta["negative_zeros"]) == (None, None)
+            assert meta["form"] is None
             assert same_bits(z[meta["matrix"]["key"]], matrix)
         assert same_bits(load_model(path).matrix, matrix)
 
@@ -802,28 +986,57 @@ def flip_payload_byte(data: bytes, info: zipfile.ZipInfo) -> bytes:
 
 
 def rewrite(path, mutate):
-    """Rewrite the model at ``path`` after ``mutate(table fields, arrays)``; the root is a pipeline."""
+    """Rewrite the model at ``path`` after ``mutate(form fields, arrays)``; the root is a pipeline."""
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
         arrays = {k: z[k] for k in z.files if k != "__meta__"}
-    mutate(meta["root"]["fields"]["embeddings"]["fields"], arrays)
+    mutate(meta["root"]["fields"]["embeddings"]["fields"]["form"]["fields"], arrays)
     raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez_compressed(fh, __meta__=raw, **arrays)
 
 
-def set_member(field, change):
-    """A mutation replacing the member of table field ``field`` by ``change(member)``."""
+def set_member(field, change, index=None):
+    """A mutation replacing the member of form field ``field`` (item ``index`` of its list) by ``change(member)``."""
 
     def mutate(fields, arrays):
-        key = fields[field]["key"]
-        arrays[key] = change(arrays[key])
+        node = fields[field] if index is None else fields[field]["items"][index]
+        arrays[node["key"]] = change(arrays[node["key"]])
 
     return mutate
 
 
+def set_bit(plane):
+    """``plane`` with the top bit of its first byte set: bit 0 of value 0, the table's ``-0.0``."""
+    plane = plane.copy()
+    plane[0, 0] |= 0x80
+    return plane
+
+
+def repeat_plane(field, times):
+    """A mutation listing the first plane of form field ``field`` ``times`` times."""
+
+    def mutate(fields, arrays):
+        fields[field]["items"] = fields[field]["items"][:1] * times
+
+    return mutate
+
+
+def one_row_more(fields, arrays):
+    """A form of one row more than the table has tokens: a zero row below every plane."""
+    fields["shape"]["items"][0] += 1
+    for field in ("byte_planes", "bit_planes"):
+        for node in fields[field]["items"]:
+            plane = arrays[node["key"]]
+            arrays[node["key"]] = np.vstack([plane, np.zeros_like(plane[:1])])
+
+
 def rename_member(fields, arrays):
     fields["negative_zeros"]["key"] = "a999"
+
+
+# the table of saved_word_vector_model: 10 tokens of dimension 4, two byte planes and three bit planes
+BYTE_PLANE, BIT_PLANE, NEGATIVE_ZEROS = "a3", "a5", "a7"  # byte plane 1, bit plane 1 and the indices
 
 
 class TestDamagedFiles:
@@ -833,6 +1046,12 @@ class TestDamagedFiles:
         assert same_bits(restored.embeddings.matrix, pipe.embeddings.matrix)
         assert np.signbit(restored.embeddings.matrix[0, 0])
         np.testing.assert_array_equal(restored.predict_texts(TEXTS), pipe.predict_texts(TEXTS))
+        form = restored.embeddings.form
+        assert (form.shape, len(form.byte_planes), len(form.bit_planes)) == ((10, 4), 2, 3)
+        with np.load(tmp_path / "wv.npz", allow_pickle=False) as z:
+            fields = json.loads(z["__meta__"].tobytes())["root"]["fields"]["embeddings"]["fields"]["form"]["fields"]
+        keys = [fields["byte_planes"]["items"][1]["key"], fields["bit_planes"]["items"][1]["key"]]
+        assert keys + [fields["negative_zeros"]["key"]] == [BYTE_PLANE, BIT_PLANE, NEGATIVE_ZEROS]
 
     def test_every_damaged_member_is_a_format_error(self, rng, tmp_path):
         path = tmp_path / "wv.npz"
@@ -847,31 +1066,40 @@ class TestDamagedFiles:
                 load_model(path)
 
     @pytest.mark.parametrize(
-        "mutate, message",
+        "mutate, member, message",
         [
-            (set_member("matrix", lambda planes: np.repeat(planes[:1], 9, axis=0)), "byte planes"),
-            (set_member("matrix", lambda planes: planes[:0]), "byte planes"),
-            (set_member("matrix", lambda planes: planes[:, 1:]), "byte planes"),
-            (set_member("matrix", lambda planes: planes.astype(np.int16)), "byte planes"),
-            (set_member("negative_zeros", lambda nz: np.array([1 << 40])), "negative-zero"),
-            (set_member("negative_zeros", lambda nz: np.array([-1])), "negative-zero"),
-            (set_member("negative_zeros", lambda nz: nz.astype(np.int32)), "negative-zero"),
-            # index 1 names a value of the table that is not zero
-            (set_member("negative_zeros", lambda nz: nz + 1), "negative-zero"),
-            (lambda fields, arrays: fields.update(decimals=MAX_DECIMALS + 1), "decimals"),
-            (lambda fields, arrays: fields.update(decimals=True), "decimals"),
-            (rename_member, "missing member 'a999'"),
+            (repeat_plane("byte_planes", 8), None, "byte planes must be a list of at most 7"),
+            (repeat_plane("bit_planes", 9), None, "bit planes must be a list of at most 8"),
+            (set_member("byte_planes", lambda p: p[1:], 1), BYTE_PLANE, "byte plane 1 of a 10 x 4"),
+            (set_member("byte_planes", lambda p: p.astype(np.int16), 1), BYTE_PLANE, "byte plane 1 of a 10 x 4"),
+            (set_member("bit_planes", lambda p: p[1:], 1), BIT_PLANE, "bit plane 1 of a 10 x 4"),
+            (set_member("bit_planes", lambda p: np.repeat(p, 2, axis=1), 1), BIT_PLANE, "bit plane 1 of a 10 x 4"),
+            (set_member("bit_planes", lambda p: p.astype(np.int16), 1), BIT_PLANE, "bit plane 1 of a 10 x 4"),
+            (set_member("bit_planes", lambda p: p | 0x01, 1), BIT_PLANE, "bit plane 1 of the embedding table has nonzero pad bits"),
+            (set_member("bit_planes", set_bit, 1), BIT_PLANE, "negative-zero index names a set bit of its bit plane 1"),
+            (set_member("byte_planes", lambda p: p + (p == 0), 1), BYTE_PLANE, "negative-zero index names a set bit of its byte plane 1"),
+            (set_member("negative_zeros", lambda nz: np.array([1 << 40])), NEGATIVE_ZEROS, "negative-zero"),
+            (set_member("negative_zeros", lambda nz: np.array([-1])), NEGATIVE_ZEROS, "negative-zero"),
+            (set_member("negative_zeros", lambda nz: nz.astype(np.int32)), NEGATIVE_ZEROS, "negative-zero"),
+            (lambda fields, arrays: fields.update(decimals=MAX_DECIMALS + 1), None, "decimals"),
+            (lambda fields, arrays: fields.update(decimals=True), None, "decimals"),
+            (lambda fields, arrays: fields["shape"].update(items=[12, -4]), None, "malformed embedding table shape"),
+            (one_row_more, None, "embedding table of 10 tokens needs a (10, dimension) matrix, got shape (11, 4)"),
+            (rename_member, None, "missing member 'a999'"),
         ],
         ids=[
-            "nine-planes", "no-planes", "planes-rows", "planes-dtype", "index-past-end", "index-negative",
-            "index-dtype", "index-of-nonzero", "decimals-range", "decimals-bool", "missing-member",
+            "eight-byte-planes", "nine-bit-planes", "byte-plane-rows", "byte-plane-dtype", "bit-plane-rows",
+            "bit-plane-width", "bit-plane-dtype", "pad-bits", "zero-in-bit-plane", "zero-in-byte-plane",
+            "index-past-end", "index-negative", "index-dtype", "decimals-range", "decimals-bool",
+            "negative-dimension", "shape-rows", "missing-member",
         ],
     )
-    def test_table_that_does_not_fit_its_planes_refused(self, mutate, message, rng, tmp_path):
+    def test_table_that_does_not_fit_its_planes_refused(self, mutate, member, message, rng, tmp_path):
         path = tmp_path / "wv.npz"
         saved_word_vector_model(rng, path)
         rewrite(path, mutate)
-        with pytest.raises(FormatError, match=re.escape(str(path)) + ".*" + re.escape(message)):
+        where = f"{path}: " + ("" if member is None else f"member {member!r}: ")
+        with pytest.raises(FormatError, match=re.escape(where) + ".*" + re.escape(message)):
             load_model(path)
 
     def test_damaged_model_is_a_cli_error_not_a_traceback(self, rng, tmp_path, capsys):
@@ -1129,7 +1357,8 @@ class TestModelReader:
 EXPECTED_LAYOUT = {
     "ClassifierSpec": ["kind", "hyperparameters", "seed", "members"],
     "DecisionTree": ["spec", "input_dim", "n_labels", "feature", "threshold", "left", "right", "value"],
-    "EmbeddingTable": ["language", "source", "tokens", "decimals", "matrix", "negative_zeros"],
+    "DecimalForm": ["decimals", "shape", "byte_planes", "bit_planes", "negative_zeros"],
+    "EmbeddingTable": ["language", "source", "tokens", "matrix", "form"],
     "KNearestNeighbors": ["spec", "x", "y", "input_dim", "n_labels"],
     "LinearSvm": ["spec", "w", "b", "input_dim", "n_labels"],
     "Mlp": ["spec", "weights", "biases", "input_dim", "n_labels"],
