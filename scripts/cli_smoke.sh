@@ -5,9 +5,10 @@
 # table keeps its byte planes and restores the rows a request reads) that must
 # each equal the run's own prediction file, a run of the config saved with a
 # byte-order mark that must exit 0 and write the same report, three malformed
-# input files (a vector file, a vocabulary and a config that is not UTF-8) and
-# a saved model rewritten to claim model format version 5 that must each exit
-# 2 with an error naming the file (and, for the model, its version), and no
+# input files (a vector file, a vocabulary and a config that is not UTF-8), a
+# zip archive as models of format 1 to 6 were, and a saved model whose prefix
+# is rewritten to claim model format version 6, that must each exit 2 with an
+# error naming the file (and, for the rewritten model, its version), and no
 # traceback; last, a re-run in which every pca-on cell fails must exit 1 and
 # leave no pca-on model or prediction file, while the pca-off prediction files
 # stay byte for byte as they were.
@@ -111,25 +112,24 @@ expect_error "$work/bad.tsv: line 2: " inspect --vocab "$work/bad.tsv"
 printf '{"data_dir": "d\xff"}\n' > "$work/bad.json"
 expect_error "$work/bad.json: not UTF-8 text" run --config "$work/bad.json"
 
-# a model of an older format is refused by name, not read as this one
+# a model of an older format is refused by name, not read as this one: a zip
+# archive, as formats 1 to 6 were, and a saved model whose prefix (the magic,
+# then the little-endian uint32 format version) claims version 6
 python - "$work" <<'PY'
-import json
 import sys
+import zipfile
 from pathlib import Path
 
-import numpy as np
-
 root = Path(sys.argv[1])
-model = sorted((root / "out" / "models").glob("syn__tfidf__*.npz"))[0]
-with np.load(model, allow_pickle=False) as z:
-    members = {name: z[name] for name in z.files}
-meta = json.loads(members["__meta__"].tobytes().decode("utf-8"))
-meta["version"] = 5
-members["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-np.savez_compressed(root / "format-5.npz", **members)
+with zipfile.ZipFile(root / "format-6.npz", "w", zipfile.ZIP_DEFLATED) as z:
+    z.writestr("__meta__.npy", b"")
+model = sorted((root / "out" / "models").glob("syn__tfidf__*.npz"))[0].read_bytes()
+(root / "version-6.npz").write_bytes(model[:8] + (6).to_bytes(4, "little") + model[12:])
 PY
-expect_error "$work/format-5.npz: model format version 5 is not supported" \
-  predict --model "$work/format-5.npz" --input "$work/data/syn/test.csv" --out "$work/format-5.csv"
+expect_error "$work/format-6.npz: not a model file" \
+  predict --model "$work/format-6.npz" --input "$work/data/syn/test.csv" --out "$work/format-6.csv"
+expect_error "$work/version-6.npz: model format version 6 is not supported" \
+  predict --model "$work/version-6.npz" --input "$work/data/syn/test.csv" --out "$work/version-6.csv"
 
 # a re-run into the same output directory whose PCA must keep more components
 # than the train split has rows: every pca-on cell fails and keeps no model or
@@ -165,4 +165,4 @@ for copy in "$work"/pca-off/*.csv; do
   kept=$((kept + 1))
 done
 
-echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs and a format-5 model exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"
+echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs and format-6 models exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"

@@ -1,10 +1,10 @@
 """Pickle-free persistence for fitted models.
 
-Everything is stored in a single .npz container: numeric arrays as npz
-members, and the object structure as a JSON document kept in a ``__meta__``
-uint8 member. Loading never unpickles, so a model file cannot execute code.
-Each registered class encodes to a dict of plain values, containers, arrays,
-and other registered objects, and the JSON names it by its class name.
+Everything is stored in a single file: numeric arrays as members, and the
+object structure as a JSON header that names each member by its index.
+Loading never unpickles, so a model file cannot execute code. Each
+registered class encodes to a dict of plain values, containers, arrays, and
+other registered objects, and the JSON names it by its class name.
 
 Codecs come from one table. A plain dataclass stores its fields in
 declaration order and decodes as ``cls(**fields)``. A learner stores ``spec``
@@ -12,9 +12,10 @@ and the state ``_LEARNERS`` lists for it, in that order, and decodes as
 ``cls(spec)`` with the state set on it; an unfitted learner is refused. Only
 ``Vocabulary``, ``EmbeddingTable`` and ``PipelineModel``, which hold token
 lists, and ``DecimalForm``, whose planes a load checks, have codecs of their
-own.
+own. The table also names the fields each encoder writes, and a load
+refuses an object node whose fields are not those.
 
-Layout (format 6). A decision tree is its five preorder node arrays; a
+Layout (format 7). A decision tree is its five preorder node arrays; a
 random forest is the same five arrays with its trees packed end to end plus
 their node counts (see ``learn.tree``), six members whatever its tree count.
 A token list is one uint8 member holding the UTF-8 bytes of its tokens
@@ -46,7 +47,7 @@ stored; the sparse bit planes of its top byte deflate to a fraction.
 
 Any other float64 member of over 64 KiB whose values a probe finds
 shuffle well (``_shuffles``) is stored as the uint8 ``(8, values)`` byte
-planes of its ``.npy`` data, plane ``i`` holding byte ``i`` of every
+planes of its data, plane ``i`` holding byte ``i`` of every
 little-endian value: the "shuffle" filter of Blosc, after which the bytes
 that barely vary (signs, exponents, high bytes) sit together and deflate
 far better than the interleaved values. The JSON names it with a
@@ -54,32 +55,38 @@ far better than the interleaved values. The JSON names it with a
 values as a read-only array. Mostly-zero matrices fail the probe and stay
 plain.
 
-The file is a standard ``.npz`` that ``np.load`` reads: every member
-decompresses to the bytes ``np.savez_compressed`` writes for the array
-stored, so for a table or a shuffled member ``np.load`` returns its planes.
-It is raw deflate (a stored plane too: stored blocks inside a deflate
-stream) with zip64 records always written. A member's deflate setting
+The container (``_PREFIX``) is a fixed prefix: a magic, the format version,
+and the deflated header's length, size and CRC-32. The raw-deflated JSON
+header follows. It holds ``root``, the node tree, and ``members``: per
+member its dtype code, shape, ``fortran_order``, compressed length, size
+and CRC-32. The payloads follow in member order, each the raw deflate of
+the array's data alone, in C order or, for an array that is only
+Fortran-contiguous, Fortran order; the file ends at the last one. The
+``.npz`` suffix the runner gives model files is historical: a model file
+has not been a zip archive since format 7. A member's deflate setting
 (``_deflate``) depends on the member alone, so equal models still give
-equal files: table planes at level 3 or 0, shuffled planes with ``Z_RLE``,
-anything else at zlib's default level. ``save_model`` takes an optional
+equal files: table planes at level 3 or 0 (a stored plane is stored blocks
+inside a deflate stream), shuffled planes with ``Z_RLE``, anything else,
+and the header, at zlib's default level. ``save_model`` takes an optional
 memo that knows, by object (an array weakly), every array and token list a
-save encoded, with its node and payload, and, by setting and the SHA-256 of
-their ``.npy`` bytes, the deflated payloads: a later save under the same
-memo repeats no probe, shuffle, hash or deflate for a live object it has
-seen, and deflates no member equal to one it has. The runner keeps one memo per run of
-(language, representation) groups that share a word-vector table, and one
-per group otherwise, so the table (and its token list) that every model of
-such a run carries is deflated once per run rather than once per cell.
+save encoded, with its node, header entry and payload, and, by setting and
+the SHA-256 of their data bytes (``_digest``), the deflated payloads: a
+later save under the same memo repeats no probe, shuffle, hash or deflate
+for a live object it has seen, and deflates no member equal to one it has.
+The runner keeps one memo per run of (language, representation) groups
+that share a word-vector table, and one per group otherwise, so the table
+(and its token list) that every model of such a run carries is deflated
+once per run rather than once per cell.
 
-``load_model`` reads only files laid out this way, in one pass and without
-``np.load``. It opens the file once and takes the member list from the zip
-central directory. For each member it checks the local header (signature,
-the directory's name, deflate), inflates the payload with one
-``zlib.decompress`` and checks its length and CRC-32. The ``.npy`` header
-must be version 1.0 in exactly numpy's spelling, of a bool, integer or float
-dtype, and its shape must account for every byte after it; there is no
-``literal_eval`` and nothing is unpickled. Each array is a read-only view of
-its inflated bytes, and only one member's payload is held at a time.
+``load_model`` reads a file in one pass. It reads the prefix, then inflates
+the header and checks its size and CRC-32. Then, one member at a time, it
+checks the entry: a bool, integer or float dtype code of the table
+(``_DTYPES``; nothing is unpickled), a shape of non-negative ints, and a
+size equal to the shape's values times the itemsize. It inflates the
+payload with one ``zlib.decompress`` that reserves at most ``_MAX_INFLATE``
+times the payload, and checks its size and CRC-32. Each array is a
+read-only view of its inflated bytes, and only one member's payload is held
+at a time.
 
 A load restores no word-vector row. A table stored in decimal form keeps its
 byte and bit planes, ``decimals`` and negative-zero indices, all checked
@@ -87,28 +94,27 @@ while the model loads, and restores float64 rows only as they are read: a
 request restores the rows its documents hit (see
 ``dense_features.DecimalForm``).
 
-The container carries a format version; a mismatch raises FormatError
-instead of guessing, so files of format 1 to 5 must be refit. A damaged
-file (a bad CRC, a broken deflate stream, a zip member stored rather than
-deflated or duplicated, a ``.npy`` header that is malformed or does not fit
-its data, a member the structure names but the file lacks, a table plane
-of the wrong dtype or shape or with nonzero pad bits, a negative-zero index
-that names a set bit, a shuffled member that is not 8 planes of its
-values) is a FormatError naming the file and the member, never a
-traceback.
+The prefix carries the format version; a mismatch raises FormatError
+instead of guessing, so files of format 1 to 6, which were zip archives,
+must be refit. A damaged file (a bad magic, a bad CRC, a broken deflate
+stream, a header or payload that runs past the end of the file or bytes
+after the last payload, a header that is not JSON, a member entry whose
+dtype is not in the table or whose size does not fit its shape, a
+malformed node or an object node whose fields are not its type's, a member
+the structure names but the file lacks, a table plane of the wrong dtype
+or shape or with nonzero pad bits, a negative-zero index that names a set
+bit, a shuffled member that is not 8 planes of its values) is a
+FormatError naming the file and the member, never a traceback.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import math
-import re
 import struct
 import weakref
-import zipfile
 import zlib
 from pathlib import Path
 from typing import Callable
@@ -132,17 +138,20 @@ from .reduce import PcaModel
 from .sparse_features import TfidfModel, Vocabulary
 from .tokenize import TokenizerSpec
 
-FORMAT_NAME = "polyemo"
-FORMAT_VERSION = 6  # 6: word-vector tables as stored low byte planes and a bit-packed top byte
+FORMAT_VERSION = 7  # 7: a plain container in place of a zip archive of .npy members
 
+# the magic (its first byte is not ASCII, so no text file starts with it), the format version,
+# and the deflated header's length, size and CRC-32
+_PREFIX = struct.Struct("<8sI2QI")
+_MAGIC = b"\x93polyemo"
 
 _PROBE_FLOOR = 64 << 10  # a float64 member or a table plane of more bytes than this is probed
 _PROBE_SLICES, _PROBE_SLICE_BYTES = 8, 8 << 10  # eight slices of 8 KiB
 
-# (level, strategy) of zlib's deflate for a member: numpy's, a word-vector
-# table plane that deflates well, one that does not (stored blocks), and a
-# shuffled float64 member (Z_RLE ignores the level)
-_NUMPY = (zlib.Z_DEFAULT_COMPRESSION, zlib.Z_DEFAULT_STRATEGY)
+# (level, strategy) of zlib's deflate for a member: zlib's default, a
+# word-vector table plane that deflates well, one that does not (stored
+# blocks), and a shuffled float64 member (Z_RLE ignores the level)
+_DEFAULT = (zlib.Z_DEFAULT_COMPRESSION, zlib.Z_DEFAULT_STRATEGY)
 _TABLE = (3, zlib.Z_DEFAULT_STRATEGY)
 _STORED = (0, zlib.Z_DEFAULT_STRATEGY)
 _SHUFFLED = (1, zlib.Z_RLE)
@@ -206,18 +215,19 @@ class _Encoded:
 
 @dataclasses.dataclass
 class _Member:
-    """The array a member stores, its deflate setting and, once deflated, its payload in place of the array."""
+    """The array a member stores and its deflate setting; once deflated, its header entry and payload in its place."""
 
-    array: np.ndarray
+    array: np.ndarray | None
     setting: tuple[int, int]
-    deflated: Deflated | None = None
+    entry: dict | None = None
+    payload: bytes | None = None
 
 
 def _array_encoding(array: np.ndarray) -> tuple[dict, _Member]:
     """The node and member of an array: a plain member, or the byte planes of float64 values that ``_shuffles``.
 
-    The planes are of the values in the order ``.npy`` data holds them: C
-    order, or Fortran order for an array that is only Fortran-contiguous.
+    The planes are of the values in the order a member holds them (``_data``):
+    C order, or Fortran order for an array that is only Fortran-contiguous.
     """
     if array.dtype == np.dtype("<f8") and array.nbytes > _PROBE_FLOOR:
         fortran_order = array.flags.f_contiguous and not array.flags.c_contiguous
@@ -225,22 +235,22 @@ def _array_encoding(array: np.ndarray) -> tuple[dict, _Member]:
         if _shuffles(values):
             node = {
                 "__kind__": "shuffled",
-                "key": None,
+                "member": None,
                 "shape": list(array.shape),
                 "fortran_order": fortran_order,
             }
             return node, _Member(_byte_planes(values), _SHUFFLED)
-    return {"__kind__": "array", "key": None}, _Member(array, _NUMPY)
+    return {"__kind__": "array", "member": None}, _Member(array, _DEFAULT)
 
 
 def _plane_encoding(plane: np.ndarray) -> tuple[dict, _Member]:
     """The node and member of a word-vector table plane, deflated at its ``_plane_setting``."""
-    return {"__kind__": "array", "key": None}, _Member(plane, _plane_setting(plane))
+    return {"__kind__": "array", "member": None}, _Member(plane, _plane_setting(plane))
 
 
 def _token_encoding(tokens) -> tuple[dict, _Member]:
     """The node and member of a token list: its ``_token_member``."""
-    return {"__kind__": "array", "key": None}, _Member(_token_member(tokens), _NUMPY)
+    return {"__kind__": "array", "member": None}, _Member(_token_member(tokens), _DEFAULT)
 
 
 def _reference(source):
@@ -251,8 +261,8 @@ def _reference(source):
         return lambda: source
 
 
-def _member(source, encoding, members: dict, memo: dict) -> dict:
-    """The node of ``source``, whose member is added to ``members`` under the next key.
+def _member(source, encoding, members: list, memo: dict) -> dict:
+    """The node of ``source``, whose member is appended to ``members`` and named by its index.
 
     ``encoding(source)`` gives the node and the member; it runs once per
     source object under ``memo``, and later saves under the same memo take
@@ -264,12 +274,11 @@ def _member(source, encoding, members: dict, memo: dict) -> dict:
     if entry is None or entry[0]() is not source:
         entry = memo[encoding, id(source)] = (_reference(source), *encoding(source))
     _, node, member = entry
-    key = f"a{len(members)}"
-    members[key] = member
-    return {**node, "key": key}
+    members.append(member)
+    return {**node, "member": len(members) - 1}
 
 
-def _encode_node(value, members: dict, memo: dict):
+def _encode_node(value, members: list, memo: dict):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -296,7 +305,7 @@ def _encode_node(value, members: dict, memo: dict):
     type_name = type(value).__name__
     if type_name not in _REGISTRY:
         raise ConfigError(f"cannot serialize object of type {type_name}")
-    encode, _ = _REGISTRY[type_name]
+    encode = _REGISTRY[type_name][0]
     fields = {k: _encode_node(v, members, memo) for k, v in encode(value).items()}
     return {"__kind__": "object", "type": type_name, "fields": fields}
 
@@ -313,7 +322,7 @@ def _unshuffled(node: dict, planes: np.ndarray) -> np.ndarray:
     count = math.prod(shape)
     if not (planes.dtype == np.uint8 and planes.shape == (8, count)):
         raise FormatError(
-            f"shuffled member {node['key']!r} of shape {shape} needs 8 uint8 byte planes "
+            f"shuffled member {node['member']!r} of shape {shape} needs 8 uint8 byte planes "
             f"of {count} values, got {planes.dtype} of shape {planes.shape}"
         )
     values = np.ascontiguousarray(planes.T).view("<f8").reshape(shape, order="F" if fortran_order else "C")
@@ -329,158 +338,77 @@ class _MemberError(FormatError):
         self.field, self.index = field, index
 
 
-def _decode_node(node, arrays):
+def _decode_node(node, arrays: list):
+    """The value of JSON ``node``, whose array nodes name members of ``arrays``; FormatError if it is malformed."""
     if node is None or isinstance(node, (bool, int, float, str)):
         return node
-    kind = node.get("__kind__")
+    if not isinstance(node, dict):
+        raise FormatError(f"malformed model node {node!r:.200}")
+    kind, items = node.get("__kind__"), node.get("items")
     if kind in ("array", "shuffled"):
-        if node["key"] not in arrays:
-            raise FormatError(f"model structure names a missing member {node['key']!r}")
-        array = arrays[node["key"]]
-        return array if kind == "array" else _unshuffled(node, array)
-    if kind == "list":
-        return [_decode_node(v, arrays) for v in node["items"]]
-    if kind == "tuple":
-        return tuple(_decode_node(v, arrays) for v in node["items"])
-    if kind == "dict":
-        return {k: _decode_node(v, arrays) for k, v in node["items"].items()}
+        index = node.get("member")
+        if type(index) is not int or not 0 <= index < len(arrays):
+            raise FormatError(f"model structure names a missing member {index!r}")
+        return arrays[index] if kind == "array" else _unshuffled(node, arrays[index])
+    if kind in ("list", "tuple") and isinstance(items, list):
+        values = [_decode_node(v, arrays) for v in items]
+        return values if kind == "list" else tuple(values)
+    if kind == "dict" and isinstance(items, dict):
+        return {k: _decode_node(v, arrays) for k, v in items.items()}
     if kind == "object":
-        type_name = node["type"]
-        if type_name not in _REGISTRY:
-            raise FormatError(f"model file references unknown type {type_name!r}")
-        _, decode = _REGISTRY[type_name]
-        fields = {k: _decode_node(v, arrays) for k, v in node["fields"].items()}
-        try:
-            return decode(fields)
-        except _MemberError as exc:  # name the member the refused array was read from
-            child = node["fields"][exc.field]
-            if exc.index is not None:
-                child = child["items"][exc.index]
-            raise FormatError(f"member {child['key']!r}: {exc}") from exc
-    raise FormatError(f"malformed model node {node!r}")
+        return _decode_object(node, arrays)
+    raise FormatError(f"malformed model node {node!r:.200}")
 
 
-@dataclasses.dataclass(frozen=True)
-class Deflated:
-    """One zip member's raw-deflate payload, its CRC-32 and its uncompressed size."""
+def _decode_object(node: dict, arrays: list):
+    """The registered object of an ``object`` node; FormatError if its fields are not its type's."""
+    type_name, fields = node.get("type"), node.get("fields")
+    if not (isinstance(type_name, str) and type_name in _REGISTRY):
+        raise FormatError(f"model file references unknown type {type_name!r:.200}")
+    _, decode, names = _REGISTRY[type_name]
+    if not (isinstance(fields, dict) and fields.keys() == set(names)):
+        found = list(fields) if isinstance(fields, dict) else fields
+        raise FormatError(f"a {type_name} node needs the fields {list(names)}, got {found!r:.200}")
+    try:
+        return decode({k: _decode_node(v, arrays) for k, v in fields.items()})
+    except _MemberError as exc:  # name the member the refused array was read from
+        child = fields[exc.field]
+        if exc.index is not None:
+            child = child["items"][exc.index]
+        raise FormatError(f"member {child['member']!r}: {exc}") from exc
 
-    payload: memoryview
-    crc: int
-    size: int
 
+def _data(array: np.ndarray) -> tuple[bool, np.ndarray]:
+    """``(fortran_order, data)``: a C-contiguous array whose buffer holds ``array``'s values in member order.
 
-def _npy(array: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The ``.npy`` bytes numpy writes for ``array``: its header, and an array whose buffer is the data.
-
-    The header is format 1.0, which holds every array a model encodes. The
-    data is the array's own buffer: numpy writes a Fortran-ordered array as
-    the C-order bytes of its transpose, and any other non-contiguous array in
-    C order; only that last case is copied.
+    An array that is only Fortran-contiguous is stored in Fortran order, as
+    its transpose's buffer; any other in C order, and only a non-contiguous
+    one is copied.
     """
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
     if array.flags.c_contiguous:
-        data = array
-    elif array.flags.f_contiguous:
-        data = array.T
-    else:
-        data = np.ascontiguousarray(array)
-    return header.getvalue(), data
+        return False, array
+    if array.flags.f_contiguous:
+        return True, array.T
+    return False, np.ascontiguousarray(array)
 
 
-def _npy_key(array: np.ndarray) -> bytes:
-    """SHA-256 of the ``.npy`` bytes of ``array``."""
-    header, data = _npy(array)
-    digest = hashlib.sha256(header)
-    digest.update(data)
-    return digest.digest()
+def _digest(data) -> bytes:
+    """SHA-256 of a member's data bytes: with the deflate setting, the save memo's key for its payload."""
+    return hashlib.sha256(data).digest()
 
 
-def _deflate(array: np.ndarray, setting: tuple[int, int]) -> Deflated:
-    """``array``'s ``.npy`` bytes as a raw deflate member at ``setting``, a (level, strategy) pair.
+def _deflate(data, setting: tuple[int, int]) -> tuple[bytes, dict]:
+    """The raw deflate of the bytes of ``data`` at ``setting``, a (level, strategy) pair, and its entry fields.
 
     The encoder picks the setting from the member alone: ``_TABLE`` or
     ``_STORED`` for a word-vector table plane (``_plane_setting``),
     ``_SHUFFLED`` for the planes of a float64 member that ``_shuffles``, and
-    ``_NUMPY``, zlib's default level, for every other member. The member
-    decompresses to the bytes ``np.savez_compressed`` writes for ``array``,
-    and at ``_NUMPY`` its compressed bytes are numpy's too.
+    ``_DEFAULT`` for every other member and the header. The fields are the
+    payload's length and the size and CRC-32 of ``data``.
     """
-    header, data = _npy(array)
     compressor = zlib.compressobj(setting[0], zlib.DEFLATED, -15, 8, setting[1])
-    payload = b"".join((compressor.compress(header), compressor.compress(data), compressor.flush()))
-    crc = zlib.crc32(data, zlib.crc32(header))
-    return Deflated(memoryview(payload), crc, len(header) + data.nbytes)
-
-
-_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")  # the fixed 30 bytes before a member's name
-_ZIP64 = 45  # "version needed to extract" for zip64 records
-_DEFLATED = 8
-_DOS_DATE = (1 << 5) | 1  # 1980-01-01, so equal models give equal files
-_IN_EXTRA = 0xFFFFFFFF  # a 32-bit field whose value is in the zip64 extra field
-_LIMIT32 = 0x7FFFFFFF  # larger central-directory values move to the extra field, as in zipfile
-_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
-_ZIP64_END = struct.Struct("<4sQ2H2L4Q")
-_ZIP64_LOCATOR = struct.Struct("<4sLQL")
-_END = struct.Struct("<4s4H2LH")
-
-
-def _write_zip(fh, members: list[tuple[str, Deflated]]) -> None:
-    """Write deflated members as a standard zip archive.
-
-    As ``np.savez`` does with ``force_zip64``, every local header carries its
-    sizes in a zip64 extra field; the central directory moves a size or
-    offset there once it passes 2 GiB, and the archive always ends with zip64
-    records. Members of 4 GiB or more take the same code path.
-    """
-    central = []
-    offset = 0
-    for name, m in members:
-        fname = name.encode("ascii")
-        compressed = m.payload.nbytes
-        local = _LOCAL_HEADER.pack(
-            b"PK\x03\x04", _ZIP64, 0, 0, _DEFLATED, 0, _DOS_DATE, m.crc,
-            _IN_EXTRA, _IN_EXTRA, len(fname), 20,
-        ) + fname + struct.pack("<2H2Q", 1, 16, m.size, compressed)
-        fh.write(local)
-        fh.write(m.payload)
-        values = (m.size, compressed, offset)
-        wide = [v for v in values if v > _LIMIT32]
-        extra = struct.pack(f"<2H{len(wide)}Q", 1, 8 * len(wide), *wide) if wide else b""
-        size32, compressed32, offset32 = (_IN_EXTRA if v > _LIMIT32 else v for v in values)
-        central.append(
-            _CENTRAL_HEADER.pack(
-                b"PK\x01\x02", _ZIP64, 3, _ZIP64, 0, 0, _DEFLATED, 0, _DOS_DATE, m.crc,
-                compressed32, size32, len(fname), len(extra), 0, 0, 0, 0o600 << 16, offset32,
-            )
-            + fname
-            + extra
-        )
-        offset += len(local) + compressed
-    directory = b"".join(central)
-    fh.write(directory)
-    n = len(members)
-    fh.write(
-        _ZIP64_END.pack(
-            b"PK\x06\x06", _ZIP64_END.size - 12, _ZIP64, _ZIP64, 0, 0, n, n, len(directory), offset
-        )
-    )
-    fh.write(_ZIP64_LOCATOR.pack(b"PK\x06\x07", 0, offset + len(directory), 1))
-    fh.write(
-        _END.pack(
-            b"PK\x05\x06", 0, 0, min(n, 0xFFFF), min(n, 0xFFFF),
-            min(len(directory), _IN_EXTRA), min(offset, _IN_EXTRA), 0,
-        )
-    )
-
-
-def _encode_model(obj, memo: dict | None = None) -> dict[str, _Member]:
-    """The npz members of ``obj``: ``__meta__``, already deflated, first, then in encoding order."""
-    members: dict[str, _Member] = {}
-    root = _encode_node(obj, members, {} if memo is None else memo)
-    meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "root": root}
-    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    return {"__meta__": _Member(meta_bytes, _NUMPY, _deflate(meta_bytes, _NUMPY)), **members}
+    payload = compressor.compress(data) + compressor.flush()
+    return payload, {"length": len(payload), "size": data.nbytes, "crc": zlib.crc32(data)}
 
 
 def save_model(obj, path: str | Path, memo: dict | None = None) -> None:
@@ -488,9 +416,9 @@ def save_model(obj, path: str | Path, memo: dict | None = None) -> None:
 
     Pass the same ``memo`` dict to several saves and each distinct member is
     deflated once across them. It holds, by object, each array (or token
-    list) that a save has encoded, with its node and deflated payload, so a
-    later save of the same live object repeats no probe, shuffle, hash or
-    deflate; and, by deflate setting and the SHA-256 of its ``.npy`` bytes,
+    list) that a save has encoded, with its node, header entry and payload,
+    so a later save of the same live object repeats no probe, shuffle, hash
+    or deflate; and, by deflate setting and the SHA-256 of its data bytes,
     each payload, so an equal array of another object is not deflated again.
     An array must not change while a memo that has seen it is in use. The
     memo holds every payload it has made, so drop it when its saves are
@@ -500,130 +428,107 @@ def save_model(obj, path: str | Path, memo: dict | None = None) -> None:
     previous model in place.
     """
     memo = {} if memo is None else memo
-    members = _encode_model(obj, memo)
-    for member in members.values():
-        if member.deflated is None:
-            key = (member.setting, _npy_key(member.array))
+    members: list[_Member] = []
+    root = _encode_node(obj, members, memo)
+    for member in members:
+        if member.payload is None:
+            fortran_order, data = _data(member.array)
+            key = (member.setting, _digest(data))
             if key not in memo:
-                memo[key] = _deflate(member.array, member.setting)
-            member.deflated, member.array = memo[key], None  # a later save needs only the payload
+                memo[key] = _deflate(data, member.setting)
+            member.payload, sizes = memo[key]
+            shape = list(member.array.shape)
+            member.entry = {"dtype": member.array.dtype.str, "shape": shape, "fortran_order": fortran_order, **sizes}
+            member.array = None  # a later save needs only the entry and the payload
+    header = json.dumps({"root": root, "members": [member.entry for member in members]}).encode("utf-8")
+    packed, sizes = _deflate(memoryview(header), _DEFAULT)
     with atomic_open(path, "wb") as fh:
-        _write_zip(fh, [(f"{name}.npy", member.deflated) for name, member in members.items()])
+        fh.write(_PREFIX.pack(_MAGIC, FORMAT_VERSION, sizes["length"], sizes["size"], sizes["crc"]))
+        fh.write(packed)
+        for member in members:
+            fh.write(member.payload)
 
 
-_NPY_MAGIC = b"\x93NUMPY\x01\x00"  # .npy format 1.0
-# the header numpy writes, exactly: a quoted dtype code, the order, and a shape tuple
-_NPY_HEADER = re.compile(
-    rb"\{'descr': '([^']*)', 'fortran_order': (False|True), "
-    rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n"
-)
-# the dtypes a model member may hold, by the code numpy writes for them
-_NPY_DTYPES = {
-    dtype.str.encode("ascii"): dtype
+# the dtypes a member may hold, by their code: bool, integer and float, never object, so nothing is unpickled
+_DTYPES = {
+    dtype.str: dtype
     for code in ("b1", "i1", "u1", "i2", "u2", "i4", "u4", "i8", "u8", "f2", "f4", "f8")
     for dtype in (np.dtype("<" + code), np.dtype(">" + code))
 }
+_ENTRY = {"dtype", "shape", "fortran_order", "length", "size", "crc"}
 # a deflate match (at most 258 bytes) takes at least 2 bits: a payload inflates to <= 1032x its size
 _MAX_INFLATE = 1032
 
 
-def _npy_header(data: bytes) -> tuple[tuple[int, ...], bool, np.dtype, int]:
-    """``(shape, fortran_order, dtype, data offset)`` of ``.npy`` 1.0 bytes; ValueError if not one.
+def _inflate(fh, length: int, size: int, crc: int) -> bytes:
+    """The next ``length`` bytes of ``fh`` inflated, their size and CRC-32 checked.
 
-    The header must read exactly as numpy writes it for a bool, integer or
-    float array: other versions, dtypes (object arrays among them, so
-    nothing is unpickled) and spellings are refused rather than parsed.
+    A payload that runs past the end of the file, or a short or damaged one,
+    raises ValueError or zlib.error.
     """
-    if data[:8] != _NPY_MAGIC:
-        raise ValueError(f"not a .npy 1.0 array (it starts {data[:8]!r})")
-    start = 10 + int.from_bytes(data[8:10], "little")
-    header = _NPY_HEADER.fullmatch(data, 10, start)
-    if header is None:
-        raise ValueError(f"malformed .npy header {data[10:start]!r}")
-    code, fortran_order, dims = header.groups()
-    dtype = _NPY_DTYPES.get(code)
-    if dtype is None:
-        descr = code.decode("latin-1")
-        raise ValueError(
-            f"dtype {descr!r} is not a bool, integer or float type (a model is never unpickled)"
-        )
-    shape = tuple(int(d) for d in dims.split(b",") if d)
-    return shape, fortran_order == b"True", dtype, start
-
-
-def _npy_array(data: bytes) -> np.ndarray:
-    """The array of ``.npy`` 1.0 bytes, as a read-only view of them.
-
-    ValueError if the header does not parse or its shape does not fit the data.
-    """
-    shape, fortran_order, dtype, start = _npy_header(data)
-    count = math.prod(shape)
-    if count * dtype.itemsize != len(data) - start:
-        promised, held = count * dtype.itemsize, len(data) - start
-        raise ValueError(f".npy header promises {promised} data bytes, the member holds {held}")
-    array = np.frombuffer(data, dtype, count, start)
-    return array.reshape(shape, order="F" if fortran_order else "C")
-
-
-def _inflate(fh, info: zipfile.ZipInfo) -> bytes:
-    """Member ``info`` of the open zip ``fh``, inflated, its length and CRC-32 checked.
-
-    A local header that is not the directory entry's, a method other than
-    deflate and a short or damaged payload raise ValueError or zlib.error.
-    """
-    fh.seek(info.header_offset)
-    local = fh.read(_LOCAL_HEADER.size)
-    if len(local) != _LOCAL_HEADER.size:
-        raise ValueError("truncated local header")
-    signature, _, _, _, method, *_, name_size, extra_size = _LOCAL_HEADER.unpack(local)
-    if signature != b"PK\x03\x04":
-        raise ValueError(f"bad local header signature {signature!r}")
-    name = fh.read(name_size).decode("utf-8" if info.flag_bits & 0x800 else "cp437", "replace")
-    if name != info.orig_filename:
-        raise ValueError(f"local header names {name!r}, the directory {info.orig_filename!r}")
-    if method != _DEFLATED:
-        raise ValueError(f"compression method {method}, not deflate")
-    fh.seek(extra_size, io.SEEK_CUR)
-    payload = fh.read(info.compress_size)
-    if len(payload) != info.compress_size:
-        raise ValueError(f"payload of {len(payload)} bytes, not {info.compress_size}")
-    # a damaged directory cannot make the inflate reserve more than the payload can hold
-    data = zlib.decompress(payload, -15, min(info.file_size, _MAX_INFLATE * len(payload)))
-    if len(data) != info.file_size:
-        raise ValueError(f"inflates to {len(data)} bytes, not {info.file_size}")
-    if zlib.crc32(data) != info.CRC:
+    payload = fh.read(length)
+    if len(payload) != length:
+        raise ValueError(f"its {length} bytes run past the end of the file")
+    # a damaged size cannot make the inflate reserve more than the payload can hold
+    data = zlib.decompress(payload, -15, min(size, _MAX_INFLATE * length))
+    if len(data) != size:
+        raise ValueError(f"inflates to {len(data)} bytes, not {size}")
+    if zlib.crc32(data) != crc:
         raise ValueError("bad CRC-32")
     return data
 
 
-def _read_members(path: Path) -> dict[str, np.ndarray]:
-    """Every array of the model file at ``path``, by member name without ``.npy``.
+def _read_member(fh, entry) -> np.ndarray:
+    """The read-only array of header entry ``entry``, inflated from the next payload of ``fh``.
 
-    One open, the member list from the zip central directory, then for each
-    member one read of its payload, one inflate and one strict ``.npy``
-    parse; each array is a read-only view of its inflated bytes. Only one
-    member's payload is held at a time. A file that cannot be read, is not
-    a zip, or has a damaged or duplicated member raises FormatError naming
-    ``path`` (and the member).
+    ValueError or zlib.error if the entry is malformed, its dtype is not in
+    ``_DTYPES`` or its size does not fit its shape, or the payload is damaged.
     """
-    try:
-        with open(path, "rb") as fh:
-            try:
-                infos = zipfile.ZipFile(fh).infolist()
-            except (ValueError, zipfile.BadZipFile) as exc:
-                raise FormatError(f"{path}: not a model file: {exc}") from exc
-            members = {}
-            for info in infos:
-                key = info.filename.removesuffix(".npy")
-                try:
-                    if key in members:
-                        raise ValueError("a second member of this name")
-                    members[key] = _npy_array(_inflate(fh, info))
-                except (ValueError, zlib.error) as exc:
-                    raise FormatError(f"{path}: damaged model member {key!r}: {exc}") from exc
-            return members
-    except OSError as exc:
-        raise FormatError(f"cannot read model {path}: {exc}") from exc
+    if not (isinstance(entry, dict) and entry.keys() == _ENTRY):
+        raise ValueError(f"malformed entry {entry!r:.200}")
+    code, shape, length, size, crc = (entry[k] for k in ("dtype", "shape", "length", "size", "crc"))
+    dtype = _DTYPES.get(code) if isinstance(code, str) else None
+    if dtype is None:
+        raise ValueError(f"dtype {code!r:.40} is not a bool, integer or float type (a model is never unpickled)")
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise ValueError(f"shape {shape!r:.200} is not a list of non-negative ints")
+    if not (isinstance(entry["fortran_order"], bool) and all(type(v) is int and v >= 0 for v in (length, size, crc))):
+        raise ValueError(f"malformed entry {entry!r:.200}")
+    if size != math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"size {size} is not that of shape {tuple(shape)} of {dtype.str}")
+    data = _inflate(fh, length, size, crc)
+    return np.frombuffer(data, dtype).reshape(shape, order="F" if entry["fortran_order"] else "C")
+
+
+def _read_model(fh) -> tuple[object, list[np.ndarray]]:
+    """The structure and the arrays of the model file open as ``fh``; FormatError if it is not one of this format.
+
+    The arrays are read one at a time, so only one member's payload is held
+    at a time. The file must end at the last payload.
+    """
+    prefix = fh.read(_PREFIX.size)
+    if len(prefix) != _PREFIX.size or prefix[:8] != _MAGIC:
+        raise FormatError(f"not a model file (it starts {prefix[:8]!r}); a model of format 1 to 6 must be refit")
+    _, version, length, size, crc = _PREFIX.unpack(prefix)
+    if version != FORMAT_VERSION:
+        raise FormatError(
+            f"model format version {version} is not supported (this build reads version {FORMAT_VERSION})"
+        )
+    try:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
+        header = json.loads(_inflate(fh, length, size, crc))
+    except (ValueError, zlib.error) as exc:
+        raise FormatError(f"damaged model header: {exc}") from exc
+    if not (isinstance(header, dict) and header.keys() == {"root", "members"} and isinstance(header["members"], list)):
+        raise FormatError("malformed model header: it needs a root and a list of members")
+    arrays = []
+    for i, entry in enumerate(header["members"]):
+        try:
+            arrays.append(_read_member(fh, entry))
+        except (ValueError, zlib.error) as exc:
+            raise FormatError(f"damaged model member {i}: {exc}") from exc
+    if fh.read(1):
+        raise FormatError("damaged model file: bytes after the last member")
+    return header["root"], arrays
 
 
 def load_model(path: str | Path):
@@ -633,23 +538,12 @@ def load_model(path: str | Path):
     FormatError naming ``path``. Its arrays are read-only.
     """
     path = Path(path)
-    arrays = _read_members(path)
-    if "__meta__" not in arrays:
-        raise FormatError(f"{path}: not a model file (missing metadata)")
     try:
-        meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt model metadata: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
-        found = meta.get("format") if isinstance(meta, dict) else None
-        raise FormatError(f"{path}: unrecognized container format {found!r}")
-    if meta.get("version") != FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: model format version {meta.get('version')!r} is not "
-            f"supported (this build reads version {FORMAT_VERSION})"
-        )
-    try:
-        return _decode_node(meta["root"], arrays)
+        with open(path, "rb") as fh:
+            root, arrays = _read_model(fh)
+        return _decode_node(root, arrays)
+    except OSError as exc:
+        raise FormatError(f"cannot read model {path}: {exc}") from exc
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -676,6 +570,10 @@ def _member_tokens(member: np.ndarray) -> tuple[str, ...]:
 
 def _dataclass_fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _encode_vocabulary(v):
@@ -878,7 +776,7 @@ def _decode_pipeline(f):
 
 
 def _dataclass_codec(cls):
-    return _dataclass_fields, lambda f: cls(**f)
+    return _dataclass_fields, lambda f: cls(**f), _field_names(cls)
 
 
 _DATACLASSES = (TfidfModel, PcaModel, TokenizerSpec, ClassifierSpec)
@@ -910,16 +808,20 @@ def _learner_codec(cls, fitted_attr, state):
             setattr(model, name, f[name])
         return model
 
-    return encode, decode
+    return encode, decode, ("spec", *state)
 
 
+# type name -> (encode, decode, the field names encode writes, in file order)
 _REGISTRY = {
     cls.__name__: codec
     for cls, codec in [
-        (Vocabulary, (_encode_vocabulary, _decode_vocabulary)),
-        (EmbeddingTable, (_encode_embedding_table, _decode_embedding_table)),
-        (DecimalForm, (_encode_form, _decode_form)),
-        (PipelineModel, (_encode_pipeline, _decode_pipeline)),
+        (Vocabulary, (_encode_vocabulary, _decode_vocabulary, ("tokens", "document_frequency", "corpus_size"))),
+        (
+            EmbeddingTable,
+            (_encode_embedding_table, _decode_embedding_table, ("language", "source", "tokens", "matrix", "form")),
+        ),
+        (DecimalForm, (_encode_form, _decode_form, _field_names(DecimalForm))),
+        (PipelineModel, (_encode_pipeline, _decode_pipeline, _field_names(PipelineModel))),
         *((cls, _dataclass_codec(cls)) for cls in _DATACLASSES),
         *((cls, _learner_codec(cls, *entry)) for cls, entry in _LEARNERS.items()),
     ]

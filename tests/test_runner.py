@@ -940,7 +940,7 @@ class TestSharedVectorTable:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """Count vector-file loads, and deflates by deflate setting and ``.npy`` digest of the array."""
+        """Count vector-file loads, and deflates by deflate setting and digest of the data."""
         loads, deflates = [], Counter()
         load, deflate = runner.load_word_vectors, serialize._deflate
 
@@ -948,9 +948,9 @@ class TestSharedVectorTable:
             loads.append((Path(path).name, language))
             return load(path, language)
 
-        def counting_deflate(array, setting):
-            deflates[(setting, serialize._npy_key(array))] += 1
-            return deflate(array, setting)
+        def counting_deflate(data, setting):
+            deflates[(setting, serialize._digest(data))] += 1
+            return deflate(data, setting)
 
         monkeypatch.setattr(runner, "load_word_vectors", counting_load)
         monkeypatch.setattr(serialize, "_deflate", counting_deflate)

@@ -1,11 +1,8 @@
 """Pickle-free model persistence: round trips and format refusal."""
 
-import io
 import json
 import re
-import struct
 import weakref
-import zipfile
 import zlib
 from dataclasses import replace
 from unittest import mock
@@ -32,16 +29,73 @@ from polyemo.learn import (
 from polyemo.pipeline import PipelineModel, read_predictions
 from polyemo.runner import predict_file
 from polyemo.reduce import fit_pca
-from polyemo.serialize import (
-    FORMAT_NAME,
-    FORMAT_VERSION,
-    MAX_DECIMALS,
-    Deflated,
-    load_model,
-    save_model,
-)
+from polyemo.serialize import FORMAT_VERSION, MAX_DECIMALS, load_model, save_model
 from polyemo.sparse_features import TfidfModel, fit_bow, fit_tfidf, transform_tfidf
 from polyemo.tokenize import TokenizerSpec
+
+
+MAGIC = b"\x93polyemo"
+
+
+def deflate(data: bytes) -> bytes:
+    return zlib.compress(data, wbits=-15)
+
+
+def inflate(payload: bytes, size: int, crc: int) -> bytes:
+    data = zlib.decompress(payload, -15)
+    assert (len(data), zlib.crc32(data)) == (size, crc)
+    return data
+
+
+def read_model(path) -> tuple[dict, list]:
+    """The JSON header and the arrays of the model file at ``path``, read with zlib and json alone.
+
+    A reference reader: it asserts the layout, the magic and version, the
+    deflated header, then each member's payload, the file ending at the last.
+    """
+    data = path.read_bytes()
+    assert data[:8] == MAGIC and int.from_bytes(data[8:12], "little") == FORMAT_VERSION
+    length, size, crc = (int.from_bytes(data[i:j], "little") for i, j in ((12, 20), (20, 28), (28, 32)))
+    header = json.loads(inflate(data[32 : 32 + length], size, crc))
+    offset, arrays = 32 + length, []
+    for entry in header["members"]:
+        raw = inflate(data[offset : offset + entry["length"]], entry["size"], entry["crc"])
+        order = "F" if entry["fortran_order"] else "C"
+        arrays.append(np.frombuffer(raw, entry["dtype"]).reshape(entry["shape"], order=order))
+        offset += entry["length"]
+    assert offset == len(data)
+    return header, arrays
+
+
+def pack(header, payloads, version=FORMAT_VERSION) -> bytes:
+    """A model file of ``header`` (JSON, or the bytes it inflates to) and member ``payloads``."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    packed = deflate(text)
+    numbers = ((version, 4), (len(packed), 8), (len(text), 8), (zlib.crc32(text), 4))
+    return MAGIC + b"".join(n.to_bytes(size, "little") for n, size in numbers) + packed + b"".join(payloads)
+
+
+def entry_and_payload(array) -> tuple[dict, bytes]:
+    """The header entry and payload of ``array``, in C order."""
+    raw = np.ascontiguousarray(array).tobytes()
+    payload = deflate(raw)
+    fields = {"dtype": array.dtype.str, "shape": list(array.shape), "fortran_order": False}
+    return {**fields, "length": len(payload), "size": len(raw), "crc": zlib.crc32(raw)}, payload
+
+
+def unpacked(path) -> tuple[dict, list[bytes]]:
+    """The header of the model file at ``path`` and its arrays' payloads, as ``entry_and_payload`` writes them."""
+    header, arrays = read_model(path)
+    members = [entry_and_payload(array) for array in arrays]
+    header["members"] = [entry for entry, _ in members]
+    return header, [payload for _, payload in members]
+
+
+def write_model(path, root, arrays, version=FORMAT_VERSION) -> None:
+    """Write ``root`` and its members ``arrays`` as a model file, without ``save_model``."""
+    members = [entry_and_payload(array) for array in arrays]
+    header = {"root": root, "members": [entry for entry, _ in members]}
+    path.write_bytes(pack(header, [payload for _, payload in members], version))
 
 
 def small_problem(rng, n=20, d=4, labels=6):
@@ -121,8 +175,7 @@ class TestFormatThreeLayout:
             )
             path = tmp_path / f"voting{n_trees}.npz"
             save_model(fit(ClassifierSpec(kind="voting", members=members), x, y), path)
-            with zipfile.ZipFile(path) as z:
-                counts.append(len(z.namelist()))
+            counts.append(len(read_model(path)[0]["members"]))
             assert len(load_model(path).members[2].trees) == n_trees
         assert counts[0] == counts[1]
 
@@ -132,8 +185,7 @@ class TestFormatThreeLayout:
         vocab_pipe = fitted_pipeline("tfidf", ClassifierSpec(kind="dt"), rng)
         for name, model in (("wv", pipe), ("tfidf", vocab_pipe)):
             save_model(model, tmp_path / f"{name}.npz")
-            with np.load(tmp_path / f"{name}.npz", allow_pickle=False) as z:
-                meta = z["__meta__"].tobytes().decode("utf-8")
+            meta = json.dumps(read_model(tmp_path / f"{name}.npz")[0])
             for token in ("smile", "rage", "gloom"):  # words of TEXTS
                 assert f'"{token}"' not in meta
             restored = load_model(tmp_path / f"{name}.npz")
@@ -205,9 +257,11 @@ def fitted_pipeline(kind, spec, rng):
 REPRESENTATION_KINDS = ("bow", "tfidf", "word-vectors", "precomputed")
 
 
-def encoded_arrays(obj) -> dict:
-    """The arrays ``save_model`` stores for ``obj``, by member name, without their deflate settings."""
-    return {name: member.array for name, member in serialize._encode_model(obj).items()}
+def encoded_arrays(obj) -> list:
+    """The arrays ``save_model`` stores for ``obj``, in member order, without their deflate settings."""
+    members = []
+    serialize._encode_node(obj, members, {})
+    return [member.array for member in members]
 
 
 def form_planes(form: DecimalForm) -> tuple:
@@ -215,23 +269,20 @@ def form_planes(form: DecimalForm) -> tuple:
     return form.byte_planes + form.bit_planes
 
 
-class TestZipWriter:
+class TestModelWriter:
     @pytest.mark.parametrize("spec", CLASSIFIER_SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("kind", REPRESENTATION_KINDS)
-    def test_members_equal_numpy_writer(self, kind, spec, rng, tmp_path):
+    def test_members_are_the_encoded_arrays(self, kind, spec, rng, tmp_path):
         pipe = fitted_pipeline(kind, spec, rng)
-        ours, ref = tmp_path / "ours.npz", tmp_path / "ref.npz"
+        ours = tmp_path / "ours.npz"
         save_model(pipe, ours)
-        np.savez_compressed(ref, **encoded_arrays(pipe))
-        assert zipfile.ZipFile(ours).testzip() is None
-        with np.load(ours, allow_pickle=False) as a, np.load(ref, allow_pickle=False) as b:
-            assert a.files == b.files
-            for name in b.files:
-                assert a[name].dtype == b[name].dtype
-                assert a[name].shape == b[name].shape
-                np.testing.assert_array_equal(a[name], b[name])
-        with zipfile.ZipFile(ours) as a, zipfile.ZipFile(ref) as b:
-            assert all(a.read(n) == b.read(n) for n in b.namelist())  # .npy headers too
+        expected = encoded_arrays(pipe)
+        _, members = read_model(ours)
+        assert len(members) == len(expected)
+        for member, array in zip(members, expected):
+            assert member.dtype == array.dtype and member.shape == array.shape
+            assert np.isfortran(member) == np.isfortran(array)
+            assert member.tobytes() == array.tobytes()
         if kind != "precomputed":  # a precomputed pipeline cannot read text
             restored = load_model(ours)
             np.testing.assert_array_equal(restored.predict_texts(TEXTS), pipe.predict_texts(TEXTS))
@@ -286,38 +337,24 @@ class TestZipWriter:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_truncated_and_foreign_files_refused(self, rng, tmp_path):
-        x, y = small_problem(rng)
+        x, y = small_problem(rng, n=6)
         path = tmp_path / "model.npz"
         save_model(fit(ClassifierSpec(kind="dt"), x, y), path)
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
+        for end in range(len(data)):  # cut at every byte offset
+            path.write_bytes(data[:end])
+            with pytest.raises(FormatError, match=re.escape(f"{path}: ")):
+                load_model(path)
+        path.write_bytes(b"not a model file")
         with pytest.raises(FormatError):
             load_model(path)
-        path.write_bytes(b"not a zip archive")
-        with pytest.raises(FormatError):
-            load_model(path)
-
-    def test_sizes_past_two_gib_move_to_zip64_fields(self, tmp_path):
-        # only the headers are checked: the sizes are claimed, not written
-        empty = memoryview(b"\x03\x00")  # raw deflate of no bytes
-        path = tmp_path / "big.zip"
-        with open(path, "wb") as fh:
-            members = [
-                ("big.npy", Deflated(empty, 0, 5 << 30)),
-                ("small.npy", Deflated(empty, 0, 0)),
-            ]
-            serialize._write_zip(fh, members)
-        with zipfile.ZipFile(path) as z:
-            big, small = z.infolist()
-        assert (big.file_size, big.compress_size, small.file_size) == (5 << 30, 2, 0)
-        assert small.header_offset == 30 + len("big.npy") + 20 + 2
 
 
 def stored(value):
     """The JSON node of ``value`` saved as ``{"x": value}``, and its member's array and deflate setting."""
-    members = serialize._encode_model({"x": value})
-    meta = json.loads(members["__meta__"].array.tobytes())
-    return meta["root"]["items"]["x"], (members["a0"].array, members["a0"].setting)
+    members = []
+    root = serialize._encode_node({"x": value}, members, {})
+    return root["items"]["x"], (members[0].array, members[0].setting)
 
 
 class TestDeflateStrategy:
@@ -334,7 +371,7 @@ class TestDeflateStrategy:
     def test_strategy_rule(self, rng):
         noise = self.noise(rng)
         node, (planes, setting) = stored(noise)
-        assert node == {"__kind__": "shuffled", "key": "a0", "shape": [300, 100], "fortran_order": False}
+        assert node == {"__kind__": "shuffled", "member": 0, "shape": [300, 100], "fortran_order": False}
         assert setting == (1, zlib.Z_RLE)
         assert planes.dtype == np.uint8 and planes.shape == (8, noise.size)
         for i in range(8):  # plane i is byte i of every little-endian value
@@ -346,7 +383,7 @@ class TestDeflateStrategy:
             noise.astype(">f8"),
         ):
             node, (array, setting) = stored(plain)
-            assert node == {"__kind__": "array", "key": "a0"}
+            assert node == {"__kind__": "array", "member": 0}
             assert array is plain and setting == (zlib.Z_DEFAULT_COMPRESSION, zlib.Z_DEFAULT_STRATEGY)
 
     def test_table_planes_and_their_settings(self, rng):
@@ -356,13 +393,14 @@ class TestDeflateStrategy:
         ints = np.rint(matrix * 1e5).astype(np.int64)
         codes = ((ints << 1) ^ (ints >> 63)).view(np.uint64)
         assert int(codes.max()).bit_length() == 20
-        members = serialize._encode_model(EmbeddingTable(tuple(f"w{i}" for i in range(3000)), matrix))
-        meta = json.loads(members["__meta__"].array.tobytes())["root"]["fields"]
+        members = []
+        table = EmbeddingTable(tuple(f"w{i}" for i in range(3000)), matrix)
+        meta = serialize._encode_node(table, members, {})["fields"]
         assert meta["matrix"] is None and meta["form"]["type"] == "DecimalForm"
         form = meta["form"]["fields"]
         assert form["decimals"] == 5 and form["shape"] == {"__kind__": "tuple", "items": [3000, 100]}
-        keys = [[node["key"] for node in form[field]["items"]] for field in ("byte_planes", "bit_planes")]
-        assert keys == [["a1", "a2"], ["a3", "a4", "a5", "a6"]]  # after the token list
+        keys = [[node["member"] for node in form[field]["items"]] for field in ("byte_planes", "bit_planes")]
+        assert keys == [[1, 2], [3, 4, 5, 6]]  # after the token list
         for i, key in enumerate(keys[0]):  # byte i of every little-endian code
             plane = members[key].array
             assert plane.dtype == np.uint8 and plane.shape == (3000, 100)
@@ -386,11 +424,11 @@ class TestDeflateStrategy:
         sample = serialize._probe_sample(random_bytes.reshape(-1))
         assert sample.nbytes == 8 * 8192 and sample[:8192].tobytes() == random_bytes.tobytes()[:8192]
         for plane, setting in ((random_bytes, stored_blocks), (mostly_zero, level_three)):
-            deflated = serialize._deflate(plane, setting)
-            payload = bytes(deflated.payload)
-            assert zlib.decompress(payload, -15)[-plane.nbytes :] == plane.tobytes()
+            payload, sizes = serialize._deflate(plane, setting)
+            assert zlib.decompress(payload, -15) == plane.tobytes()
+            assert sizes == {"length": len(payload), "size": plane.nbytes, "crc": zlib.crc32(plane)}
             if setting == stored_blocks:  # stored blocks (block type 00): a few bytes of framing per block
-                assert payload[0] >> 1 & 3 == 0 and len(payload) < 1.001 * deflated.size
+                assert payload[0] >> 1 & 3 == 0 and len(payload) < 1.001 * plane.nbytes
             else:
                 assert len(payload) < 0.75 * plane.nbytes
 
@@ -410,28 +448,26 @@ class TestDeflateStrategy:
 
     def test_mixed_strategies_read_back(self, rng, tmp_path):
         arrays = {"noise": self.noise(rng), "zeros": self.zero_heavy(rng), "small": rng.normal(size=8)}
-        ours, ref = tmp_path / "mixed.npz", tmp_path / "ref.npz"
+        ours = tmp_path / "mixed.npz"
         save_model(arrays, ours)
-        np.savez_compressed(ref, **encoded_arrays(arrays))
 
         def deflated_size(data, level=zlib.Z_DEFAULT_COMPRESSION, strategy=zlib.Z_DEFAULT_STRATEGY):
             compressor = zlib.compressobj(level, zlib.DEFLATED, -15, 8, strategy)
             return len(compressor.compress(data) + compressor.flush())
 
-        with zipfile.ZipFile(ours) as a, zipfile.ZipFile(ref) as b:
-            assert a.testzip() is None
-            assert a.namelist() == b.namelist() == ["__meta__.npy", "a0.npy", "a1.npy", "a2.npy"]
-            assert all(a.read(n) == b.read(n) for n in b.namelist())
-            sizes = {n: a.getinfo(n).compress_size for n in a.namelist()}
-            # the noise member (a0) is its byte planes with Z_RLE; the rest are what np.savez_compressed deflates
-            assert sizes["a0.npy"] == deflated_size(a.read("a0.npy"), 1, zlib.Z_RLE)
-            for name in ("__meta__.npy", "a1.npy", "a2.npy"):
-                assert sizes[name] == deflated_size(a.read(name))
-        with np.load(ours, allow_pickle=False) as z:
-            noise = arrays["noise"].reshape(-1).view(np.uint8).reshape(-1, 8)
-            np.testing.assert_array_equal(z["a0"], noise.T)  # np.load gives the planes
-            for key, name in (("a1", "zeros"), ("a2", "small")):
-                np.testing.assert_array_equal(z[key], arrays[name])
+        header, members = read_model(ours)
+        assert len(members) == 3
+        noise = arrays["noise"].reshape(-1).view(np.uint8).reshape(-1, 8)
+        np.testing.assert_array_equal(members[0], noise.T)  # the noise member is its planes
+        for i, name in ((1, "zeros"), (2, "small")):
+            assert same_bits(members[i], arrays[name])
+        sizes = [entry["length"] for entry in header["members"]]
+        # the noise member is its byte planes with Z_RLE; the rest, and the header, at zlib's default
+        assert sizes[0] == deflated_size(members[0].tobytes(), 1, zlib.Z_RLE)
+        for i in (1, 2):
+            assert sizes[i] == deflated_size(members[i].tobytes())
+        header_length = int.from_bytes(ours.read_bytes()[12:20], "little")
+        assert header_length == deflated_size(json.dumps(header).encode("utf-8"))
         restored = load_model(ours)
         assert restored.keys() == arrays.keys()
         for name, array in arrays.items():
@@ -455,12 +491,12 @@ class TestSaveMemo:
     def test_second_save_under_a_memo_repeats_no_work(self, rng, tmp_path, monkeypatch):
         model = large_model(rng)
         calls = []
-        for name in ("_shuffles", "_plane_setting", "_npy_key", "_byte_planes"):
+        for name in ("_shuffles", "_plane_setting", "_digest", "_byte_planes"):
             work = getattr(serialize, name)
             monkeypatch.setattr(serialize, name, lambda *a, _name=name, _work=work: calls.append(_name) or _work(*a))
         memo = {}
         save_model(model, tmp_path / "first.npz", memo=memo)
-        assert {"_shuffles", "_plane_setting", "_npy_key", "_byte_planes"} <= set(calls)
+        assert {"_shuffles", "_plane_setting", "_digest", "_byte_planes"} <= set(calls)
         calls.clear()
         save_model(model, tmp_path / "second.npz", memo=memo)
         assert calls == []
@@ -502,9 +538,8 @@ class TestSaveMemo:
         assert isinstance(loaded["table"].form, DecimalForm)
         save_model(loaded, tmp_path / "again.npz")
         assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "model.npz").read_bytes()
-        with zipfile.ZipFile(tmp_path / "model.npz") as z:
-            sizes = {i.file_size: i.compress_size for i in z.infolist()}
-        assert sizes[300128] > 300128  # the byte planes are stored: a few bytes of framing each
+        sizes = {entry["size"]: entry["length"] for entry in read_model(tmp_path / "model.npz")[0]["members"]}
+        assert sizes[300000] > 300000  # the byte planes are stored: a few bytes of framing each
 
 
 @st.composite
@@ -540,7 +575,7 @@ class TestShuffledMembers:
     def test_round_trip_bit_for_bit(self, array, tmp_path_factory):
         node, _ = stored(array)
         fortran_order = array.flags.f_contiguous and not array.flags.c_contiguous
-        assert node == {"__kind__": "shuffled", "key": "a0", "shape": list(array.shape), "fortran_order": fortran_order}
+        assert node == {"__kind__": "shuffled", "member": 0, "shape": list(array.shape), "fortran_order": fortran_order}
         path = tmp_path_factory.mktemp("shuffled") / "m.npz"
         save_model({"x": array}, path)
         restored = load_model(path)["x"]
@@ -548,31 +583,31 @@ class TestShuffledMembers:
         assert np.isfortran(restored) == fortran_order and not restored.flags.writeable
 
     @pytest.mark.parametrize(
-        "mutate, message",
+        "node_change, planes_change, message",
         [
-            (lambda node, arrays: arrays.update(a0=arrays["a0"][:7]), "needs 8 uint8 byte planes"),
-            (lambda node, arrays: arrays.update(a0=arrays["a0"][:, 1:]), "needs 8 uint8 byte planes"),
-            (lambda node, arrays: arrays.update(a0=arrays["a0"].astype(np.int16)), "needs 8 uint8 byte planes"),
-            (lambda node, arrays: node.update(shape=[3, 100]), "needs 8 uint8 byte planes"),
-            (lambda node, arrays: node.update(shape=[300, -100]), "malformed shuffled node"),
-            (lambda node, arrays: node.update(fortran_order=None), "malformed shuffled node"),
-            (lambda node, arrays: node.update(key="a9"), "missing member 'a9'"),
+            ({}, lambda planes: planes[:7], "needs 8 uint8 byte planes"),
+            ({}, lambda planes: planes[:, 1:], "needs 8 uint8 byte planes"),
+            ({}, lambda planes: planes.astype(np.int16), "needs 8 uint8 byte planes"),
+            ({"shape": [3, 100]}, None, "needs 8 uint8 byte planes"),
+            ({"shape": [300, -100]}, None, "malformed shuffled node"),
+            ({"fortran_order": None}, None, "malformed shuffled node"),
+            ({"member": 9}, None, "missing member 9"),
         ],
         ids=["seven-planes", "fewer-values", "planes-dtype", "shape", "negative-dimension", "order", "missing"],
     )
-    def test_member_that_is_not_eight_planes_of_its_values_refused(self, mutate, message, rng, tmp_path):
+    def test_member_that_is_not_eight_planes_of_its_values_refused(
+        self, node_change, planes_change, message, rng, tmp_path
+    ):
         path = tmp_path / "m.npz"
         save_model({"x": rng.normal(size=(300, 100))}, path)
-        with np.load(path, allow_pickle=False) as z:
-            meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
-            arrays = {k: z[k] for k in z.files if k != "__meta__"}
-        mutate(meta["root"]["items"]["x"], arrays)
-        raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, __meta__=raw, **arrays)
+        header, arrays = read_model(path)
+        header["root"]["items"]["x"].update(node_change)
+        if planes_change is not None:
+            arrays[0] = planes_change(arrays[0])
+        write_model(path, header["root"], arrays)
         where = re.escape(f"{path}: ")
         if message.startswith("needs"):
-            where += re.escape("shuffled member 'a0' ")
+            where += re.escape("shuffled member 0 ")
         with pytest.raises(FormatError, match=where + ".*" + re.escape(message)):
             load_model(path)
 
@@ -614,14 +649,11 @@ class TestFeatureModelRoundTrips:
 
 
 class TestFormatGuards:
-    def tamper_meta(self, path, mutate):
-        with np.load(path, allow_pickle=False) as z:
-            meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
-            arrays = {k: z[k] for k in z.files if k != "__meta__"}
-        mutate(meta)
-        raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, __meta__=raw, **arrays)
+    def tamper(self, path, mutate, version=FORMAT_VERSION):
+        """Rewrite the model at ``path`` as format ``version`` after ``mutate(root)``."""
+        header, arrays = read_model(path)
+        mutate(header["root"])
+        write_model(path, header["root"], arrays, version)
 
     def saved_model(self, rng, tmp_path):
         x, y = small_problem(rng, n=6)
@@ -629,22 +661,19 @@ class TestFormatGuards:
         save_model(fit(ClassifierSpec(kind="dt"), x, y), path)
         return path
 
-    def test_wrong_version_refused(self, rng, tmp_path):
+    @pytest.mark.parametrize("version", [FORMAT_VERSION - 1, FORMAT_VERSION + 1])
+    def test_wrong_version_refused(self, version, rng, tmp_path):
         path = self.saved_model(rng, tmp_path)
-        self.tamper_meta(path, lambda meta: meta.update(version=FORMAT_VERSION + 1))
-        with pytest.raises(FormatError, match="version"):
+        self.tamper(path, lambda root: None, version)
+        message = f"{path}: model format version {version} is not supported (this build reads version {FORMAT_VERSION})"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_model(path)
 
     def test_version_one_pipeline_refused(self, tmp_path):
         # a v1 pipeline still carries the bow_vocabulary field of that layout
         path = tmp_path / "pipe.npz"
         save_model(PipelineModel("xx", "ext", "precomputed", TokenizerSpec()), path)
-
-        def mutate(meta):
-            meta["version"] = 1
-            meta["root"]["fields"]["bow_vocabulary"] = None
-
-        self.tamper_meta(path, mutate)
+        self.tamper(path, lambda root: root["fields"].update(bow_vocabulary=None), version=1)
         with pytest.raises(FormatError, match="version 1"):
             load_model(path)
 
@@ -654,14 +683,13 @@ class TestFormatGuards:
         x, y = small_problem(rng, n=6)
         save_model(fit(ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 2}), x, y), path)
 
-        def mutate(meta):
-            meta["version"] = 2
-            fields = meta["root"]["fields"]
+        def mutate(root):
+            fields = root["fields"]
             for name in ("sizes", "feature", "threshold", "left", "right", "value"):
                 del fields[name]
             fields["trees"] = {"__kind__": "list", "items": []}
 
-        self.tamper_meta(path, mutate)
+        self.tamper(path, mutate, version=2)
         with pytest.raises(FormatError, match="version 2 is not supported"):
             load_model(path)
 
@@ -669,12 +697,7 @@ class TestFormatGuards:
         # a v3 word-vector table is its float64 matrix, without decimals or negative zeros
         path = tmp_path / "emb.npz"
         save_model(EmbeddingTable(("a", "b"), np.array([[0.5, -1.25], [2.0, -0.0]])), path)
-
-        def mutate(meta):
-            meta["version"] = 3
-            del meta["root"]["fields"]["form"]
-
-        self.tamper_meta(path, mutate)
+        self.tamper(path, lambda root: root["fields"].pop("form"), version=3)
         with pytest.raises(FormatError, match="version 3 is not supported"):
             load_model(path)
 
@@ -682,13 +705,8 @@ class TestFormatGuards:
         # a v4 file names PCA components as a plain array member, never a shuffled one
         path = tmp_path / "pca.npz"
         save_model(fit_pca(rng.normal(size=(200, 100))), path)
-
-        def mutate(meta):
-            meta["version"] = 4
-            meta["root"]["fields"]["components"] = {"__kind__": "array", "key": "a1"}
-
-        self.tamper_meta(path, mutate)
-        message = f"{path}: model format version 4 is not supported (this build reads version 6)"
+        self.tamper(path, lambda root: root["fields"].update(components={"__kind__": "array", "member": 1}), 4)
+        message = f"{path}: model format version 4 is not supported (this build reads version {FORMAT_VERSION})"
         with pytest.raises(FormatError, match=re.escape(message)):
             load_model(path)
 
@@ -697,53 +715,64 @@ class TestFormatGuards:
         path = tmp_path / "emb.npz"
         save_model(EmbeddingTable(("a", "b"), np.array([[0.5, -1.25], [2.0, -0.0]])), path)
 
-        def mutate(meta):
-            meta["version"] = 5
-            fields = meta["root"]["fields"]
+        def mutate(root):
+            fields = root["fields"]
             form = fields.pop("form")["fields"]
             fields.update(decimals=form["decimals"], matrix=form["bit_planes"]["items"][0])
             fields["negative_zeros"] = form["negative_zeros"]
 
-        self.tamper_meta(path, mutate)
-        message = f"{path}: model format version 5 is not supported (this build reads version 6)"
+        self.tamper(path, mutate, version=5)
+        message = f"{path}: model format version 5 is not supported (this build reads version {FORMAT_VERSION})"
         with pytest.raises(FormatError, match=re.escape(message)):
-            load_model(path)
-
-    def test_wrong_format_name_refused(self, rng, tmp_path):
-        path = self.saved_model(rng, tmp_path)
-        self.tamper_meta(path, lambda meta: meta.update(format="other"))
-        with pytest.raises(FormatError, match="format"):
             load_model(path)
 
     def test_unknown_type_refused(self, rng, tmp_path):
         path = self.saved_model(rng, tmp_path)
-
-        def mutate(meta):
-            meta["root"]["type"] = "EvilThing"
-
-        self.tamper_meta(path, mutate)
+        self.tamper(path, lambda root: root.update(type="EvilThing"))
         with pytest.raises(FormatError, match="EvilThing"):
             load_model(path)
 
-    def test_missing_metadata_refused(self, tmp_path):
-        path = tmp_path / "plain.npz"
-        np.savez_compressed(path, data=np.arange(3))
-        with pytest.raises(FormatError, match="metadata"):
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda header: header.update(root=[1]), "malformed model node [1]"),
+            (
+                lambda header: header["root"]["fields"]["classifier"]["fields"].update(feature={"__kind__": "array"}),
+                "model structure names a missing member None",
+            ),
+            (
+                lambda header: header["root"]["fields"].update(emotions={"__kind__": "list"}),
+                "malformed model node {'__kind__': 'list'}",
+            ),
+            (lambda header: header["root"]["fields"].pop("emotions"), "a PipelineModel node needs the fields"),
+            (lambda header: header["root"]["fields"].update(extra=1), "a PipelineModel node needs the fields"),
+        ],
+        ids=["root-not-a-node", "array-without-member", "list-without-items", "missing-field", "extra-field"],
+    )
+    def test_malformed_structure_is_a_format_error(self, mutate, message, rng, tmp_path, capsys):
+        from polyemo.cli import main
+
+        path = tmp_path / "m.npz"
+        save_model(fitted_pipeline("tfidf", ClassifierSpec(kind="dt"), rng), path)
+        header, arrays = read_model(path)
+        mutate(header)
+        write_model(path, header["root"], arrays)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
             load_model(path)
+        texts = tmp_path / "texts.csv"
+        texts.write_text("id,text\nd0,joy smile\n")
+        assert main(["predict", "--model", str(path), "--input", str(texts), "--out", str(tmp_path / "p.csv")]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_never_unpickles(self, tmp_path):
         # object arrays require pickling; loading a container holding one must
         # fail loudly rather than quietly unpickle
         path = tmp_path / "obj.npz"
-        meta = {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "root": {"__kind__": "array", "key": "a0"},
-        }
-        raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez_compressed(path, __meta__=raw, a0=np.array([{"x": 1}], dtype=object))
-        message = "damaged model member 'a0': dtype '|O' is not a bool, integer or float type"
-        with pytest.raises(FormatError, match=re.escape(message)):
+        entry, payload = entry_and_payload(np.zeros(1, dtype=np.int64))
+        entry["dtype"] = "|O"
+        path.write_bytes(pack({"root": {"__kind__": "array", "member": 0}, "members": [entry]}, [payload]))
+        message = "damaged model member 0: dtype '|O' is not a bool, integer or float type"
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -888,8 +917,7 @@ class TestDecimalTables:
         path = tmp_path_factory.mktemp("decimal") / "emb.npz"
         tokens = tuple(f"w{i}" for i in range(len(matrix)))
         save_model(EmbeddingTable(tokens, matrix, "xx", "xx.vec"), path)
-        with np.load(path, allow_pickle=False) as z:
-            assert [z[k].dtype for k in z.files] == [np.uint8] * (2 + low + top_bits) + [np.int64]
+        assert [array.dtype for array in read_model(path)[1]] == [np.uint8] * (1 + low + top_bits) + [np.int64]
         restored = load_model(path)
         assert restored.tokens == tokens
         ids = np.flatnonzero(keep[: len(matrix)])  # an ascending subset of the rows
@@ -958,10 +986,10 @@ class TestDecimalTables:
 
     def assert_float_member_round_trip(self, matrix, path):
         save_model(EmbeddingTable(tuple(f"w{i}" for i in range(len(matrix))), matrix), path)
-        with np.load(path, allow_pickle=False) as z:
-            meta = json.loads(z["__meta__"].tobytes())["root"]["fields"]
-            assert meta["form"] is None
-            assert same_bits(z[meta["matrix"]["key"]], matrix)
+        header, arrays = read_model(path)
+        meta = header["root"]["fields"]
+        assert meta["form"] is None
+        assert same_bits(arrays[meta["matrix"]["member"]], matrix)
         assert same_bits(load_model(path).matrix, matrix)
 
 
@@ -976,24 +1004,27 @@ def saved_word_vector_model(rng, path):
     return pipe
 
 
-def flip_payload_byte(data: bytes, info: zipfile.ZipInfo) -> bytes:
-    """``data`` with the middle byte of member ``info``'s deflated payload inverted."""
-    name_size, extra_size = struct.unpack_from("<2H", data, info.header_offset + 26)
-    payload = info.header_offset + 30 + name_size + extra_size
+def payload_spans(path) -> list[tuple[int, int]]:
+    """``(offset, length)`` of the deflated header, then of each member's payload, in the model file at ``path``."""
+    spans = [(32, int.from_bytes(path.read_bytes()[12:20], "little"))]
+    for entry in read_model(path)[0]["members"]:
+        spans.append((sum(spans[-1]), entry["length"]))
+    return spans
+
+
+def flip_payload_byte(data: bytes, span: tuple[int, int]) -> bytes:
+    """``data`` with the middle byte of the payload at ``span``, an ``(offset, length)`` pair, inverted."""
+    offset, length = span
     damaged = bytearray(data)
-    damaged[payload + info.compress_size // 2] ^= 0xFF
+    damaged[offset + length // 2] ^= 0xFF
     return bytes(damaged)
 
 
 def rewrite(path, mutate):
     """Rewrite the model at ``path`` after ``mutate(form fields, arrays)``; the root is a pipeline."""
-    with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
-        arrays = {k: z[k] for k in z.files if k != "__meta__"}
-    mutate(meta["root"]["fields"]["embeddings"]["fields"]["form"]["fields"], arrays)
-    raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, __meta__=raw, **arrays)
+    header, arrays = read_model(path)
+    mutate(header["root"]["fields"]["embeddings"]["fields"]["form"]["fields"], arrays)
+    write_model(path, header["root"], arrays)
 
 
 def set_member(field, change, index=None):
@@ -1001,7 +1032,7 @@ def set_member(field, change, index=None):
 
     def mutate(fields, arrays):
         node = fields[field] if index is None else fields[field]["items"][index]
-        arrays[node["key"]] = change(arrays[node["key"]])
+        arrays[node["member"]] = change(arrays[node["member"]])
 
     return mutate
 
@@ -1027,16 +1058,16 @@ def one_row_more(fields, arrays):
     fields["shape"]["items"][0] += 1
     for field in ("byte_planes", "bit_planes"):
         for node in fields[field]["items"]:
-            plane = arrays[node["key"]]
-            arrays[node["key"]] = np.vstack([plane, np.zeros_like(plane[:1])])
+            plane = arrays[node["member"]]
+            arrays[node["member"]] = np.vstack([plane, np.zeros_like(plane[:1])])
 
 
 def rename_member(fields, arrays):
-    fields["negative_zeros"]["key"] = "a999"
+    fields["negative_zeros"]["member"] = 999
 
 
 # the table of saved_word_vector_model: 10 tokens of dimension 4, two byte planes and three bit planes
-BYTE_PLANE, BIT_PLANE, NEGATIVE_ZEROS = "a3", "a5", "a7"  # byte plane 1, bit plane 1 and the indices
+BYTE_PLANE, BIT_PLANE, NEGATIVE_ZEROS = 3, 5, 7  # byte plane 1, bit plane 1 and the indices
 
 
 class TestDamagedFiles:
@@ -1048,20 +1079,18 @@ class TestDamagedFiles:
         np.testing.assert_array_equal(restored.predict_texts(TEXTS), pipe.predict_texts(TEXTS))
         form = restored.embeddings.form
         assert (form.shape, len(form.byte_planes), len(form.bit_planes)) == ((10, 4), 2, 3)
-        with np.load(tmp_path / "wv.npz", allow_pickle=False) as z:
-            fields = json.loads(z["__meta__"].tobytes())["root"]["fields"]["embeddings"]["fields"]["form"]["fields"]
-        keys = [fields["byte_planes"]["items"][1]["key"], fields["bit_planes"]["items"][1]["key"]]
-        assert keys + [fields["negative_zeros"]["key"]] == [BYTE_PLANE, BIT_PLANE, NEGATIVE_ZEROS]
+        fields = read_model(tmp_path / "wv.npz")[0]["root"]["fields"]["embeddings"]["fields"]["form"]["fields"]
+        keys = [fields["byte_planes"]["items"][1]["member"], fields["bit_planes"]["items"][1]["member"]]
+        assert keys + [fields["negative_zeros"]["member"]] == [BYTE_PLANE, BIT_PLANE, NEGATIVE_ZEROS]
 
     def test_every_damaged_member_is_a_format_error(self, rng, tmp_path):
         path = tmp_path / "wv.npz"
         saved_word_vector_model(rng, path)
         data = path.read_bytes()
-        with zipfile.ZipFile(path) as z:
-            members = z.infolist()
-        assert len(members) > 10  # the table's tokens, planes and negative zeros among them
-        for info in members:
-            path.write_bytes(flip_payload_byte(data, info))
+        spans = payload_spans(path)
+        assert len(spans) > 10  # the header, and the table's tokens, planes and negative zeros among the members
+        for span in spans:
+            path.write_bytes(flip_payload_byte(data, span))
             with pytest.raises(FormatError, match=re.escape(str(path))):
                 load_model(path)
 
@@ -1085,7 +1114,7 @@ class TestDamagedFiles:
             (lambda fields, arrays: fields.update(decimals=True), None, "decimals"),
             (lambda fields, arrays: fields["shape"].update(items=[12, -4]), None, "malformed embedding table shape"),
             (one_row_more, None, "embedding table of 10 tokens needs a (10, dimension) matrix, got shape (11, 4)"),
-            (rename_member, None, "missing member 'a999'"),
+            (rename_member, None, "missing member 999"),
         ],
         ids=[
             "eight-byte-planes", "nine-bit-planes", "byte-plane-rows", "byte-plane-dtype", "bit-plane-rows",
@@ -1107,9 +1136,9 @@ class TestDamagedFiles:
 
         path = tmp_path / "wv.npz"
         saved_word_vector_model(rng, path)
-        with zipfile.ZipFile(path) as z:
-            planes = max(z.infolist(), key=lambda info: info.file_size)
-        path.write_bytes(flip_payload_byte(path.read_bytes(), planes))
+        sizes = [entry["size"] for entry in read_model(path)[0]["members"]]
+        largest = payload_spans(path)[1 + sizes.index(max(sizes))]
+        path.write_bytes(flip_payload_byte(path.read_bytes(), largest))
         texts = tmp_path / "texts.csv"
         texts.write_text("id,text\nd0,joy smile\n")
         out = tmp_path / "p.csv"
@@ -1179,83 +1208,32 @@ class TestLoadedWordVectorModels:
         assert searches == []
 
 
-def npy_bytes(array, version=(1, 0)) -> bytes:
-    """The ``.npy`` bytes numpy writes for ``array`` (pickling an object array)."""
-    buffer = io.BytesIO()
-    np.lib.format.write_array(buffer, array, version=version, allow_pickle=True)
-    return buffer.getvalue()
+def entry_damage(change):
+    """A damage of a model file's first member entry by ``change(entry)``."""
+
+    def damage(header, payloads):
+        change(header["members"][0])
+        return pack(header, payloads)
+
+    return damage
 
 
-def claiming(shape):
-    """A change of ``.npy`` bytes whose header claims ``shape`` over the same data."""
-
-    def change(npy):
-        array = np.load(io.BytesIO(npy))
-        header = io.BytesIO()
-        np.lib.format.write_array_header_1_0(
-            header, {"descr": array.dtype.str, "fortran_order": False, "shape": shape(array)}
-        )
-        return header.getvalue() + npy[len(npy) - array.nbytes :]
-
-    return change
-
-
-def rezip(path, change=lambda npy: npy, stored=(), extra=()):
-    """Rewrite the zip at ``path`` with member ``a0.npy`` as ``change(bytes)``.
-
-    Members named in ``stored`` are written ``ZIP_STORED``, the rest
-    deflated, and the ``(name, bytes)`` pairs of ``extra`` are appended.
-    """
-    with zipfile.ZipFile(path) as z:
-        members = [(i.filename, z.read(i)) for i in z.infolist()]
-    members = [(n, change(d) if n == "a0.npy" else d) for n, d in members] + list(extra)
-    with zipfile.ZipFile(path, "w") as z:
-        for name, data in members:
-            method = zipfile.ZIP_STORED if name in stored else zipfile.ZIP_DEFLATED
-            z.writestr(name, data, compress_type=method)
-
-
-def version_two(npy):
-    """``.npy`` 1.0 bytes rewritten as format 2.0."""
-    return npy_bytes(np.load(io.BytesIO(npy)), version=(2, 0))
-
-
-def first_member(path) -> bytes:
-    with zipfile.ZipFile(path) as z:
-        return z.read("a0.npy")
-
-
-def duplicate_first_member(path):
-    with pytest.warns(UserWarning, match="Duplicate name"):
-        rezip(path, extra=[("a0.npy", first_member(path))])
-
-
-def rename_in_local_header(path):
-    data = path.read_bytes()
-    path.write_bytes(data.replace(b"a0.npy", b"a9.npy", 1))  # the local header comes first
+def patched(data: bytes, start: int, value: int, width: int) -> bytes:
+    """``data`` with its ``width`` little-endian bytes at ``start`` set to ``value``."""
+    return data[:start] + value.to_bytes(width, "little") + data[start + width :]
 
 
 class TestModelReader:
-    """``load_model``'s one-pass reader: one inflate per member and a strict ``.npy`` 1.0 header."""
+    """``load_model``'s one-pass reader: the prefix, the header, then one inflate per member."""
 
     @staticmethod
     def saved_tree(rng, path):
         x, y = small_problem(rng)
-        save_model(fit(ClassifierSpec(kind="dt"), x, y), path)  # a0 is its int64 feature array
+        save_model(fit(ClassifierSpec(kind="dt"), x, y), path)  # member 0 is its int64 feature array, 4 its value
         return path
 
-    @staticmethod
-    def assert_header_agrees(header):
-        buffer = io.BytesIO()
-        np.lib.format.write_array_header_1_0(buffer, header)
-        raw = buffer.getvalue()
-        shape, fortran_order, dtype, start = serialize._npy_header(raw)
-        expected = np.lib.format.read_array_header_1_0(io.BytesIO(raw[8:]))
-        assert (shape, fortran_order, dtype) == expected
-        assert dtype.str == expected[2].str and start == len(raw)
-
     @pytest.mark.parametrize("kind", REPRESENTATION_KINDS)
-    def test_headers_of_every_member_the_codecs_write_agree_with_numpy(self, kind, rng):
+    def test_entries_of_every_member_the_codecs_write_agree_with_numpy(self, kind, rng, tmp_path):
         arrays = [
             np.zeros(()),
             np.arange(6.0).reshape(2, 3).T,
@@ -1265,36 +1243,49 @@ class TestModelReader:
             np.arange(5, dtype=np.int64),
         ]
         for spec in CLASSIFIER_SPECS:
-            arrays += encoded_arrays(fitted_pipeline(kind, spec, rng)).values()
+            arrays += encoded_arrays(fitted_pipeline(kind, spec, rng))
         kinds = {(a.dtype.str, a.ndim, np.isfortran(a)) for a in arrays}
         assert {("|b1", 1, False), ("|u1", 3, False), ("<f8", 2, True), ("<i8", 1, False)} <= kinds
-        for array in arrays:
-            self.assert_header_agrees(np.lib.format.header_data_from_array_1_0(array))
-            restored = serialize._npy_array(npy_bytes(array))
-            assert restored.dtype == array.dtype and restored.shape == array.shape
-            assert np.isfortran(restored) == np.isfortran(array)
-            np.testing.assert_array_equal(restored, array)
+        path = tmp_path / "m.npz"
+        save_model(arrays, path)
+        header, _ = read_model(path)
+        assert [node["__kind__"] for node in header["root"]["items"]] == ["array"] * len(arrays)
+        for array, entry in zip(arrays, header["members"]):
+            ours = {"descr": entry["dtype"], "fortran_order": entry["fortran_order"], "shape": tuple(entry["shape"])}
+            assert ours == np.lib.format.header_data_from_array_1_0(array)
+        restored = load_model(path)
+        assert len(restored) == len(arrays)
+        for array, back in zip(arrays, restored):
+            assert back.dtype == array.dtype and back.shape == array.shape
+            assert np.isfortran(back) == np.isfortran(array)
+            np.testing.assert_array_equal(back, array)
 
     @given(
-        dtype=st.sampled_from(sorted(serialize._NPY_DTYPES.values(), key=lambda d: d.str)),
+        dtype=st.sampled_from(sorted(serialize._DTYPES.values(), key=lambda d: d.str)),
         fortran_order=st.booleans(),
-        shape=st.lists(st.integers(0, 10**12), max_size=3).map(tuple),
+        shape=st.lists(st.integers(0, 4), max_size=3).map(tuple),
     )
-    def test_any_header_numpy_writes_agrees(self, dtype, fortran_order, shape):
-        header = {"descr": dtype.str, "fortran_order": fortran_order, "shape": shape}
-        self.assert_header_agrees(header)
+    def test_any_table_dtype_order_and_shape_round_trips(self, dtype, fortran_order, shape, tmp_path_factory):
+        array = np.arange(int(np.prod(shape))).astype(dtype).reshape(shape, order="F" if fortran_order else "C")
+        path = tmp_path_factory.mktemp("any") / "m.npz"
+        save_model({"x": array}, path)
+        entry = read_model(path)[0]["members"][0]
+        assert (entry["dtype"], entry["shape"], entry["fortran_order"]) == (dtype.str, list(shape), np.isfortran(array))
+        restored = load_model(path)["x"]
+        assert (restored.dtype, restored.shape, np.isfortran(restored)) == (dtype, shape, np.isfortran(array))
+        assert restored.tobytes(order="A") == array.tobytes(order="A")
 
-    def test_members_equal_np_load_and_are_read_only(self, rng, tmp_path):
+    def test_members_equal_the_reference_reader_and_are_read_only(self, rng, tmp_path):
         path = tmp_path / "wv.npz"
         pipe = saved_word_vector_model(rng, path)
-        members = serialize._read_members(path)
-        with np.load(path, allow_pickle=False) as z:
-            assert list(members) == z.files
-            for name in z.files:
-                ours, theirs = members[name], z[name]
-                assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
-                assert ours.tobytes() == theirs.tobytes()
-        assert not any(a.flags.writeable for a in members.values())
+        with open(path, "rb") as fh:
+            root, members = serialize._read_model(fh)
+        header, expected = read_model(path)
+        assert root == header["root"] and len(members) == len(expected)
+        for ours, theirs in zip(members, expected):
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+            assert ours.tobytes() == theirs.tobytes()
+        assert not any(a.flags.writeable for a in members)
         restored = load_model(path)
         with pytest.raises(ValueError, match="read-only"):
             restored.classifier.threshold[0] = 0.0
@@ -1312,39 +1303,49 @@ class TestModelReader:
         np.testing.assert_array_equal(loaded.predict(x2), fit(spec, x2, y2).predict(x2))
 
     @pytest.mark.parametrize(
-        "damage, message",
+        "damage, where, message",
         [
-            (duplicate_first_member, "a second member of this name"),
-            (rename_in_local_header, "local header names 'a9.npy', the directory 'a0.npy'"),
-            (lambda path: rezip(path, stored=("a0.npy",)), "compression method 0, not deflate"),
-            (lambda path: rezip(path, claiming(lambda a: (a.size + 1,))), "header promises"),
-            (lambda path: rezip(path, claiming(lambda a: (a.size - 1,))), "header promises"),
-            (lambda path: rezip(path, lambda npy: npy_bytes(np.array([{}]))), "dtype '|O' is not"),
-            (lambda path: rezip(path, version_two), "not a .npy 1.0"),
+            (lambda h, p: patched(pack(h, p), 12, 1 << 20, 8), "header", "its 1048576 bytes run past the end"),
+            (lambda h, p: patched(pack(h, p), 28, 0, 4), "header", "bad CRC-32"),
+            (lambda h, p: pack(b"{not json", p), "header", "Expecting property name"),
+            (entry_damage(lambda e: e.update(dtype="<U1")), "member 0", "dtype '<U1' is not a bool, integer or float"),
+            (entry_damage(lambda e: e.update(dtype="|V8")), "member 0", "dtype '|V8' is not a bool, integer or float"),
+            (entry_damage(lambda e: e.update(shape=[-1])), "member 0", "shape [-1] is not a list of non-negative ints"),
+            (entry_damage(lambda e: e.update(shape=[2.0])), "member 0", "shape [2.0] is not a list of"),
+            (entry_damage(lambda e: e.update(size=e["size"] + 8)), "member 0", "is not that of shape"),
+            (lambda h, p: pack(h, p)[:-1], "member 4", "run past the end of the file"),
+            (lambda h, p: pack(h, p) + b"\0", "file", "bytes after the last member"),
+            (entry_damage(lambda e: e.update(crc=e["crc"] ^ 1)), "member 0", "bad CRC-32"),
+            # the inflate reserves no more than 1032 bytes per payload byte, whatever the entry says
+            (entry_damage(lambda e: e.update(shape=[1 << 37], size=1 << 40)), "member 0", f"bytes, not {1 << 40}"),
         ],
-        ids=["duplicate", "local-name", "stored", "more-bytes", "fewer-bytes", "object", "npy-2.0"],
+        ids=[
+            "header-past-end", "header-crc", "header-not-json", "unicode-dtype", "void-dtype", "negative-shape",
+            "float-shape", "size-not-shape", "payload-past-end", "trailing-bytes", "member-crc", "size-past-inflate",
+        ],
     )
-    def test_refused_member_names_file_and_member(self, damage, message, rng, tmp_path):
+    def test_damaged_file_names_file_and_member(self, damage, where, message, rng, tmp_path):
         path = self.saved_tree(rng, tmp_path / "dt.npz")
-        damage(path)
-        where = re.escape(f"{path}: damaged model member 'a0': ")
-        with pytest.raises(FormatError, match=where + ".*" + re.escape(message)):
+        path.write_bytes(damage(*unpacked(path)))
+        pattern = re.escape(f"{path}: damaged model {where}: ") + ".*" + re.escape(message)
+        with pytest.raises(FormatError, match=pattern):
             load_model(path)
 
-    def test_size_past_what_the_payload_can_inflate_to_is_damage(self, tmp_path):
-        # the inflate reserves no more than 1032 bytes per payload byte, whatever the directory says
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda fh: None,
+            lambda fh: np.save(fh, np.arange(3)),
+            lambda fh: np.savez_compressed(fh, data=np.arange(3)),
+            lambda fh: fh.write(b"\x93POLYEMO" + bytes(24)),
+        ],
+        ids=["empty", "plain-npy", "zip", "other-magic"],
+    )
+    def test_file_of_another_format_is_not_a_model(self, write, tmp_path):
+        # model files of format 1 to 6 were zip archives
         path = tmp_path / "m.npz"
-        member = serialize._deflate(np.arange(3), serialize._NUMPY)
         with open(path, "wb") as fh:
-            serialize._write_zip(fh, [("__meta__.npy", replace(member, size=1 << 40))])
-        message = f"{path}: damaged model member '__meta__': inflates to {member.size} bytes, not {1 << 40}"
-        with pytest.raises(FormatError, match=re.escape(message)):
-            load_model(path)
-
-    @pytest.mark.parametrize("content", [b"", npy_bytes(np.arange(3))], ids=["empty", "plain-npy"])
-    def test_file_that_is_not_a_zip_is_not_a_model(self, content, tmp_path):
-        path = tmp_path / "m.npz"
-        path.write_bytes(content)
+            write(fh)
         with pytest.raises(FormatError, match=re.escape(f"{path}: not a model file")):
             load_model(path)
 
@@ -1405,7 +1406,6 @@ class TestCodecLayout:
         ):
             path = tmp_path / f"{kind}.npz"
             save_model(fitted_pipeline(kind, spec, rng), path)
-            with np.load(path, allow_pickle=False) as z:
-                object_layouts(json.loads(z["__meta__"].tobytes())["root"], layouts)
+            object_layouts(read_model(path)[0]["root"], layouts)
         assert layouts == EXPECTED_LAYOUT
-        assert set(layouts) == set(serialize._REGISTRY)
+        assert {name: list(codec[2]) for name, codec in serialize._REGISTRY.items()} == EXPECTED_LAYOUT
