@@ -2,12 +2,13 @@
 # Smoke test of the installed `polyemo` command: a run, a resumed run in which
 # every cell must be reused, an ablation that must write its paired tables,
 # predictions with a saved tf-idf model and a saved word-vector model (whose
-# table keeps its byte planes and restores the rows a request reads) that must
+# table keeps its byte planes and restores the rows a request reads, read from
+# a vector file whose tokens are unsorted and hold one duplicate) that must
 # each equal the run's own prediction file, a run of the config saved with a
 # byte-order mark that must exit 0 and write the same report, three malformed
 # input files (a vector file, a vocabulary and a config that is not UTF-8), a
 # zip archive as models of format 1 to 6 were, and a saved model whose prefix
-# is rewritten to claim model format version 6, that must each exit 2 with an
+# is rewritten to claim model format version 7, that must each exit 2 with an
 # error naming the file (and, for the rewritten model, its version), and no
 # traceback; last, a re-run in which every pca-on cell fails must exit 1 and
 # leave no pca-on model or prediction file, while the pca-off prediction files
@@ -37,6 +38,13 @@ from polyemo.synthetic import write_corpus, write_word_vectors
 root = Path(sys.argv[1])
 write_corpus(root / "data", seed=0, n_documents=120, language="syn")
 write_word_vectors(root / "syn.vec", seed=0, dimension=12)
+# the table sorts the file's tokens; a later duplicate's row replaces the earlier one
+lines = (root / "syn.vec").read_text(encoding="utf-8").splitlines()
+tokens = [line.split(" ", 1)[0] for line in lines[1:]]
+assert tokens != sorted(tokens), "the vector file's tokens should be unsorted"
+duplicate = lines[1].split(" ")
+lines.append(" ".join([duplicate[0]] + [f"{-float(v):.6f}" for v in duplicate[1:]]))
+(root / "syn.vec").write_text("\n".join(lines) + "\n", encoding="utf-8")
 config = {
     "data_dir": "data",
     "languages": ["syn"],
@@ -114,7 +122,7 @@ expect_error "$work/bad.json: not UTF-8 text" run --config "$work/bad.json"
 
 # a model of an older format is refused by name, not read as this one: a zip
 # archive, as formats 1 to 6 were, and a saved model whose prefix (the magic,
-# then the little-endian uint32 format version) claims version 6
+# then the little-endian uint32 format version) claims version 7
 python - "$work" <<'PY'
 import sys
 import zipfile
@@ -124,12 +132,12 @@ root = Path(sys.argv[1])
 with zipfile.ZipFile(root / "format-6.npz", "w", zipfile.ZIP_DEFLATED) as z:
     z.writestr("__meta__.npy", b"")
 model = sorted((root / "out" / "models").glob("syn__tfidf__*.npz"))[0].read_bytes()
-(root / "version-6.npz").write_bytes(model[:8] + (6).to_bytes(4, "little") + model[12:])
+(root / "version-7.npz").write_bytes(model[:8] + (7).to_bytes(4, "little") + model[12:])
 PY
 expect_error "$work/format-6.npz: not a model file" \
   predict --model "$work/format-6.npz" --input "$work/data/syn/test.csv" --out "$work/format-6.csv"
-expect_error "$work/version-6.npz: model format version 6 is not supported" \
-  predict --model "$work/version-6.npz" --input "$work/data/syn/test.csv" --out "$work/version-6.csv"
+expect_error "$work/version-7.npz: model format version 7 is not supported" \
+  predict --model "$work/version-7.npz" --input "$work/data/syn/test.csv" --out "$work/version-7.csv"
 
 # a re-run into the same output directory whose PCA must keep more components
 # than the train split has rows: every pca-on cell fails and keeps no model or
@@ -165,4 +173,4 @@ for copy in "$work"/pca-off/*.csv; do
   kept=$((kept + 1))
 done
 
-echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs and format-6 models exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"
+echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs and format-7 models exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"

@@ -93,7 +93,7 @@ def _cmd_inspect(args) -> int:
             print("  unlabeled")
     elif args.vectors:
         table = load_word_vectors(args.vectors)
-        sample = ", ".join(sorted(table.tokens)[:5])
+        sample = ", ".join(table.tokens[:5])
         print(f"vectors: {len(table)}  dimension: {table.dimension}")
         print(f"  first tokens: {sample}")
     else:

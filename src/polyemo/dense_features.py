@@ -12,6 +12,8 @@ is a DataError that names it.
 
 Documents become the arithmetic mean of their in-vocabulary token vectors;
 all-OOV documents map to the zero vector and are tallied in an OovReport.
+A word-vector table keeps its tokens sorted and finds a call's distinct
+tokens by binary search over them, so it holds no per-token object.
 Precomputed rows are re-aligned to a caller-supplied id order.
 
 Languages without an embedding file are resolved to a supported language via
@@ -26,6 +28,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +55,8 @@ DEFAULT_PROMPT_TEMPLATE = (
     "family and geographic distance in terms of population distribution."
 )
 
+
+_SCAN = 16  # a run of equal keys at most this long is compared whole, a longer one bisected first
 
 # byte k of _SPREAD[b] is bit 7 - k of b: a byte that np.packbits made of eight 0/1 values, spread back
 _SPREAD = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view("<u8").reshape(-1)
@@ -118,12 +123,78 @@ class DecimalForm:
         return block
 
 
-class EmbeddingTable:
-    """Exact-match token-to-vector lookup.
+def _windows(data: np.ndarray) -> np.ndarray:
+    """The read-only big-endian uint64 of every 8 consecutive bytes of the uint8 ``data``, unaligned."""
+    windows = np.ndarray((data.size - 7,), dtype=">u8", buffer=data, strides=(1,))
+    windows.flags.writeable = False
+    return windows
 
-    Tokens are distinct, and ``index`` maps each one to its row id.
-    ``source`` is the name of the file the table was read from: its name,
-    not its path, so a saved model does not depend on where its inputs sit.
+
+# _MASKS[k] keeps the top k bytes of a uint64
+_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
+
+
+def _prefix_keys(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ``_windows`` at each of ``starts``, as uint64 with the bytes past each of ``lengths`` zeroed."""
+    return windows[starts] & _MASKS[np.minimum(lengths, 8)]
+
+
+def _compare(a, a_starts, a_lengths, b, b_starts, b_lengths, offset: int) -> np.ndarray:
+    """-1, 0 or 1 as each token of ``a`` sorts before, equals or sorts after its token of ``b``, bytewise.
+
+    ``a`` and ``b`` are ``_windows`` of two byte strings, and the first
+    ``offset`` bytes of each pair, zero-padded, must be equal. Where one of a
+    pair ends within those, it is a prefix of the other, and the shorter
+    sorts first; the others compare 8 bytes at a time past ``offset``.
+    """
+    sign = np.sign(a_lengths - b_lengths)
+    live = np.flatnonzero(np.minimum(a_lengths, b_lengths) > offset)
+    while live.size:
+        ka = _prefix_keys(a, a_starts[live] + offset, a_lengths[live] - offset)
+        kb = _prefix_keys(b, b_starts[live] + offset, b_lengths[live] - offset)
+        differ = ka != kb
+        sign[live[differ]] = np.where(ka[differ] < kb[differ], -1, 1)
+        offset += 8
+        live = live[~differ]
+        live = live[np.minimum(a_lengths[live], b_lengths[live]) > offset]
+    return sign
+
+
+def _token_starts(data: np.ndarray) -> np.ndarray:
+    """Where each newline-separated token of ``data`` starts, then ``len(data) + 1``; one entry for no tokens."""
+    if not data.size:
+        return np.zeros(1, dtype=np.int64)
+    return np.concatenate(([0], np.flatnonzero(data == 10) + 1, [data.size + 1]))
+
+
+class EmbeddingTable:
+    """Exact-match token-to-vector lookup over tokens kept sorted.
+
+    The tokens are distinct, non-empty, hold no newline, and are kept in
+    ascending code-point order, which is also the order of their UTF-8
+    bytes; row ``i`` of the matrix is the vector of token ``i``. A table
+    built from its matrix is sorted here, rows with tokens. ``source`` is
+    the name of the file the table was read from: its name, not its path,
+    so a saved model does not depend on where its inputs sit.
+
+    ``tokens`` may also be given as ``token_bytes``, the uint8 UTF-8 bytes
+    of the tokens joined by newlines, which is what a model file stores; a
+    table read from one keeps them, and decodes ``tokens`` only when they
+    are read. Such bytes must already be sorted, and so must the tokens of
+    a table given its decimal form alone; the checks below refuse them
+    otherwise.
+
+    ``lookup`` finds tokens without a ``dict`` of the table. Each token has
+    a key, the big-endian uint64 of its first 8 bytes, zero-padded; in token
+    order the keys never decrease. ``np.searchsorted`` finds the run of
+    keys equal to a query's. A query of at most 8 bytes is the run's first
+    row when their lengths agree; any other is compared, past the key, 8
+    bytes at a time and all queries at once, with every row of its run,
+    after a bisection of a run of over ``_SCAN`` rows.
+    Building a table checks its bytes the same way: UTF-8, keys that never
+    decrease, and bytes that strictly increase within each run of equal
+    keys, which makes the tokens sorted and distinct; a table that fails is
+    a ConfigError.
 
     A table holds its ``(len(tokens), dimension)`` float64 matrix whole, or
     as a DecimalForm ``form`` alone; the model reader builds the latter, so
@@ -140,26 +211,114 @@ class EmbeddingTable:
     def __init__(self, tokens, matrix=None, language="", source="", form=None):
         if matrix is None and not isinstance(form, DecimalForm):
             raise ConfigError("an embedding table needs its matrix or its decimal form")
+        self._tokens: tuple[str, ...] | None = None
+        if isinstance(tokens, np.ndarray):
+            data = tokens
+            if data.dtype != np.uint8 or data.ndim != 1:
+                raise ConfigError(
+                    f"embedding table token bytes must be 1-D uint8, got {data.dtype} of shape {data.shape}"
+                )
+            try:
+                data.tobytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"embedding table tokens are not UTF-8: {exc}") from exc
+        else:
+            tokens = tuple(tokens)
+            if matrix is not None:
+                order = sorted(range(len(tokens)), key=tokens.__getitem__)
+                if order != list(range(len(tokens))):
+                    tokens, matrix = tuple(tokens[i] for i in order), matrix[order]
+            joined = "\n".join(tokens)
+            if joined.count("\n") != max(0, len(tokens) - 1):
+                raise ConfigError("embedding table tokens must be non-empty and hold no newlines")
+            data = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
+            self._tokens = tokens
+        starts = _token_starts(data)
+        lengths = np.diff(starts) - 1
+        if (lengths == 0).any():
+            raise ConfigError("embedding table tokens must be non-empty and hold no newlines")
         shape = form.shape if matrix is None else matrix.shape
-        if len(shape) != 2 or shape[0] != len(tokens):
+        if len(shape) != 2 or shape[0] != len(lengths):
             raise ConfigError(
-                f"an embedding table of {len(tokens)} tokens needs a "
-                f"({len(tokens)}, dimension) matrix, got shape {shape}"
+                f"an embedding table of {len(lengths)} tokens needs a "
+                f"({len(lengths)}, dimension) matrix, got shape {shape}"
             )
-        self.tokens: tuple[str, ...] = tokens
+        padded = np.concatenate([data, np.zeros(8, dtype=np.uint8)])  # every key reads 8 bytes
+        self._windows = _windows(padded)
+        self._starts = starts
+        self._keys = _prefix_keys(self._windows, starts[:-1], lengths)
+        if (self._keys[1:] < self._keys[:-1]).any():
+            raise ConfigError("embedding table tokens must be in ascending code-point order")
+        tied = np.flatnonzero(self._keys[1:] == self._keys[:-1])
+        order = self._compare_rows(tied, self._windows, starts[tied + 1], lengths[tied + 1])
+        if (order == 0).any():
+            raise ConfigError("embedding table tokens must be distinct")
+        if (order > 0).any():
+            raise ConfigError("embedding table tokens must be in ascending code-point order")
+        self.token_bytes = padded[:-8]  # what a save writes
         self.language = language
         self.source = source
         self.form: DecimalForm | bool | None = form
-        self.index: dict[str, int] = dict(zip(tokens, range(len(tokens))))
-        if len(self.index) != len(tokens):
-            raise ConfigError("embedding table tokens must be distinct")
         self._matrix = matrix
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """The tokens in ascending order; a table read from a model file decodes them on first read."""
+        if self._tokens is None:
+            text = self.token_bytes.tobytes().decode("utf-8")
+            self._tokens = tuple(text.split("\n")) if text else ()
+        return self._tokens
+
+    def lookup(self, tokens: list[str]) -> np.ndarray:
+        """The row of each of ``tokens``, -1 for a token the table does not hold.
+
+        No table holds an empty token or one with a newline in it.
+        """
+        rows = np.full(len(tokens), -1, dtype=np.int64)
+        if not (tokens and len(self)):
+            return rows
+        text = "\n".join(tokens)
+        if text.count("\n") != len(tokens) - 1:  # a token holds a newline: look up the others
+            held = [i for i, t in enumerate(tokens) if "\n" not in t]
+            rows[held] = self.lookup([tokens[i] for i in held])
+            return rows
+        # a token that is not UTF-8 encodes to bytes no table holds
+        query = np.frombuffer(text.encode("utf-8", "surrogatepass") + bytes(8), dtype=np.uint8)
+        windows = _windows(query)
+        starts = _token_starts(query[:-8])
+        lengths = np.diff(starts) - 1
+        keys = _prefix_keys(windows, starts[:-1], lengths)
+        low = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
+        keyed = (self._keys[low] == keys) & (lengths > 0)
+        # a token of at most 8 bytes is the one of its key and length
+        whole = keyed & (lengths <= 8) & (self._starts[low + 1] - self._starts[low] - 1 == lengths)
+        rows[whole] = low[whole]
+        live = np.flatnonzero(keyed & ~whole)  # longer tokens, and tokens whose first 8 bytes others share
+        low, high = low[live], np.searchsorted(self._keys, keys[live], "right")
+        starts, lengths = starts[live], lengths[live]
+        while (wide := np.flatnonzero(high - low > _SCAN)).size:  # bisect the long runs of equal keys
+            mid = (low[wide] + high[wide]) >> 1
+            sign = self._compare_rows(mid, windows, starts[wide], lengths[wide])
+            low[wide] = np.where(sign < 0, mid + 1, np.where(sign == 0, mid, low[wide]))
+            high[wide] = np.where(sign > 0, mid, np.where(sign == 0, mid + 1, high[wide]))
+        # then compare each token with every row left in its run, all at once
+        width = high - low
+        pair = np.repeat(np.arange(live.size), width)
+        candidate = np.arange(pair.size) + np.repeat(low - np.cumsum(width) + width, width)
+        same = self._compare_rows(candidate, windows, starts[pair], lengths[pair]) == 0
+        rows[live[pair[same]]] = candidate[same]
+        return rows
+
+    def _compare_rows(self, ids, windows, starts, lengths) -> np.ndarray:
+        """``_compare`` of the table's tokens ``ids`` with tokens of ``windows`` whose keys equal theirs."""
+        ends = self._starts[ids + 1] - 1
+        return _compare(self._windows, self._starts[ids], ends - self._starts[ids], windows, starts, lengths, 8)
 
     @property
     def matrix(self) -> np.ndarray:
         """The whole float64 matrix; a table held in decimal form builds it on first read."""
         if self._matrix is None:
-            self._matrix = self.form.rows(np.arange(len(self.tokens)))
+            self._matrix = self.form.rows(np.arange(len(self)))
         return self._matrix
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
@@ -171,7 +330,7 @@ class EmbeddingTable:
         return (self.form.shape if self._matrix is None else self._matrix.shape)[-1]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self._keys)
 
 
 @dataclass(frozen=True)
@@ -278,6 +437,7 @@ def load_word_vectors(path: str | Path, language: str = "") -> EmbeddingTable:
     is taken from the first data line. A later duplicate of a token
     overwrites the earlier entry. Any line whose value count disagrees with
     the established dimension raises FormatError with its line number.
+    The table sorts the tokens that remain (see EmbeddingTable).
     """
     path = Path(path)
     tokens, matrix = _read_vectors(path, " ")
@@ -291,30 +451,32 @@ def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]
     """Mean-pool token vectors into one row per document.
 
     Returns the (n_docs, dimension) matrix and an OovReport counting dropped
-    tokens and fully out-of-vocabulary documents. Only the distinct rows the
-    documents hit are asked of the table (``table.rows``), so a table held in
-    decimal form restores just those. The sums are one product of a CSR
-    hit-count matrix over those rows, built in token order, with them: scipy
-    adds each row's hits in that order, starting from zero, as
-    ``np.mean(hits, axis=0)`` does for a table of dimension 2 or more, so
-    the rows are bit-identical to it (at dimension 1 numpy's mean sums
-    pairwise, which can round differently from the in-order sum).
+    tokens and fully out-of-vocabulary documents. The table is asked once
+    for the rows of the call's distinct tokens (``table.lookup``), and only
+    the distinct rows the documents hit are read (``table.rows``), so a
+    table held in decimal form restores just those. The sums are one
+    product of a CSR hit-count matrix over those rows, built in token
+    order, with them: scipy adds each row's hits in that order, starting
+    from zero, as ``np.mean(hits, axis=0)`` does for a table of dimension 2
+    or more, so the rows are bit-identical to it (at dimension 1 numpy's
+    mean sums pairwise, which can round differently from the in-order sum).
     """
     if len(table) == 0:
         raise ConfigError("embedding table is empty")
-    index = table.index
-    hits: list[int] = []
-    indptr = [0]
-    n_tokens = 0
-    for doc in docs:
-        tokens = tokens_of(doc)
-        hits.extend(index[t] for t in tokens if t in index)
-        indptr.append(len(hits))
-        n_tokens += len(tokens)
+    seqs = [tokens_of(doc) for doc in docs]
+    flat = list(chain.from_iterable(seqs))
+    first: dict[str, int] = {}  # each distinct token -> where it first occurs in flat
+    occurrence = np.fromiter(map(first.setdefault, flat, count()), dtype=np.int64, count=len(flat))
+    row_at = np.empty(len(flat), dtype=np.int64)
+    row_at[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = table.lookup(list(first))
+    token_rows = row_at[occurrence]  # each token's row, -1 out of vocabulary
+    hit = token_rows >= 0
+    ends = np.cumsum(np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs)))
+    indptr = np.concatenate(([0], np.cumsum(hit)))[np.concatenate(([0], ends))]
     counts = np.diff(indptr)
-    ids, columns = np.unique(np.array(hits, dtype=np.int64), return_inverse=True)
+    ids, columns = np.unique(token_rows[hit], return_inverse=True)
     hit_matrix = sp.csr_matrix(
-        (np.ones(len(hits)), columns, np.array(indptr, dtype=np.int64)),
+        (np.ones(len(columns)), columns, indptr),
         shape=(len(counts), len(ids)),
     )
     sums = hit_matrix @ table.rows(ids)
@@ -323,8 +485,8 @@ def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]
     return rows, OovReport(
         n_documents=len(counts),
         n_fully_oov=int((counts == 0).sum()),
-        n_tokens=n_tokens,
-        n_oov_tokens=n_tokens - len(hits),
+        n_tokens=len(flat),
+        n_oov_tokens=len(flat) - len(columns),
     )
 
 

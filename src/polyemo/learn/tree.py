@@ -17,8 +17,11 @@ leaf and zeros elsewhere). Samples with ``x[feature] <= threshold`` go left.
 A random forest is the same five arrays with its trees concatenated in fit
 order, child ids made global (a tree's ids are offset by the node count of
 the trees before it), plus ``sizes``, the node count of each tree; tree
-``t`` has its root at ``sizes[:t].sum()``. The model file stores exactly
-these arrays, so a forest is six arrays whatever its tree count.
+``t`` has its root at ``sizes[:t].sum()``. In preorder a node's left child
+is ``node + 1``, so the model file stores only what cannot be derived: the
+feature, threshold and right child of each internal node, one node-kind
+bit per node and the packed leaf values, plus a forest's ``sizes`` (see
+``serialize``); a forest is six arrays whatever its tree count.
 
 Prediction. One walker serves both models: every (tree, row) pair starts at
 its tree's root and all pairs step down one level per iteration until they

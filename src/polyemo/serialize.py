@@ -11,20 +11,41 @@ declaration order and decodes as ``cls(**fields)``. A learner stores ``spec``
 and the state ``_LEARNERS`` lists for it, in that order, and decodes as
 ``cls(spec)`` with the state set on it; an unfitted learner is refused. Only
 ``Vocabulary``, ``EmbeddingTable`` and ``PipelineModel``, which hold token
-lists, and ``DecimalForm``, whose planes a load checks, have codecs of their
-own. The table also names the fields each encoder writes, and a load
-refuses an object node whose fields are not those.
+lists, ``DecimalForm``, whose planes a load checks, and the trees have
+codecs of their own. The table also names the fields each encoder writes,
+each with the kind of value a load must find in it (an array, a number, a
+string, an object of a given type, or a list of such), and a load refuses
+an object node whose fields are not those or hold another kind, before
+any decoder calls a method on them or a learner indexes them.
 
-Layout (format 7). A decision tree is its five preorder node arrays; a
-random forest is the same five arrays with its trees packed end to end plus
-their node counts (see ``learn.tree``), six members whatever its tree count.
+Layout (format 8). A decision tree stores only what its reader cannot
+derive from the rest (see ``learn.tree`` for the five preorder node
+arrays it holds in memory): the ``feature``, ``threshold`` and ``right``
+child of each internal node, its node-kind bits (``np.packbits(feature >=
+0)``, pad bits zero) and its leaf values, 0 or 1 per label, packed along
+each leaf's labels by ``np.packbits``. ``left`` is not stored: in preorder
+a node's left child is ``node + 1``, and a save refuses a tree where it is
+not. A random forest is the same with its trees packed end to end, child
+ids global, plus ``sizes``, the node count of each tree: six members
+whatever its tree count. A decision tree's node count is twice its
+internal nodes plus one. The load checks the node-kind bits (as many as
+the nodes, zero pad bits, as many set as internal nodes are stored), every
+feature (in ``[0, input_dim)``), every right child (after ``node + 1`` and
+before the end of its tree) and the leaf values (one row per leaf), so
+node ids rise along every path and a walk stays in its tree; then it
+rebuilds the five arrays bit for bit, read-only.
+
 A token list is one uint8 member holding the UTF-8 bytes of its tokens
 joined by newlines: a vocabulary is that member (in column order) plus its
 int64 document frequencies, and an external-vocab tokenizer's list takes one
 too. No per-token or per-tree structure goes through the JSON document.
 
-A word-vector table is its token list plus its ``(tokens, dimension)``
-matrix in decimal form when it has one. A text vector file holds
+A word-vector table is its token list, sorted in code-point order, which
+is UTF-8 byte order (see ``dense_features.EmbeddingTable``), plus its
+``(tokens, dimension)`` matrix, rows in token order, in decimal form when
+it has one. A load keeps the token bytes as they are and searches them in
+place, with no per-token object; it checks that they are UTF-8, sorted and
+distinct. A text vector file holds
 fixed-point decimals, so each value is an integer mantissa over
 ``10**decimals``: the save finds the smallest ``decimals`` in 0..9 at which
 ``rint(m * 10**decimals) / 10**decimals`` equals ``m`` bit for bit for every
@@ -68,11 +89,12 @@ has not been a zip archive since format 7. A member's deflate setting
 equal files: table planes at level 3 or 0 (a stored plane is stored blocks
 inside a deflate stream), shuffled planes with ``Z_RLE``, anything else,
 and the header, at zlib's default level. ``save_model`` takes an optional
-memo that knows, by object (an array weakly), every array and token list a
-save encoded, with its node, header entry and payload, and, by setting and
-the SHA-256 of their data bytes (``_digest``), the deflated payloads: a
-later save under the same memo repeats no probe, shuffle, hash or deflate
-for a live object it has seen, and deflates no member equal to one it has.
+memo that knows, by object (an array or a tree weakly), every array, token
+list and stored tree array a save encoded, with its node, header entry and
+payload, and, by setting and the SHA-256 of their data bytes
+(``_digest``), the deflated payloads: a later save under the same memo
+repeats no probe, shuffle, hash or deflate for a live object it has seen,
+and deflates no member equal to one it has.
 The runner keeps one memo per run of (language, representation) groups
 that share a word-vector table, and one per group otherwise, so the table
 (and its token list) that every model of such a run carries is deflated
@@ -96,15 +118,18 @@ request restores the rows its documents hit (see
 
 The prefix carries the format version; a mismatch raises FormatError
 instead of guessing, so files of format 1 to 6, which were zip archives,
-must be refit. A damaged file (a bad magic, a bad CRC, a broken deflate
+and of format 7, whose token lists are unsorted, must be refit. A damaged
+file (a bad magic, a bad CRC, a broken deflate
 stream, a header or payload that runs past the end of the file or bytes
 after the last payload, a header that is not JSON, a member entry whose
 dtype is not in the table or whose size does not fit its shape, a
-malformed node or an object node whose fields are not its type's, a member
-the structure names but the file lacks, a table plane of the wrong dtype
-or shape or with nonzero pad bits, a negative-zero index that names a set
-bit, a shuffled member that is not 8 planes of its values) is a
-FormatError naming the file and the member, never a traceback.
+malformed node or an object node whose fields are not its type's or hold
+another kind, a member the structure names but the file lacks, a token
+list of a table that is not UTF-8, sorted and distinct, a table plane of
+the wrong dtype or shape or with nonzero pad bits, a negative-zero index
+that names a set bit, a shuffled member that is not 8 planes of its
+values, tree arrays that fail the checks above) is a FormatError naming
+the file and the member, never a traceback.
 """
 
 from __future__ import annotations
@@ -138,7 +163,7 @@ from .reduce import PcaModel
 from .sparse_features import TfidfModel, Vocabulary
 from .tokenize import TokenizerSpec
 
-FORMAT_VERSION = 7  # 7: a plain container in place of a zip archive of .npy members
+FORMAT_VERSION = 8  # 8: sorted word-vector token lists, and trees without their derivable arrays
 
 # the magic (its first byte is not ASCII, so no text file starts with it), the format version,
 # and the deflated header's length, size and CRC-32
@@ -207,7 +232,7 @@ def _plane_setting(plane: np.ndarray) -> tuple[int, int]:
 
 @dataclasses.dataclass(frozen=True)
 class _Encoded:
-    """A value a codec hands on with the encoding of its node and member: a table plane or a token list."""
+    """A value a codec hands on with the encoding of its node and member: a table plane, a token list, or a tree."""
 
     source: object
     encoding: Callable[[object], tuple[dict, _Member]]
@@ -360,17 +385,39 @@ def _decode_node(node, arrays: list):
     raise FormatError(f"malformed model node {node!r:.200}")
 
 
+def _holds(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``: a type or tuple of types, as ``isinstance`` takes, or ``[item kind]``."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_holds(item, kind[0]) for item in value)
+    return isinstance(value, kind)
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, list):
+        return f"a list of {_kind_name(kind[0])}"
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    names = {np.ndarray: "an array", int: "an int", str: "a string", bool: "a bool", type(None): "null"}
+    return " or ".join(names.get(k, k.__name__) for k in kinds)
+
+
 def _decode_object(node: dict, arrays: list):
-    """The registered object of an ``object`` node; FormatError if its fields are not its type's."""
+    """The registered object of an ``object`` node; FormatError if its fields are not its type's, or not of their kinds."""
     type_name, fields = node.get("type"), node.get("fields")
     if not (isinstance(type_name, str) and type_name in _REGISTRY):
         raise FormatError(f"model file references unknown type {type_name!r:.200}")
-    _, decode, names = _REGISTRY[type_name]
-    if not (isinstance(fields, dict) and fields.keys() == set(names)):
+    _, decode, kinds = _REGISTRY[type_name]
+    if not (isinstance(fields, dict) and fields.keys() == kinds.keys()):
         found = list(fields) if isinstance(fields, dict) else fields
-        raise FormatError(f"a {type_name} node needs the fields {list(names)}, got {found!r:.200}")
+        raise FormatError(f"a {type_name} node needs the fields {list(kinds)}, got {found!r:.200}")
+    values = {k: _decode_node(v, arrays) for k, v in fields.items()}
+    for name, kind in kinds.items():
+        if not _holds(values[name], kind):
+            raise FormatError(
+                f"the {name} field of a {type_name} node must hold {_kind_name(kind)}, "
+                f"got {type(values[name]).__name__}"
+            )
     try:
-        return decode({k: _decode_node(v, arrays) for k, v in fields.items()})
+        return decode(values)
     except _MemberError as exc:  # name the member the refused array was read from
         child = fields[exc.field]
         if exc.index is not None:
@@ -416,13 +463,14 @@ def save_model(obj, path: str | Path, memo: dict | None = None) -> None:
 
     Pass the same ``memo`` dict to several saves and each distinct member is
     deflated once across them. It holds, by object, each array (or token
-    list) that a save has encoded, with its node, header entry and payload,
+    list, or tree whose stored arrays it derived) that a save has encoded,
+    with its node, header entry and payload,
     so a later save of the same live object repeats no probe, shuffle, hash
     or deflate; and, by deflate setting and the SHA-256 of its data bytes,
     each payload, so an equal array of another object is not deflated again.
-    An array must not change while a memo that has seen it is in use. The
-    memo holds every payload it has made, so drop it when its saves are
-    done.
+    An array or tree must not change while a memo that has seen it is in
+    use. The memo holds every payload it has made, so drop it when its saves
+    are done.
 
     The file is replaced whole or not at all: a failed save leaves the
     previous model in place.
@@ -570,10 +618,6 @@ def _member_tokens(member: np.ndarray) -> tuple[str, ...]:
 
 def _dataclass_fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _encode_vocabulary(v):
@@ -752,19 +796,22 @@ def _encode_embedding_table(t):
     return {
         "language": t.language,
         "source": t.source,
-        "tokens": _Encoded(t.tokens, _token_encoding),
+        "tokens": t.token_bytes,
         "matrix": t.matrix if form is None else None,
         "form": form,
     }
 
 
 def _decode_embedding_table(f):
-    """A table as it is stored: its decimal form alone, or its float64 matrix, which has none."""
-    tokens = _member_tokens(f["tokens"])
+    """A table as it is stored: its sorted token bytes, and its decimal form alone or its float64 matrix, which has none.
+
+    The table checks its token bytes (see ``EmbeddingTable``); a table they
+    do not fit is refused naming the token member.
+    """
     try:
-        return EmbeddingTable(tokens, f["matrix"], f["language"], f["source"], f["form"] or False)
+        return EmbeddingTable(f["tokens"], f["matrix"], f["language"], f["source"], f["form"] or False)
     except ConfigError as exc:
-        raise FormatError(str(exc)) from exc
+        raise _MemberError(str(exc), "tokens") from exc
 
 
 def _encode_pipeline(p):
@@ -775,54 +822,251 @@ def _decode_pipeline(f):
     return PipelineModel(**{**f, "tokenizer_vocab": _member_tokens(f["tokenizer_vocab"])})
 
 
-def _dataclass_codec(cls):
-    return _dataclass_fields, lambda f: cls(**f), _field_names(cls)
-
-
-_DATACLASSES = (TfidfModel, PcaModel, TokenizerSpec, ClassifierSpec)
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+# what a tree or forest stores of its node arrays: each internal node's feature, threshold and
+# right child, the node-kind bits and the packed leaf values
+_TREE = {name: np.ndarray for name in ("feature", "threshold", "right", "node_kinds", "leaf_values")}
 
-# learner class -> (the attribute that is None or empty until fitted, its state in file order)
+
+def _tree_layout(model) -> dict:
+    """The stored arrays of a decision tree, or of a forest's packed trees (see the module docstring).
+
+    The node arrays are laid out as ``learn.tree`` fits them, so the decoder
+    rebuilds them bit for bit; a tree whose ``left`` is not ``node + 1`` at
+    every internal node is a ConfigError.
+    """
+    feature, threshold, left, right, value = (getattr(model, name) for name in TREE_ARRAYS)
+    inner = feature >= 0
+    nodes = np.flatnonzero(inner)
+    if not np.array_equal(left[inner], nodes + 1):
+        raise ConfigError(
+            f"cannot serialize a {type(model).__name__} whose left child is not node + 1 at every internal node"
+        )
+    leaf = ~inner
+    return {
+        "feature": feature[inner],
+        "threshold": threshold[inner],
+        "right": right[inner],
+        "node_kinds": np.packbits(inner),
+        "leaf_values": np.packbits(value[leaf] != 0, axis=1),
+    }
+
+
+def _tree_member(name: str):
+    """The encoding of stored tree array ``name`` of a model: under a save memo, a model's layout is found once."""
+
+    def encoding(model) -> tuple[dict, _Member]:
+        return {"__kind__": "array", "member": None}, _Member(_tree_layout(model)[name], _DEFAULT)
+
+    return encoding
+
+
+_TREE_ENCODINGS = {name: _tree_member(name) for name in _TREE}
+
+
+def _decode_tree(f, sizes) -> tuple[np.ndarray, ...]:
+    """The five read-only node arrays of a stored tree; FormatError naming the member at fault.
+
+    ``sizes`` is a forest's node count per tree, None for a decision tree,
+    whose node count is twice its internal nodes plus one. The node-kind
+    bits must be that many, with zero pad bits, and name as many internal
+    nodes as are stored; every feature lies in ``[0, input_dim)``; every
+    right child lies after ``node + 1`` and before the end of its tree; and
+    the leaf values are one row per leaf. Then node ids rise along every
+    path and stay inside their tree, so a walk from a root ends at one of
+    its leaves.
+    """
+    shapes = {
+        "feature": (np.int64, 1),
+        "threshold": (np.float64, 1),
+        "right": (np.int64, 1),
+        "node_kinds": (np.uint8, 1),
+        "leaf_values": (np.uint8, 2),
+    }
+    for name, (dtype, ndim) in shapes.items():
+        if f[name].dtype != dtype or f[name].ndim != ndim:
+            raise _MemberError(
+                f"tree {name} must be {ndim}-D {np.dtype(dtype)}, got {f[name].dtype} of shape {f[name].shape}", name
+            )
+    feature, threshold, right, kinds, packed = (f[name] for name in shapes)
+    internal = feature.size
+    for name in ("threshold", "right"):
+        if f[name].size != internal:
+            raise _MemberError(f"tree {name} holds {f[name].size} values for {internal} internal nodes", name)
+    if sizes is None:
+        n = 2 * internal + 1
+    elif sizes.dtype == np.int64 and sizes.ndim == 1 and sizes.size and (1 <= sizes).all():
+        n = int(sizes.sum(dtype=object))  # in Python ints, which cannot overflow
+    else:
+        raise _MemberError("forest sizes must be a 1-D int64 array of positive node counts", "sizes")
+    if kinds.size != -(-n // 8):
+        raise _MemberError(f"tree node-kind bits hold {8 * kinds.size} bits for {n} nodes", "node_kinds")
+    bits = np.unpackbits(kinds)
+    if bits[n:].any():
+        raise _MemberError("tree node-kind bits have nonzero pad bits", "node_kinds")
+    inner = bits[:n].astype(bool)
+    nodes = np.flatnonzero(inner)
+    if nodes.size != internal:
+        message = f"tree node-kind bits name {nodes.size} internal nodes, not the {internal} stored"
+        raise _MemberError(message, "node_kinds")
+    n_labels, width = f["n_labels"], -(-f["n_labels"] // 8)
+    pad = 0xFF >> n_labels % 8 if n_labels % 8 else 0  # the low bits of a row's last byte
+    if n_labels < 0 or packed.shape != (n - internal, width) or (pad and (packed[:, -1] & pad).any()):
+        raise _MemberError(
+            f"tree leaf values must be {n - internal} leaves of {n_labels} labels packed in {width} bytes "
+            f"with zero pad bits, got shape {packed.shape}",
+            "leaf_values",
+        )
+    if not ((0 <= feature) & (feature < f["input_dim"])).all():
+        raise _MemberError(f"tree feature outside [0, {f['input_dim']})", "feature")
+    ends = n if sizes is None else np.repeat(np.cumsum(sizes), sizes)[nodes]
+    if not ((nodes + 1 < right) & (right < ends)).all():
+        raise _MemberError("tree right child outside (node + 1, end of its tree)", "right")
+    arrays = {name: np.full(n, -1, dtype=np.int64) for name in ("feature", "left", "right")}
+    arrays["feature"][nodes] = feature
+    arrays["left"][nodes] = nodes + 1
+    arrays["right"][nodes] = right
+    arrays["threshold"] = np.zeros(n)
+    arrays["threshold"][nodes] = threshold
+    arrays["value"] = np.zeros((n, n_labels), dtype=np.int64)
+    arrays["value"][~inner] = np.unpackbits(packed, axis=1, count=n_labels)
+    for array in arrays.values():
+        array.flags.writeable = False
+    return tuple(arrays[name] for name in TREE_ARRAYS)
+
+
+_LEARNER_TYPES = (DecisionTree, RandomForest, KNearestNeighbors, LinearSvm, Mlp, VotingEnsemble)
+_DIMS = {"input_dim": int, "n_labels": int}
+
+# learner class -> (the attribute that is None or empty until fitted, its stored state in file order
+# with the kind of each field)
 _LEARNERS = {
-    DecisionTree: ("feature", ("input_dim", "n_labels") + TREE_ARRAYS),
-    RandomForest: ("sizes", ("input_dim", "n_labels", "sizes") + TREE_ARRAYS),
-    KNearestNeighbors: ("x", ("x", "y", "input_dim", "n_labels")),
-    LinearSvm: ("w", ("w", "b", "input_dim", "n_labels")),
-    Mlp: ("weights", ("weights", "biases", "input_dim", "n_labels")),
-    VotingEnsemble: ("members", ("members", "input_dim", "n_labels")),
+    DecisionTree: ("feature", {**_DIMS, **_TREE}),
+    RandomForest: ("sizes", {**_DIMS, "sizes": np.ndarray, **_TREE}),
+    KNearestNeighbors: ("x", {"x": np.ndarray, "y": np.ndarray, **_DIMS}),
+    LinearSvm: ("w", {"w": np.ndarray, "b": np.ndarray, **_DIMS}),
+    Mlp: ("weights", {"weights": [np.ndarray], "biases": [np.ndarray], **_DIMS}),
+    VotingEnsemble: ("members", {"members": [_LEARNER_TYPES], **_DIMS}),
 }
 
 
 def _learner_codec(cls, fitted_attr, state):
-    """``spec`` then the state attributes; decoded as ``cls(spec)`` with the state set on it."""
+    """``spec`` then the state; decoded as ``cls(spec)`` with the state set on it.
+
+    A tree or forest stores its node arrays as ``_tree_layout`` gives them
+    and gets them back from ``_decode_tree``.
+    """
+    trees = cls in (DecisionTree, RandomForest)
+    attributes = [name for name in state if not (trees and name in _TREE)]
 
     def encode(model):
         fitted = getattr(model, fitted_attr)
         if fitted is None or len(fitted) == 0:
             raise ConfigError(f"cannot serialize an unfitted {cls.__name__}")
-        return {"spec": model.spec, **{name: getattr(model, name) for name in state}}
+        fields = {"spec": model.spec, **{name: getattr(model, name) for name in attributes}}
+        if trees:
+            fields.update((name, _Encoded(model, encoding)) for name, encoding in _TREE_ENCODINGS.items())
+        return fields
 
     def decode(f):
         model = cls(f["spec"])
-        for name in state:
+        for name in attributes:
             setattr(model, name, f[name])
+        if trees:
+            model.feature, model.threshold, model.left, model.right, model.value = _decode_tree(f, f.get("sizes"))
         return model
 
-    return encode, decode, ("spec", *state)
+    return encode, decode, {"spec": ClassifierSpec, **state}
 
 
-# type name -> (encode, decode, the field names encode writes, in file order)
+def _dataclass_codec(cls, kinds: dict):
+    """Fields in declaration order, the keys of ``kinds``; decoded as ``cls(**fields)``."""
+    return _dataclass_fields, lambda f: cls(**f), kinds
+
+
+_OPTIONAL = type(None)
+
+# type name -> (encode, decode, the fields encode writes in file order, each with the kind of value
+# a load must find in it: a type or tuple of types, as ``isinstance`` takes them, or ``[item kind]``
+# for a list)
 _REGISTRY = {
     cls.__name__: codec
     for cls, codec in [
-        (Vocabulary, (_encode_vocabulary, _decode_vocabulary, ("tokens", "document_frequency", "corpus_size"))),
+        (
+            Vocabulary,
+            (
+                _encode_vocabulary,
+                _decode_vocabulary,
+                {"tokens": np.ndarray, "document_frequency": np.ndarray, "corpus_size": int},
+            ),
+        ),
         (
             EmbeddingTable,
-            (_encode_embedding_table, _decode_embedding_table, ("language", "source", "tokens", "matrix", "form")),
+            (
+                _encode_embedding_table,
+                _decode_embedding_table,
+                {
+                    "language": str,
+                    "source": str,
+                    "tokens": np.ndarray,
+                    "matrix": (np.ndarray, _OPTIONAL),
+                    "form": (DecimalForm, _OPTIONAL),
+                },
+            ),
         ),
-        (DecimalForm, (_encode_form, _decode_form, _field_names(DecimalForm))),
-        (PipelineModel, (_encode_pipeline, _decode_pipeline, _field_names(PipelineModel))),
-        *((cls, _dataclass_codec(cls)) for cls in _DATACLASSES),
+        (
+            DecimalForm,
+            (
+                _encode_form,
+                _decode_form,
+                {
+                    "decimals": int,
+                    "shape": tuple,
+                    "byte_planes": [np.ndarray],
+                    "bit_planes": [np.ndarray],
+                    "negative_zeros": np.ndarray,
+                },
+            ),
+        ),
+        (
+            PipelineModel,
+            (
+                _encode_pipeline,
+                _decode_pipeline,
+                {
+                    "language": str,
+                    "representation": str,
+                    "representation_kind": str,
+                    "tokenizer_spec": TokenizerSpec,
+                    "tokenizer_vocab": np.ndarray,
+                    "tfidf": (TfidfModel, _OPTIONAL),
+                    "embeddings": (EmbeddingTable, _OPTIONAL),
+                    "normalize": bool,
+                    "pca": (PcaModel, _OPTIONAL),
+                    "classifier": (*_LEARNER_TYPES, _OPTIONAL),
+                    "emotions": tuple,
+                },
+            ),
+        ),
+        (TfidfModel, _dataclass_codec(TfidfModel, {"vocabulary": Vocabulary, "idf": np.ndarray, "row_normalize": bool})),
+        (
+            PcaModel,
+            _dataclass_codec(
+                PcaModel,
+                {
+                    "mean": np.ndarray,
+                    "components": np.ndarray,
+                    "explained_variance": np.ndarray,
+                    "explained_variance_ratio": np.ndarray,
+                    "n_samples": int,
+                },
+            ),
+        ),
+        (TokenizerSpec, _dataclass_codec(TokenizerSpec, {"kind": str, "lowercase": bool, "vocab_path": (str, _OPTIONAL)})),
+        (
+            ClassifierSpec,
+            _dataclass_codec(ClassifierSpec, {"kind": str, "hyperparameters": dict, "seed": int, "members": tuple}),
+        ),
         *((cls, _learner_codec(cls, *entry)) for cls, entry in _LEARNERS.items()),
     ]
 }

@@ -42,25 +42,30 @@ def write_vectors(path, text):
     return path
 
 
+def row_of(table, token):
+    """The row of ``token`` in ``table``, -1 if it holds none."""
+    return int(table.lookup([token])[0])
+
+
 class TestLoadWordVectors:
     def test_with_header(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "2 3\na 1 0 0\nb 0 1 0\n")
         table = load_word_vectors(p)
         assert table.dimension == 3
         assert sorted(table.tokens) == ["a", "b"]
-        np.testing.assert_array_equal(table.matrix[table.index["a"]], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(table.matrix[row_of(table, "a")], [1.0, 0.0, 0.0])
 
     def test_without_header(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "a 1.5 -2\nb 0 4\n")
         table = load_word_vectors(p)
         assert table.dimension == 2
-        np.testing.assert_array_equal(table.matrix[table.index["a"]], [1.5, -2.0])
+        np.testing.assert_array_equal(table.matrix[row_of(table, "a")], [1.5, -2.0])
 
     def test_leading_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "\ufeffhello 1 2\nworld 3 4\n")
         table = load_word_vectors(p)
         assert table.tokens[0] == "hello"
-        np.testing.assert_array_equal(table.matrix[table.index["hello"]], [1.0, 2.0])
+        np.testing.assert_array_equal(table.matrix[row_of(table, "hello")], [1.0, 2.0])
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "2 3\na 1 0 0\nb 0 1\n")
@@ -81,7 +86,7 @@ class TestLoadWordVectors:
     def test_duplicate_token_overwrites(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "a 1 1\na 2 2\n")
         table = load_word_vectors(p)
-        np.testing.assert_array_equal(table.matrix[table.index["a"]], [2.0, 2.0])
+        np.testing.assert_array_equal(table.matrix[row_of(table, "a")], [2.0, 2.0])
 
     def test_empty_file(self, tmp_path):
         p = write_vectors(tmp_path / "v.vec", "")
@@ -140,17 +145,17 @@ class TestLoadWordVectors:
 
 
 def _reference_index(tokens):
-    """``EmbeddingTable.index`` as a comprehension over ``enumerate``, with its duplicate check."""
+    """The token -> row map the table once kept, as a comprehension over ``enumerate``, with its duplicate check."""
     index = {t: i for i, t in enumerate(tokens)}
     if len(index) != len(tokens):
         raise ConfigError("embedding table tokens must be distinct")
     return index
 
 
-class TestEmbeddingTableIndex:
+class TestEmbeddingTableLookup:
     @given(tokens=st.lists(st.text(alphabet="abcé", min_size=1, max_size=3), max_size=40))
-    def test_same_index_or_same_error_as_the_comprehension(self, tokens):
-        matrix = np.zeros((len(tokens), 2))
+    def test_same_rows_or_same_error_as_the_comprehension(self, tokens):
+        matrix = np.arange(2.0 * len(tokens)).reshape(-1, 2)
         try:
             expected = _reference_index(tokens)
         except ConfigError as exc:
@@ -158,8 +163,72 @@ class TestEmbeddingTableIndex:
                 EmbeddingTable(tuple(tokens), matrix)
             return
         table = EmbeddingTable(tuple(tokens), matrix)
-        assert table.index == expected
-        assert list(table.index) == list(expected)
+        rows = table.lookup(list(expected))
+        assert [table.matrix[r].tolist() for r in rows] == [matrix[i].tolist() for i in expected.values()]
+        assert list(table.tokens) == sorted(expected)  # rows follow the tokens, in code-point order
+
+    # tokens that share their first 8 bytes, are prefixes of others, hold NUL bytes or multi-byte characters
+    TOKENS = st.lists(
+        st.builds(
+            lambda stem, tail: stem + tail,
+            st.sampled_from(["", "abcdefgh", "abcdefg\x00", "\x00", "é" * 4, "𝄞𝄞"]),
+            st.text(alphabet=["a", "b", "\x00", "é", "𝄞", "\x7f"], max_size=12),
+        ).filter(bool),
+        unique=True,
+        max_size=30,
+    )
+
+    @settings(max_examples=300)
+    @given(tokens=TOKENS, others=st.lists(st.text(max_size=20), max_size=10), data=st.data())
+    def test_lookup_agrees_with_a_dict(self, tokens, others, data):
+        table = EmbeddingTable(tuple(tokens), np.arange(float(len(tokens)))[:, None])
+        reference = dict(zip(tokens, range(len(tokens))))
+        queries = list(tokens) + others + ["", "a\nb", "\n"]
+        queries += [t[:cut] for t in tokens for cut in (1, 7, 8, 9, len(t) - 1)]  # prefixes of table tokens
+        queries += [t + suffix for t in tokens[:5] for suffix in ("\x00", "a", "\n")]
+        queries = data.draw(st.permutations(queries))
+        rows = table.lookup(queries)
+        assert rows.dtype == np.int64 and rows.shape == (len(queries),)
+        for query, row in zip(queries, rows.tolist()):
+            want = reference.get(query)
+            assert (row == -1) if want is None else table.matrix[row, 0] == want, (query, row)
+        assert table.tokens == tuple(sorted(tokens))
+        assert [t.encode() for t in table.tokens] == sorted(t.encode() for t in tokens)  # code points sort as UTF-8
+
+    @given(
+        suffixes=st.lists(st.text(alphabet=["0", "1", "\x00", "é"], max_size=4), min_size=1, max_size=200, unique=True),
+        data=st.data(),
+    )
+    def test_long_runs_of_one_key_are_bisected(self, suffixes, data):
+        # every token shares its first 8 bytes: one run, bisected down to dense_features._SCAN rows
+        tokens = ["abcdefgh" + s for s in suffixes]
+        table = EmbeddingTable(tuple(tokens), np.arange(float(len(tokens)))[:, None])
+        reference = dict(zip(tokens, range(len(tokens))))
+        queries = tokens + ["abcdefgh" + s + "\x00" for s in suffixes[:20]] + ["abcdefg", "abcdefgi", "abcdefgh2"]
+        queries = data.draw(st.permutations(queries))
+        rows = table.lookup(queries)
+        for query, row in zip(queries, rows.tolist()):
+            want = reference.get(query)
+            assert (row == -1) if want is None else table.matrix[row, 0] == want, (query, row)
+
+    def test_a_table_holds_no_empty_or_newline_token(self):
+        for tokens in (("a", ""), ("a", "b\nc")):
+            with pytest.raises(ConfigError, match="non-empty and hold no newlines"):
+                EmbeddingTable(tokens, np.zeros((2, 1)))
+
+    def test_token_bytes_must_be_sorted_distinct_utf8(self):
+        matrix = np.zeros((2, 1))
+        for data, message in (
+            (b"b\na", "ascending code-point order"),
+            (b"abcdefghj\nabcdefghi", "ascending code-point order"),
+            (b"abcdefghi\nabcdefghi", "distinct"),
+            (b"a\n\xff", "not UTF-8"),
+            (b"a\n", "non-empty"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                EmbeddingTable(np.frombuffer(data, dtype=np.uint8), matrix)
+        table = EmbeddingTable(np.frombuffer(b"a\nb", dtype=np.uint8), np.array([[1.0], [2.0]]))
+        assert table.tokens == ("a", "b") and row_of(table, "b") == 1
 
 
 def _reference_load(path):
@@ -253,10 +322,10 @@ class TestFastParseMatchesLineLoop:
                 assert str(info.value) == want
                 return
             table = load_word_vectors(path)
-        assert table.tokens == tuple(want)  # first-seen order; a later duplicate's row wins
+        assert table.tokens == tuple(sorted(want))  # a later duplicate's row wins
         assert table.matrix.dtype == np.float64
         for token, vector in want.items():
-            assert _bits(table.matrix[table.index[token]]).tolist() == _bits(vector).tolist()
+            assert _bits(table.matrix[row_of(table, token)]).tolist() == _bits(vector).tolist()
 
     def test_fasttext_layout_takes_the_fast_path(self, tmp_path, monkeypatch):
         p = write_vectors(tmp_path / "v.vec", "3 2\na 1 2 \nb -0.00000 4 \na 5 6 \n")
@@ -315,8 +384,9 @@ class TestPoolingMatchesMeanLoop:
     def test_dimension_one_sums_in_token_order(self, rng):
         # numpy's 1-D mean sums pairwise; the pooled value is the in-order sum
         values = rng.normal(size=(30, 1)) * 10.0 ** rng.integers(-8, 8, size=(30, 1))
-        table = EmbeddingTable(tokens=tuple(f"t{i}" for i in range(30)), matrix=values)
-        got, _ = embed_documents([list(table.tokens)], table)
+        tokens = tuple(f"t{i}" for i in range(30))
+        table = EmbeddingTable(tokens=tokens, matrix=values)
+        got, _ = embed_documents([list(tokens)], table)
         total = 0.0
         for v in values[:, 0]:
             total += v

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyemo import serialize
-from polyemo.dense_features import DecimalForm, EmbeddingTable
+from polyemo.dense_features import DecimalForm, EmbeddingTable, embed_documents
 from polyemo.errors import ConfigError, FormatError
 from polyemo.learn import (
     ClassifierSpec,
@@ -196,10 +196,10 @@ class TestFormatThreeLayout:
         assert load_model(tmp_path / "tfidf.npz").tfidf.vocabulary == vocab_pipe.tfidf.vocabulary
 
     @pytest.mark.parametrize("tokens", [("a", "b\nc"), ("a", "")])
-    def test_unjoinable_tokens_rejected(self, tokens, tmp_path):
-        table = EmbeddingTable(tokens, np.zeros((2, 3)))
+    def test_unjoinable_tokens_rejected(self, tokens):
+        # a table, whose tokens a save joins by newlines, holds no such token
         with pytest.raises(ConfigError, match="newlines"):
-            save_model(table, tmp_path / "t.npz")
+            EmbeddingTable(tokens, np.zeros((2, 3)))
 
 
 class TestAtomicSave:
@@ -320,8 +320,8 @@ class TestModelWriter:
             restored = load_model(tmp_path / f"{name}.npz")
             assert type(restored.classifier) is type(pipe.classifier)
             assert set(restored.embeddings.tokens) == set(embeddings.tokens)
-            for w, i in embeddings.index.items():
-                row = restored.embeddings.matrix[restored.embeddings.index[w]]
+            for w, i in zip(embeddings.tokens, embeddings.lookup(list(embeddings.tokens))):
+                row = restored.embeddings.matrix[restored.embeddings.lookup([w])[0]]
                 np.testing.assert_array_equal(row, embeddings.matrix[i])
         assert (tmp_path / "knn.npz").read_bytes() == (tmp_path / "alone.npz").read_bytes()
 
@@ -389,12 +389,11 @@ class TestDeflateStrategy:
     def test_table_planes_and_their_settings(self, rng):
         # five-decimal noise: codes of 20 bits, two low byte planes of 300 KB that
         # barely compress and are stored, and four bit planes of 39 KB, under the probe floor
-        matrix = np.round(self.noise(rng, rows=3000), 5)
-        ints = np.rint(matrix * 1e5).astype(np.int64)
+        table = EmbeddingTable(tuple(f"w{i}" for i in range(3000)), np.round(self.noise(rng, rows=3000), 5))
+        ints = np.rint(table.matrix * 1e5).astype(np.int64)  # the rows in sorted token order
         codes = ((ints << 1) ^ (ints >> 63)).view(np.uint64)
         assert int(codes.max()).bit_length() == 20
         members = []
-        table = EmbeddingTable(tuple(f"w{i}" for i in range(3000)), matrix)
         meta = serialize._encode_node(table, members, {})["fields"]
         assert meta["matrix"] is None and meta["form"]["type"] == "DecimalForm"
         form = meta["form"]["fields"]
@@ -645,7 +644,7 @@ class TestFeatureModelRoundTrips:
         assert restored.dimension == 2
         assert restored.language == "syn"
         assert set(restored.tokens) == {"a", "b"}
-        np.testing.assert_array_equal(restored.matrix[restored.index["a"]], [1.0, 2.0])
+        np.testing.assert_array_equal(restored.matrix[restored.lookup(["a"])[0]], [1.0, 2.0])
 
 
 class TestFormatGuards:
@@ -685,7 +684,7 @@ class TestFormatGuards:
 
         def mutate(root):
             fields = root["fields"]
-            for name in ("sizes", "feature", "threshold", "left", "right", "value"):
+            for name in set(fields) - {"spec", "input_dim", "n_labels"}:
                 del fields[name]
             fields["trees"] = {"__kind__": "list", "items": []}
 
@@ -726,6 +725,17 @@ class TestFormatGuards:
         with pytest.raises(FormatError, match=re.escape(message)):
             load_model(path)
 
+    def test_version_seven_model_refused(self, tmp_path):
+        # a v7 word-vector table kept its tokens in file order, unsorted
+        path = tmp_path / "emb.npz"
+        save_model(EmbeddingTable(("a", "b"), np.array([[0.5, -1.25], [2.0, -0.0]])), path)
+        header, arrays = read_model(path)
+        arrays[header["root"]["fields"]["tokens"]["member"]] = np.frombuffer(b"b\na", dtype=np.uint8)
+        write_model(path, header["root"], arrays, version=7)
+        message = f"{path}: model format version 7 is not supported (this build reads version {FORMAT_VERSION})"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_model(path)
+
     def test_unknown_type_refused(self, rng, tmp_path):
         path = self.saved_model(rng, tmp_path)
         self.tamper(path, lambda root: root.update(type="EvilThing"))
@@ -746,8 +756,29 @@ class TestFormatGuards:
             ),
             (lambda header: header["root"]["fields"].pop("emotions"), "a PipelineModel node needs the fields"),
             (lambda header: header["root"]["fields"].update(extra=1), "a PipelineModel node needs the fields"),
+            (
+                lambda header: header["root"]["fields"]["tfidf"]["fields"]["vocabulary"]["fields"].update(
+                    document_frequency=5
+                ),
+                "the document_frequency field of a Vocabulary node must hold an array, got int",
+            ),
+            (
+                lambda header: header["root"]["fields"].update(classifier=3),
+                "the classifier field of a PipelineModel node must hold DecisionTree or RandomForest or",
+            ),
+            (
+                lambda header: header["root"]["fields"]["classifier"]["fields"].update(input_dim="4"),
+                "the input_dim field of a DecisionTree node must hold an int, got str",
+            ),
+            (
+                lambda header: header["root"]["fields"]["tfidf"].update(type="PcaModel"),
+                "a PcaModel node needs the fields",
+            ),
         ],
-        ids=["root-not-a-node", "array-without-member", "list-without-items", "missing-field", "extra-field"],
+        ids=[
+            "root-not-a-node", "array-without-member", "list-without-items", "missing-field", "extra-field",
+            "document-frequency-number", "classifier-number", "input-dim-string", "tfidf-of-another-type",
+        ],
     )
     def test_malformed_structure_is_a_format_error(self, mutate, message, rng, tmp_path, capsys):
         from polyemo.cli import main
@@ -919,10 +950,12 @@ class TestDecimalTables:
         save_model(EmbeddingTable(tokens, matrix, "xx", "xx.vec"), path)
         assert [array.dtype for array in read_model(path)[1]] == [np.uint8] * (1 + low + top_bits) + [np.int64]
         restored = load_model(path)
-        assert restored.tokens == tokens
+        assert restored.tokens == tuple(sorted(tokens))
+        at = restored.lookup(list(tokens))  # the row of each token, compared per token
+        by_row = matrix[np.argsort(at)]  # the matrix in the table's row order
         ids = np.flatnonzero(keep[: len(matrix)])  # an ascending subset of the rows
-        assert same_bits(restored.form.rows(ids), matrix[ids])
-        assert same_bits(restored.matrix, matrix)
+        assert same_bits(restored.form.rows(ids), by_row[ids])
+        assert same_bits(restored.matrix[at], matrix)
 
     def test_a_block_needing_more_decimals_restarts_the_search(self):
         # row 0 alone is exact at 0 decimals; row 1 needs 3, which turns 100 into
@@ -985,12 +1018,15 @@ class TestDecimalTables:
         self.assert_float_member_round_trip(matrix, tmp_path / "emb.npz")
 
     def assert_float_member_round_trip(self, matrix, path):
-        save_model(EmbeddingTable(tuple(f"w{i}" for i in range(len(matrix))), matrix), path)
+        tokens = [f"w{i}" for i in range(len(matrix))]
+        save_model(EmbeddingTable(tuple(tokens), matrix), path)
         header, arrays = read_model(path)
         meta = header["root"]["fields"]
         assert meta["form"] is None
-        assert same_bits(arrays[meta["matrix"]["member"]], matrix)
-        assert same_bits(load_model(path).matrix, matrix)
+        loaded = load_model(path)
+        at = loaded.lookup(tokens)  # the row of each token, compared per token
+        assert same_bits(arrays[meta["matrix"]["member"]][at], matrix)
+        assert same_bits(loaded.matrix[at], matrix)
 
 
 def saved_word_vector_model(rng, path):
@@ -1175,7 +1211,7 @@ class TestLoadedWordVectorModels:
         pipe = saved_word_vector_model(rng, model)
         texts = ["joy smile", "nothing known", "smile gloom joy"]
         expected = pipe.predict_texts(texts)
-        hit = sorted(pipe.embeddings.index[w] for w in ("joy", "smile", "gloom"))
+        hit = sorted(pipe.embeddings.lookup(["joy", "smile", "gloom"]).tolist())
         assert len(hit) < len(pipe.embeddings)
         batch = tmp_path / "texts.csv"
         batch.write_text("id,text\n" + "".join(f"d{i},{t}\n" for i, t in enumerate(texts)), encoding="utf-8")
@@ -1208,6 +1244,224 @@ class TestLoadedWordVectorModels:
         assert searches == []
 
 
+def assert_predict_refuses(path, where, message, tmp_path, capsys):
+    """``polyemo predict`` with the model at ``path`` exits 2 with an error naming it, ``where`` and ``message``."""
+    from polyemo.cli import main
+
+    texts = tmp_path / "texts.csv"
+    texts.write_text("id,text\nd0,joy smile\n")
+    assert main(["predict", "--model", str(path), "--input", str(texts), "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: {where}" in err and message in err and "Traceback" not in err
+
+
+UNSORTED = ("zeta", "alpha", "été", "abcdefgh2", "abcdefgh", "abcdefgh10", "a\x00b", "𝄞", "b")
+
+
+class TestSortedTables:
+    """A table keeps its tokens sorted, and a load checks the stored order."""
+
+    def test_unsorted_input_gives_the_same_lookups_and_rows_after_a_round_trip(self, rng, tmp_path):
+        matrix = np.round(rng.normal(size=(len(UNSORTED), 5)), 4)
+        table = EmbeddingTable(UNSORTED, matrix, "xx", "xx.vec")
+        assert table.tokens == tuple(sorted(UNSORTED))
+        save_model(table, tmp_path / "t.npz")
+        loaded = load_model(tmp_path / "t.npz")
+        queries = list(UNSORTED) + ["abcdefgh1", "abcdefg", "", "a", "zeta\n", "𝄞𝄞"]
+        expected = [UNSORTED.index(q) if q in UNSORTED else -1 for q in queries]
+        for t in (table, loaded):
+            rows = t.lookup(queries)
+            assert [-1 if r < 0 else UNSORTED.index(t.tokens[r]) for r in rows.tolist()] == expected
+            assert same_bits(t.matrix[rows[: len(UNSORTED)]], matrix)
+        docs = [list(UNSORTED[::-1]), ["abcdefgh", "nope", "abcdefgh", "𝄞"], [], ["a\x00b"]]
+        assert same_bits(embed_documents(docs, loaded)[0], embed_documents(docs, table)[0])
+        assert loaded.tokens == table.tokens
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"b\na", "ascending code-point order"),
+            (b"abcdefgh2\nabcdefgh10", "ascending code-point order"),
+            (b"a\na", "distinct"),
+            (b"abcdefgh10\nabcdefgh10", "distinct"),
+            (b"a\n\xff", "not UTF-8"),
+            (b"a\n\nb", "non-empty"),
+        ],
+        ids=["out-of-order", "out-of-order-past-8-bytes", "duplicate", "duplicate-past-8-bytes", "not-utf8", "empty"],
+    )
+    def test_damaged_token_list_refused(self, data, message, rng, tmp_path, capsys):
+        path = tmp_path / "wv.npz"
+        pipe = fitted_pipeline("word-vectors", ClassifierSpec(kind="dt"), rng)
+        words = data.count(b"\n") + 1
+        pipe.embeddings = EmbeddingTable(tuple(f"w{i}" for i in range(words)), np.zeros((words, 4)))
+        save_model(pipe, path)
+        header, arrays = read_model(path)
+        member = header["root"]["fields"]["embeddings"]["fields"]["tokens"]["member"]
+        arrays[member] = np.frombuffer(data, dtype=np.uint8)
+        write_model(path, header["root"], arrays)
+        where = re.escape(f"{path}: member {member}: ") + ".*" + re.escape(message)
+        with pytest.raises(FormatError, match=where):
+            load_model(path)
+        assert_predict_refuses(path, f"member {member}: ", message, tmp_path, capsys)
+
+
+def same_tree(restored, model) -> bool:
+    """Every node array (and a forest's sizes) of equal dtype, shape and bytes, and read-only after a load."""
+    names = serialize.TREE_ARRAYS + (("sizes",) if isinstance(model, RandomForest) else ())
+    for name in names:
+        a, b = getattr(restored, name), getattr(model, name)
+        if not (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() and not a.flags.writeable):
+            return False
+    return True
+
+
+class TestTreeLayout:
+    """A tree stores its node-kind bits, its internal nodes' feature, threshold and right, and packed leaf values."""
+
+    @given(
+        kind=st.sampled_from(["dt", "rf"]),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 40),
+        columns=st.integers(1, 5),
+        labels=st.integers(1, 11),
+        levels=st.sampled_from([2, 5, None]),
+    )
+    def test_fitted_trees_round_trip_bit_for_bit(self, kind, seed, rows, columns, labels, levels, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, columns))
+        if levels:  # ties between rows, and -0.0 among the values
+            x = np.round(x * levels) / levels
+        y = rng.integers(0, 2, size=(rows, labels))
+        hyperparameters = {"n_estimators": 4} if kind == "rf" else {}
+        model = fit(ClassifierSpec(kind=kind, hyperparameters=hyperparameters, seed=seed % 1000), x, y)
+        path = tmp_path_factory.mktemp("tree") / "m.npz"
+        save_model(model, path)
+        restored = load_model(path)
+        assert same_tree(restored, model)
+        np.testing.assert_array_equal(restored.predict(x), model.predict(x))
+        internal = int((model.feature >= 0).sum())
+        stored = {node["member"]: name for name, node in read_model(path)[0]["root"]["fields"].items() if isinstance(node, dict) and "member" in node}
+        arrays = read_model(path)[1]
+        sizes = {name: arrays[member].shape for member, name in stored.items()}
+        assert sizes["feature"] == sizes["threshold"] == sizes["right"] == (internal,)
+        assert sizes["node_kinds"] == (-(-model.feature.size // 8),)
+        assert sizes["leaf_values"] == (model.feature.size - internal, -(-labels // 8))
+
+    def test_left_child_other_than_the_next_node_refused_on_save(self, rng, tmp_path):
+        x, y = small_problem(rng, n=40)
+        model = DecisionTree().fit(x, y)
+        root_left, root_right = model.left[0], model.right[0]
+        assert root_left == 1
+        model.left = model.left.copy()
+        model.right = model.right.copy()
+        model.left[0], model.right[0] = root_right, root_left  # the same tree, its root's children swapped
+        with pytest.raises(ConfigError, match="left child is not node \\+ 1"):
+            save_model(model, tmp_path / "dt.npz")
+        assert not (tmp_path / "dt.npz").exists()
+
+
+def first_leaf_marked_internal(kinds, fields, arrays):
+    bits = np.unpackbits(kinds)
+    bits[np.flatnonzero(bits == 0)[0]] = 1
+    return np.packbits(bits)
+
+
+def set_last_pad_bit(kinds, fields, arrays):
+    kinds = kinds.copy()
+    kinds[-1] |= 1  # a tree has an odd node count: the last bit is a pad bit
+    return kinds
+
+
+def first_right(value):
+    """A change setting the root's right child to ``value(node count)``."""
+
+    def change(right, fields, arrays):
+        right = right.copy()
+        right[0] = value(2 * right.size + 1)
+        return right
+
+    return change
+
+
+def tree_change(field, change):
+    """A mutation of the stored dt of a pipeline: its member ``field`` replaced by ``change(member, fields, arrays)``."""
+
+    def mutate(fields, arrays):
+        node = fields[field]
+        arrays[node["member"]] = change(arrays[node["member"]], fields, arrays)
+        return node["member"]
+
+    return mutate
+
+
+class TestDamagedTrees:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (tree_change("node_kinds", lambda k, f, a: np.append(k, 0).astype(np.uint8)), "node-kind bits hold"),
+            (tree_change("node_kinds", set_last_pad_bit), "node-kind bits have nonzero pad bits"),
+            (tree_change("node_kinds", first_leaf_marked_internal), "internal nodes, not the"),
+            (tree_change("feature", lambda v, f, a: v + f["input_dim"]), "tree feature outside [0, "),
+            (tree_change("feature", lambda v, f, a: v - v.max() - 1), "tree feature outside [0, "),
+            (tree_change("feature", lambda v, f, a: v.astype(np.int32)), "tree feature must be 1-D int64"),
+            (tree_change("right", first_right(lambda n: 1)), "right child outside (node + 1, end of its tree)"),
+            (tree_change("right", first_right(lambda n: n)), "right child outside (node + 1, end of its tree)"),
+            (tree_change("right", lambda v, f, a: v[1:]), "tree right holds"),
+            (tree_change("threshold", lambda v, f, a: v[1:]), "tree threshold holds"),
+            (tree_change("leaf_values", lambda v, f, a: v[1:]), "tree leaf values must be"),
+            (tree_change("leaf_values", lambda v, f, a: v | 1), "tree leaf values must be"),
+        ],
+        ids=[
+            "bit-count", "pad-bits", "internal-count", "feature-past-input", "feature-negative", "feature-dtype",
+            "right-is-left", "right-past-end", "right-count", "threshold-count", "leaf-count", "leaf-pad-bits",
+        ],
+    )
+    def test_damaged_tree_refused(self, mutate, message, rng, tmp_path, capsys):
+        path = tmp_path / "m.npz"
+        pipe = fitted_pipeline("tfidf", ClassifierSpec(kind="dt"), rng)
+        assert (pipe.classifier.feature >= 0).any()
+        save_model(pipe, path)
+        header, arrays = read_model(path)
+        member = mutate(header["root"]["fields"]["classifier"]["fields"], arrays)
+        write_model(path, header["root"], arrays)
+        where = re.escape(f"{path}: member {member}: ") + ".*" + re.escape(message)
+        with pytest.raises(FormatError, match=where):
+            load_model(path)
+        assert_predict_refuses(path, f"member {member}: ", message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "change, field, named, message",
+        [
+            (lambda f, a, sizes: sizes - sizes, "sizes", "sizes", "positive node counts"),
+            (lambda f, a, sizes: sizes.astype(np.int32), "sizes", "sizes", "positive node counts"),
+            # the node count of the sizes is not that of the node-kind bits
+            (lambda f, a, sizes: sizes[:-1], "sizes", "node_kinds", "node-kind bits hold"),
+            (None, "right", "right", "right child outside (node + 1, end of its tree)"),
+        ],
+        ids=["zero-size", "sizes-dtype", "fewer-trees", "right-into-next-tree"],
+    )
+    def test_damaged_forest_refused(self, change, field, named, message, rng, tmp_path, capsys):
+        pipe = fitted_pipeline("tfidf", ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 3}), rng)
+        model = pipe.classifier
+        assert (model.feature[: model.sizes[0]] >= 0).any()
+        path = tmp_path / "rf.npz"
+        save_model(pipe, path)
+        header, arrays = read_model(path)
+        fields = header["root"]["fields"]["classifier"]["fields"]
+        member = fields[field]["member"]
+        if change is None:  # the first internal node of tree 0 points its right child at the root of tree 1
+            right = arrays[member].copy()
+            right[0] = model.sizes[0]
+            arrays[member] = right
+        else:
+            arrays[member] = change(fields, arrays, arrays[member])
+        write_model(path, header["root"], arrays)
+        member = fields[named]["member"]
+        with pytest.raises(FormatError, match=re.escape(f"{path}: member {member}: ") + ".*" + re.escape(message)):
+            load_model(path)
+        assert_predict_refuses(path, f"member {member}: ", message, tmp_path, capsys)
+
+
 def entry_damage(change):
     """A damage of a model file's first member entry by ``change(entry)``."""
 
@@ -1229,7 +1483,7 @@ class TestModelReader:
     @staticmethod
     def saved_tree(rng, path):
         x, y = small_problem(rng)
-        save_model(fit(ClassifierSpec(kind="dt"), x, y), path)  # member 0 is its int64 feature array, 4 its value
+        save_model(fit(ClassifierSpec(kind="dt"), x, y), path)  # member 0 is its int64 feature array, 4 its leaf values
         return path
 
     @pytest.mark.parametrize("kind", REPRESENTATION_KINDS)
@@ -1357,7 +1611,7 @@ class TestModelReader:
 # the JSON field names of every registered type, in file order
 EXPECTED_LAYOUT = {
     "ClassifierSpec": ["kind", "hyperparameters", "seed", "members"],
-    "DecisionTree": ["spec", "input_dim", "n_labels", "feature", "threshold", "left", "right", "value"],
+    "DecisionTree": ["spec", "input_dim", "n_labels", "feature", "threshold", "right", "node_kinds", "leaf_values"],
     "DecimalForm": ["decimals", "shape", "byte_planes", "bit_planes", "negative_zeros"],
     "EmbeddingTable": ["language", "source", "tokens", "matrix", "form"],
     "KNearestNeighbors": ["spec", "x", "y", "input_dim", "n_labels"],
@@ -1369,7 +1623,7 @@ EXPECTED_LAYOUT = {
         "tfidf", "embeddings", "normalize", "pca", "classifier", "emotions",
     ],
     "RandomForest": [
-        "spec", "input_dim", "n_labels", "sizes", "feature", "threshold", "left", "right", "value",
+        "spec", "input_dim", "n_labels", "sizes", "feature", "threshold", "right", "node_kinds", "leaf_values",
     ],
     "TfidfModel": ["vocabulary", "idf", "row_normalize"],
     "TokenizerSpec": ["kind", "lowercase", "vocab_path"],

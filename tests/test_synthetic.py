@@ -75,12 +75,12 @@ class TestWordVectors:
         vocab = synthetic_vocabulary()
         for j, emo in enumerate(EMOTIONS):
             for word in vocab[emo]:
-                assert int(np.argmax(np.abs(table.matrix[table.index[word]]))) == j
+                assert int(np.argmax(np.abs(table.matrix[table.lookup([word])[0]]))) == j
 
     def test_filler_words_carry_no_signal(self, tmp_path):
         table = load_word_vectors(write_word_vectors(tmp_path / "syn.vec", seed=0))
         for word in synthetic_vocabulary()["filler"]:
-            assert np.linalg.norm(table.matrix[table.index[word]]) < 1.0
+            assert np.linalg.norm(table.matrix[table.lookup([word])[0]]) < 1.0
 
     def test_dimension_floor(self, tmp_path):
         with pytest.raises(ValueError):
