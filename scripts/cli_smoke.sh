@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `polyemo` command: a run, a resumed run in which
 # every cell must be reused, an ablation that must write its paired tables,
-# predictions with a saved tf-idf model and a saved word-vector model (whose
-# table keeps its byte planes and restores the rows a request reads, read from
-# a vector file whose tokens are unsorted and hold one duplicate) that must
+# predictions with a saved tf-idf tree, a saved tf-idf random forest and a
+# saved word-vector model (whose table keeps its byte planes and restores the
+# rows a request reads, read from a vector file whose tokens are unsorted and
+# hold one duplicate) that must
 # each equal the run's own prediction file, a run of the config saved with a
 # byte-order mark that must exit 0 and write the same report, three malformed
 # input files (a vector file, a vocabulary and a config that is not UTF-8), a
@@ -52,7 +53,11 @@ config = {
         {"name": "tfidf", "kind": "tfidf"},
         {"name": "wv", "kind": "word-vectors", "vectors": {"syn": "syn.vec"}},
     ],
-    "classifiers": [{"name": "dt", "kind": "dt"}, {"name": "knn", "kind": "knn"}],
+    "classifiers": [
+        {"name": "dt", "kind": "dt"},
+        {"name": "knn", "kind": "knn"},
+        {"name": "rf", "kind": "rf", "hyperparameters": {"n_estimators": 5}},
+    ],
     "reduction": {"pca": [True, False]},
     "seed": 1,
     "out_dir": "out",
@@ -84,7 +89,7 @@ for table in views/ablation_f1.syn.csv views/ablation_f1.syn.txt timing/ablation
 done
 
 names=""
-for pattern in 'syn__tfidf__*.npz' 'syn__wv__*.npz'; do
+for pattern in 'syn__tfidf__*.npz' 'syn__tfidf__pca-off__rf.npz' 'syn__wv__*.npz'; do
   model=$(ls "$work"/out/models/$pattern | head -n 1)
   name=$(basename "$model" .npz)
   polyemo predict --model "$model" --input "$work/data/syn/test.csv" --out "$work/predicted-$name.csv"

@@ -6,8 +6,6 @@ from .base import (
     ClassifierSpec,
     default_voting_spec,
     fit,
-    predict,
-    predict_scores,
 )
 from .mlp import Mlp, gradient_check
 from .neighbors import KNearestNeighbors
@@ -32,6 +30,4 @@ __all__ = [
     "fit",
     "gradient_check",
     "grid_search_mlp",
-    "predict",
-    "predict_scores",
 ]

@@ -137,18 +137,3 @@ def fit(spec: ClassifierSpec, x, y):
     model = cls(spec)
     model.fit(x, y)
     return model
-
-
-def predict(model, x) -> np.ndarray:
-    """Binary (n, n_labels) prediction matrix for any fitted classifier."""
-    return model.predict(x)
-
-
-def predict_scores(model, x):
-    """Scores in [0, 1] for score-producing kinds, else None.
-
-    A score strictly above 0.5 corresponds to a 1 in the binary matrix.
-    """
-    if hasattr(model, "predict_scores"):
-        return model.predict_scores(x)
-    return None

@@ -8,20 +8,21 @@ feature index and lowest threshold. A node splits as long as it is impure
 and a valid split exists, which lets the tree solve XOR-like label patterns
 whose first split has zero immediate gain.
 
-Array layout. A fitted tree is five flat arrays indexed by node id, with
+Array layout. A fitted tree is four flat arrays indexed by node id, with
 nodes numbered in preorder (a node, then its left subtree, then its right
 subtree; the root is 0): ``feature`` (int64, -1 at a leaf), ``threshold``
-(float64, 0.0 at a leaf), ``left`` and ``right`` (int64 child ids, -1 at a
-leaf) and ``value`` (int64, ``(n_nodes, n_labels)``, the 0/1 prediction at a
-leaf and zeros elsewhere). Samples with ``x[feature] <= threshold`` go left.
-A random forest is the same five arrays with its trees concatenated in fit
-order, child ids made global (a tree's ids are offset by the node count of
+(float64, 0.0 at a leaf), ``right`` (int64 child id, -1 at a leaf) and
+``value`` (int64, ``(n_nodes, n_labels)``, the 0/1 prediction at a leaf and
+zeros elsewhere). In preorder a node's left child is ``node + 1``, so no
+array holds it. Samples with ``x[feature] <= threshold`` go left. A random
+forest is the same four arrays with its trees concatenated in fit order,
+right child ids made global (a tree's ids are offset by the node count of
 the trees before it), plus ``sizes``, the node count of each tree; tree
-``t`` has its root at ``sizes[:t].sum()``. In preorder a node's left child
-is ``node + 1``, so the model file stores only what cannot be derived: the
-feature, threshold and right child of each internal node, one node-kind
-bit per node and the packed leaf values, plus a forest's ``sizes`` (see
-``serialize``); a forest is six arrays whatever its tree count.
+``t`` has its root at ``sizes[:t].sum()``. The model file stores only what
+cannot be derived: the feature, threshold and right child of each internal
+node, one node-kind bit per node and the packed leaf values, plus a
+forest's ``sizes`` (see ``serialize``); a forest is six arrays whatever its
+tree count.
 
 Prediction. One walker serves both models: every (tree, row) pair starts at
 its tree's root and all pairs step down one level per iteration until they
@@ -130,7 +131,7 @@ def _best_split(xt, y, idx, features, counts):
 
 
 def _grow_tree(x, y, min_samples_split, max_depth, max_features, rng):
-    """The five preorder node arrays of a tree fitted to (x, y)."""
+    """The four preorder node arrays of a tree fitted to (x, y)."""
     n_features = x.shape[1]
     n_labels = y.shape[1]
     if max_features is None:
@@ -142,17 +143,18 @@ def _grow_tree(x, y, min_samples_split, max_depth, max_features, rng):
     xt = np.ascontiguousarray(x.T)
     all_features = np.arange(n_features)
 
-    feature, threshold, left, right = [], [], [], []
+    feature, threshold, right = [], [], []
     leaves, leaf_counts, leaf_sizes = [], [], []
-    # (sample rows, their label counts, depth, parent id, child slot of the
-    # parent); popping in stack order visits nodes in preorder, so a node's id
-    # is its pop count
-    stack = [(np.arange(x.shape[0]), y.sum(axis=0), 0, -1, None)]
+    # (sample rows, their label counts, depth, the node whose right child this
+    # is or -1 for a left child); popping in stack order visits nodes in
+    # preorder, so a node's id is its pop count and a left child's is its
+    # parent's plus one
+    stack = [(np.arange(x.shape[0]), y.sum(axis=0), 0, -1)]
     while stack:
-        idx, counts, depth, parent, slot = stack.pop()
+        idx, counts, depth, parent = stack.pop()
         node = len(feature)
         if parent >= 0:
-            slot[parent] = node
+            right[parent] = node
         n = idx.size
         pure = all(c == 0 or c == n for c in counts.tolist())
         best = None
@@ -163,8 +165,7 @@ def _grow_tree(x, y, min_samples_split, max_depth, max_features, rng):
             else:
                 features = all_features
             best = _best_split(xt, y, idx, features, counts)
-        left.append(-1)  # set when the children are popped
-        right.append(-1)
+        right.append(-1)  # set when the right child is popped
         if best is None:
             feature.append(-1)
             threshold.append(0.0)
@@ -176,15 +177,14 @@ def _grow_tree(x, y, min_samples_split, max_depth, max_features, rng):
         feature.append(f)
         threshold.append(split)
         # right pushed first so the left branch is grown first (rng order)
-        stack.append((right_rows, counts - left_counts, depth + 1, node, right))
-        stack.append((left_rows, left_counts, depth + 1, node, left))
+        stack.append((right_rows, counts - left_counts, depth + 1, node))
+        stack.append((left_rows, left_counts, depth + 1, -1))
     value = np.zeros((len(feature), n_labels), dtype=np.int64)
     # per-label majority at each leaf; an exact tie goes to 0
     value[leaves] = 2 * np.array(leaf_counts) > np.array(leaf_sizes)[:, None]
     return (
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),
-        np.array(left, dtype=np.int64),
         np.array(right, dtype=np.int64),
         value,
     )
@@ -209,10 +209,21 @@ def _votes(model, x) -> np.ndarray:
             inner = f >= 0
             live, at, f = live[inner], at[inner], f[inner]
             go_left = block[rows[live], f] <= model.threshold[at]
-            node[live] = np.where(go_left, model.left[at], model.right[at])
+            node[live] = np.where(go_left, at + 1, model.right[at])
         leaves = model.value[node].reshape(roots.size, block.shape[0], -1)
         votes[start : start + block.shape[0]] = leaves.sum(axis=0)
     return votes
+
+
+def _depth(model) -> int:
+    """Edges on the longest root-to-leaf path of any of ``model``'s trees."""
+    level, frontier = 0, model.roots
+    while True:
+        frontier = frontier[model.feature[frontier] >= 0]
+        if frontier.size == 0:
+            return level
+        frontier = np.concatenate([frontier + 1, model.right[frontier]])
+        level += 1
 
 
 class DecisionTree:
@@ -221,7 +232,7 @@ class DecisionTree:
     def __init__(self, spec: ClassifierSpec | None = None):
         self.spec = spec or ClassifierSpec(kind="dt")
         # the preorder node arrays; see the module docstring
-        self.feature = self.threshold = self.left = self.right = self.value = None
+        self.feature = self.threshold = self.right = self.value = None
         self.input_dim = 0
         self.n_labels = 0
 
@@ -232,7 +243,7 @@ class DecisionTree:
         hp = self.spec.resolved_hyperparameters()
         if rng is None:
             rng = np.random.default_rng(self.spec.seed)
-        self.feature, self.threshold, self.left, self.right, self.value = _grow_tree(
+        self.feature, self.threshold, self.right, self.value = _grow_tree(
             x,
             y,
             min_samples_split=hp["min_samples_split"],
@@ -246,43 +257,18 @@ class DecisionTree:
         x = check_input_dim(self, x)
         return _votes(self, x)
 
-    def depth(self) -> int:
-        """Edges on the longest root-to-leaf path."""
-        level, frontier = 0, np.array([0])
-        while True:
-            frontier = frontier[self.feature[frontier] >= 0]
-            if frontier.size == 0:
-                return level
-            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
-            level += 1
+    depth = _depth
 
 
 class RandomForest:
-    """Bagging of multi-output trees with per-split feature subsampling.
-
-    The fitted trees are held packed (see the module docstring); ``trees``
-    gives them back as separate ``DecisionTree`` objects.
-    """
+    """Bagging of multi-output trees with per-split feature subsampling, held packed (see the module docstring)."""
 
     def __init__(self, spec: ClassifierSpec | None = None):
         self.spec = spec or ClassifierSpec(kind="rf")
-        self.feature = self.threshold = self.left = self.right = self.value = None
+        self.feature = self.threshold = self.right = self.value = None
         self.sizes = None
         self.input_dim = 0
         self.n_labels = 0
-        self._trees = None
-
-    def _tree_spec(self) -> ClassifierSpec:
-        hp = self.spec.resolved_hyperparameters()
-        return ClassifierSpec(
-            kind="dt",
-            hyperparameters={
-                "max_depth": hp["max_depth"],
-                "min_samples_split": hp["min_samples_split"],
-                "max_features": hp["max_features"],
-            },
-            seed=self.spec.seed,
-        )
 
     def fit(self, x, y):
         x, y = validate_training_data(x, y)
@@ -290,61 +276,36 @@ class RandomForest:
         self.n_labels = y.shape[1]
         hp = self.spec.resolved_hyperparameters()
         rng = np.random.default_rng(self.spec.seed)
-        tree_spec = self._tree_spec()
+        tree_spec = ClassifierSpec(
+            kind="dt",
+            hyperparameters={name: hp[name] for name in ("max_depth", "min_samples_split", "max_features")},
+            seed=self.spec.seed,
+        )
         n = x.shape[0]
         trees = []
         for _ in range(int(hp["n_estimators"])):
             idx = rng.integers(0, n, size=n) if hp["bootstrap"] else np.arange(n)
             trees.append(DecisionTree(tree_spec).fit(x[idx], y[idx], rng=rng))
-        self.trees = trees
+        self._pack(trees)
         return self
 
     @property
     def roots(self) -> np.ndarray:
         return np.cumsum(self.sizes) - self.sizes
 
-    @property
-    def trees(self) -> list[DecisionTree]:
-        """The packed trees as separate DecisionTrees, built once per packing."""
-        if self._trees is None and self.sizes is not None:
-            spec = self._tree_spec()
-            self._trees = []
-            for root, size in zip(self.roots.tolist(), self.sizes.tolist()):
-                tree = DecisionTree(spec)
-                tree.input_dim, tree.n_labels = self.input_dim, self.n_labels
-                nodes = slice(root, root + size)
-                tree.feature = self.feature[nodes]
-                tree.threshold = self.threshold[nodes]
-                tree.left = np.where(self.left[nodes] >= 0, self.left[nodes] - root, -1)
-                tree.right = np.where(self.right[nodes] >= 0, self.right[nodes] - root, -1)
-                tree.value = self.value[nodes]
-                self._trees.append(tree)
-        return list(self._trees or ())
-
-    @trees.setter
-    def trees(self, trees) -> None:
-        """Pack ``trees``, in order, into the forest's node arrays."""
-        trees = list(trees)
+    def _pack(self, trees) -> None:
+        """Pack fitted ``trees``, in order, into the forest's node arrays."""
         if not trees:
             raise ConfigError("a random forest needs at least one tree")
         self.sizes = np.array([t.feature.size for t in trees], dtype=np.int64)
-        offsets = (np.cumsum(self.sizes) - self.sizes).tolist()
         self.feature = np.concatenate([t.feature for t in trees])
         self.threshold = np.concatenate([t.threshold for t in trees])
-        self.left = np.concatenate([np.where(t.left >= 0, t.left + o, -1) for t, o in zip(trees, offsets)])
-        self.right = np.concatenate([np.where(t.right >= 0, t.right + o, -1) for t, o in zip(trees, offsets)])
+        right = np.concatenate([t.right for t in trees])
+        self.right = np.where(right >= 0, right + np.repeat(self.roots, self.sizes), -1)
         self.value = np.concatenate([t.value for t in trees])
-        self._trees = None
 
     def predict(self, x) -> np.ndarray:
         x = check_input_dim(self, x)
         return (2 * _votes(self, x) > self.sizes.size).astype(np.int64)
 
-
-def trees_of(model) -> list[DecisionTree]:
-    """Every decision tree inside ``model``: itself, a forest's trees, voting members' trees."""
-    if isinstance(model, DecisionTree):
-        return [model]
-    if isinstance(model, RandomForest):
-        return model.trees
-    return [tree for member in getattr(model, "members", ()) for tree in trees_of(member)]
+    depth = _depth

@@ -65,8 +65,7 @@ from .evaluate import (
     time_run,
 )
 from .learn import CLASSIFIER_KINDS, ClassifierSpec, default_voting_spec, enumerate_grid
-from .learn import fit, grid_search_mlp
-from .learn.tree import trees_of
+from .learn import DecisionTree, RandomForest, fit, grid_search_mlp
 from .pipeline import PipelineModel, read_predictions, write_predictions
 from .reduce import ReductionConfig, fit_pca
 from .sparse_features import TfidfModel, fit_bow, fit_tfidf, save_vocabulary
@@ -774,8 +773,11 @@ def _json_value(value):
 def _write_cell_record(
     cfg: ExperimentConfig, cell: Cell, report: EvalReport, fingerprint: str, model=None
 ) -> None:
-    """One line of JSON per cell: the report's fields, tree sizes off the fitted model's trees."""
-    trees = trees_of(model) if model is not None else []
+    """One line of JSON per cell: the report's fields and the node count and depth of the model's trees.
+
+    Those are the model itself if it is a tree or forest, else its voting members that are.
+    """
+    trees = [m for m in getattr(model, "members", [model]) if isinstance(m, (DecisionTree, RandomForest))]
     record = {
         "name": cell.name,
         **_json_value(asdict(report)),

@@ -19,21 +19,20 @@ an object node whose fields are not those or hold another kind, before
 any decoder calls a method on them or a learner indexes them.
 
 Layout (format 8). A decision tree stores only what its reader cannot
-derive from the rest (see ``learn.tree`` for the five preorder node
+derive from the rest (see ``learn.tree`` for the four preorder node
 arrays it holds in memory): the ``feature``, ``threshold`` and ``right``
 child of each internal node, its node-kind bits (``np.packbits(feature >=
 0)``, pad bits zero) and its leaf values, 0 or 1 per label, packed along
-each leaf's labels by ``np.packbits``. ``left`` is not stored: in preorder
-a node's left child is ``node + 1``, and a save refuses a tree where it is
-not. A random forest is the same with its trees packed end to end, child
-ids global, plus ``sizes``, the node count of each tree: six members
-whatever its tree count. A decision tree's node count is twice its
-internal nodes plus one. The load checks the node-kind bits (as many as
-the nodes, zero pad bits, as many set as internal nodes are stored), every
-feature (in ``[0, input_dim)``), every right child (after ``node + 1`` and
-before the end of its tree) and the leaf values (one row per leaf), so
-node ids rise along every path and a walk stays in its tree; then it
-rebuilds the five arrays bit for bit, read-only.
+each leaf's labels by ``np.packbits``. A random forest is the same with
+its trees packed end to end, right child ids global, plus ``sizes``, the
+node count of each tree: six members whatever its tree count. A decision
+tree's node count is twice its internal nodes plus one. The load checks
+the node-kind bits (as many as the nodes, zero pad bits, as many set as
+internal nodes are stored), every feature (in ``[0, input_dim)``), every
+right child (after ``node + 1`` and before the end of its tree) and the
+leaf values (one row per leaf), so node ids rise along every path and a
+walk stays in its tree; then it rebuilds the four arrays bit for bit,
+read-only.
 
 A token list is one uint8 member holding the UTF-8 bytes of its tokens
 joined by newlines: a vocabulary is that member (in column order) plus its
@@ -128,7 +127,8 @@ another kind, a member the structure names but the file lacks, a token
 list of a table that is not UTF-8, sorted and distinct, a table plane of
 the wrong dtype or shape or with nonzero pad bits, a negative-zero index
 that names a set bit, a shuffled member that is not 8 planes of its
-values, tree arrays that fail the checks above) is a FormatError naming
+values, tree arrays that fail the checks above, a vocabulary's document
+frequencies other than one per token) is a FormatError naming
 the file and the member, never a traceback.
 """
 
@@ -631,9 +631,15 @@ def _encode_vocabulary(v):
 
 def _decode_vocabulary(f):
     tokens = _member_tokens(f["tokens"])
+    frequencies = f["document_frequency"]
+    if frequencies.shape != (len(tokens),):
+        raise _MemberError(
+            f"document frequencies must be 1-D, one per token: shape {frequencies.shape} for {len(tokens)} tokens",
+            "document_frequency",
+        )
     return Vocabulary(
         index={t: i for i, t in enumerate(tokens)},
-        document_frequency=dict(zip(tokens, f["document_frequency"].tolist())),
+        document_frequency=dict(zip(tokens, frequencies.tolist())),
         corpus_size=f["corpus_size"],
     )
 
@@ -822,26 +828,16 @@ def _decode_pipeline(f):
     return PipelineModel(**{**f, "tokenizer_vocab": _member_tokens(f["tokenizer_vocab"])})
 
 
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+TREE_ARRAYS = ("feature", "threshold", "right", "value")
 # what a tree or forest stores of its node arrays: each internal node's feature, threshold and
 # right child, the node-kind bits and the packed leaf values
 _TREE = {name: np.ndarray for name in ("feature", "threshold", "right", "node_kinds", "leaf_values")}
 
 
 def _tree_layout(model) -> dict:
-    """The stored arrays of a decision tree, or of a forest's packed trees (see the module docstring).
-
-    The node arrays are laid out as ``learn.tree`` fits them, so the decoder
-    rebuilds them bit for bit; a tree whose ``left`` is not ``node + 1`` at
-    every internal node is a ConfigError.
-    """
-    feature, threshold, left, right, value = (getattr(model, name) for name in TREE_ARRAYS)
+    """The stored arrays of a decision tree, or of a forest's packed trees (see the module docstring)."""
+    feature, threshold, right, value = (getattr(model, name) for name in TREE_ARRAYS)
     inner = feature >= 0
-    nodes = np.flatnonzero(inner)
-    if not np.array_equal(left[inner], nodes + 1):
-        raise ConfigError(
-            f"cannot serialize a {type(model).__name__} whose left child is not node + 1 at every internal node"
-        )
     leaf = ~inner
     return {
         "feature": feature[inner],
@@ -865,7 +861,7 @@ _TREE_ENCODINGS = {name: _tree_member(name) for name in _TREE}
 
 
 def _decode_tree(f, sizes) -> tuple[np.ndarray, ...]:
-    """The five read-only node arrays of a stored tree; FormatError naming the member at fault.
+    """The four read-only node arrays of a stored tree; FormatError naming the member at fault.
 
     ``sizes`` is a forest's node count per tree, None for a decision tree,
     whose node count is twice its internal nodes plus one. The node-kind
@@ -922,9 +918,8 @@ def _decode_tree(f, sizes) -> tuple[np.ndarray, ...]:
     ends = n if sizes is None else np.repeat(np.cumsum(sizes), sizes)[nodes]
     if not ((nodes + 1 < right) & (right < ends)).all():
         raise _MemberError("tree right child outside (node + 1, end of its tree)", "right")
-    arrays = {name: np.full(n, -1, dtype=np.int64) for name in ("feature", "left", "right")}
+    arrays = {name: np.full(n, -1, dtype=np.int64) for name in ("feature", "right")}
     arrays["feature"][nodes] = feature
-    arrays["left"][nodes] = nodes + 1
     arrays["right"][nodes] = right
     arrays["threshold"] = np.zeros(n)
     arrays["threshold"][nodes] = threshold
@@ -973,7 +968,7 @@ def _learner_codec(cls, fitted_attr, state):
         for name in attributes:
             setattr(model, name, f[name])
         if trees:
-            model.feature, model.threshold, model.left, model.right, model.value = _decode_tree(f, f.get("sizes"))
+            model.feature, model.threshold, model.right, model.value = _decode_tree(f, f.get("sizes"))
         return model
 
     return encode, decode, {"spec": ClassifierSpec, **state}

@@ -15,6 +15,7 @@ from polyemo import atomic, runner, serialize
 from polyemo.corpus import load_split
 from polyemo.errors import ConfigError, FormatError
 from polyemo.evaluate import ConfusionRates, EvalReport, TimingRecord, f1_macro
+from polyemo.learn import ClassifierSpec, fit
 from polyemo.pipeline import read_predictions
 from polyemo.runner import (
     Cell,
@@ -338,6 +339,34 @@ class TestRunMatrix:
                 assert record["tree_nodes"] == 0
                 assert record["tree_depth"] is None
         assert "tree" not in (cfg.out_dir / "report.csv").read_text(encoding="utf-8")
+
+    def test_cell_record_sizes_every_tree_member(self, synthetic_dir, tmp_path):
+        # a voting model's dt and rf members count, its knn member does not
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(30, 4)).round(2), rng.integers(0, 2, size=(30, 3))
+        members = (
+            ClassifierSpec(kind="knn"),
+            ClassifierSpec(kind="dt"),
+            ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 4}),
+        )
+        voting = fit(ClassifierSpec(kind="voting", members=members), x, y)
+        knn, dt, rf = voting.members
+        cfg = parse(base_raw(synthetic_dir, tmp_path / "out"))
+        cell = enumerate_cells(cfg)[0]
+        report = EvalReport(
+            language="syn", representation="bow", classifier="voting", pca=False,
+            f1_macro=0.5, rates=None, timing=TimingRecord(1.0, 0.5, 1.5),
+        )
+        for model, nodes, depth in [
+            (voting, dt.feature.size + rf.feature.size, max(dt.depth(), rf.depth())),
+            (rf, rf.feature.size, rf.depth()),
+            (knn, 0, None),
+            (None, 0, None),
+        ]:
+            _write_cell_record(cfg, cell, report, "fingerprint", model)
+            record = json.loads((cfg.out_dir / "cells" / f"{cell.name}.json").read_text(encoding="utf-8"))
+            assert (record["tree_nodes"], record["tree_depth"]) == (nodes, depth)
+        assert rf.feature.size > rf.sizes.size > 1 and rf.depth() > 0
 
     def test_timing_views_written_single_worker(self, matrix_out):
         cfg, _ = matrix_out

@@ -133,7 +133,7 @@ class TestClassifierRoundTrips:
         save_model(model, tmp_path / "dt.npz")
         restored = load_model(tmp_path / "dt.npz")
         assert restored.depth() == model.depth()
-        for name in ("feature", "threshold", "left", "right", "value"):
+        for name in ("feature", "threshold", "right", "value"):
             a, b = getattr(model, name), getattr(restored, name)
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
@@ -176,7 +176,7 @@ class TestFormatThreeLayout:
             path = tmp_path / f"voting{n_trees}.npz"
             save_model(fit(ClassifierSpec(kind="voting", members=members), x, y), path)
             counts.append(len(read_model(path)[0]["members"]))
-            assert len(load_model(path).members[2].trees) == n_trees
+            assert load_model(path).members[2].sizes.size == n_trees
         assert counts[0] == counts[1]
 
     def test_no_token_passes_through_the_metadata(self, rng, tmp_path):
@@ -1167,6 +1167,21 @@ class TestDamagedFiles:
         with pytest.raises(FormatError, match=re.escape(where) + ".*" + re.escape(message)):
             load_model(path)
 
+    @pytest.mark.parametrize("cut", [lambda df: df[:2], lambda df: df[:, None]], ids=["two-of-ten", "2-d"])
+    def test_document_frequencies_not_one_per_token_refused(self, cut, rng, tmp_path, capsys):
+        # once such a model loaded and predicted, and a re-save failed with a KeyError
+        path = tmp_path / "tfidf.npz"
+        save_model(fitted_pipeline("tfidf", ClassifierSpec(kind="dt"), rng), path)
+        header, arrays = read_model(path)
+        member = header["root"]["fields"]["tfidf"]["fields"]["vocabulary"]["fields"]["document_frequency"]["member"]
+        assert arrays[member].shape == (10,)
+        arrays[member] = cut(arrays[member])
+        write_model(path, header["root"], arrays)
+        where = re.escape(f"{path}: member {member}: ") + ".*" + re.escape("one per token")
+        with pytest.raises(FormatError, match=where):
+            load_model(path)
+        assert_predict_refuses(path, f"member {member}: ", "one per token", tmp_path, capsys)
+
     def test_damaged_model_is_a_cli_error_not_a_traceback(self, rng, tmp_path, capsys):
         from polyemo.cli import main
 
@@ -1346,18 +1361,6 @@ class TestTreeLayout:
         assert sizes["feature"] == sizes["threshold"] == sizes["right"] == (internal,)
         assert sizes["node_kinds"] == (-(-model.feature.size // 8),)
         assert sizes["leaf_values"] == (model.feature.size - internal, -(-labels // 8))
-
-    def test_left_child_other_than_the_next_node_refused_on_save(self, rng, tmp_path):
-        x, y = small_problem(rng, n=40)
-        model = DecisionTree().fit(x, y)
-        root_left, root_right = model.left[0], model.right[0]
-        assert root_left == 1
-        model.left = model.left.copy()
-        model.right = model.right.copy()
-        model.left[0], model.right[0] = root_right, root_left  # the same tree, its root's children swapped
-        with pytest.raises(ConfigError, match="left child is not node \\+ 1"):
-            save_model(model, tmp_path / "dt.npz")
-        assert not (tmp_path / "dt.npz").exists()
 
 
 def first_leaf_marked_internal(kinds, fields, arrays):

@@ -13,7 +13,6 @@ from polyemo.errors import ConfigError, DataError, ShapeError
 from polyemo.learn import ClassifierSpec, DecisionTree, RandomForest, fit
 from polyemo.learn import tree as tree_module
 from polyemo.learn.base import as_dense, validate_training_data
-from polyemo.learn.tree import trees_of
 from polyemo.reduce import ReductionConfig, fit_pca, normalize_rows, transform_pca
 from polyemo.sparse_features import TfidfModel, fit_bow, fit_tfidf, transform_tfidf
 from polyemo.synthetic import build_corpus, write_word_vectors
@@ -230,7 +229,7 @@ class TestRandomForest:
         forest = RandomForest(ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 2}))
         forest.input_dim = 1
         forest.n_labels = 1
-        forest.trees = [ones, zeros]
+        forest._pack([ones, zeros])
         np.testing.assert_array_equal(forest.predict(x), [[0], [0]])
 
     def test_majority_vote_odd_members(self):
@@ -240,7 +239,7 @@ class TestRandomForest:
         forest = RandomForest(ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 3}))
         forest.input_dim = 1
         forest.n_labels = 1
-        forest.trees = [ones, ones, zeros]
+        forest._pack([ones, ones, zeros])
         np.testing.assert_array_equal(forest.predict(x), [[1]])
 
     def test_deterministic_given_seed(self, rng):
@@ -255,7 +254,7 @@ class TestRandomForest:
         spec = ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 5})
         model = fit(spec, x, y)
         assert isinstance(model, RandomForest)
-        assert len(model.trees) == 5
+        assert model.sizes.size == 5
         assert model.predict(x).shape == y.shape
 
 
@@ -368,11 +367,32 @@ def _ref_forest_arrays(x, y, n_estimators, seed):
     return trees
 
 
-def assert_same_tree(tree, want):
-    for name, a in zip(("feature", "threshold", "left", "right", "value"), want):
-        got = getattr(tree, name)
-        assert got.dtype == a.dtype, name
-        np.testing.assert_array_equal(got, a, err_msg=name)
+NODE_ARRAYS = ("feature", "threshold", "right", "value")
+
+
+def tree_arrays(model):
+    """Each tree of a DecisionTree or RandomForest as its node arrays, right child ids local to the tree."""
+    sizes = model.sizes.tolist() if isinstance(model, RandomForest) else [model.feature.size]
+    trees = []
+    for root, size in zip(model.roots.tolist(), sizes, strict=True):
+        feature, threshold, right, value = (getattr(model, name)[root : root + size] for name in NODE_ARRAYS)
+        trees.append((feature, threshold, np.where(right >= 0, right - root, -1), value))
+    return trees
+
+
+def assert_same_arrays(got, want):
+    """Two trees' node arrays, in ``NODE_ARRAYS`` order, of equal dtypes and values."""
+    for name, a, b in zip(NODE_ARRAYS, got, want, strict=True):
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def assert_same_tree(got, want):
+    """``got``'s node arrays equal the reference's ``want``, in whose preorder the left child is node + 1."""
+    feature, threshold, left, right, value = want
+    inner = feature >= 0
+    np.testing.assert_array_equal(left[inner], np.flatnonzero(inner) + 1, err_msg="left")
+    assert_same_arrays(got, (feature, threshold, right, value))
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +441,7 @@ class TestBitExactAgainstReference:
         xs, y = synthetic_features
         x = xs[features]
         tree = DecisionTree(ClassifierSpec(kind="dt", seed=5)).fit(x, y)
-        assert_same_tree(tree, _ref_tree_arrays(_ref_grow_tree(x, y, None, None), y.shape[1]))
+        assert_same_tree(*tree_arrays(tree), _ref_tree_arrays(_ref_grow_tree(x, y, None, None), y.shape[1]))
 
     @pytest.mark.parametrize("features", FEATURE_SETS)
     def test_random_forest(self, synthetic_features, features):
@@ -429,26 +449,24 @@ class TestBitExactAgainstReference:
         x = xs[features]
         spec = ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 30}, seed=11)
         forest = RandomForest(spec).fit(x, y)
-        want = _ref_forest_arrays(x, y, 30, 11)
-        assert len(forest.trees) == len(want)
-        for tree, arrays in zip(forest.trees, want):
+        for tree, arrays in zip(tree_arrays(forest), _ref_forest_arrays(x, y, 30, 11), strict=True):
             assert_same_tree(tree, arrays)
 
     @given(problem=tied_problems(), seed=st.integers(0, 2**16))
     def test_ties_and_duplicate_rows(self, problem, seed):
         x, y = problem
         tree = DecisionTree(ClassifierSpec(kind="dt", seed=seed)).fit(x, y)
-        assert_same_tree(tree, _ref_tree_arrays(_ref_grow_tree(x, y, None, None), y.shape[1]))
-        spec = ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 5}, seed=seed)
-        for tree, arrays in zip(RandomForest(spec).fit(x, y).trees, _ref_forest_arrays(x, y, 5, seed), strict=True):
+        assert_same_tree(*tree_arrays(tree), _ref_tree_arrays(_ref_grow_tree(x, y, None, None), y.shape[1]))
+        forest = RandomForest(ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 5}, seed=seed)).fit(x, y)
+        for tree, arrays in zip(tree_arrays(forest), _ref_forest_arrays(x, y, 5, seed), strict=True):
             assert_same_tree(tree, arrays)
 
     def test_one_column_blocks_keep_the_forest(self, synthetic_features, monkeypatch):
         xs, y = synthetic_features
         x = xs["tfidf-pca-off"]
         monkeypatch.setattr(tree_module, "SPLIT_BLOCK_CELLS", 1)  # one feature per block
-        spec = ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 10}, seed=11)
-        for tree, arrays in zip(RandomForest(spec).fit(x, y).trees, _ref_forest_arrays(x, y, 10, 11), strict=True):
+        forest = RandomForest(ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 10}, seed=11)).fit(x, y)
+        for tree, arrays in zip(tree_arrays(forest), _ref_forest_arrays(x, y, 10, 11), strict=True):
             assert_same_tree(tree, arrays)
 
     def test_block_size_does_not_change_trees(self, synthetic_features, monkeypatch):
@@ -457,72 +475,74 @@ class TestBitExactAgainstReference:
         whole = DecisionTree().fit(x, y)
         monkeypatch.setattr(tree_module, "SPLIT_BLOCK_CELLS", 1)  # one feature per block
         blocked = DecisionTree().fit(x, y)
-        assert_same_tree(blocked, [whole.feature, whole.threshold, whole.left, whole.right, whole.value])
+        assert_same_arrays(*tree_arrays(blocked), *tree_arrays(whole))
 
 
 class TestTreeArrays:
     def test_preorder_layout(self):
         model = DecisionTree().fit(XOR_X, XOR_Y)
         np.testing.assert_array_equal(model.feature, [0, 1, -1, -1, 1, -1, -1])
-        np.testing.assert_array_equal(model.left, [1, 2, -1, -1, 5, -1, -1])
         np.testing.assert_array_equal(model.right, [4, 3, -1, -1, 6, -1, -1])
         np.testing.assert_array_equal(model.value[:, 0], [0, 0, 0, 1, 0, 1, 0])
         assert model.depth() == 2
 
-    def test_trees_of_counts_every_member(self, rng):
-        x, y = random_problem(rng, n=30, d=4)
-        members = (
-            ClassifierSpec(kind="knn"),
-            ClassifierSpec(kind="dt"),
-            ClassifierSpec(kind="rf", hyperparameters={"n_estimators": 4}),
-        )
-        voting = fit(ClassifierSpec(kind="voting", members=members), x, y)
-        trees = trees_of(voting)
-        assert trees[0] is voting.members[1]
-        assert trees[1:] == voting.members[2].trees
-        assert trees_of(voting.members[0]) == []
-
 
 def _walk_one(tree, row):
-    """The leaf value one row reaches in one tree, followed node by node."""
+    """The leaf value one row reaches in one tree's node arrays, followed node by node; left is node + 1."""
+    feature, threshold, right, value = tree
     node = 0
-    while tree.feature[node] >= 0:
-        go_left = row[tree.feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
-    return tree.value[node]
+    while feature[node] >= 0:
+        node = node + 1 if row[feature[node]] <= threshold[node] else right[node]
+    return value[node]
+
+
+def _depth_one(tree, node=0):
+    """Edges on the longest path down from ``node`` of one tree's node arrays."""
+    feature, _, right, _ = tree
+    if feature[node] < 0:
+        return 0
+    return 1 + max(_depth_one(tree, node + 1), _depth_one(tree, right[node]))
 
 
 class TestPackedForest:
     def fitted(self, rng, n_estimators=9):
         x, y = random_problem(rng, n=40, d=5, n_labels=4)
         spec = ClassifierSpec(kind="rf", hyperparameters={"n_estimators": n_estimators}, seed=2)
-        return RandomForest(spec).fit(x, y), np.vstack([x, rng.normal(size=(25, 5)).round(2)])
+        return RandomForest(spec).fit(x, y), x, y, np.vstack([x, rng.normal(size=(25, 5)).round(2)])
 
     @pytest.mark.parametrize("block", [1, 7, 1024])
     def test_predict_equals_sum_of_per_tree_walks(self, rng, monkeypatch, block):
-        forest, q = self.fitted(rng)
+        forest, x, y, q = self.fitted(rng)
         monkeypatch.setattr(tree_module, "PREDICT_BLOCK_ROWS", block)
-        votes = np.array([sum(_walk_one(t, row) for t in forest.trees) for row in q])
+        votes = np.array([sum(_walk_one(t, row) for t in tree_arrays(forest)) for row in q])
         np.testing.assert_array_equal(tree_module._votes(forest, q), votes)
         np.testing.assert_array_equal(forest.predict(q), (2 * votes > 9).astype(np.int64))
-        for tree in forest.trees[:3]:
-            np.testing.assert_array_equal(tree.predict(q), [_walk_one(tree, row) for row in q])
+        for seed in range(3):
+            spec = ClassifierSpec(kind="dt", hyperparameters={"max_features": "sqrt"}, seed=seed)
+            tree = DecisionTree(spec).fit(x, y)
+            np.testing.assert_array_equal(tree.predict(q), [_walk_one(tree_arrays(tree)[0], row) for row in q])
+
+    def test_depth_is_the_deepest_tree(self, rng):
+        forest, *_ = self.fitted(rng)
+        depths = [_depth_one(tree) for tree in tree_arrays(forest)]
+        assert len(set(depths)) > 1
+        assert forest.depth() == max(depths)
 
     def test_packed_layout(self, rng):
-        forest, _ = self.fitted(rng)
-        trees = forest.trees
+        _, x, y, _ = self.fitted(rng)
+        trees = [DecisionTree(ClassifierSpec(kind="dt", seed=seed)).fit(x[seed:], y[seed:]) for seed in range(4)]
+        forest = RandomForest()
+        forest._pack(trees)
         assert forest.sizes.tolist() == [t.feature.size for t in trees]
         assert forest.feature.size == forest.sizes.sum()
         for root, tree in zip(forest.roots, trees):
             nodes = slice(root, root + tree.feature.size)
-            inner = tree.feature >= 0  # child ids are global; leaves keep -1
-            np.testing.assert_array_equal(forest.left[nodes][inner], tree.left[inner] + root)
+            inner = tree.feature >= 0  # right child ids are global; leaves keep -1
+            np.testing.assert_array_equal(forest.right[nodes][inner], tree.right[inner] + root)
             np.testing.assert_array_equal(forest.right[nodes][~inner], -1)
-        before = [getattr(forest, name).copy() for name in ("feature", "threshold", "left", "right", "value")]
-        forest.trees = trees  # repacking the unpacked trees is the identity
-        for name, want in zip(("feature", "threshold", "left", "right", "value"), before):
-            assert getattr(forest, name).dtype == want.dtype
-            np.testing.assert_array_equal(getattr(forest, name), want)
+        # slicing the packed trees back out is the identity
+        for tree, arrays in zip(trees, tree_arrays(forest), strict=True):
+            assert_same_arrays(arrays, *tree_arrays(tree))
 
 
 class TestSpecValidation:
