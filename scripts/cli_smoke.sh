@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `polyemo` command: a run, a resumed run in which
 # every cell must be reused, an ablation that must write its paired tables,
-# predictions with a saved tf-idf tree, a saved tf-idf random forest and a
-# saved word-vector model (whose table keeps its byte planes and restores the
-# rows a request reads, read from a vector file whose tokens are unsorted and
-# hold one duplicate) that must
-# each equal the run's own prediction file, a run of the config saved with a
+# predictions with a saved tf-idf tree, a saved tf-idf random forest, a saved
+# word-vector model (whose table keeps its byte planes and restores the rows a
+# request reads, read from a vector file whose tokens are unsorted and hold one
+# duplicate) and a saved word-vector kNN with PCA that must each equal the
+# run's own prediction file, a run of the config saved with a
 # byte-order mark that must exit 0 and write the same report, three malformed
 # input files (a vector file, a vocabulary and a config that is not UTF-8), a
 # zip archive as models of format 1 to 6 were, and a saved model whose prefix
@@ -89,7 +89,7 @@ for table in views/ablation_f1.syn.csv views/ablation_f1.syn.txt timing/ablation
 done
 
 names=""
-for pattern in 'syn__tfidf__*.npz' 'syn__tfidf__pca-off__rf.npz' 'syn__wv__*.npz'; do
+for pattern in 'syn__tfidf__*.npz' 'syn__tfidf__pca-off__rf.npz' 'syn__wv__*.npz' 'syn__wv__pca-on__knn.npz'; do
   model=$(ls "$work"/out/models/$pattern | head -n 1)
   name=$(basename "$model" .npz)
   polyemo predict --model "$model" --input "$work/data/syn/test.csv" --out "$work/predicted-$name.csv"

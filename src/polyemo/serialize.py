@@ -16,7 +16,11 @@ codecs of their own. The table also names the fields each encoder writes,
 each with the kind of value a load must find in it (an array, a number, a
 string, an object of a given type, or a list of such), and a load refuses
 an object node whose fields are not those or hold another kind, before
-any decoder calls a method on them or a learner indexes them.
+any decoder calls a method on them or a learner indexes them. A learner's
+entry may add a check of its decoded fields: a kNN's ``x`` and ``y`` must
+be 2-D float64 and int64 arrays of one row per training point, of its
+``input_dim`` and ``n_labels`` columns, ``y`` holding only 0 and 1, and its
+spec a knn spec whose ``k`` is an int >= 1.
 
 Layout (format 8). A decision tree stores only what its reader cannot
 derive from the rest (see ``learn.tree`` for the four preorder node
@@ -158,6 +162,7 @@ from .learn import (
     RandomForest,
     VotingEnsemble,
 )
+from .learn.neighbors import neighbor_count
 from .pipeline import PipelineModel
 from .reduce import PcaModel
 from .sparse_features import TfidfModel, Vocabulary
@@ -930,23 +935,41 @@ def _decode_tree(f, sizes) -> tuple[np.ndarray, ...]:
     return tuple(arrays[name] for name in TREE_ARRAYS)
 
 
+def _check_neighbors(f) -> None:
+    """Refuse a kNN whose ``x`` is not 2-D float64 ``(n >= 1, input_dim)``, whose ``y`` is not 2-D int64
+    ``(n, n_labels)`` of 0 and 1, or whose spec is not a knn spec with an int ``k`` >= 1."""
+    x, y = f["x"], f["y"]
+    if x.dtype != np.float64 or x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != f["input_dim"]:
+        message = f"knn x must be 2-D float64 of shape (n >= 1, {f['input_dim']}), got {x.dtype} of shape {x.shape}"
+        raise _MemberError(message, "x")
+    if y.dtype != np.int64 or y.shape != (x.shape[0], f["n_labels"]) or not ((y == 0) | (y == 1)).all():
+        message = f"knn y must be 2-D int64 of shape ({x.shape[0]}, {f['n_labels']}) holding only 0 and 1"
+        raise _MemberError(f"{message}, got {y.dtype} of shape {y.shape}", "y")
+    if f["spec"].kind != "knn":
+        raise FormatError(f"knn spec: kind must be 'knn', got {f['spec'].kind!r}")
+    try:
+        neighbor_count(f["spec"])
+    except ConfigError as exc:
+        raise FormatError(f"knn spec: {exc}") from exc
+
+
 _LEARNER_TYPES = (DecisionTree, RandomForest, KNearestNeighbors, LinearSvm, Mlp, VotingEnsemble)
 _DIMS = {"input_dim": int, "n_labels": int}
 
 # learner class -> (the attribute that is None or empty until fitted, its stored state in file order
-# with the kind of each field)
+# with the kind of each field[, a check of the decoded fields that raises FormatError])
 _LEARNERS = {
     DecisionTree: ("feature", {**_DIMS, **_TREE}),
     RandomForest: ("sizes", {**_DIMS, "sizes": np.ndarray, **_TREE}),
-    KNearestNeighbors: ("x", {"x": np.ndarray, "y": np.ndarray, **_DIMS}),
+    KNearestNeighbors: ("x", {"x": np.ndarray, "y": np.ndarray, **_DIMS}, _check_neighbors),
     LinearSvm: ("w", {"w": np.ndarray, "b": np.ndarray, **_DIMS}),
     Mlp: ("weights", {"weights": [np.ndarray], "biases": [np.ndarray], **_DIMS}),
     VotingEnsemble: ("members", {"members": [_LEARNER_TYPES], **_DIMS}),
 }
 
 
-def _learner_codec(cls, fitted_attr, state):
-    """``spec`` then the state; decoded as ``cls(spec)`` with the state set on it.
+def _learner_codec(cls, fitted_attr, state, check=None):
+    """``spec`` then the state; decoded as ``cls(spec)`` with the state set on it, after ``check`` of the fields.
 
     A tree or forest stores its node arrays as ``_tree_layout`` gives them
     and gets them back from ``_decode_tree``.
@@ -964,6 +987,8 @@ def _learner_codec(cls, fitted_attr, state):
         return fields
 
     def decode(f):
+        if check is not None:
+            check(f)
         model = cls(f["spec"])
         for name in attributes:
             setattr(model, name, f[name])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from polyemo.errors import ConfigError, ShapeError
@@ -10,6 +12,39 @@ from polyemo.learn import ClassifierSpec, KNearestNeighbors, LinearSvm
 
 def knn_spec(k):
     return ClassifierSpec(kind="knn", hyperparameters={"k": k})
+
+
+def stable_sort_vote(model, q):
+    """The reference: the vote of the first k rows of a stable argsort of every distance."""
+    x = model.x
+    k = min(model.spec.resolved_hyperparameters()["k"], x.shape[0])
+    d2 = (q**2).sum(axis=1)[:, None] - 2.0 * q @ x.T + (x**2).sum(axis=1)[None, :]
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return (2 * model.y[neighbors].sum(axis=1) > k).astype(np.int64)
+
+
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 1e200, -1e200)
+
+
+@st.composite
+def knn_cases(draw):
+    """Points on a small integer grid, so distances tie and training rows repeat.
+
+    Queries and, as a damaged model file could hold them, training points
+    may take the ``SPECIAL`` values.
+    """
+    n, d, m = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+
+    def matrix(rows, values, columns=d):
+        cells = draw(st.lists(values, min_size=rows * columns, max_size=rows * columns))
+        return np.array(cells, dtype=float).reshape(rows, columns)
+
+    grid = st.integers(-2, 2)
+    values = st.one_of(grid, st.sampled_from(SPECIAL)) if draw(st.booleans()) else grid
+    x = matrix(n, grid)
+    damaged = matrix(n, values) if draw(st.booleans()) else x
+    y = matrix(n, st.integers(0, 1), columns=2).astype(np.int64)
+    return x, damaged, y, matrix(m, values), draw(st.integers(1, n + 2))
 
 
 class TestKNearestNeighbors:
@@ -51,6 +86,23 @@ class TestKNearestNeighbors:
     def test_k_below_one_rejected(self):
         with pytest.raises(ConfigError):
             KNearestNeighbors(knn_spec(0)).fit(np.zeros((2, 1)), np.zeros((2, 1), dtype=int))
+
+    @pytest.mark.parametrize("k", [2.5, True, "5", None], ids=["float", "bool", "str", "null"])
+    def test_k_that_is_not_an_int_rejected(self, k):
+        # these once ran as k = 2, 1 and 5, and null failed as a TypeError
+        with pytest.raises(ConfigError, match=f"k must be an integer, got {k!r}"):
+            KNearestNeighbors(knn_spec(k)).fit(np.zeros((2, 1)), np.zeros((2, 1), dtype=int))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=knn_cases())
+    def test_selection_votes_as_a_stable_sort(self, case):
+        """Ties at the k-th distance go to the lowest rows and NaN distances
+        come last, for every k up to past n."""
+        x, damaged, y, q, k = case
+        model = KNearestNeighbors(knn_spec(k)).fit(x, y)
+        model.x = damaged
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.testing.assert_array_equal(model.predict(q), stable_sort_vote(model, q))
 
     def test_matches_cdist_oracle(self, rng):
         """Blockwise distance computation agrees with a direct pairwise oracle."""

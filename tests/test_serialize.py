@@ -1465,6 +1465,81 @@ class TestDamagedTrees:
         assert_predict_refuses(path, f"member {member}: ", message, tmp_path, capsys)
 
 
+def saved_knn_fields(path, rng) -> tuple[dict, dict, list]:
+    """Save a tf-idf pipeline with a k = 3 kNN at ``path``: its header, the kNN's fields and the arrays."""
+    save_model(fitted_pipeline("tfidf", ClassifierSpec(kind="knn", hyperparameters={"k": 3}), rng), path)
+    header, arrays = read_model(path)
+    fields = header["root"]["fields"]["classifier"]["fields"]
+    assert arrays[fields["x"]["member"]].shape == (6, 6) and arrays[fields["y"]["member"]].shape == (6, 6)
+    return header, fields, arrays
+
+
+def seven_for_a_one(y):
+    y = y.copy()
+    y.flat[np.flatnonzero(y == 1)[0]] = 7
+    return y
+
+
+class TestDamagedNeighbors:
+    """A kNN's stored points and its k are checked at load; once each of these loaded, or failed as a traceback."""
+
+    @pytest.mark.parametrize(
+        "field, change, message",
+        [
+            ("y", lambda y: y[:-3], "knn y must be 2-D int64 of shape (6, 6)"),  # loaded and predicted
+            # predicted wrong labels
+            ("y", seven_for_a_one, "knn y must be 2-D int64 of shape (6, 6) holding only 0 and 1"),
+            ("y", lambda y: y[:, :3], "knn y must be 2-D int64 of shape (6, 6)"),
+            ("y", lambda y: y.astype(np.int32), "knn y must be 2-D int64"),
+            ("x", lambda x: x[:, :-2], "knn x must be 2-D float64 of shape (n >= 1, 6)"),
+            ("x", lambda x: x.ravel(), "knn x must be 2-D float64"),
+            ("x", lambda x: x[:0], "knn x must be 2-D float64 of shape (n >= 1, 6)"),
+            ("x", lambda x: x.astype(np.float32), "knn x must be 2-D float64"),
+        ],
+        ids=["y-rows", "y-seven", "y-labels", "y-dtype", "x-columns", "x-1d", "x-empty", "x-dtype"],
+    )
+    def test_points_that_do_not_fit_refused(self, field, change, message, rng, tmp_path, capsys):
+        path = tmp_path / "knn.npz"
+        header, fields, arrays = saved_knn_fields(path, rng)
+        member = fields[field]["member"]
+        arrays[member] = change(arrays[member])
+        write_model(path, header["root"], arrays)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: member {member}: {message}")):
+            load_model(path)
+        assert_predict_refuses(path, f"member {member}: ", message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (0, "k must be >= 1, got 0"),  # predicted all zeros
+            (-2, "k must be >= 1, got -2"),  # predicted all ones: n - 2 neighbours
+            ("x", "k must be an integer, got 'x'"),
+            (2.5, "k must be an integer, got 2.5"),
+            (True, "k must be an integer, got True"),
+            (None, "k must be an integer, got None"),
+        ],
+        ids=["zero", "negative", "string", "float", "bool", "null"],
+    )
+    def test_k_that_is_not_a_positive_int_refused(self, k, message, rng, tmp_path, capsys):
+        path = tmp_path / "knn.npz"
+        header, fields, arrays = saved_knn_fields(path, rng)
+        fields["spec"]["fields"]["hyperparameters"]["items"]["k"] = k
+        write_model(path, header["root"], arrays)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: knn spec: {message}")):
+            load_model(path)
+        assert_predict_refuses(path, "knn spec: ", message, tmp_path, capsys)
+
+    def test_spec_of_another_kind_refused(self, rng, tmp_path, capsys):
+        # a dt spec has no k: such a model loaded, and its predict failed as a KeyError
+        path = tmp_path / "knn.npz"
+        header, fields, arrays = saved_knn_fields(path, rng)
+        fields["spec"]["fields"].update(kind="dt", hyperparameters={"__kind__": "dict", "items": {}})
+        write_model(path, header["root"], arrays)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: knn spec: kind must be 'knn', got 'dt'")):
+            load_model(path)
+        assert_predict_refuses(path, "knn spec: ", "kind must be 'knn'", tmp_path, capsys)
+
+
 def entry_damage(change):
     """A damage of a model file's first member entry by ``change(entry)``."""
 
