@@ -8,10 +8,11 @@
 # run's own prediction file, a run of the config saved with a
 # byte-order mark that must exit 0 and write the same report, three malformed
 # input files (a vector file, a vocabulary and a config that is not UTF-8), a
-# zip archive as models of format 1 to 6 were, and a saved model whose prefix
-# is rewritten to claim model format version 7, that must each exit 2 with an
-# error naming the file (and, for the rewritten model, its version), and no
-# traceback; last, a re-run in which every pca-on cell fails must exit 1 and
+# zip archive as models of format 1 to 6 were, a saved model whose prefix is
+# rewritten to claim model format version 7, and a saved model whose header is
+# rewritten to give its classifier spec an unknown kind, that must each exit 2
+# with an error naming the file (and, for the rewritten models, their version
+# or the spec at fault), and no traceback; last, a re-run in which every pca-on cell fails must exit 1 and
 # leave no pca-on model or prediction file, while the pca-off prediction files
 # stay byte for byte as they were.
 #
@@ -127,10 +128,16 @@ expect_error "$work/bad.json: not UTF-8 text" run --config "$work/bad.json"
 
 # a model of an older format is refused by name, not read as this one: a zip
 # archive, as formats 1 to 6 were, and a saved model whose prefix (the magic,
-# then the little-endian uint32 format version) claims version 7
+# then the little-endian uint32 format version) claims version 7; and a saved
+# model whose classifier spec is of an unknown kind is refused as damaged: its
+# raw-deflated JSON header is rewritten, and the prefix's header length, size
+# and CRC-32 with it
 python - "$work" <<'PY'
+import json
+import struct
 import sys
 import zipfile
+import zlib
 from pathlib import Path
 
 root = Path(sys.argv[1])
@@ -138,11 +145,21 @@ with zipfile.ZipFile(root / "format-6.npz", "w", zipfile.ZIP_DEFLATED) as z:
     z.writestr("__meta__.npy", b"")
 model = sorted((root / "out" / "models").glob("syn__tfidf__*.npz"))[0].read_bytes()
 (root / "version-7.npz").write_bytes(model[:8] + (7).to_bytes(4, "little") + model[12:])
+length = int.from_bytes(model[12:20], "little")
+header = json.loads(zlib.decompress(model[32 : 32 + length], -15))
+header["root"]["fields"]["classifier"]["fields"]["spec"]["fields"]["kind"] = "bogus"
+text = json.dumps(header).encode("utf-8")
+compressor = zlib.compressobj(wbits=-15)
+packed = compressor.compress(text) + compressor.flush()
+prefix = model[:12] + struct.pack("<QQI", len(packed), len(text), zlib.crc32(text))
+(root / "bad-spec.npz").write_bytes(prefix + packed + model[32 + length :])
 PY
 expect_error "$work/format-6.npz: not a model file" \
   predict --model "$work/format-6.npz" --input "$work/data/syn/test.csv" --out "$work/format-6.csv"
 expect_error "$work/version-7.npz: model format version 7 is not supported" \
   predict --model "$work/version-7.npz" --input "$work/data/syn/test.csv" --out "$work/version-7.csv"
+expect_error "$work/bad-spec.npz: a ClassifierSpec node: unknown classifier kind 'bogus'" \
+  predict --model "$work/bad-spec.npz" --input "$work/data/syn/test.csv" --out "$work/bad-spec.csv"
 
 # a re-run into the same output directory whose PCA must keep more components
 # than the train split has rows: every pca-on cell fails and keeps no model or
@@ -178,4 +195,4 @@ for copy in "$work"/pca-off/*.csv; do
   kept=$((kept + 1))
 done
 
-echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs and format-7 models exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"
+echo "cli smoke test passed: $cells cells resumed, ablation tables written,$names predict as in their run, a byte-order-marked config runs, bad inputs, format-7 models and a damaged spec exit 2, failed pca-on cells leave no files and $kept pca-off predictions stay"

@@ -14,7 +14,18 @@ from .svm import LinearSvm
 from .tree import DecisionTree, RandomForest
 from .voting import VotingEnsemble
 
+# classifier kind -> the learner class that ``fit`` trains for it
+CLASSIFIER_CLASSES = {
+    "dt": DecisionTree,
+    "knn": KNearestNeighbors,
+    "rf": RandomForest,
+    "svm": LinearSvm,
+    "mlp": Mlp,
+    "voting": VotingEnsemble,
+}
+
 __all__ = [
+    "CLASSIFIER_CLASSES",
     "CLASSIFIER_KINDS",
     "DEFAULT_HYPERPARAMETERS",
     "DEFAULT_MLP_GRID",

@@ -120,20 +120,8 @@ def check_input_dim(model, x) -> np.ndarray:
 
 def fit(spec: ClassifierSpec, x, y):
     """Train the classifier described by ``spec``; deterministic given the seed."""
-    from .mlp import Mlp
-    from .neighbors import KNearestNeighbors
-    from .svm import LinearSvm
-    from .tree import DecisionTree, RandomForest
-    from .voting import VotingEnsemble
+    from . import CLASSIFIER_CLASSES  # the package, whose learner modules import this one
 
-    cls = {
-        "dt": DecisionTree,
-        "knn": KNearestNeighbors,
-        "rf": RandomForest,
-        "svm": LinearSvm,
-        "mlp": Mlp,
-        "voting": VotingEnsemble,
-    }[spec.kind]
-    model = cls(spec)
+    model = CLASSIFIER_CLASSES[spec.kind](spec)
     model.fit(x, y)
     return model

@@ -6,37 +6,18 @@ Loading never unpickles, so a model file cannot execute code. Each
 registered class encodes to a dict of plain values, containers, arrays, and
 other registered objects, and the JSON names it by its class name.
 
-Codecs come from one table. A plain dataclass stores its fields in
-declaration order and decodes as ``cls(**fields)``. A learner stores ``spec``
-and the state ``_LEARNERS`` lists for it, in that order, and decodes as
-``cls(spec)`` with the state set on it; an unfitted learner is refused. Only
-``Vocabulary``, ``EmbeddingTable`` and ``PipelineModel``, which hold token
-lists, ``DecimalForm``, whose planes a load checks, and the trees have
-codecs of their own. The table also names the fields each encoder writes,
-each with the kind of value a load must find in it (an array, a number, a
-string, an object of a given type, or a list of such), and a load refuses
-an object node whose fields are not those or hold another kind, before
-any decoder calls a method on them or a learner indexes them. A learner's
-entry may add a check of its decoded fields: a kNN's ``x`` and ``y`` must
-be 2-D float64 and int64 arrays of one row per training point, of its
-``input_dim`` and ``n_labels`` columns, ``y`` holding only 0 and 1, and its
-spec a knn spec whose ``k`` is an int >= 1.
+Codecs come from one table (``_REGISTRY``). A plain dataclass stores its
+fields in declaration order and decodes as ``cls(**fields)``; a learner
+stores its spec and the state ``_LEARNERS`` lists for it
+(``_learner_codec``). The table also names the fields each encoder writes
+and the kind of value each holds, so a load refuses an object node whose
+fields are not those before any decoder calls a method on them.
 
-Layout (format 8). A decision tree stores only what its reader cannot
-derive from the rest (see ``learn.tree`` for the four preorder node
-arrays it holds in memory): the ``feature``, ``threshold`` and ``right``
-child of each internal node, its node-kind bits (``np.packbits(feature >=
-0)``, pad bits zero) and its leaf values, 0 or 1 per label, packed along
-each leaf's labels by ``np.packbits``. A random forest is the same with
-its trees packed end to end, right child ids global, plus ``sizes``, the
-node count of each tree: six members whatever its tree count. A decision
-tree's node count is twice its internal nodes plus one. The load checks
-the node-kind bits (as many as the nodes, zero pad bits, as many set as
-internal nodes are stored), every feature (in ``[0, input_dim)``), every
-right child (after ``node + 1`` and before the end of its tree) and the
-leaf values (one row per leaf), so node ids rise along every path and a
-walk stays in its tree; then it rebuilds the four arrays bit for bit,
-read-only.
+Layout (format 8). A tree or forest stores only what its reader cannot
+derive: the feature, threshold and right child of each internal node, the
+node-kind bits and the packed leaf values, plus a forest's per-tree node
+counts, so a forest is six members whatever its tree count (see
+``_tree_layout``, and ``_decode_tree`` for the checks a load makes).
 
 A token list is one uint8 member holding the UTF-8 bytes of its tokens
 joined by newlines: a vocabulary is that member (in column order) plus its
@@ -44,40 +25,28 @@ int64 document frequencies, and an external-vocab tokenizer's list takes one
 too. No per-token or per-tree structure goes through the JSON document.
 
 A word-vector table is its token list, sorted in code-point order, which
-is UTF-8 byte order (see ``dense_features.EmbeddingTable``), plus its
-``(tokens, dimension)`` matrix, rows in token order, in decimal form when
-it has one. A load keeps the token bytes as they are and searches them in
-place, with no per-token object; it checks that they are UTF-8, sorted and
-distinct. A text vector file holds
-fixed-point decimals, so each value is an integer mantissa over
-``10**decimals``: the save finds the smallest ``decimals`` in 0..9 at which
-``rint(m * 10**decimals) / 10**decimals`` equals ``m`` bit for bit for every
-value, and stores a ``DecimalForm`` (see ``dense_features``): the zigzag
-codes of the mantissas as the byte planes of all their bytes below the top
-one, each a uint8 ``(tokens, dimension)`` member, and the bits the top byte
-uses as bit planes, each a uint8 ``(tokens, ceil(dimension / 8))`` member
-packed by ``np.packbits``. An integer cannot carry the sign of ``-0.0``, so
-the flat indices of those values go in an int64 member. A table without
-such a form keeps its float64 matrix, and its ``form`` is null. The form is
-found once per table object, however many models carry it, and a table read
-from a model file is written back in the form it was read in, unsearched.
+is UTF-8 byte order, plus its ``(tokens, dimension)`` matrix, rows in token
+order, so a load can search the token bytes in place (see
+``dense_features.EmbeddingTable``). A text vector file holds fixed-point
+decimals, so a matrix that is exactly integer mantissas over
+``10**decimals`` for some ``decimals`` in 0..9 is stored as a
+``DecimalForm`` (``_decimal_form``): the zigzag codes of the mantissas as
+byte planes below their top byte and bit planes of the bits that byte uses,
+from which a request restores only the rows it reads. A table without such
+a form keeps its float64 matrix. The form is found once per table object,
+and a table read from a model file is written back in the form it was read
+in.
 
-Each table plane is deflated at level 3 when deflate earns its keep: a
-plane of over 64 KiB is probed (``_plane_setting``), eight 8 KiB slices
-spread over it deflated at level 3, and one that does not shrink by at
-least a quarter is written at level 0, in stored blocks, which inflate as
-a plain copy. The low byte planes of a table barely compress and are
-stored; the sparse bit planes of its top byte deflate to a fraction.
-
-Any other float64 member of over 64 KiB whose values a probe finds
-shuffle well (``_shuffles``) is stored as the uint8 ``(8, values)`` byte
-planes of its data, plane ``i`` holding byte ``i`` of every
-little-endian value: the "shuffle" filter of Blosc, after which the bytes
-that barely vary (signs, exponents, high bytes) sit together and deflate
-far better than the interleaved values. The JSON names it with a
-``shuffled`` node that records its shape and order; a load rebuilds the
-values as a read-only array. Mostly-zero matrices fail the probe and stay
-plain.
+Each table plane is deflated at level 3 when deflate earns its keep
+(``_plane_setting``): the low byte planes barely compress and are written
+in stored blocks, which inflate as a plain copy; the sparse bit planes of
+the top byte deflate to a fraction. Any other float64 member of over 64
+KiB whose values a probe finds shuffle well (``_shuffles``) is stored as
+the uint8 ``(8, values)`` byte planes of its data, the "shuffle" filter of
+Blosc, after which the bytes that barely vary (signs, exponents, high
+bytes) sit together and deflate far better than the interleaved values.
+The JSON names it with a ``shuffled`` node that records its shape and
+order. Mostly-zero matrices fail the probe and stay plain.
 
 The container (``_PREFIX``) is a fixed prefix: a magic, the format version,
 and the deflated header's length, size and CRC-32. The raw-deflated JSON
@@ -85,61 +54,33 @@ header follows. It holds ``root``, the node tree, and ``members``: per
 member its dtype code, shape, ``fortran_order``, compressed length, size
 and CRC-32. The payloads follow in member order, each the raw deflate of
 the array's data alone, in C order or, for an array that is only
-Fortran-contiguous, Fortran order; the file ends at the last one. The
-``.npz`` suffix the runner gives model files is historical: a model file
-has not been a zip archive since format 7. A member's deflate setting
-(``_deflate``) depends on the member alone, so equal models still give
-equal files: table planes at level 3 or 0 (a stored plane is stored blocks
-inside a deflate stream), shuffled planes with ``Z_RLE``, anything else,
-and the header, at zlib's default level. ``save_model`` takes an optional
-memo that knows, by object (an array or a tree weakly), every array, token
-list and stored tree array a save encoded, with its node, header entry and
-payload, and, by setting and the SHA-256 of their data bytes
-(``_digest``), the deflated payloads: a later save under the same memo
-repeats no probe, shuffle, hash or deflate for a live object it has seen,
-and deflates no member equal to one it has.
-The runner keeps one memo per run of (language, representation) groups
-that share a word-vector table, and one per group otherwise, so the table
-(and its token list) that every model of such a run carries is deflated
+Fortran-contiguous, Fortran order; the file ends at the last one. The ``.npz`` suffix
+the runner gives model files is historical: a model file has not been a zip
+archive since format 7. A member's deflate setting (``_deflate``) depends
+on the member alone, so equal models give equal files.
+
+``save_model`` takes an optional memo, keyed by object: each array, token
+list or table plane a save encodes is deflated then, and the memo keeps its
+node, header entry and payload, so a later save under the same memo repeats
+no probe, shuffle or deflate for a live object it has seen (see
+``_member``). The runner keeps one memo per run of (language,
+representation) groups that share a word-vector table, and one per group
+otherwise, so the table that every model of such a run carries is deflated
 once per run rather than once per cell.
 
-``load_model`` reads a file in one pass. It reads the prefix, then inflates
-the header and checks its size and CRC-32. Then, one member at a time, it
-checks the entry: a bool, integer or float dtype code of the table
-(``_DTYPES``; nothing is unpickled), a shape of non-negative ints, and a
-size equal to the shape's values times the itemsize. It inflates the
-payload with one ``zlib.decompress`` that reserves at most ``_MAX_INFLATE``
-times the payload, and checks its size and CRC-32. Each array is a
-read-only view of its inflated bytes, and only one member's payload is held
-at a time.
-
-A load restores no word-vector row. A table stored in decimal form keeps its
-byte and bit planes, ``decimals`` and negative-zero indices, all checked
-while the model loads, and restores float64 rows only as they are read: a
-request restores the rows its documents hit (see
-``dense_features.DecimalForm``).
-
-The prefix carries the format version; a mismatch raises FormatError
-instead of guessing, so files of format 1 to 6, which were zip archives,
-and of format 7, whose token lists are unsorted, must be refit. A damaged
-file (a bad magic, a bad CRC, a broken deflate
-stream, a header or payload that runs past the end of the file or bytes
-after the last payload, a header that is not JSON, a member entry whose
-dtype is not in the table or whose size does not fit its shape, a
-malformed node or an object node whose fields are not its type's or hold
-another kind, a member the structure names but the file lacks, a token
-list of a table that is not UTF-8, sorted and distinct, a table plane of
-the wrong dtype or shape or with nonzero pad bits, a negative-zero index
-that names a set bit, a shuffled member that is not 8 planes of its
-values, tree arrays that fail the checks above, a vocabulary's document
-frequencies other than one per token) is a FormatError naming
-the file and the member, never a traceback.
+``load_model`` reads a file in one pass, one inflate per member, and never
+holds more than one member's payload (see ``_read_model`` and
+``_read_member``). The prefix carries the format version; a mismatch raises
+FormatError instead of guessing, so files of format 1 to 6, which were zip
+archives, and of format 7, whose token lists are unsorted, must be refit. A
+damaged file, whether in its container, its header or a node or member that
+its codec refuses, is a FormatError naming the file and, where one is at
+fault, the member, never a traceback.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import struct
@@ -154,6 +95,7 @@ from .atomic import atomic_open
 from .dense_features import DecimalForm, EmbeddingTable
 from .errors import ConfigError, FormatError
 from .learn import (
+    CLASSIFIER_CLASSES,
     ClassifierSpec,
     DecisionTree,
     KNearestNeighbors,
@@ -237,24 +179,14 @@ def _plane_setting(plane: np.ndarray) -> tuple[int, int]:
 
 @dataclasses.dataclass(frozen=True)
 class _Encoded:
-    """A value a codec hands on with the encoding of its node and member: a table plane, a token list, or a tree."""
+    """A value a codec hands on with its encoding: a table plane, a token list, or a stored tree array."""
 
     source: object
-    encoding: Callable[[object], tuple[dict, _Member]]
+    encoding: Callable[[object], tuple[dict, np.ndarray, tuple[int, int]]]
 
 
-@dataclasses.dataclass
-class _Member:
-    """The array a member stores and its deflate setting; once deflated, its header entry and payload in its place."""
-
-    array: np.ndarray | None
-    setting: tuple[int, int]
-    entry: dict | None = None
-    payload: bytes | None = None
-
-
-def _array_encoding(array: np.ndarray) -> tuple[dict, _Member]:
-    """The node and member of an array: a plain member, or the byte planes of float64 values that ``_shuffles``.
+def _array_encoding(array: np.ndarray) -> tuple[dict, np.ndarray, tuple[int, int]]:
+    """The node, stored array and deflate setting of an array: itself, or the byte planes of values that ``_shuffles``.
 
     The planes are of the values in the order a member holds them (``_data``):
     C order, or Fortran order for an array that is only Fortran-contiguous.
@@ -269,18 +201,23 @@ def _array_encoding(array: np.ndarray) -> tuple[dict, _Member]:
                 "shape": list(array.shape),
                 "fortran_order": fortran_order,
             }
-            return node, _Member(_byte_planes(values), _SHUFFLED)
-    return {"__kind__": "array", "member": None}, _Member(array, _DEFAULT)
+            return node, _byte_planes(values), _SHUFFLED
+    return _plain_encoding(array)
 
 
-def _plane_encoding(plane: np.ndarray) -> tuple[dict, _Member]:
-    """The node and member of a word-vector table plane, deflated at its ``_plane_setting``."""
-    return {"__kind__": "array", "member": None}, _Member(plane, _plane_setting(plane))
+def _plain_encoding(array: np.ndarray) -> tuple[dict, np.ndarray, tuple[int, int]]:
+    """The node, stored array and deflate setting of an array stored as it is, at ``_DEFAULT`` and unprobed."""
+    return {"__kind__": "array", "member": None}, array, _DEFAULT
 
 
-def _token_encoding(tokens) -> tuple[dict, _Member]:
-    """The node and member of a token list: its ``_token_member``."""
-    return {"__kind__": "array", "member": None}, _Member(_token_member(tokens), _DEFAULT)
+def _plane_encoding(plane: np.ndarray) -> tuple[dict, np.ndarray, tuple[int, int]]:
+    """The node, stored array and deflate setting of a word-vector table plane: its ``_plane_setting``."""
+    return {"__kind__": "array", "member": None}, plane, _plane_setting(plane)
+
+
+def _token_encoding(tokens) -> tuple[dict, np.ndarray, tuple[int, int]]:
+    """The node, stored array and deflate setting of a token list: its ``_token_member`` at ``_DEFAULT``."""
+    return _plain_encoding(_token_member(tokens))
 
 
 def _reference(source):
@@ -292,19 +229,24 @@ def _reference(source):
 
 
 def _member(source, encoding, members: list, memo: dict) -> dict:
-    """The node of ``source``, whose member is appended to ``members`` and named by its index.
+    """The node of ``source``, whose header entry and payload are appended to ``members`` and named by its index.
 
-    ``encoding(source)`` gives the node and the member; it runs once per
-    source object under ``memo``, and later saves under the same memo take
-    the member (and its payload, once deflated) from there. The memo refers
-    to an array weakly, so it keeps none alive, and an entry whose object
-    has died is never taken for a new object that got its id.
+    ``encoding(source)`` gives the node, the array to store and its deflate
+    setting, and the array is deflated there and then. Both run once per
+    source object under ``memo``: later saves under the same memo take the
+    node, entry and payload from there. The memo refers to an array weakly,
+    so it keeps none alive, and an entry whose object has died is never
+    taken for a new object that got its id.
     """
-    entry = memo.get((encoding, id(source)))
-    if entry is None or entry[0]() is not source:
-        entry = memo[encoding, id(source)] = (_reference(source), *encoding(source))
-    _, node, member = entry
-    members.append(member)
+    cached = memo.get((encoding, id(source)))
+    if cached is None or cached[0]() is not source:
+        node, array, setting = encoding(source)
+        fortran_order, data = _data(array)
+        payload, sizes = _deflate(data, setting)
+        entry = {"dtype": array.dtype.str, "shape": list(array.shape), "fortran_order": fortran_order, **sizes}
+        cached = memo[encoding, id(source)] = (_reference(source), node, entry, payload)
+    _, node, entry, payload = cached
+    members.append((entry, payload))
     return {**node, "member": len(members) - 1}
 
 
@@ -406,7 +348,8 @@ def _kind_name(kind) -> str:
 
 
 def _decode_object(node: dict, arrays: list):
-    """The registered object of an ``object`` node; FormatError if its fields are not its type's, or not of their kinds."""
+    """The registered object of an ``object`` node; FormatError if its fields are not its type's, not of their
+    kinds, or refused by its decoder."""
     type_name, fields = node.get("type"), node.get("fields")
     if not (isinstance(type_name, str) and type_name in _REGISTRY):
         raise FormatError(f"model file references unknown type {type_name!r:.200}")
@@ -428,6 +371,8 @@ def _decode_object(node: dict, arrays: list):
         if exc.index is not None:
             child = child["items"][exc.index]
         raise FormatError(f"member {child['member']!r}: {exc}") from exc
+    except ConfigError as exc:  # a value its type refuses, such as a spec of an unknown kind
+        raise FormatError(f"a {type_name} node: {exc}") from exc
 
 
 def _data(array: np.ndarray) -> tuple[bool, np.ndarray]:
@@ -442,11 +387,6 @@ def _data(array: np.ndarray) -> tuple[bool, np.ndarray]:
     if array.flags.f_contiguous:
         return True, array.T
     return False, np.ascontiguousarray(array)
-
-
-def _digest(data) -> bytes:
-    """SHA-256 of a member's data bytes: with the deflate setting, the save memo's key for its payload."""
-    return hashlib.sha256(data).digest()
 
 
 def _deflate(data, setting: tuple[int, int]) -> tuple[bytes, dict]:
@@ -466,40 +406,26 @@ def _deflate(data, setting: tuple[int, int]) -> tuple[bytes, dict]:
 def save_model(obj, path: str | Path, memo: dict | None = None) -> None:
     """Write any registered object (and everything it references) to ``path``.
 
-    Pass the same ``memo`` dict to several saves and each distinct member is
-    deflated once across them. It holds, by object, each array (or token
-    list, or tree whose stored arrays it derived) that a save has encoded,
-    with its node, header entry and payload,
-    so a later save of the same live object repeats no probe, shuffle, hash
-    or deflate; and, by deflate setting and the SHA-256 of its data bytes,
-    each payload, so an equal array of another object is not deflated again.
-    An array or tree must not change while a memo that has seen it is in
-    use. The memo holds every payload it has made, so drop it when its saves
-    are done.
+    Pass the same ``memo`` dict to several saves and each array object (or
+    token list) is encoded and deflated once across them: the memo holds,
+    by object, the node, header entry and payload of each, so a later save
+    of the same live object repeats no probe, shuffle or deflate. An array
+    must not change while a memo that has seen it is in use. The memo holds
+    every payload it has made, so drop it when its saves are done.
 
     The file is replaced whole or not at all: a failed save leaves the
     previous model in place.
     """
     memo = {} if memo is None else memo
-    members: list[_Member] = []
+    members: list[tuple[dict, bytes]] = []
     root = _encode_node(obj, members, memo)
-    for member in members:
-        if member.payload is None:
-            fortran_order, data = _data(member.array)
-            key = (member.setting, _digest(data))
-            if key not in memo:
-                memo[key] = _deflate(data, member.setting)
-            member.payload, sizes = memo[key]
-            shape = list(member.array.shape)
-            member.entry = {"dtype": member.array.dtype.str, "shape": shape, "fortran_order": fortran_order, **sizes}
-            member.array = None  # a later save needs only the entry and the payload
-    header = json.dumps({"root": root, "members": [member.entry for member in members]}).encode("utf-8")
+    header = json.dumps({"root": root, "members": [entry for entry, _ in members]}).encode("utf-8")
     packed, sizes = _deflate(memoryview(header), _DEFAULT)
     with atomic_open(path, "wb") as fh:
         fh.write(_PREFIX.pack(_MAGIC, FORMAT_VERSION, sizes["length"], sizes["size"], sizes["crc"]))
         fh.write(packed)
-        for member in members:
-            fh.write(member.payload)
+        for _, payload in members:
+            fh.write(payload)
 
 
 # the dtypes a member may hold, by their code: bool, integer and float, never object, so nothing is unpickled
@@ -853,18 +779,6 @@ def _tree_layout(model) -> dict:
     }
 
 
-def _tree_member(name: str):
-    """The encoding of stored tree array ``name`` of a model: under a save memo, a model's layout is found once."""
-
-    def encoding(model) -> tuple[dict, _Member]:
-        return {"__kind__": "array", "member": None}, _Member(_tree_layout(model)[name], _DEFAULT)
-
-    return encoding
-
-
-_TREE_ENCODINGS = {name: _tree_member(name) for name in _TREE}
-
-
 def _decode_tree(f, sizes) -> tuple[np.ndarray, ...]:
     """The four read-only node arrays of a stored tree; FormatError naming the member at fault.
 
@@ -937,7 +851,7 @@ def _decode_tree(f, sizes) -> tuple[np.ndarray, ...]:
 
 def _check_neighbors(f) -> None:
     """Refuse a kNN whose ``x`` is not 2-D float64 ``(n >= 1, input_dim)``, whose ``y`` is not 2-D int64
-    ``(n, n_labels)`` of 0 and 1, or whose spec is not a knn spec with an int ``k`` >= 1."""
+    ``(n, n_labels)`` of 0 and 1, or whose spec has no int ``k`` >= 1."""
     x, y = f["x"], f["y"]
     if x.dtype != np.float64 or x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != f["input_dim"]:
         message = f"knn x must be 2-D float64 of shape (n >= 1, {f['input_dim']}), got {x.dtype} of shape {x.shape}"
@@ -945,8 +859,6 @@ def _check_neighbors(f) -> None:
     if y.dtype != np.int64 or y.shape != (x.shape[0], f["n_labels"]) or not ((y == 0) | (y == 1)).all():
         message = f"knn y must be 2-D int64 of shape ({x.shape[0]}, {f['n_labels']}) holding only 0 and 1"
         raise _MemberError(f"{message}, got {y.dtype} of shape {y.shape}", "y")
-    if f["spec"].kind != "knn":
-        raise FormatError(f"knn spec: kind must be 'knn', got {f['spec'].kind!r}")
     try:
         neighbor_count(f["spec"])
     except ConfigError as exc:
@@ -971,9 +883,11 @@ _LEARNERS = {
 def _learner_codec(cls, fitted_attr, state, check=None):
     """``spec`` then the state; decoded as ``cls(spec)`` with the state set on it, after ``check`` of the fields.
 
-    A tree or forest stores its node arrays as ``_tree_layout`` gives them
-    and gets them back from ``_decode_tree``.
+    The spec must be of the kind ``cls`` learns. A tree or forest stores its
+    node arrays as ``_tree_layout`` gives them and gets them back from
+    ``_decode_tree``.
     """
+    kind = next(k for k, learner in CLASSIFIER_CLASSES.items() if learner is cls)
     trees = cls in (DecisionTree, RandomForest)
     attributes = [name for name in state if not (trees and name in _TREE)]
 
@@ -983,10 +897,12 @@ def _learner_codec(cls, fitted_attr, state, check=None):
             raise ConfigError(f"cannot serialize an unfitted {cls.__name__}")
         fields = {"spec": model.spec, **{name: getattr(model, name) for name in attributes}}
         if trees:
-            fields.update((name, _Encoded(model, encoding)) for name, encoding in _TREE_ENCODINGS.items())
+            fields.update((name, _Encoded(array, _plain_encoding)) for name, array in _tree_layout(model).items())
         return fields
 
     def decode(f):
+        if f["spec"].kind != kind:
+            raise FormatError(f"{kind} spec: kind must be {kind!r}, got {f['spec'].kind!r}")
         if check is not None:
             check(f)
         model = cls(f["spec"])

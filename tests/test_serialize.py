@@ -4,6 +4,7 @@ import json
 import re
 import weakref
 import zlib
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -257,11 +258,22 @@ def fitted_pipeline(kind, spec, rng):
 REPRESENTATION_KINDS = ("bow", "tfidf", "word-vectors", "precomputed")
 
 
+def encodings(obj) -> tuple[dict, list]:
+    """The JSON root of ``obj`` and, in member order, the ``(node, array, deflate setting)`` its encodings give."""
+    found, member = [], serialize._member
+
+    def recording(source, encoding, members, memo):
+        found.append(encoding(source))
+        return member(source, encoding, members, memo)
+
+    with mock.patch.object(serialize, "_member", recording):
+        root = serialize._encode_node(obj, [], {})
+    return root, found
+
+
 def encoded_arrays(obj) -> list:
     """The arrays ``save_model`` stores for ``obj``, in member order, without their deflate settings."""
-    members = []
-    serialize._encode_node(obj, members, {})
-    return [member.array for member in members]
+    return [array for _, array, _ in encodings(obj)[1]]
 
 
 def form_planes(form: DecimalForm) -> tuple:
@@ -286,6 +298,13 @@ class TestModelWriter:
         if kind != "precomputed":  # a precomputed pipeline cannot read text
             restored = load_model(ours)
             np.testing.assert_array_equal(restored.predict_texts(TEXTS), pipe.predict_texts(TEXTS))
+        # saved under one memo after its siblings, which share its featurizer, it is the file saved alone
+        x, y = small_problem(rng)
+        memo = {}
+        for i, other in enumerate(CLASSIFIER_SPECS):
+            save_model(replace(pipe, classifier=fit(other, x, y)), tmp_path / f"sibling{i}.npz", memo=memo)
+        save_model(pipe, tmp_path / "shared.npz", memo=memo)
+        assert (tmp_path / "shared.npz").read_bytes() == ours.read_bytes()
 
     def test_one_memo_deflates_a_shared_table_once(self, rng, tmp_path, monkeypatch):
         dt_pipe = fitted_pipeline("word-vectors", ClassifierSpec(kind="dt"), rng)
@@ -352,9 +371,8 @@ class TestModelWriter:
 
 def stored(value):
     """The JSON node of ``value`` saved as ``{"x": value}``, and its member's array and deflate setting."""
-    members = []
-    root = serialize._encode_node({"x": value}, members, {})
-    return root["items"]["x"], (members[0].array, members[0].setting)
+    root, [(_, array, setting)] = encodings({"x": value})
+    return root["items"]["x"], (array, setting)
 
 
 class TestDeflateStrategy:
@@ -393,24 +411,24 @@ class TestDeflateStrategy:
         ints = np.rint(table.matrix * 1e5).astype(np.int64)  # the rows in sorted token order
         codes = ((ints << 1) ^ (ints >> 63)).view(np.uint64)
         assert int(codes.max()).bit_length() == 20
-        members = []
-        meta = serialize._encode_node(table, members, {})["fields"]
+        root, members = encodings(table)
+        meta = root["fields"]
         assert meta["matrix"] is None and meta["form"]["type"] == "DecimalForm"
         form = meta["form"]["fields"]
         assert form["decimals"] == 5 and form["shape"] == {"__kind__": "tuple", "items": [3000, 100]}
         keys = [[node["member"] for node in form[field]["items"]] for field in ("byte_planes", "bit_planes")]
         assert keys == [[1, 2], [3, 4, 5, 6]]  # after the token list
         for i, key in enumerate(keys[0]):  # byte i of every little-endian code
-            plane = members[key].array
+            _, plane, setting = members[key]
             assert plane.dtype == np.uint8 and plane.shape == (3000, 100)
             assert plane.tobytes() == codes.view(np.uint8).reshape(-1, 8)[:, i].tobytes()
-            assert members[key].setting == (0, zlib.Z_DEFAULT_STRATEGY)
+            assert setting == (0, zlib.Z_DEFAULT_STRATEGY)
         for j, key in enumerate(keys[1]):  # bit 16 + j of every code, eight columns to a byte
-            plane = members[key].array
+            _, plane, setting = members[key]
             assert plane.dtype == np.uint8 and plane.shape == (3000, 13)
             bits = (codes >> np.uint64(16 + j)) & np.uint64(1)
             assert plane.tobytes() == np.packbits(bits.astype(np.uint8), axis=1).tobytes()
-            assert members[key].setting == (3, zlib.Z_DEFAULT_STRATEGY)
+            assert setting == (3, zlib.Z_DEFAULT_STRATEGY)
 
     def test_plane_probe_rule(self, rng):
         # a plane of over 64 KiB is deflated at level 3 when its sample deflates by a quarter, else stored
@@ -485,20 +503,24 @@ def large_model(rng):
 
 
 class TestSaveMemo:
-    """A memo keyed by object: a second save under it redoes no probe, shuffle, hash or deflate."""
+    """A memo keyed by object: a second save under it redoes no probe, shuffle or deflate of an object it has seen."""
 
     def test_second_save_under_a_memo_repeats_no_work(self, rng, tmp_path, monkeypatch):
-        model = large_model(rng)
+        # three tree models: the dt of the large model, and the dt and rf of a voting ensemble
+        model = {**large_model(rng), "voting": fitted_pipeline("word-vectors", default_voting_spec(), rng)}
+        counted = ("_shuffles", "_plane_setting", "_byte_planes", "_deflate", "_tree_layout")
         calls = []
-        for name in ("_shuffles", "_plane_setting", "_digest", "_byte_planes"):
+        for name in counted:
             work = getattr(serialize, name)
             monkeypatch.setattr(serialize, name, lambda *a, _name=name, _work=work: calls.append(_name) or _work(*a))
         memo = {}
         save_model(model, tmp_path / "first.npz", memo=memo)
-        assert {"_shuffles", "_plane_setting", "_digest", "_byte_planes"} <= set(calls)
+        assert set(counted) == set(calls)
+        assert calls.count("_tree_layout") == 3  # once per tree model, not once per stored tree array
         calls.clear()
         save_model(model, tmp_path / "second.npz", memo=memo)
-        assert calls == []
+        # a tree model's five stored arrays are derived afresh at each save, and the header is deflated
+        assert Counter(calls) == {"_tree_layout": 3, "_deflate": 3 * 5 + 1}
         save_model(model, tmp_path / "alone.npz")
         assert (tmp_path / "second.npz").read_bytes() == (tmp_path / "alone.npz").read_bytes()
         assert (tmp_path / "first.npz").read_bytes() == (tmp_path / "alone.npz").read_bytes()
@@ -526,7 +548,7 @@ class TestSaveMemo:
         save_model(build(), tmp_path / "a.npz")
         save_model(build(), tmp_path / "b.npz")
         memo = {}
-        for name in ("c", "d"):  # equal arrays of other objects: taken from the memo by content
+        for name in ("c", "d"):  # equal arrays of other objects: encoded again, to the same bytes
             save_model(build(), tmp_path / f"{name}.npz", memo=memo)
         files = [(tmp_path / f"{name}.npz").read_bytes() for name in "abcd"]
         assert files[1:] == files[:1] * 3
@@ -1465,11 +1487,16 @@ class TestDamagedTrees:
         assert_predict_refuses(path, f"member {member}: ", message, tmp_path, capsys)
 
 
+def saved_classifier_fields(path, spec, rng) -> tuple[dict, dict, list]:
+    """Save a tf-idf pipeline with a ``spec`` classifier at ``path``: its header, the classifier's fields and the arrays."""
+    save_model(fitted_pipeline("tfidf", spec, rng), path)
+    header, arrays = read_model(path)
+    return header, header["root"]["fields"]["classifier"]["fields"], arrays
+
+
 def saved_knn_fields(path, rng) -> tuple[dict, dict, list]:
     """Save a tf-idf pipeline with a k = 3 kNN at ``path``: its header, the kNN's fields and the arrays."""
-    save_model(fitted_pipeline("tfidf", ClassifierSpec(kind="knn", hyperparameters={"k": 3}), rng), path)
-    header, arrays = read_model(path)
-    fields = header["root"]["fields"]["classifier"]["fields"]
+    header, fields, arrays = saved_classifier_fields(path, ClassifierSpec(kind="knn", hyperparameters={"k": 3}), rng)
     assert arrays[fields["x"]["member"]].shape == (6, 6) and arrays[fields["y"]["member"]].shape == (6, 6)
     return header, fields, arrays
 
@@ -1538,6 +1565,50 @@ class TestDamagedNeighbors:
         with pytest.raises(FormatError, match=re.escape(f"{path}: knn spec: kind must be 'knn', got 'dt'")):
             load_model(path)
         assert_predict_refuses(path, "knn spec: ", "kind must be 'knn'", tmp_path, capsys)
+
+
+class TestDamagedSpecs:
+    """A stored spec must be of its learner's kind and pass its own checks.
+
+    A spec of another learner's kind loaded and predicted; one that its own
+    checks refuse escaped the load as a ConfigError naming no file.
+    """
+
+    @pytest.mark.parametrize("spec", [s for s in CLASSIFIER_SPECS if s.kind != "knn"], ids=lambda s: s.kind)
+    def test_spec_of_another_learner_refused(self, spec, rng, tmp_path, capsys):
+        path = tmp_path / "model.npz"
+        header, fields, arrays = saved_classifier_fields(path, spec, rng)
+        empty = {"hyperparameters": {"__kind__": "dict", "items": {}}, "members": {"__kind__": "tuple", "items": []}}
+        fields["spec"]["fields"].update(kind="knn", **empty)  # a valid knn spec
+        write_model(path, header["root"], arrays)
+        message = f"kind must be {spec.kind!r}, got 'knn'"
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {spec.kind} spec: {message}")):
+            load_model(path)
+        assert_predict_refuses(path, f"{spec.kind} spec: ", message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "node, change, message",
+        [
+            ("ClassifierSpec", lambda f: f.update(kind="bogus"), "unknown classifier kind 'bogus'"),
+            (
+                "ClassifierSpec",
+                lambda f: f["hyperparameters"]["items"].update(bogus=1),
+                "unknown hyperparameters for dt: ['bogus']",
+            ),
+            ("TokenizerSpec", lambda f: f.update(kind="bogus"), "unknown tokenizer kind 'bogus'"),
+        ],
+        ids=["classifier-kind", "hyperparameter", "tokenizer-kind"],
+    )
+    def test_spec_its_own_checks_refuse_is_a_format_error(self, node, change, message, rng, tmp_path, capsys):
+        path = tmp_path / "model.npz"
+        header, fields, arrays = saved_classifier_fields(path, ClassifierSpec(kind="dt"), rng)
+        spec = fields["spec"] if node == "ClassifierSpec" else header["root"]["fields"]["tokenizer_spec"]
+        assert spec["type"] == node
+        change(spec["fields"])
+        write_model(path, header["root"], arrays)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: a {node} node: {message}")):
+            load_model(path)
+        assert_predict_refuses(path, f"a {node} node: ", message, tmp_path, capsys)
 
 
 def entry_damage(change):
