@@ -43,7 +43,7 @@ print("  most common tokens:", ", ".join(f"{t} (df={df})" for t, df in top))
 
 model = fit_tfidf(tokens)
 weighted = transform_tfidf(tokens, model)
-norms = np.sqrt(np.asarray(weighted.multiply(weighted).sum(axis=1)).ravel())
+norms = np.linalg.norm(weighted.toarray(), axis=1)
 print(f"\ntf-idf rows are unit length: min norm {norms.min():.6f}, max {norms.max():.6f}")
 
 # Rare tokens carry the largest idf; ubiquitous ones sink toward 1.

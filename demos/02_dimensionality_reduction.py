@@ -53,7 +53,7 @@ print(f"fixed k=10 projects to {z.shape[0]} x {z.shape[1]}")
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     recon = inverse_transform_pca(transform_pca(x, full), full)
-err = np.abs(recon - np.asarray(x.todense())).max()
+err = np.abs(recon - x.toarray()).max()
 print(f"\nfull-rank reconstruction error: {err:.2e}")
 
 # Components form an orthonormal basis: the Gram matrix is the identity.

@@ -32,7 +32,6 @@ from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .atomic import atomic_open
 from .errors import (
@@ -454,12 +453,13 @@ def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]
     tokens and fully out-of-vocabulary documents. The table is asked once
     for the rows of the call's distinct tokens (``table.lookup``), and only
     the distinct rows the documents hit are read (``table.rows``), so a
-    table held in decimal form restores just those. The sums are one
-    product of a CSR hit-count matrix over those rows, built in token
-    order, with them: scipy adds each row's hits in that order, starting
-    from zero, as ``np.mean(hits, axis=0)`` does for a table of dimension 2
-    or more, so the rows are bit-identical to it (at dimension 1 numpy's
-    mean sums pairwise, which can round differently from the in-order sum).
+    table held in decimal form restores just those. Each document's sum adds
+    its hit rows in token order, starting from zero, as ``np.mean(hits,
+    axis=0)`` does for a table of dimension 2 or more, so the rows are
+    bit-identical to it (at dimension 1 numpy's mean sums pairwise, which can
+    round differently from the in-order sum). The documents are summed
+    together, longest first: step j adds the j-th hit of every document that
+    has one.
     """
     if len(table) == 0:
         raise ConfigError("embedding table is empty")
@@ -475,11 +475,15 @@ def embed_documents(docs, table: EmbeddingTable) -> tuple[np.ndarray, OovReport]
     indptr = np.concatenate(([0], np.cumsum(hit)))[np.concatenate(([0], ends))]
     counts = np.diff(indptr)
     ids, columns = np.unique(token_rows[hit], return_inverse=True)
-    hit_matrix = sp.csr_matrix(
-        (np.ones(len(columns)), columns, indptr),
-        shape=(len(counts), len(ids)),
-    )
-    sums = hit_matrix @ table.rows(ids)
+    vectors = table.rows(ids)
+    order = np.argsort(-counts, kind="stable")
+    starts = indptr[order]
+    pooled = np.zeros((len(counts), vectors.shape[1]))  # the sums in `order`
+    # at step j the first `active` documents in `order` have a j-th hit
+    for j, active in enumerate(len(counts) - np.cumsum(np.bincount(counts))[:-1]):
+        pooled[:active] += vectors[columns[starts[:active] + j]]
+    sums = np.empty_like(pooled)
+    sums[order] = pooled
     rows = np.zeros_like(sums)
     np.divide(sums, counts[:, None], out=rows, where=counts[:, None] > 0)
     return rows, OovReport(

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ConfigError, DataError, ShapeError
+from ..sparse_features import SparseRows
 
 CLASSIFIER_KINDS = ("dt", "knn", "rf", "svm", "voting", "mlp")
 
@@ -86,8 +86,8 @@ def _sigmoid(z):
 
 
 def as_dense(x) -> np.ndarray:
-    if sp.issparse(x):
-        return np.asarray(x.todense(), dtype=float)
+    if isinstance(x, SparseRows):
+        return x.toarray()
     return np.asarray(x, dtype=float)
 
 

@@ -15,11 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeError
 from .learn.base import as_dense
-from .sparse_features import normalize_rows_sparse
+from .sparse_features import SparseRows, normalize_rows_sparse
 
 # fit_pca warns when densifying sparse input allocates at least this much
 DENSIFY_WARN_MB = 100
@@ -51,8 +50,8 @@ class PcaModel:
 
 def normalize_rows(m):
     """Scale every nonzero row to unit L2 norm; zero rows pass through."""
-    if sp.issparse(m):
-        return normalize_rows_sparse(sp.csr_matrix(m))
+    if isinstance(m, SparseRows):
+        return normalize_rows_sparse(m)
     m = np.asarray(m, dtype=float)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     scale = np.where(norms > 0, norms, 1.0)
@@ -66,7 +65,7 @@ def fit_pca(m, cfg: ReductionConfig = ReductionConfig()) -> PcaModel:
     variance of the centered data. In variance-fraction mode the smallest k
     whose cumulative ratio reaches the fraction is kept.
     """
-    if sp.issparse(m) and m.shape[0] * m.shape[1] * 8 / 1e6 >= DENSIFY_WARN_MB:
+    if isinstance(m, SparseRows) and m.shape[0] * m.shape[1] * 8 / 1e6 >= DENSIFY_WARN_MB:
         warnings.warn(
             f"densifying a sparse {m.shape[0]}x{m.shape[1]} matrix for PCA; "
             f"this allocates roughly {m.shape[0] * m.shape[1] * 8 / 1e6:.0f} MB",

@@ -575,6 +575,13 @@ def _decode_vocabulary(f):
     )
 
 
+def _decode_tfidf(f):
+    idf, tokens = f["idf"], len(f["vocabulary"])
+    if idf.shape != (tokens,):
+        raise _MemberError(f"idf must be 1-D, one weight per token: shape {idf.shape} for {tokens} tokens", "idf")
+    return TfidfModel(**f)
+
+
 MAX_DECIMALS = 9
 _BLOCK_VALUES = 1 << 16  # values per row block of the search and the build
 
@@ -865,6 +872,16 @@ def _check_neighbors(f) -> None:
         raise FormatError(f"knn spec: {exc}") from exc
 
 
+def _check_voting(f) -> None:
+    """Refuse a voting ensemble whose spec does not list its member learners' own specs, in order."""
+    listed, learned = f["spec"].members, [member.spec for member in f["members"]]
+    if len(listed) != len(learned):
+        raise FormatError(f"voting spec: it lists {len(listed)} members for {len(learned)} learners")
+    for i, (spec, learner_spec) in enumerate(zip(listed, learned)):
+        if spec != learner_spec:
+            raise FormatError(f"voting spec: member {i} is {spec}, but that learner's spec is {learner_spec}")
+
+
 _LEARNER_TYPES = (DecisionTree, RandomForest, KNearestNeighbors, LinearSvm, Mlp, VotingEnsemble)
 _DIMS = {"input_dim": int, "n_labels": int}
 
@@ -876,7 +893,7 @@ _LEARNERS = {
     KNearestNeighbors: ("x", {"x": np.ndarray, "y": np.ndarray, **_DIMS}, _check_neighbors),
     LinearSvm: ("w", {"w": np.ndarray, "b": np.ndarray, **_DIMS}),
     Mlp: ("weights", {"weights": [np.ndarray], "biases": [np.ndarray], **_DIMS}),
-    VotingEnsemble: ("members", {"members": [_LEARNER_TYPES], **_DIMS}),
+    VotingEnsemble: ("members", {"members": [_LEARNER_TYPES], **_DIMS}, _check_voting),
 }
 
 
@@ -984,7 +1001,10 @@ _REGISTRY = {
                 },
             ),
         ),
-        (TfidfModel, _dataclass_codec(TfidfModel, {"vocabulary": Vocabulary, "idf": np.ndarray, "row_normalize": bool})),
+        (
+            TfidfModel,
+            (_dataclass_fields, _decode_tfidf, {"vocabulary": Vocabulary, "idf": np.ndarray, "row_normalize": bool}),
+        ),
         (
             PcaModel,
             _dataclass_codec(

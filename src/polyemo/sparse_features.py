@@ -1,8 +1,9 @@
 """Bag-of-words and TF-IDF document representations.
 
-Matrices are scipy CSR with sorted column indices, no duplicate entries and
-no explicit zeros. The IDF weight of a token w over a corpus of N documents
-with document frequency DF(w) is
+Matrices are ``SparseRows``, compressed sparse rows (CSR) held in numpy
+arrays, with sorted column indices, no duplicate entries and no explicit
+zeros; each consumer densifies its own copy. The IDF weight of a token w over
+a corpus of N documents with document frequency DF(w) is
 
     idf(w) = ln((1 + N) / (1 + DF(w))) + 1
 
@@ -14,16 +15,42 @@ default; all-zero rows are left untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .atomic import atomic_open
 from .errors import DataError, FormatError, open_input
 from .tokenize import tokens_of
+
+
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """A CSR matrix: row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices`` of that slice.
+
+    ``data`` is float64; ``indices`` and ``indptr`` are int32. ``toarray``
+    (or ``np.asarray``) gives the dense float64 matrix.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.toarray()
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -75,7 +102,7 @@ def fit_bow(corpus) -> Vocabulary:
     return Vocabulary(index=index, document_frequency=df, corpus_size=n_docs)
 
 
-def transform_bow(docs, vocab: Vocabulary) -> sp.csr_matrix:
+def transform_bow(docs, vocab: Vocabulary) -> SparseRows:
     """Raw count matrix; out-of-vocabulary tokens are dropped."""
     seqs = [tokens_of(doc) for doc in docs]
     n_rows, n_cols = len(seqs), len(vocab)
@@ -91,10 +118,7 @@ def transform_bow(docs, vocab: Vocabulary) -> sp.csr_matrix:
     keys, counts = np.unique(rows[known] * n_cols + cols[known], return_counts=True)
     indptr = np.zeros(n_rows + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // n_cols, minlength=n_rows), out=indptr[1:])
-    return sp.csr_matrix(
-        (counts.astype(np.float64), (keys % n_cols).astype(np.int32), indptr),
-        shape=(n_rows, n_cols),
-    )
+    return SparseRows(counts.astype(np.float64), (keys % n_cols).astype(np.int32), indptr, (n_rows, n_cols))
 
 
 def compute_idf(vocab: Vocabulary) -> np.ndarray:
@@ -110,24 +134,30 @@ def fit_tfidf(corpus, row_normalize: bool = True) -> TfidfModel:
     return TfidfModel(vocabulary=vocab, idf=compute_idf(vocab), row_normalize=row_normalize)
 
 
-def transform_tfidf(docs, model: TfidfModel) -> sp.csr_matrix:
+def transform_tfidf(docs, model: TfidfModel) -> SparseRows:
     m = transform_bow(docs, model.vocabulary)
-    m.data *= model.idf[m.indices]
+    m = replace(m, data=m.data * model.idf[m.indices])
     if model.row_normalize:
         m = normalize_rows_sparse(m)
     return m
 
 
-def normalize_rows_sparse(m: sp.csr_matrix) -> sp.csr_matrix:
-    """Scale each nonzero row of a CSR matrix to unit L2 norm."""
-    m = m.copy()
-    norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+def normalize_rows_sparse(m: SparseRows) -> SparseRows:
+    """Scale each nonzero row to unit L2 norm.
+
+    A row's squares are summed by ``np.add.reduceat`` over its slice: a
+    pairwise sum, the one ``scipy.sparse`` computes for
+    ``m.multiply(m).sum(axis=1)``, so every norm has scipy's bits.
+    """
+    row_lengths = np.diff(m.indptr)
+    nonempty = np.flatnonzero(row_lengths)
+    norms = np.zeros(m.shape[0])
+    norms[nonempty] = np.add.reduceat(m.data * m.data, m.indptr[nonempty])
+    norms = np.sqrt(norms)
     scale = np.ones_like(norms)
     nonzero = norms > 0
     scale[nonzero] = 1.0 / norms[nonzero]
-    row_lengths = np.diff(m.indptr)
-    m.data *= np.repeat(scale, row_lengths)
-    return m
+    return replace(m, data=m.data * np.repeat(scale, row_lengths))
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from polyemo import atomic
 from polyemo.corpus import EMOTIONS, DatasetSplit, LabeledDocument
+from polyemo.sparse_features import SparseRows
 from polyemo.synthetic import write_corpus, write_word_vectors
 
 settings.register_profile(
@@ -38,6 +39,15 @@ def make_split(texts, labels=None, language="xx", role="train", ids=None):
         row = None if labels is None else tuple(int(v) for v in labels[i])
         docs.append(LabeledDocument(id=doc_id, text=text, labels=row))
     return DatasetSplit(language=language, role=role, documents=tuple(docs))
+
+
+def sparse_rows(x) -> SparseRows:
+    """The nonzero entries of dense ``x``, row by row, as the SparseRows that tf-idf features come in."""
+    x = np.asarray(x, dtype=float)
+    rows, columns = np.nonzero(x)
+    indptr = np.zeros(x.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(x, axis=1), out=indptr[1:])
+    return SparseRows(x[rows, columns], columns.astype(np.int32), indptr, x.shape)
 
 
 def random_label_matrix(rng, n_samples, n_labels=len(EMOTIONS)):

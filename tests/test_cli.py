@@ -1,9 +1,14 @@
 """The polyemo command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyemo
 from polyemo.cli import main
 from polyemo.corpus import load_split
 from polyemo.pipeline import read_predictions
@@ -189,3 +194,60 @@ def test_workers_flag_is_gone(config_path, capsys):
 def test_subcommand_is_required(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# `polyemo ARGS...` in a child interpreter that refuses every import of scipy
+# and exits 3 if one was tried, even if the program caught the ImportError
+WITHOUT_SCIPY = """
+import sys
+
+tried = []
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            tried.append(name)
+            raise ImportError(f"{name} refused: polyemo runs without scipy")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from polyemo.cli import main
+
+code = main(sys.argv[1:])
+sys.exit(3 if tried else code)
+"""
+
+
+def test_run_and_predict_need_no_scipy(synthetic_dir, tmp_path):
+    raw = {
+        "data_dir": str(synthetic_dir / "data"),
+        "languages": ["syn"],
+        "representations": [
+            {"name": "bow", "kind": "bow"},
+            {"name": "tfidf", "kind": "tfidf"},
+            {"name": "wv", "kind": "word-vectors", "vectors": {"syn": str(synthetic_dir / "syn.vec")}},
+        ],
+        "classifiers": [{"name": "knn", "kind": "knn"}],
+        "reduction": {"pca": [True, False]},
+        "seed": 7,
+        "out_dir": str(tmp_path / "out"),
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    src = str(Path(polyemo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def polyemo_without_scipy(*args):
+        done = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
+    polyemo_without_scipy("run", "--config", str(config))
+    test_split = str(synthetic_dir / "data" / "syn" / "test.csv")
+    for name in ("syn__tfidf__pca-on__knn", "syn__wv__pca-off__knn"):
+        out = tmp_path / f"{name}.csv"
+        model = tmp_path / "out" / "models" / f"{name}.npz"
+        polyemo_without_scipy("predict", "--model", str(model), "--input", test_split, "--out", str(out))
+        assert out.read_bytes() == (tmp_path / "out" / "predictions" / f"{name}.csv").read_bytes()

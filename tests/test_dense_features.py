@@ -394,6 +394,39 @@ class TestPoolingMatchesMeanLoop:
         np.testing.assert_allclose(got[0], np.mean(values, axis=0), rtol=1e-12)
 
 
+def scipy_pool(docs, table):
+    """The pooling that in-order sums replaced, frozen: a CSR hit-count matrix times the hit rows, over the counts."""
+    import scipy.sparse as sp
+
+    token_rows = table.lookup([t for doc in docs for t in doc])
+    hit = token_rows >= 0
+    ends = np.cumsum([len(doc) for doc in docs], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(hit)))[np.concatenate(([0], ends))]
+    counts = np.diff(indptr)
+    ids, columns = np.unique(token_rows[hit], return_inverse=True)
+    hit_matrix = sp.csr_matrix((np.ones(len(columns)), columns, indptr), shape=(len(counts), len(ids)))
+    sums = hit_matrix @ table.rows(ids)
+    rows = np.zeros_like(sums)
+    np.divide(sums, counts[:, None], out=rows, where=counts[:, None] > 0)
+    return rows
+
+
+class TestPoolingMatchesScipyProduct:
+    @given(
+        st.sampled_from([1, 2, 12]),
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "oov", "zz"]), max_size=40), max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(self, dim, docs, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(5, dim)) * 10.0 ** rng.integers(-8, 8, size=(5, dim))
+        matrix[rng.random(size=matrix.shape) < 0.2] = -0.0
+        table = EmbeddingTable(tokens=("a", "b", "c", "d", "e"), matrix=matrix)
+        docs = docs + [[], ["oov", "zz"], ["a"] * 30]
+        got, _ = embed_documents(docs, table)
+        assert _bits(got).tolist() == _bits(scipy_pool(docs, table)).tolist()
+
+
 class TestEmbedDocuments:
     def table(self):
         return EmbeddingTable(tokens=("a", "b"), matrix=np.array([[1.0, 2.0], [3.0, 1.0]]))

@@ -9,6 +9,8 @@ from scipy.spatial.distance import cdist
 from polyemo.errors import ConfigError, ShapeError
 from polyemo.learn import ClassifierSpec, KNearestNeighbors, LinearSvm
 
+from conftest import sparse_rows
+
 
 def knn_spec(k):
     return ClassifierSpec(kind="knn", hyperparameters={"k": k})
@@ -126,13 +128,11 @@ class TestKNearestNeighbors:
         np.testing.assert_array_equal(full, per_row)
 
     def test_sparse_queries(self, rng):
-        import scipy.sparse as sp
-
         x = rng.normal(size=(10, 4))
         y = rng.integers(0, 2, size=(10, 2)).astype(np.int64)
         model = KNearestNeighbors(knn_spec(3)).fit(x, y)
         q = rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(model.predict(sp.csr_matrix(q)), model.predict(q))
+        np.testing.assert_array_equal(model.predict(sparse_rows(q)), model.predict(q))
 
 
 def separable_problem(rng, n=40, d=4, labels=3):

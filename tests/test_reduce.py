@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from polyemo import reduce
 from polyemo.errors import ConfigError, ShapeError
@@ -16,6 +15,9 @@ from polyemo.reduce import (
     normalize_rows,
     transform_pca,
 )
+from polyemo.sparse_features import SparseRows
+
+from conftest import sparse_rows
 
 
 def eig_oracle(x):
@@ -47,8 +49,8 @@ class TestNormalizeRows:
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
 
     def test_sparse_input(self):
-        out = normalize_rows(sp.csr_matrix(np.array([[3.0, 4.0]])))
-        assert sp.issparse(out)
+        out = normalize_rows(sparse_rows([[3.0, 4.0]]))
+        assert isinstance(out, SparseRows)
         np.testing.assert_allclose(out.toarray(), [[0.6, 0.8]], atol=1e-12)
 
     def test_random_rows_unit_norm(self, rng):
@@ -124,7 +126,7 @@ class TestFitPca:
 
     def test_sparse_input_warns_then_works(self, monkeypatch):
         monkeypatch.setattr(reduce, "DENSIFY_WARN_MB", 0)
-        m = sp.csr_matrix(FOUR_POINTS)
+        m = sparse_rows(FOUR_POINTS)
         with pytest.warns(UserWarning, match="densifying"):
             model = fit_pca(m)
         np.testing.assert_allclose(model.explained_variance_ratio, [0.8, 0.2], atol=1e-9)
@@ -132,14 +134,14 @@ class TestFitPca:
     def test_small_sparse_fit_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = fit_pca(sp.csr_matrix(FOUR_POINTS))
+            model = fit_pca(sparse_rows(FOUR_POINTS))
         np.testing.assert_array_equal(model.components, fit_pca(FOUR_POINTS).components)
 
     def test_sparse_transform_is_silent(self):
         model = fit_pca(FOUR_POINTS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a predict batch must not warn
-            z = transform_pca(sp.csr_matrix(FOUR_POINTS), model)
+            z = transform_pca(sparse_rows(FOUR_POINTS), model)
         np.testing.assert_array_equal(z, transform_pca(FOUR_POINTS, model))
 
 

@@ -1204,6 +1204,21 @@ class TestDamagedFiles:
             load_model(path)
         assert_predict_refuses(path, f"member {member}: ", "one per token", tmp_path, capsys)
 
+    @pytest.mark.parametrize("cut", [lambda idf: idf[:3], lambda idf: idf[:, None]], ids=["three-of-ten", "2-d"])
+    def test_idf_not_one_per_token_refused(self, cut, rng, tmp_path, capsys):
+        # once such a model loaded, and its predict failed as an IndexError (exit 1)
+        path = tmp_path / "tfidf.npz"
+        save_model(fitted_pipeline("tfidf", ClassifierSpec(kind="dt"), rng), path)
+        header, arrays = read_model(path)
+        member = header["root"]["fields"]["tfidf"]["fields"]["idf"]["member"]
+        assert arrays[member].shape == (10,)
+        arrays[member] = cut(arrays[member])
+        write_model(path, header["root"], arrays)
+        message = f"idf must be 1-D, one weight per token: shape {arrays[member].shape} for 10 tokens"
+        with pytest.raises(FormatError, match=re.escape(f"{path}: member {member}: {message}")):
+            load_model(path)
+        assert_predict_refuses(path, f"member {member}: ", message, tmp_path, capsys)
+
     def test_damaged_model_is_a_cli_error_not_a_traceback(self, rng, tmp_path, capsys):
         from polyemo.cli import main
 
@@ -1609,6 +1624,39 @@ class TestDamagedSpecs:
         with pytest.raises(FormatError, match=re.escape(f"{path}: a {node} node: {message}")):
             load_model(path)
         assert_predict_refuses(path, f"a {node} node: ", message, tmp_path, capsys)
+
+
+class TestDamagedVotingSpecs:
+    """A voting spec must list its learners' own specs; one that listed others loaded and predicted."""
+
+    @staticmethod
+    def drop_all_but_knn(members):
+        del members[1:]
+
+    @staticmethod
+    def knn_of_seven(members):
+        members[0]["fields"]["hyperparameters"]["items"]["k"] = 7
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (drop_all_but_knn, "voting spec: it lists 1 members for 3 learners"),
+            (
+                knn_of_seven,
+                "voting spec: member 0 is ClassifierSpec(kind='knn', hyperparameters={'k': 7}, seed=0, members=()), "
+                "but that learner's spec is ClassifierSpec(kind='knn', hyperparameters={}, seed=0, members=())",
+            ),
+        ],
+        ids=["only-knn", "other-k"],
+    )
+    def test_spec_listing_other_members_refused(self, change, message, rng, tmp_path, capsys):
+        path = tmp_path / "voting.npz"
+        header, fields, arrays = saved_classifier_fields(path, default_voting_spec(), rng)
+        change(fields["spec"]["fields"]["members"]["items"])
+        write_model(path, header["root"], arrays)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+        assert_predict_refuses(path, "voting spec: ", message, tmp_path, capsys)
 
 
 def entry_damage(change):

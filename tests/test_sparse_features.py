@@ -1,14 +1,18 @@
 """Bag-of-words counts and TF-IDF weighting against brute-force oracles."""
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polyemo.errors import DataError, FormatError
+from polyemo.reduce import normalize_rows
 from polyemo.sparse_features import (
+    SparseRows,
     TfidfModel,
     fit_bow,
     fit_tfidf,
@@ -18,6 +22,9 @@ from polyemo.sparse_features import (
     transform_bow,
     transform_tfidf,
 )
+from polyemo.tokenize import tokens_of
+
+from conftest import sparse_rows
 
 token_corpus = st.lists(
     st.lists(st.sampled_from("abcdefgh"), max_size=12),
@@ -91,18 +98,18 @@ class TestTransformBow:
     def test_empty_document_row(self):
         vocab = fit_bow([["a"]])
         m = transform_bow([[], ["a"]], vocab)
-        assert m[0].nnz == 0
-        assert m[1].nnz == 1
+        assert np.diff(m.indptr).tolist() == [0, 1]
 
     @given(docs=token_corpus)
     def test_matrix_invariants(self, docs):
         vocab = fit_bow(docs)
         m = transform_bow(docs, vocab)
-        assert m.has_sorted_indices
+        for start, end in zip(m.indptr[:-1], m.indptr[1:]):
+            assert np.all(np.diff(m.indices[start:end]) > 0)  # sorted, no duplicates
         assert np.all(m.data > 0)  # no explicit zeros
         # row sums equal in-vocabulary token counts
         for i, doc in enumerate(docs):
-            assert m[i].sum() == sum(1 for t in doc if t in vocab.index)
+            assert m.toarray()[i].sum() == sum(1 for t in doc if t in vocab.index)
 
 
 def reference_transform_bow(docs, vocab):
@@ -228,7 +235,7 @@ class TestTransformTfidf:
     def test_rows_unit_norm(self, docs):
         model = fit_tfidf(docs)
         m = transform_tfidf(docs, model)
-        norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+        norms = np.linalg.norm(m.toarray(), axis=1)
         for i, doc in enumerate(docs):
             if any(t in model.vocabulary.index for t in doc):
                 assert abs(norms[i] - 1.0) < 1e-9
@@ -253,19 +260,92 @@ class TestTransformTfidf:
 
 class TestNormalizeRowsSparse:
     def test_zero_row_untouched(self):
-        import scipy.sparse as sp
-
-        m = sp.csr_matrix(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        m = sparse_rows([[0.0, 0.0], [3.0, 4.0]])
         out = normalize_rows_sparse(m).toarray()
         assert out[0].tolist() == [0.0, 0.0]
         np.testing.assert_allclose(out[1], [0.6, 0.8], atol=1e-12)
 
     def test_input_not_mutated(self):
-        import scipy.sparse as sp
-
-        m = sp.csr_matrix(np.array([[3.0, 4.0]]))
+        m = sparse_rows([[3.0, 4.0]])
         normalize_rows_sparse(m)
         assert m.toarray().tolist() == [[3.0, 4.0]]
+
+
+# frozen copies of the scipy.sparse code that SparseRows replaced; every value must keep its bits
+
+
+def scipy_transform_bow(docs, vocab) -> sp.csr_matrix:
+    seqs = [tokens_of(doc) for doc in docs]
+    n_rows, n_cols = len(seqs), len(vocab)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=n_rows)
+    cols = np.fromiter(
+        map(vocab.index.get, chain.from_iterable(seqs), repeat(-1)),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
+    known = cols >= 0
+    keys, counts = np.unique(rows[known] * n_cols + cols[known], return_counts=True)
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n_cols, minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix(
+        (counts.astype(np.float64), (keys % n_cols).astype(np.int32), indptr),
+        shape=(n_rows, n_cols),
+    )
+
+
+def scipy_normalize_rows(m: sp.csr_matrix) -> sp.csr_matrix:
+    m = m.copy()
+    norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+    scale = np.ones_like(norms)
+    nonzero = norms > 0
+    scale[nonzero] = 1.0 / norms[nonzero]
+    row_lengths = np.diff(m.indptr)
+    m.data *= np.repeat(scale, row_lengths)
+    return m
+
+
+def scipy_transform_tfidf(docs, model) -> sp.csr_matrix:
+    m = scipy_transform_bow(docs, model.vocabulary)
+    m.data *= model.idf[m.indices]
+    if model.row_normalize:
+        m = scipy_normalize_rows(m)
+    return m
+
+
+def assert_same_rows(got: SparseRows, want: sp.csr_matrix):
+    assert isinstance(got, SparseRows) and got.shape == want.shape and got.nnz == want.nnz
+    for ours, theirs in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+    dense = got.toarray()
+    assert dense.dtype == np.float64 and dense.flags.c_contiguous
+    assert dense.tobytes() == np.asarray(want.todense()).tobytes()
+    assert np.asarray(got).tobytes() == dense.tobytes()
+
+
+# rows of up to 26 distinct columns, so the pairwise sums of np.add.reduceat (8 accumulators) are reached
+WORDS = st.sampled_from("abcdefghijklmnopqrstuvwxyz")
+
+
+class TestMatchesScipyReference:
+    # the transformed documents add out-of-vocabulary tokens, repeats, empty and all-OOV documents
+    @given(
+        fitted=st.lists(st.lists(WORDS, max_size=40), min_size=1, max_size=12).filter(lambda docs: any(docs)),
+        docs=st.lists(st.lists(st.one_of(WORDS, st.sampled_from(["0", "1", "é"])), max_size=60), max_size=12),
+        row_normalize=st.booleans(),
+    )
+    def test_bit_identical(self, fitted, docs, row_normalize):
+        model = fit_tfidf(fitted, row_normalize=row_normalize)
+        docs = docs + [[], ["0", "1"], ["a"] * 30]
+        assert_same_rows(transform_bow(docs, model.vocabulary), scipy_transform_bow(docs, model.vocabulary))
+        got, want = transform_tfidf(docs, model), scipy_transform_tfidf(docs, model)
+        assert_same_rows(got, want)
+        # the runner's row normalization after tf-idf, and its bag of words: unit idf, no normalization
+        assert_same_rows(normalize_rows(got), scipy_normalize_rows(want))
+        bow = TfidfModel(model.vocabulary, np.ones(len(model.vocabulary)), row_normalize=False)
+        want = scipy_normalize_rows(scipy_transform_tfidf(docs, bow))
+        assert_same_rows(normalize_rows(transform_tfidf(docs, bow)), want)
 
 
 class TestVocabularyFile:

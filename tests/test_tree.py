@@ -18,6 +18,8 @@ from polyemo.sparse_features import TfidfModel, fit_bow, fit_tfidf, transform_tf
 from polyemo.synthetic import build_corpus, write_word_vectors
 from polyemo.tokenize import Tokenizer, TokenizerSpec, tokenize_split
 
+from conftest import sparse_rows
+
 
 def joint_gini(y):
     """Sum over labels of 2 p (1-p)."""
@@ -197,9 +199,7 @@ class TestDecisionTree:
             model.predict(np.zeros((1, 3)))
 
     def test_sparse_input_accepted(self):
-        import scipy.sparse as sp
-
-        x = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        x = sparse_rows([[0.0, 1.0], [1.0, 0.0]])
         y = np.array([[0], [1]])
         model = DecisionTree().fit(x, y)
         np.testing.assert_array_equal(model.predict(x), y)
