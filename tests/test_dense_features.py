@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -396,8 +397,6 @@ class TestPoolingMatchesMeanLoop:
 
 def scipy_pool(docs, table):
     """The pooling that in-order sums replaced, frozen: a CSR hit-count matrix times the hit rows, over the counts."""
-    import scipy.sparse as sp
-
     token_rows = table.lookup([t for doc in docs for t in doc])
     hit = token_rows >= 0
     ends = np.cumsum([len(doc) for doc in docs], dtype=np.int64)
