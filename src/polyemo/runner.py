@@ -80,145 +80,6 @@ from .sparse_features import transform_bow, transform_tfidf  # noqa: F401
 
 REPRESENTATION_KINDS = ("bow", "tfidf", "word-vectors", "precomputed")
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["data_dir", "languages", "representations", "classifiers"],
-    "additionalProperties": False,
-    "properties": {
-        "data_dir": {"type": "string"},
-        "languages": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "string", "minLength": 1},
-        },
-        "representations": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["kind"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "kind": {"enum": list(REPRESENTATION_KINDS)},
-                    "vectors": {
-                        "type": "object",
-                        "additionalProperties": {"type": "string"},
-                    },
-                    "embeddings": {
-                        "type": "object",
-                        "additionalProperties": {
-                            "type": "object",
-                            "required": ["train", "dev", "test"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "train": {"type": "string"},
-                                "dev": {"type": "string"},
-                                "test": {"type": "string"},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "classifiers": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["kind"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "kind": {"enum": list(CLASSIFIER_KINDS)},
-                    "hyperparameters": {"type": "object"},
-                    "members": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {
-                            "type": "object",
-                            "required": ["kind"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "kind": {"enum": [k for k in CLASSIFIER_KINDS if k != "voting"]},
-                                "hyperparameters": {"type": "object"},
-                            },
-                        },
-                    },
-                    "grid": {
-                        "type": "object",
-                        "minProperties": 1,
-                        "additionalProperties": {"type": "array", "minItems": 1},
-                    },
-                },
-            },
-        },
-        "reduction": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "normalize": {"type": "boolean"},
-                "components": {
-                    "anyOf": [
-                        {"const": "all"},
-                        {"type": "integer", "minimum": 1},
-                        {
-                            "type": "number",
-                            "exclusiveMinimum": 0,
-                            "exclusiveMaximum": 1,
-                        },
-                    ]
-                },
-                "pca": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "boolean"},
-                },
-            },
-        },
-        "tokenizer": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": list(TOKENIZER_KINDS)},
-                "lowercase": {"type": "boolean"},
-                "vocab_path": {"type": "string"},
-            },
-        },
-        "fallback": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "static_map": {
-                    "type": "object",
-                    "additionalProperties": {"type": "string"},
-                },
-                "display_names": {
-                    "type": "object",
-                    "additionalProperties": {"type": "string"},
-                },
-                "cache_path": {"type": "string"},
-                "llm": {
-                    "type": "object",
-                    "required": ["endpoint", "model"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "endpoint": {"type": "string"},
-                        "model": {"type": "string"},
-                        "timeout_seconds": {"type": "number", "exclusiveMinimum": 0},
-                        "prompt_template": {"type": "string"},
-                    },
-                },
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "out_dir": {"type": "string"},
-        # cells run sequentially; configs that pin the former worker count
-        # to 1 stay valid, any other value is rejected
-        "workers": {"const": 1},
-    },
-}
-
 
 @dataclass(frozen=True)
 class RepresentationConfig:
@@ -275,19 +136,63 @@ class ReportTable:
         return all(r.status == "ok" for r in self.rows)
 
 
-def _schema_errors(raw, source: str) -> None:
-    import jsonschema
+_JSON_TYPES = {"string": str, "boolean": bool, "integer": int, "number": (int, float), "object": dict, "array": list}
+_MEMBER_KINDS = tuple(k for k in CLASSIFIER_KINDS if k != "voting")
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if not errors:
-        return
-    first = errors[0]
-    loc = "config"
-    for p in first.absolute_path:
-        loc += f"[{p}]" if isinstance(p, int) else f".{p}"
-    more = "" if len(errors) == 1 else f" ({len(errors) - 1} further schema errors)"
-    raise ConfigError(f"{source}: {loc}: {first.message}{more}")
+
+def _typed(value, kind: str, where: str):
+    """``value``, of the JSON type ``kind``; a whole-valued number is an integer and comes back as an int.
+
+    A bool is neither an integer nor a number, as in JSON Schema.
+    """
+    if kind == "integer" and type(value) is float and value.is_integer():
+        return int(value)
+    if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind in ("integer", "number")):
+        raise ConfigError(f"{where}: {value!r:.200} is not of type {kind!r}")
+    return value
+
+
+def _filled(value, kind: str, where: str):
+    """``value``, a non-empty string, array or object, as ``kind`` names."""
+    if not _typed(value, kind, where):
+        raise ConfigError(f"{where}: must not be empty")
+    return value
+
+
+def _items(value, where: str) -> list:
+    """``(place, item)`` for each item of ``value``, a non-empty array."""
+    return [(f"{where}[{i}]", item) for i, item in enumerate(_filled(value, "array", where))]
+
+
+def _choice(value, choices: tuple, where: str) -> str:
+    """``value``, one of the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{where}: {value!r:.200} is not one of {list(choices)}")
+    return value
+
+
+def _strings(value, where: str) -> dict:
+    """``value``, an object whose values are strings."""
+    return {k: _typed(v, "string", f"{where}.{k}") for k, v in _typed(value, "object", where).items()}
+
+
+def _object(value, where: str, required: dict, optional: dict) -> dict:
+    """``value``, an object with every key of ``required`` and others only from ``optional``, as a new dict.
+
+    Both map a key to the JSON type or the tuple of choices its value must
+    have, or to None for a value its reader checks. An integer comes back as
+    an int.
+    """
+    kinds, checked = {**required, **optional}, {}
+    for key, v in _typed(value, "object", where).items():
+        if key not in kinds:
+            raise ConfigError(f"{where}.{key}: unknown key")
+        kind, at = kinds[key], f"{where}.{key}"
+        checked[key] = v if kind is None else _choice(v, kind, at) if isinstance(kind, tuple) else _typed(v, kind, at)
+    for key in required:
+        if key not in checked:
+            raise ConfigError(f"{where}.{key}: missing required key")
+    return checked
 
 
 def _tuplify(value):
@@ -296,136 +201,155 @@ def _tuplify(value):
     return value
 
 
-def _unique_names(names, what, source):
+def _hyperparameters(raw: dict) -> dict:
+    return {k: _tuplify(v) for k, v in raw.get("hyperparameters", {}).items()}
+
+
+def _unique_names(names, what):
     """Names must differ, also once sanitized into cell and artifact file names."""
     seen: dict[str, str] = {}
     for n in names:
         key = _sanitize(n)
         if seen.get(key) == n:
-            raise ConfigError(f"{source}: duplicate {what} name {n!r}")
+            raise ConfigError(f"duplicate {what} name {n!r}")
         if key in seen:
-            raise ConfigError(
-                f"{source}: {what} names {seen[key]!r} and {n!r} both become "
-                f"{key!r} in cell and file names"
-            )
+            raise ConfigError(f"{what} names {seen[key]!r} and {n!r} both become {key!r} in cell and file names")
         seen[key] = n
 
 
+def _read_representation(raw, where: str, resolve) -> RepresentationConfig:
+    r = _object(raw, where, {"kind": REPRESENTATION_KINDS}, {"name": None, "vectors": "object", "embeddings": "object"})
+    kind = r["kind"]
+    name = _filled(r.get("name", kind), "string", f"{where}.name")
+    if kind == "word-vectors":
+        if not r.get("vectors"):
+            raise ConfigError(f"{where}: word-vectors requires a non-empty 'vectors' language-to-file map")
+        paths = {lang: str(resolve(p)) for lang, p in _strings(r["vectors"], f"{where}.vectors").items()}
+        return RepresentationConfig(name=name, kind=kind, vector_paths=paths)
+    if kind == "precomputed":
+        if not r.get("embeddings"):
+            raise ConfigError(f"{where}: precomputed requires a non-empty 'embeddings' map of per-split files")
+        split_paths = {}
+        for lang, roles in r["embeddings"].items():
+            roles = _object(roles, f"{where}.embeddings.{lang}", dict.fromkeys(ROLES, "string"), {})
+            split_paths[lang] = {role: str(resolve(p)) for role, p in roles.items()}
+        return RepresentationConfig(name=name, kind=kind, split_paths=split_paths)
+    for key in ("vectors", "embeddings"):
+        if key in r:
+            raise ConfigError(f"{where}: {kind} does not accept {key!r}")
+    return RepresentationConfig(name=name, kind=kind)
+
+
+def _read_classifier(raw, where: str) -> ClassifierConfig:
+    optional = {"name": None, "hyperparameters": "object", "members": None, "grid": None}
+    c = _object(raw, where, {"kind": CLASSIFIER_KINDS}, optional)
+    kind = c["kind"]
+    name = _filled(c.get("name", kind), "string", f"{where}.name")
+    members = []
+    for at, m in _items(c["members"], f"{where}.members") if "members" in c else ():
+        m = _object(m, at, {"kind": _MEMBER_KINDS}, {"hyperparameters": "object"})
+        members.append((m["kind"], _hyperparameters(m)))
+    grid = None
+    if "grid" in c:
+        if kind != "mlp":
+            raise ConfigError(f"{where}: only mlp accepts a 'grid'")
+        axes = _filled(c["grid"], "object", f"{where}.grid").items()
+        grid = {k: [_tuplify(v) for v in _filled(values, "array", f"{where}.grid.{k}")] for k, values in axes}
+    clf = ClassifierConfig(name, kind, _hyperparameters(c), tuple(members), grid)
+    try:  # the specs each cell will build, so a bad one fails before anything runs
+        clf.spec(0)
+        for point in enumerate_grid(grid) if grid else ():
+            ClassifierSpec(kind="mlp", hyperparameters=point)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return clf
+
+
 def parse_config(raw: dict, source: str = "config", base_dir: Path | None = None) -> ExperimentConfig:
-    """Validate a raw JSON config and build an ExperimentConfig.
+    """Check a raw JSON config and build an ExperimentConfig.
 
-    Relative paths are resolved against ``base_dir`` (the config file's
-    directory) when given. Referenced data and vector files must exist.
+    Each key's type and shape is checked where it is read, and a refusal is a
+    ConfigError ``"<source>: config.<place>: <message>"``, the place written
+    as in ``config.representations[0].kind``. Relative paths are resolved
+    against ``base_dir`` (the config file's directory) when given. Referenced
+    data and vector files must exist.
     """
-    _schema_errors(raw, source)
-    base = base_dir or Path(".")
+    try:
+        cfg = _read_config(raw, base_dir or Path("."))
+        _check_paths(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+    return cfg
 
+
+def _read_config(raw, base: Path) -> ExperimentConfig:
     def resolve(p: str) -> Path:
         path = Path(p)
         return path if path.is_absolute() else base / path
 
-    languages = tuple(raw["languages"])
-    _unique_names(languages, "language", source)
+    required = {"data_dir": "string", "languages": None, "representations": None, "classifiers": None}
+    optional = dict(reduction=None, tokenizer=None, fallback=None, seed="integer", out_dir="string", workers="integer")
+    raw = _object(raw, "config", required, optional)
+    if raw.get("seed", 0) < 0:
+        raise ConfigError(f"config.seed: {raw['seed']} is negative")
+    if raw.get("workers", 1) != 1:  # cells run sequentially; configs that pin the former worker count to 1 stay valid
+        raise ConfigError(f"config.workers: {raw['workers']} is not 1")
 
-    representations = []
-    for i, r in enumerate(raw["representations"]):
-        kind = r["kind"]
-        name = r.get("name", kind)
-        if kind == "word-vectors":
-            if "vectors" not in r or not r["vectors"]:
-                raise ConfigError(
-                    f"{source}: config.representations[{i}]: word-vectors requires "
-                    "a non-empty 'vectors' language-to-file map"
-                )
-            paths = {lang: str(resolve(p)) for lang, p in r["vectors"].items()}
-            representations.append(
-                RepresentationConfig(name=name, kind=kind, vector_paths=paths)
-            )
-        elif kind == "precomputed":
-            if "embeddings" not in r or not r["embeddings"]:
-                raise ConfigError(
-                    f"{source}: config.representations[{i}]: precomputed requires "
-                    "a non-empty 'embeddings' map of per-split files"
-                )
-            split_paths = {
-                lang: {role: str(resolve(p)) for role, p in roles.items()}
-                for lang, roles in r["embeddings"].items()
-            }
-            representations.append(
-                RepresentationConfig(name=name, kind=kind, split_paths=split_paths)
-            )
-        else:
-            for key in ("vectors", "embeddings"):
-                if key in r:
-                    raise ConfigError(
-                        f"{source}: config.representations[{i}]: {kind} does not "
-                        f"accept {key!r}"
-                    )
-            representations.append(RepresentationConfig(name=name, kind=kind))
-    _unique_names([r.name for r in representations], "representation", source)
+    languages = tuple(_filled(v, "string", at) for at, v in _items(raw["languages"], "config.languages"))
+    _unique_names(languages, "language")
+    representations = [
+        _read_representation(r, at, resolve) for at, r in _items(raw["representations"], "config.representations")
+    ]
+    _unique_names([r.name for r in representations], "representation")
+    classifiers = [_read_classifier(c, at) for at, c in _items(raw["classifiers"], "config.classifiers")]
+    _unique_names([c.name for c in classifiers], "classifier")
 
-    classifiers = []
-    for i, c in enumerate(raw["classifiers"]):
-        kind = c["kind"]
-        name = c.get("name", kind)
-        if "grid" in c and kind != "mlp":
-            raise ConfigError(
-                f"{source}: config.classifiers[{i}]: only mlp accepts a 'grid'"
-            )
-        hp = {k: _tuplify(v) for k, v in c.get("hyperparameters", {}).items()}
-        members = tuple(
-            (m["kind"], {k: _tuplify(v) for k, v in m.get("hyperparameters", {}).items()})
-            for m in c.get("members", [])
-        )
-        grid = None
-        if "grid" in c:
-            grid = {k: [_tuplify(v) for v in vals] for k, vals in c["grid"].items()}
-        clf = ClassifierConfig(name=name, kind=kind, hyperparameters=hp, members=members, grid=grid)
-        try:  # the specs each cell will build, so a bad one fails before anything runs
-            clf.spec(0)
-            for point in enumerate_grid(grid) if grid else ():
-                ClassifierSpec(kind="mlp", hyperparameters=point)
-        except ConfigError as exc:
-            raise ConfigError(f"{source}: config.classifiers[{i}]: {exc}") from exc
-        classifiers.append(clf)
-    _unique_names([c.name for c in classifiers], "classifier", source)
-
-    reduction = raw.get("reduction", {})
+    optional = {"normalize": "boolean", "components": None, "pca": None}
+    reduction = _object(raw.get("reduction", {}), "config.reduction", {}, optional)
+    pca_axis = tuple(_typed(v, "boolean", at) for at, v in _items(reduction.get("pca", [True]), "config.reduction.pca"))
+    if len(set(pca_axis)) < len(pca_axis):
+        raise ConfigError(f"config.reduction.pca: {list(pca_axis)} repeats a PCA arm; each arm must be distinct")
     components = reduction.get("components", "all")
-    if isinstance(components, float) and components.is_integer() and components >= 1:
+    if type(components) is float and components.is_integer():
         components = int(components)
+    count, fraction = type(components) is int and components >= 1, type(components) is float and 0 < components < 1
+    if not (components == "all" or count or fraction):
+        message = "is not 'all', a count >= 1 or a fraction in (0, 1)"
+        raise ConfigError(f"config.reduction.components: {components!r:.200} {message}")
 
-    tok_raw = raw.get("tokenizer", {})
-    if "vocab_path" in tok_raw:
-        tok_raw = dict(tok_raw, vocab_path=str(resolve(tok_raw["vocab_path"])))
-    tokenizer = TokenizerSpec(**tok_raw)
+    optional = {"kind": TOKENIZER_KINDS, "lowercase": "boolean", "vocab_path": "string"}
+    tok = _object(raw.get("tokenizer", {}), "config.tokenizer", {}, optional)
+    if "vocab_path" in tok:
+        tok["vocab_path"] = str(resolve(tok["vocab_path"]))
 
-    fb = raw.get("fallback", {})
-    llm_backend = None
+    optional = {"static_map": None, "display_names": None, "cache_path": "string", "llm": None}
+    fb = _object(raw.get("fallback", {}), "config.fallback", {}, optional)
+    llm = None
     if "llm" in fb:
-        llm_backend = LlmBackendConfig(**fb["llm"])
+        optional = {"timeout_seconds": "number", "prompt_template": "string"}
+        llm = _object(fb["llm"], "config.fallback.llm", {"endpoint": "string", "model": "string"}, optional)
+        if llm.get("timeout_seconds", 1) <= 0:
+            raise ConfigError(f"config.fallback.llm.timeout_seconds: {llm['timeout_seconds']} is not positive")
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         data_dir=resolve(raw["data_dir"]),
         languages=languages,
         representations=tuple(representations),
         classifiers=tuple(classifiers),
-        pca_axis=tuple(reduction.get("pca", [True])),
+        pca_axis=pca_axis,
         normalize=reduction.get("normalize", True),
         components=components,
-        tokenizer=tokenizer,
-        static_map=dict(fb.get("static_map", {})),
-        display_names=dict(fb.get("display_names", {})),
+        tokenizer=TokenizerSpec(**tok),
+        static_map=_strings(fb.get("static_map", {}), "config.fallback.static_map"),
+        display_names=_strings(fb.get("display_names", {}), "config.fallback.display_names"),
         cache_path=str(resolve(fb["cache_path"])) if "cache_path" in fb else None,
-        llm_backend=llm_backend,
+        llm_backend=LlmBackendConfig(**llm) if llm else None,
         seed=raw.get("seed", 0),
         out_dir=resolve(raw.get("out_dir", "out")),
     )
-    _check_paths(cfg, source)
-    return cfg
 
 
-def _check_paths(cfg: ExperimentConfig, source: str) -> None:
+def _check_paths(cfg: ExperimentConfig) -> None:
     missing = []
     for lang in cfg.languages:
         for role in ("train", "dev", "test"):
@@ -445,7 +369,7 @@ def _check_paths(cfg: ExperimentConfig, source: str) -> None:
     if missing:
         shown = ", ".join(missing[:8])
         more = "" if len(missing) <= 8 else f" (and {len(missing) - 8} more)"
-        raise ConfigError(f"{source}: referenced files do not exist: {shown}{more}")
+        raise ConfigError(f"referenced files do not exist: {shown}{more}")
 
 
 def load_config(
@@ -461,8 +385,6 @@ def load_config(
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config root must be a JSON object")
     cfg = parse_config(raw, source=str(path), base_dir=path.parent)
     if seed is not None:
         cfg.seed = seed

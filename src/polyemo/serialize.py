@@ -582,6 +582,19 @@ def _decode_tfidf(f):
     return TfidfModel(**f)
 
 
+def _decode_pca(f):
+    """The PcaModel of ``f``, whose ``components`` must be ``(k >= 1, d)``, ``mean`` ``(d,)`` and variances ``(k,)``."""
+    components = f["components"]
+    if components.ndim != 2 or components.shape[0] < 1:
+        raise _MemberError(f"pca components must have shape (k >= 1, d): shape {components.shape}", "components")
+    k, d = components.shape
+    for name, shape in (("mean", (d,)), ("explained_variance", (k,)), ("explained_variance_ratio", (k,))):
+        if f[name].shape != shape:
+            message = f"pca {name} must have shape {shape}: shape {f[name].shape} for components of shape {(k, d)}"
+            raise _MemberError(message, name)
+    return PcaModel(**f)
+
+
 MAX_DECIMALS = 9
 _BLOCK_VALUES = 1 << 16  # values per row block of the search and the build
 
@@ -1007,8 +1020,9 @@ _REGISTRY = {
         ),
         (
             PcaModel,
-            _dataclass_codec(
-                PcaModel,
+            (
+                _dataclass_fields,
+                _decode_pca,
                 {
                     "mean": np.ndarray,
                     "components": np.ndarray,

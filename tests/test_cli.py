@@ -197,21 +197,22 @@ def test_subcommand_is_required(capsys):
 
 
 # `polyemo ARGS...` in a child interpreter that refuses every import of scipy
-# and exits 3 if one was tried, even if the program caught the ImportError
+# or jsonschema, packages of the test extra only, and exits 3 if one was tried,
+# even if the program caught the ImportError
 WITHOUT_SCIPY = """
 import sys
 
 tried = []
 
 
-class RefuseScipy:
+class RefuseTestPackages:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "scipy":
+        if name.partition(".")[0] in ("scipy", "jsonschema"):
             tried.append(name)
-            raise ImportError(f"{name} refused: polyemo runs without scipy")
+            raise ImportError(f"{name} refused: polyemo runs on numpy alone")
 
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, RefuseTestPackages())
 from polyemo.cli import main
 
 code = main(sys.argv[1:])

@@ -155,6 +155,26 @@ class TestParseConfig:
         raw["reduction"]["components"] = 0.9
         assert parse(raw).components == 0.9
 
+    def test_whole_valued_float_seed_is_the_int_seed(self, synthetic_dir, tmp_path):
+        # a seed of 7.0 once hashed as "7.0|...", giving every cell other randomness than 7
+        whole = parse(base_raw(synthetic_dir, tmp_path, seed=7))
+        fractional = parse(base_raw(synthetic_dir, tmp_path, seed=7.0))
+        assert fractional.seed == 7 and type(fractional.seed) is int
+        digests = {"train": "t", "dev": "d", "test": "e"}
+        for a, b in zip(enumerate_cells(whole), enumerate_cells(fractional)):
+            coordinates = (a.language, a.representation.name, a.pca, a.classifier.name)
+            assert cell_seed(whole.seed, *coordinates) == cell_seed(fractional.seed, *coordinates)
+            fingerprint = runner.cell_fingerprint(whole, a, digests, {}, None)
+            assert runner.cell_fingerprint(fractional, b, digests, {}, None) == fingerprint
+
+    @pytest.mark.parametrize("arms", [[False, False], [True, False, True]])
+    def test_repeated_pca_arm_refused(self, synthetic_dir, tmp_path, arms):
+        # [false, false] once ran every cell twice and wrote each report row twice
+        raw = base_raw(synthetic_dir, tmp_path)
+        raw["reduction"]["pca"] = arms
+        with pytest.raises(ConfigError, match=r"^config: config\.reduction\.pca: .*repeats a PCA arm"):
+            parse(raw)
+
     def test_load_config_file_and_overrides(self, synthetic_dir, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(base_raw(synthetic_dir, tmp_path / "out")), encoding="utf-8")

@@ -1219,6 +1219,31 @@ class TestDamagedFiles:
             load_model(path)
         assert_predict_refuses(path, f"member {member}: ", message, tmp_path, capsys)
 
+    @pytest.mark.parametrize(
+        "field, cut, named",
+        [
+            ("mean", lambda mean: mean[:2], "mean"),
+            ("explained_variance", lambda variance: variance[:1], "explained_variance"),
+            # components name k and d, so a mean one value longer than their rows is the member refused
+            ("components", lambda components: components[:, :-1], "mean"),
+            ("components", lambda components: components.ravel(), "components"),
+        ],
+        ids=["mean-of-two", "one-variance", "one-column-less", "flat-components"],
+    )
+    def test_pca_members_of_other_shapes_refused(self, field, cut, named, rng, tmp_path, capsys):
+        # each once loaded: its predict failed as a broadcast ValueError, passed, or failed as a ShapeError
+        path = tmp_path / "pca.npz"
+        save_model(fitted_pipeline("tfidf", ClassifierSpec(kind="svm", hyperparameters={"epochs": 20}), rng), path)
+        header, arrays = read_model(path)
+        pca = header["root"]["fields"]["pca"]["fields"]
+        assert arrays[pca["components"]["member"]].shape == (6, 10)
+        arrays[pca[field]["member"]] = cut(arrays[pca[field]["member"]])
+        write_model(path, header["root"], arrays)
+        member, message = pca[named]["member"], f"pca {named} must have shape"
+        with pytest.raises(FormatError, match=re.escape(f"{path}: member {member}: {message}")):
+            load_model(path)
+        assert_predict_refuses(path, f"member {member}: ", message, tmp_path, capsys)
+
     def test_damaged_model_is_a_cli_error_not_a_traceback(self, rng, tmp_path, capsys):
         from polyemo.cli import main
 
