@@ -328,8 +328,9 @@ def _read_config(raw, base: Path) -> ExperimentConfig:
     if "llm" in fb:
         optional = {"timeout_seconds": "number", "prompt_template": "string"}
         llm = _object(fb["llm"], "config.fallback.llm", {"endpoint": "string", "model": "string"}, optional)
-        if llm.get("timeout_seconds", 1) <= 0:
-            raise ConfigError(f"config.fallback.llm.timeout_seconds: {llm['timeout_seconds']} is not positive")
+        timeout = llm.get("timeout_seconds", 1)
+        if not 0 < timeout < math.inf:  # json reads NaN and Infinity too
+            raise ConfigError(f"config.fallback.llm.timeout_seconds: {timeout} is not a positive finite number")
 
     return ExperimentConfig(
         data_dir=resolve(raw["data_dir"]),

@@ -1,6 +1,7 @@
 """The config reader against the JSON Schema it replaced, one mutation of a full config at a time."""
 
 import copy
+import json
 import re
 
 import jsonschema
@@ -267,6 +268,14 @@ def test_full_config_parses(config_dir):
     assert (cfg.components, cfg.pca_axis, cfg.seed, cfg.llm_backend.timeout_seconds) == (2, (True, False), 7, 5)
     assert cfg.tokenizer.vocab_path == str(config_dir / "vocab.txt")
     assert cfg.cache_path == str(config_dir / "cache.json")
+
+
+@pytest.mark.parametrize("timeout", ["NaN", "Infinity"])
+def test_timeout_that_is_no_positive_number_refused(config_dir, timeout):
+    # the schema let NaN and Infinity, which json reads, through as a timeout
+    raw = json.loads(json.dumps(FULL_CONFIG).replace('"timeout_seconds": 5', f'"timeout_seconds": {timeout}'))
+    with pytest.raises(ConfigError, match=r"^config: config\.fallback\.llm\.timeout_seconds: "):
+        parse_config(raw, source="config", base_dir=config_dir)
 
 
 def test_reader_refuses_what_the_schema_refuses(config_dir):
